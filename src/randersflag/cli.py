@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -127,15 +128,22 @@ def _parse_explicit(data: dict) -> ModelConfig:
             value = float(entry["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed bracket entry {entry!r}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"bracket value must be finite, got {entry!r}")
         if not all(1 <= idx <= dim for idx in (i, j, k)):
             raise ConfigError(f"bracket indices must lie in 1..{dim}, got {entry!r}")
         constants[i - 1, j - 1, k - 1] = value
         constants[j - 1, i - 1, k - 1] = -value
     if "x0" not in data:
         raise ConfigError("explicit model needs an 'x0' coordinate list")
-    x0 = np.asarray(data["x0"], dtype=float)
+    try:
+        x0 = np.asarray(data["x0"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
     if x0.shape != (dim,):
         raise ConfigError(f"x0 must have length {dim}, got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be finite, got {x0.tolist()}")
     if float(np.linalg.norm(x0)) >= 1.0:
         raise ConfigError(
             f"x0 must have Euclidean norm < 1, got {np.linalg.norm(x0):.6g}"
@@ -271,13 +279,9 @@ def cmd_flag(config: ModelConfig, w_coords, x_coords) -> int:
 
 
 def cmd_search(config: ModelConfig, seed: int, max_samples: int = 512) -> int:
-    """Print a sign certificate as JSON; exit 0 iff both witnesses exist."""
-    structure = config.structure()
-    try:
-        certificate = sign_search(structure, seed=seed, max_samples=max_samples)
-    except SearchFailure as exc:
-        print(f"search failure: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+    """Print a sign certificate as JSON; exit 0.  A failed search raises
+    :class:`SearchFailure`, which :func:`main` reports with exit 1."""
+    certificate = sign_search(config.structure(), seed=seed, max_samples=max_samples)
     document = {
         "positive_witness": _report_json(certificate.positive_witness),
         "negative_witness": _report_json(certificate.negative_witness),

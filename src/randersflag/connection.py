@@ -3,10 +3,17 @@
 For left-invariant fields the directional-derivative terms of the generalized
 Koszul formula drop out, leaving an algebraic system for the connection
 coefficients at a fixed reference vector.  The system is triangular in three
-stages -- nabla_w w, then nabla_x w for basis x, then nabla_x y -- because
-every Cartan correction appearing in an earlier stage carries a w slot and
-therefore vanishes.  Each stage is one symmetric-positive-definite solve
-against the cached osculating Gram factorization; no iteration is needed.
+stages -- nabla_w w, then nabla_v w, then nabla_x y -- because every Cartan
+correction appearing in an earlier stage carries a w slot and therefore
+vanishes.  Each stage is one symmetric-positive-definite solve against the
+cached osculating Gram factorization; no iteration is needed.
+
+Stage 2 is stacked: :func:`nabla_v_w` solves for nabla_v w over any set of
+columns v at once.  A flag curvature needs it on three vectors only (see
+:mod:`randersflag.curvature`), so stages 1-2 cost O(n^3), the price of
+contracting the structure constants with a few vectors.  Stage 3, the full
+table of :func:`chern_rund_table`, costs O(n^4) and serves the reference
+tables, the residual checks and the public table API.
 """
 
 from __future__ import annotations
@@ -45,31 +52,35 @@ class ConnectionTable:
         return np.einsum("i,j,ijk->k", x, y, self.gamma)
 
 
+def _pole_pairing(frame: OsculatingFrame) -> np.ndarray:
+    """Matrix of <[e_i, e_j], w>_w, indexed [i, j]."""
+    return frame.structure.algebra.structure @ (frame.gram @ frame.w)
+
+
 def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
     """Covariant derivative of the reference vector along itself.
 
     Solves <v, e_i>_w = <[e_i, w], w>_w; every Cartan correction carries a w
     slot and vanishes, so this stage needs no prior data.
     """
+    return frame.solve(_pole_pairing(frame) @ frame.w)
+
+
+def nabla_v_w(frame: OsculatingFrame, nww: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Column j holds nabla_v w for the column v = vectors[:, j].
+
+    Solves <nabla_v w, e_k>_w = (<[v, w], e_k>_w - <[w, e_k], v>_w
+    + <[e_k, v], w>_w) / 2 - C_w(nabla_w w, e_k, v) for all columns in one
+    solve; ``nww`` is the stage-1 vector of :func:`nabla_w_of_w`, used in the
+    single surviving Cartan correction (the other two carry a w slot).
+    """
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
-    rhs = np.einsum("ijk,j,kl,l->i", c, q, gram, q)
-    return frame.solve(rhs)
-
-
-def _nabla_x_w_rows(frame: OsculatingFrame, nww: np.ndarray) -> np.ndarray:
-    """Row j holds nabla_{e_j} w.  Uses the stage-1 vector in the single
-    surviving Cartan correction (the other two carry a w slot)."""
-    c = frame.structure.algebra.structure
-    q, gram, cartan = frame.w, frame.gram, frame.cartan_tensor
-    bw = np.einsum("jik,i->jk", c, q)  # [e_j, w]
-    t1 = bw @ gram  # <[e_j, w], e_k>_w
-    wb = np.einsum("ikm,i->km", c, q)  # [w, e_k]
-    t2 = (wb @ gram).T  # <[w, e_k], e_j>_w, indexed [j, k]
-    t3 = np.einsum("kjm,ml,l->jk", c, gram, q)  # <[e_k, e_j], w>_w
-    correction = np.einsum("m,mkj->jk", nww, cartan)
-    rhs = 0.5 * (t1 - t2 + t3) - correction
-    return frame.solve(rhs.T).T
+    dim = frame.dim
+    right = (q @ c).T  # column j: [e_j, w]
+    left = (q @ c.reshape(dim, dim * dim)).reshape(dim, dim)  # row k: [w, e_k]
+    brackets = gram @ (right @ vectors) - left @ (gram @ vectors) + _pole_pairing(frame) @ vectors
+    return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))
 
 
 def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
@@ -78,7 +89,7 @@ def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
     Applying the map to the reference vector itself reproduces
     :func:`nabla_w_of_w`.
     """
-    return _nabla_x_w_rows(frame, nabla_w_of_w(frame)).T.copy()
+    return nabla_v_w(frame, nabla_w_of_w(frame), np.eye(frame.dim))
 
 
 def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
@@ -87,14 +98,18 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     c = frame.structure.algebra.structure
     gram, cartan = frame.gram, frame.cartan_tensor
     dim = frame.dim
-    rows = _nabla_x_w_rows(frame, nabla_w_of_w(frame))
-    term1 = np.einsum("ijm,mk->ijk", c, gram)  # <[e_i, e_j], e_k>_w
-    term2 = np.einsum("jkm,mi->ijk", c, gram)  # <[e_j, e_k], e_i>_w
-    term3 = np.einsum("kim,mj->ijk", c, gram)  # <[e_k, e_i], e_j>_w
-    corr1 = np.einsum("im,mjk->ijk", rows, cartan)
-    corr2 = np.einsum("jm,mki->ijk", rows, cartan)
-    corr3 = np.einsum("km,mij->ijk", rows, cartan)
-    rhs = 0.5 * (term1 - term2 + term3) - corr1 - corr2 + corr3
+    rows = nabla_x_w_map(frame).T  # row i: nabla_{e_i} w
+    # pairings[i, j, k] = <[e_i, e_j], e_k>_w and
+    # corrections[i, j, k] = C_w(nabla_{e_i} w, e_j, e_k); the other Koszul
+    # terms are the same arrays with (i, j, k) cycled
+    pairings = c @ gram
+    corrections = (rows @ cartan.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+    rhs = (
+        0.5 * (pairings - pairings.transpose(2, 0, 1) + pairings.transpose(1, 2, 0))
+        - corrections
+        - corrections.transpose(2, 0, 1)
+        + corrections.transpose(1, 2, 0)
+    )
     gamma = frame.solve(rhs.reshape(dim * dim, dim).T).T.reshape(dim, dim, dim)
     return ConnectionTable(frame=frame, gamma=gamma)
 

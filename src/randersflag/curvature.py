@@ -5,6 +5,14 @@ fixed-reference Chern-Rund table with one bracket.  Flag curvature divides the
 osculating pairing of R(x, w)w against x by the Gram determinant of the flag
 plane; it is invariant under rescaling of x and under mixing x with the pole.
 
+:func:`flag_curvature` and :func:`sign_search` never build the table.  With
+N v = nabla_v w, the numerator <R(x, w)w, x>_w is
+<nabla_x (N w), x>_w - <nabla_w (N x), x>_w - <N [x, w], x>_w.  The first two
+terms are Koszul right-hand sides paired with x, which need no solve, and N
+is needed on x, N w and [x, w] only: stage 1 plus one three-column stage-2
+solve, O(n^3) per flag.  :func:`curvature_operator` and :func:`flag_report`
+read a prebuilt table and are the reference the flag path is tested against.
+
 On the five-dimensional Heisenberg model eight special flag families have
 closed-form curvatures, catalogued here by case id; they also seed the sign
 search that certifies the coexistence of strictly positive and strictly
@@ -17,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, chern_rund_table
+from .connection import ConnectionTable, _pole_pairing, nabla_v_w, nabla_w_of_w
 from .errors import DomainError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _as_vector
-from .randers import ZERO_VECTOR_TOL, RandersStructure, _frozen
+from .randers import ZERO_VECTOR_TOL, OsculatingFrame, RandersStructure, _frozen
 
 #: A flag is degenerate when its Gram determinant falls below this fraction of
 #: the product of squared osculating norms (scale-invariant cutoff).
@@ -116,14 +124,8 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     return mx @ (my @ z) - my @ (mx @ z) - mb @ z
 
 
-def flag_report(table: ConnectionTable, x) -> FlagReport:
-    """Flag curvature from a prebuilt connection table; the pole is the
-    table's reference vector."""
-    frame = table.frame
+def _quotient(frame: OsculatingFrame, x: np.ndarray, numerator: float) -> FlagReport:
     q, gram = frame.w, frame.gram
-    x = _as_vector(x, frame.dim)
-    r = curvature_operator(table, x, q, q)
-    numerator = float(r @ gram @ x)
     norms = float((q @ gram @ q) * (x @ gram @ x))
     cross = float(x @ gram @ q)
     denominator = norms - cross**2
@@ -138,12 +140,45 @@ def flag_report(table: ConnectionTable, x) -> FlagReport:
     )
 
 
+def flag_report(table: ConnectionTable, x) -> FlagReport:
+    """Flag curvature from a prebuilt connection table; the pole is the
+    table's reference vector."""
+    frame = table.frame
+    x = _as_vector(x, frame.dim)
+    r = curvature_operator(table, x, frame.w, frame.w)
+    return _quotient(frame, x, float(r @ frame.gram @ x))
+
+
+def _flag_numerator(frame: OsculatingFrame, x: np.ndarray) -> float:
+    """<R(x, w)w, x>_w from stages 1-2 and two Koszul pairings."""
+    c = frame.structure.algebra.structure
+    q, gram = frame.w, frame.gram
+    a = nabla_w_of_w(frame)
+    xw = frame.structure.algebra.bracket(x, q)
+    nx, na, nxw = nabla_v_w(frame, a, np.array((x, a, xw)).T).T
+    gx = gram @ x
+    pairs_x = c @ gx  # <[e_i, e_j], x>_w, indexed [i, j]
+    cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)).T).T
+    # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
+    # <[x, a], x>_w, and of the Cartan terms only -C_w(N a, x, x) survives
+    along_x = x @ pairs_x @ a - cartan_xx @ na
+    # <nabla_w (N x), x>_w: of the Cartan terms only -C_w(a, N x, x) has no
+    # w slot
+    brackets = q @ pairs_x @ nx - nx @ _pole_pairing(frame) @ x + xw @ gram @ nx
+    along_w = 0.5 * brackets - cartan_xb @ a
+    return float(along_x - along_w - nxw @ gx)
+
+
+def _frame_report(frame: OsculatingFrame, x: np.ndarray) -> FlagReport:
+    return _quotient(frame, x, _flag_numerator(frame, x))
+
+
 def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     """Flag curvature K(w, x) at the Euclidean-normalized pole w.
 
-    Builds the osculating frame and connection at w and evaluates the
-    curvature quotient.  The report is marked degenerate when x is parallel
-    to w in the osculating product (zero-area flag).
+    Builds the osculating frame at w and evaluates the curvature quotient
+    without the connection table.  The report is marked degenerate when x is
+    parallel to w in the osculating product (zero-area flag).
     """
     w = _as_vector(w, structure.dim)
     x = _as_vector(x, structure.dim)
@@ -151,8 +186,7 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
         raise DomainError("flag pole is numerically zero")
     if float(np.linalg.norm(x)) < ZERO_VECTOR_TOL:
         raise DomainError("transverse vector is numerically zero")
-    table = chern_rund_table(structure.osculating_gram(w))
-    return flag_report(table, x)
+    return _frame_report(structure.osculating_gram(w), x)
 
 
 def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> float:
@@ -232,16 +266,16 @@ def sign_search(
         raise ParameterError("max_samples must be positive")
     rng = np.random.default_rng(seed)
     dim = structure.dim
-    tables: dict[bytes, ConnectionTable] = {}
+    frames: dict[bytes, OsculatingFrame] = {}
 
     def evaluate(w: np.ndarray, x: np.ndarray) -> FlagReport:
         q = w / np.linalg.norm(w)
         key = q.tobytes()
-        table = tables.get(key)
-        if table is None:
-            table = chern_rund_table(structure.osculating_gram(q))
-            tables[key] = table
-        return flag_report(table, x)
+        frame = frames.get(key)
+        if frame is None:
+            frame = structure.osculating_gram(q)
+            frames[key] = frame
+        return _frame_report(frame, x)
 
     def candidates():
         if dim == 5:

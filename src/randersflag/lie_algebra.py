@@ -9,6 +9,7 @@ labels e_1..e_n, so ``e_i`` is ``coords[i-1]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,12 @@ def _as_vector(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise DimensionMismatch(
             f"expected a coordinate vector of length {dim}, got shape {v.shape}"
+        )
+    # v.v is finite exactly when every entry is finite and the squared norm,
+    # which every osculating quantity is built from, does not overflow
+    if not math.isfinite(v.dot(v)):
+        raise ParameterError(
+            f"coordinate vector must be finite with a finite squared norm, got {v.tolist()}"
         )
     return v
 
@@ -71,6 +78,8 @@ class MetricLieAlgebra:
             )
         if c.shape[0] == 0:
             raise ParameterError("dimension must be positive")
+        if not np.isfinite(c).all():
+            raise ParameterError("structure constants must be finite")
         object.__setattr__(self, "structure", _frozen(c))
 
     @property

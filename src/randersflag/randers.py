@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -227,9 +228,11 @@ class RandersStructure:
 class OsculatingFrame:
     """Osculating inner product at a unit reference vector, ready to solve.
 
-    Carries the Gram matrix of the basis, its Cholesky factorization, and the
-    Cartan tensor on basis triples; all are built once at construction and are
-    read-only afterwards, so frames are safe for concurrent use.
+    Carries the Gram matrix of the basis and its Cholesky factorization,
+    built at construction, and the closed-form Cartan contractions.  The
+    (n, n, n) Cartan tensor on basis triples is built on first read, since
+    only the full connection table needs it.  Frames are read-only, so they
+    are safe for concurrent use (a racing first read builds the same tensor).
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
@@ -254,12 +257,36 @@ class OsculatingFrame:
         self.structure = structure
         self.w = _frozen(q)
         self.gram = _frozen(gram)
-        self.cartan_tensor = _frozen(_cartan_basis_tensor(p, q))
+        self._pw = pw
         self._factor = factor
 
     @property
     def dim(self) -> int:
         return self.structure.dim
+
+    @cached_property
+    def cartan_tensor(self) -> np.ndarray:
+        """Cartan tensor on basis triples, (n, n, n); built on first read."""
+        return _frozen(_cartan_basis_tensor(self.structure.x0, self.w))
+
+    def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Coordinates of the covector C_w(u, v, .), in O(n) per column.
+
+        ``v`` is a vector or stacked columns; the result has its shape, so
+        ``cartan_covector(u, v) @ x`` is the Cartan tensor C_w(u, v, x).
+        The closed form of :meth:`RandersStructure.cartan` with one slot left
+        open.
+        """
+        p, q, pw = self.structure.x0, self.w, self._pw
+        qu, pu = q @ u, p @ u
+        qv, pv, uv = q @ v, p @ v, u @ v
+        outer = np.multiply.outer
+        return 0.5 * (
+            outer(q, 3.0 * pw * qu * qv - pw * uv - pu * qv - pv * qu)
+            + (pu - pw * qu) * v
+            + outer(u, pv - pw * qv)
+            + outer(p, uv - qu * qv)
+        )
 
     def inner(self, u, v) -> float:
         """<u, v>_w against the cached Gram matrix."""
@@ -268,5 +295,11 @@ class OsculatingFrame:
         return float(u @ self.gram @ v)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve gram @ x = rhs (vector or stacked columns)."""
-        return cho_solve(self._factor, rhs)
+        """Solve gram @ x = rhs (vector or stacked columns).
+
+        Skips scipy's finiteness scan of the factor and ``rhs``: both are
+        built from vectors and structure constants checked finite on entry,
+        so only an overflow in between can make them non-finite, and it
+        shows as a non-finite solution.
+        """
+        return cho_solve(self._factor, rhs, check_finite=False)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import w_perp
+from .curvature import _span_unit
 from .lie_algebra import heisenberg5
 
 
@@ -142,14 +143,6 @@ def pole_e34_rows_e12_cells(lam: float, mu: float, xi: float, w: np.ndarray) -> 
     ]
 
 
-def _plane_unit(first: int, rng: np.random.Generator | None) -> np.ndarray:
-    v = np.zeros(5)
-    theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
-    v[first] = np.cos(theta)
-    v[first + 1] = np.sin(theta)
-    return v
-
-
 def reference_blocks(
     lam: float, mu: float, xi: float, rng: np.random.Generator | None = None
 ) -> dict[str, tuple[np.ndarray, list[TableCell]]]:
@@ -157,8 +150,8 @@ def reference_blocks(
     (pole, cells).  Center-free poles are sampled from ``rng`` when given
     (the closed forms hold for every unit pole in the respective plane)."""
     _, z = _basis()
-    w12 = _plane_unit(0, rng)
-    w34 = _plane_unit(2, rng)
+    w12 = _span_unit("e12", rng)
+    w34 = _span_unit("e34", rng)
     return {
         "pole_z": (z, pole_z_cells(lam, mu, xi)),
         "pole_e12_frame": (w12, pole_e12_frame_cells(lam, mu, xi, w12)),

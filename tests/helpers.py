@@ -39,3 +39,28 @@ def abelian_structure(dim=5, x0=None):
 
     algebra = MetricLieAlgebra(np.zeros((dim, dim, dim)))
     return RandersStructure(algebra, np.zeros(dim) if x0 is None else x0)
+
+
+def nilpotent_algebra(rng, dim):
+    """Random 2-step nilpotent algebra: antisymmetric maps from the first
+    dim - dim // 3 basis vectors into a central block of dim // 3."""
+    from randersflag import MetricLieAlgebra
+
+    center = max(1, dim // 3)
+    free = dim - center
+    maps = rng.standard_normal((free, free, center)) / np.sqrt(free)
+    c = np.zeros((dim, dim, dim))
+    c[:free, :free, free:] = maps - maps.transpose(1, 0, 2)
+    return MetricLieAlgebra(c)
+
+
+def solvable_algebra(rng, dim):
+    """Random rank-one solvable algebra: [e1, e_j] = D e_j for a random
+    derivation D of the abelian ideal spanned by e2..e_dim."""
+    from randersflag import MetricLieAlgebra
+
+    derivation = rng.standard_normal((dim - 1, dim - 1)) / np.sqrt(dim)
+    c = np.zeros((dim, dim, dim))
+    c[0, 1:, 1:] = derivation.T
+    c[1:, 0, 1:] = -derivation.T
+    return MetricLieAlgebra(c)

@@ -238,6 +238,21 @@ class TestFlag:
         code = main(["flag", "--config", config, "--w", "0,0,0,0,0", "--x", "1,0,0,0,0"])
         assert code == EXIT_USAGE
 
+    def test_non_finite_vector_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, PRESET)
+        code = main(["flag", "--config", config, "--w", "inf,0,0,0,0", "--x", "0,1,0,0,0"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_deformation_in_config_is_usage_error(self, tmp_path, capsys):
+        document = {"explicit": {"dim": 2, "brackets": [], "x0": [float("nan"), 0]}}
+        config = write_config(tmp_path, document)
+        with pytest.raises(ConfigError):
+            load_model_config(config)
+        code = main(["flag", "--config", config, "--w", "1,0", "--x", "0,1"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         code = main(["flag", "--config", str(tmp_path / "nope.json"),
                      "--w", "1,0,0,0,0", "--x", "0,1,0,0,0"])

@@ -17,6 +17,7 @@ from randersflag import (
     torsion_defect,
     w_perp,
 )
+from randersflag.connection import nabla_v_w
 from randersflag.reference_tables import (
     pole_e12_frame_cells,
     pole_e12_rows_e34_cells,
@@ -87,6 +88,14 @@ class TestStageSolves:
             s = z_randers(lam, mu, xi)
             frame = s.osculating_gram(unit(rng))
             assert np.abs(nabla_x_w_map(frame) @ frame.w - nabla_w_of_w(frame)).max() <= 1e-13
+
+    def test_stacked_stage_two_matches_map(self, rng):
+        for _ in range(10):
+            lam, mu, xi = random_heisenberg_params(rng)
+            frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
+            vectors = rng.standard_normal((5, 3))
+            stacked = nabla_v_w(frame, nabla_w_of_w(frame), vectors)
+            assert np.abs(stacked - nabla_x_w_map(frame) @ vectors).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
         # the dropped stage-2 terms all carry a pole slot; the cached tensor

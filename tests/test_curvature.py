@@ -13,14 +13,23 @@ from randersflag import (
     chern_rund_table,
     curvature_operator,
     flag_curvature,
+    flag_report,
     heisenberg5,
     riemannian_sectional,
     sign_search,
     special_flag_closed_form,
     special_flag_vectors,
 )
+from randersflag import connection, curvature
 from randersflag.curvature import SPECIAL_FLAG_CASES
-from helpers import abelian_structure, random_heisenberg_params, unit, z_randers
+from helpers import (
+    abelian_structure,
+    nilpotent_algebra,
+    random_heisenberg_params,
+    solvable_algebra,
+    unit,
+    z_randers,
+)
 
 E = np.eye(5)
 Z = E[4]
@@ -252,3 +261,57 @@ class TestRiemannianSectional:
             finsler = flag_curvature(s, w, x).k
             riemann = riemannian_sectional(algebra, w, x)
             assert abs(finsler - riemann) <= 1e-4
+
+
+class TestFlagPathAgainstTable:
+    """flag_curvature never builds the connection table; the table path is
+    its reference."""
+
+    @pytest.mark.parametrize("deformed", [False, True], ids=["x0_zero", "x0_random"])
+    @pytest.mark.parametrize("family", [nilpotent_algebra, solvable_algebra])
+    @pytest.mark.parametrize("dim", [5, 9, 16, 40])
+    def test_matches_table_reference(self, dim, family, deformed):
+        rng = np.random.default_rng([dim, deformed])
+        algebra = family(rng, dim)
+        x0 = np.zeros(dim)
+        if deformed:
+            x0 = unit(rng, dim) * rng.uniform(0.1, 0.9)
+        structure = RandersStructure(algebra, x0)
+        for _ in range(4):
+            w, x = rng.standard_normal((2, dim))
+            report = flag_curvature(structure, w, x)
+            reference = flag_report(chern_rund_table(structure.osculating_gram(w)), x)
+            assert not report.degenerate
+            assert report.k == pytest.approx(reference.k, rel=1e-12, abs=0.0)
+            assert report.denominator == reference.denominator
+
+    def test_flag_path_builds_no_table(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the flag path built the O(n^4) connection table")
+
+        for module in (connection, curvature):
+            monkeypatch.setattr(module, "chern_rund_table", forbidden, raising=False)
+        monkeypatch.setattr(curvature, "curvature_operator", forbidden)
+        structure = z_randers(2.0, 1.0, 0.5)
+        assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
+        certificate = sign_search(structure, seed=0)
+        assert certificate.positive_witness.k > 0 > certificate.negative_witness.k
+
+
+class TestNonFiniteInput:
+    def test_nan_deformation_rejected(self):
+        with pytest.raises(ParameterError):
+            RandersStructure(heisenberg5(2.0, 1.0), [0, 0, 0, 0, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_flag_vectors_rejected(self, structure, bad):
+        with pytest.raises(ParameterError):
+            flag_curvature(structure, [bad, 0, 0, 0, 0], E[1])
+        with pytest.raises(ParameterError):
+            flag_curvature(structure, E[0], [0, bad, 0, 0, 0])
+
+    def test_non_finite_structure_constants_rejected(self):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
+        with pytest.raises(ParameterError):
+            MetricLieAlgebra(c)

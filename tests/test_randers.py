@@ -230,6 +230,20 @@ class TestCartan:
             contracted = float(np.einsum("abc,a,b,c->", frame.cartan_tensor, u, v, x))
             assert structure.cartan(w, u, v, x) == pytest.approx(contracted, abs=1e-13)
 
+    def test_covector_matches_cached_basis_tensor(self, structure, rng):
+        frame = structure.osculating_gram(unit(rng))
+        u, v = rng.standard_normal((2, 5))
+        columns = rng.standard_normal((5, 3))
+        expected = np.einsum("abc,a,b->c", frame.cartan_tensor, u, v)
+        assert np.abs(frame.cartan_covector(u, v) - expected).max() <= 1e-13
+        stacked = np.einsum("abc,a,bj->cj", frame.cartan_tensor, u, columns)
+        assert np.abs(frame.cartan_covector(u, columns) - stacked).max() <= 1e-13
+
+    def test_basis_tensor_built_on_first_read(self, structure, rng):
+        frame = structure.osculating_gram(unit(rng))
+        assert "cartan_tensor" not in vars(frame)
+        assert frame.cartan_tensor is frame.cartan_tensor
+
 
 class TestCartanFd:
     def test_matches_closed_form(self, structure, rng):
