@@ -46,7 +46,7 @@ from .curvature import (
     special_flag_closed_form,
     special_flag_vectors,
 )
-from .errors import ConfigError, GeometryError, SearchFailure
+from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, heisenberg5
 from .randers import RandersStructure
 from .reference_tables import reference_blocks
@@ -104,8 +104,10 @@ def _parse_preset(data: dict) -> ModelConfig:
         xi = float(data["xi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"preset needs numeric 'lambda', 'mu', 'xi': {exc}") from exc
-    if not (lam >= mu > 0.0):
-        raise ConfigError(f"preset requires lambda >= mu > 0, got lambda={lam}, mu={mu}")
+    try:
+        heisenberg5(lam, mu)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid preset: {exc}") from exc
     if not (0.0 < xi < 1.0):
         raise ConfigError(
             f"preset requires 0 < xi < 1, got xi={xi}; "
@@ -257,8 +259,6 @@ def cmd_connection_tables(config: ModelConfig, out: str) -> int:
 
 def _report_json(report: FlagReport) -> dict:
     return {
-        "w": report.w.tolist(),
-        "x": report.x.tolist(),
         "k": None if report.degenerate else report.k,
         "denominator": report.denominator,
         "degenerate": report.degenerate,
@@ -269,12 +269,7 @@ def cmd_flag(config: ModelConfig, w_coords, x_coords) -> int:
     """Print one flag-curvature report as JSON; degenerate flags exit 1."""
     structure = config.structure()
     report = flag_curvature(structure, np.asarray(w_coords, float), np.asarray(x_coords, float))
-    document = {
-        "k": None if report.degenerate else report.k,
-        "denominator": report.denominator,
-        "degenerate": report.degenerate,
-    }
-    print(json.dumps(document))
+    print(json.dumps(_report_json(report)))
     return EXIT_OK if not report.degenerate else EXIT_VERDICT
 
 
@@ -282,11 +277,15 @@ def cmd_search(config: ModelConfig, seed: int, max_samples: int = 512) -> int:
     """Print a sign certificate as JSON; exit 0.  A failed search raises
     :class:`SearchFailure`, which :func:`main` reports with exit 1."""
     certificate = sign_search(config.structure(), seed=seed, max_samples=max_samples)
-    document = {
-        "positive_witness": _report_json(certificate.positive_witness),
-        "negative_witness": _report_json(certificate.negative_witness),
-        "samples_tried": certificate.samples_tried,
+    witnesses = {
+        "positive_witness": certificate.positive_witness,
+        "negative_witness": certificate.negative_witness,
     }
+    document = {
+        name: {"w": r.w.tolist(), "x": r.x.tolist(), **_report_json(r)}
+        for name, r in witnesses.items()
+    }
+    document["samples_tried"] = certificate.samples_tried
     print(json.dumps(document))
     return EXIT_OK
 

@@ -5,8 +5,8 @@ Koszul formula drop out, leaving an algebraic system for the connection
 coefficients at a fixed reference vector.  The system is triangular in three
 stages -- nabla_w w, then nabla_v w, then nabla_x y -- because every Cartan
 correction appearing in an earlier stage carries a w slot and therefore
-vanishes.  Each stage is one symmetric-positive-definite solve against the
-cached osculating Gram factorization; no iteration is needed.
+vanishes.  Each stage is one product with the frame's closed-form inverse of
+the osculating Gram matrix; no factorization or iteration is needed.
 
 Stage 2 is stacked: :func:`nabla_v_w` solves for nabla_v w over any set of
 columns v at once.  A flag curvature needs it on three vectors only (see
@@ -49,7 +49,7 @@ class ConnectionTable:
         dim = self.frame.dim
         x = _as_vector(x, dim)
         y = _as_vector(y, dim)
-        return np.einsum("i,j,ijk->k", x, y, self.gamma)
+        return x @ (y @ self.gamma)
 
 
 def _pole_pairing(frame: OsculatingFrame) -> np.ndarray:
@@ -94,7 +94,7 @@ def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
 
 def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     """All connection coefficients nabla_{e_i} e_j at the frame's reference
-    vector, via the staged Koszul solve (one SPD solve per (i, j) pair)."""
+    vector, via the staged Koszul solve (one solve column per (i, j) pair)."""
     c = frame.structure.algebra.structure
     gram, cartan = frame.gram, frame.cartan_tensor
     dim = frame.dim

@@ -96,7 +96,7 @@ class MetricLieAlgebra:
         """Lie bracket [x, y]; bilinear and antisymmetric."""
         x = _as_vector(x, self.dim)
         y = _as_vector(y, self.dim)
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return x @ (y @ self.structure)
 
     def validate(self) -> ValidationReport:
         """Check antisymmetry and the Jacobi identity on all basis tuples.

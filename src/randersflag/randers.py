@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DegenerateReferenceVector,
@@ -228,9 +227,15 @@ class RandersStructure:
 class OsculatingFrame:
     """Osculating inner product at a unit reference vector, ready to solve.
 
-    Carries the Gram matrix of the basis and its Cholesky factorization,
-    built at construction, and the closed-form Cartan contractions.  The
-    (n, n, n) Cartan tensor on basis triples is built on first read, since
+    With p = x0, q = w, l = q + p and P = I - q q^T, the Gram matrix of the
+    basis is the Randers form a P + l l^T with a = F(q) = 1 + <p, q>
+    (Bao-Chern-Shen, ch. 11).  Writing l = a q + p_perp, where
+    p_perp = p - <p, q> q, gives its inverse in closed form,
+
+        P / a - (p_perp q^T + q p_perp^T) / a^2 + ((a + |p_perp|^2) / a^3) q q^T,
+
+    which is built once at construction, so a solve is one matrix product.
+    The (n, n, n) Cartan tensor on basis triples is built on first read, since
     only the full connection table needs it.  Frames are read-only, so they
     are safe for concurrent use (a racing first read builds the same tensor).
     """
@@ -239,26 +244,31 @@ class OsculatingFrame:
         q = _unit_reference(w, structure.dim)
         p = structure.x0
         pw = float(p @ q)
-        eye = np.eye(structure.dim)
-        gram = (
-            (1.0 + pw) * eye
-            + np.outer(p, p)
-            - pw * np.outer(q, q)
-            + np.outer(p, q)
-            + np.outer(q, p)
-        )
-        try:
-            factor = cho_factor(gram)
-        except np.linalg.LinAlgError as exc:
+        p_perp = p - pw * q
+        # a = 1 + <p, q> as a sum of two nonnegative terms: no cancellation as
+        # q -> -p / |p|, and 1 - |p|^2 > 0 for every admissible x0
+        a = 0.5 * (float((q + p) @ (q + p)) + (1.0 - float(p @ p)))
+        if not a > 0.0:
             raise InternalConsistencyError(
                 "osculating Gram matrix is not positive definite; "
                 "a construction invariant was violated"
-            ) from exc
+            )
+        # l = q + p, written with the a above so that the Gram matrix and the
+        # inverse below are built from the same three numbers
+        ell = a * q + p_perp
+        qq = np.outer(q, q)
+        projector = np.eye(structure.dim) - qq
+        cross = np.outer(p_perp, q)
+        inverse = (
+            projector / a
+            - (cross + cross.T) / (a * a)
+            + ((a + float(p_perp @ p_perp)) / (a * a * a)) * qq
+        )
         self.structure = structure
         self.w = _frozen(q)
-        self.gram = _frozen(gram)
+        self.gram = _frozen(a * projector + np.outer(ell, ell))
         self._pw = pw
-        self._factor = factor
+        self._inverse = inverse
 
     @property
     def dim(self) -> int:
@@ -295,11 +305,6 @@ class OsculatingFrame:
         return float(u @ self.gram @ v)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve gram @ x = rhs (vector or stacked columns).
-
-        Skips scipy's finiteness scan of the factor and ``rhs``: both are
-        built from vectors and structure constants checked finite on entry,
-        so only an overflow in between can make them non-finite, and it
-        shows as a non-finite solution.
-        """
-        return cho_solve(self._factor, rhs, check_finite=False)
+        """Solve gram @ x = rhs (vector or stacked columns) with the stored
+        closed-form inverse."""
+        return self._inverse @ rhs

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import randersflag
 from randersflag import ConfigError
 from randersflag.cli import (
     EXIT_IO,
@@ -322,3 +326,26 @@ class TestVerify:
             tmp_path, {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, 0, 0, 1.2]}}
         )
         assert main(["verify", "--config", config]) == EXIT_USAGE
+
+
+class TestDependencies:
+    def test_scipy_never_imported(self, tmp_path):
+        config = write_config(tmp_path, PRESET)
+        script = f"""
+import sys
+import randersflag as rf
+from randersflag import cli
+
+s = rf.RandersStructure(rf.heisenberg5(2.0, 1.0), [0, 0, 0, 0, 0.5])
+rf.flag_curvature(s, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+rf.chern_rund_table(s.osculating_gram([1, 0, 0, 0, 0]))
+assert cli.main(["verify", "--config", {config!r}]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+        src = os.path.dirname(os.path.dirname(randersflag.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr

@@ -10,6 +10,7 @@ from randersflag import (
     ParameterError,
     RandersStructure,
     SearchFailure,
+    almost_metric_defect,
     chern_rund_table,
     curvature_operator,
     flag_curvature,
@@ -19,8 +20,10 @@ from randersflag import (
     sign_search,
     special_flag_closed_form,
     special_flag_vectors,
+    torsion_defect,
 )
 from randersflag import connection, curvature
+from randersflag.cli import TABLE1_TOL
 from randersflag.curvature import SPECIAL_FLAG_CASES
 from helpers import (
     abelian_structure,
@@ -296,6 +299,26 @@ class TestFlagPathAgainstTable:
         assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
         certificate = sign_search(structure, seed=0)
         assert certificate.positive_witness.k > 0 > certificate.negative_witness.k
+
+
+class TestNearUnitDeformation:
+    """Pole -Z as xi -> 1, where a = 1 + <x0, w> = 1 - xi is tiny and the
+    osculating Gram matrix has smallest eigenvalue (1 - xi)^2."""
+
+    @pytest.mark.parametrize("xi", [1 - 1e-6, 1 - 1e-9])
+    @pytest.mark.parametrize("case_id", ["1.1", "1.2"])
+    def test_center_pole_closed_forms(self, case_id, xi):
+        structure = z_randers(2.0, 1.0, xi)
+        closed = special_flag_closed_form(case_id, 2.0, 1.0, xi)
+        rng = np.random.default_rng(0)
+        for x in (special_flag_vectors(case_id)[1], special_flag_vectors(case_id, rng)[1]):
+            assert abs(flag_curvature(structure, -Z, x).k - closed) <= TABLE1_TOL
+
+    @pytest.mark.parametrize("xi", [1 - 1e-6, 1 - 1e-9])
+    def test_connection_contracts(self, xi):
+        table = chern_rund_table(z_randers(2.0, 1.0, xi).osculating_gram(-Z))
+        assert torsion_defect(table) <= 1e-10
+        assert almost_metric_defect(table) <= 1e-10
 
 
 class TestNonFiniteInput:

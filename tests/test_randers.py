@@ -4,7 +4,6 @@ finite-difference oracles."""
 import numpy as np
 import pytest
 
-import randersflag.randers as randers_module
 from randersflag import (
     DegenerateReferenceVector,
     InternalConsistencyError,
@@ -12,7 +11,7 @@ from randersflag import (
     RandersStructure,
     heisenberg5,
 )
-from helpers import unit, z_randers
+from helpers import abelian_structure, unit, z_randers
 
 E = np.eye(5)
 Z = E[4]
@@ -141,18 +140,34 @@ class TestOsculatingFrame:
                     structure.osculating_product(w, E[i], E[j]), abs=1e-15
                 )
 
-    def test_solve_inverts_gram(self, structure, rng):
-        frame = structure.osculating_gram(unit(rng))
-        rhs = rng.standard_normal(5)
-        assert np.allclose(frame.gram @ frame.solve(rhs), rhs, atol=1e-13)
+    def test_solve_inverts_gram(self, rng):
+        # poles at and near -x0 are where the Gram matrix is worst conditioned
+        for dim in (5, 16, 40):
+            for size in (0.0, 0.5, 0.99):
+                direction = unit(rng, dim)
+                s = abelian_structure(dim, size * direction)
+                for w in (unit(rng, dim), -direction, -direction + 1e-6 * unit(rng, dim)):
+                    frame = s.osculating_gram(w)
+                    rhs = rng.standard_normal((dim, 3))
+                    assert np.allclose(frame.gram @ frame.solve(rhs), rhs, atol=1e-13)
+                    assert np.allclose(frame.gram @ frame.solve(rhs[:, 0]), rhs[:, 0], atol=1e-13)
 
-    def test_factorization_failure_is_internal_error(self, structure, monkeypatch):
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(randers_module, "cho_factor", boom)
+    def test_non_positive_definite_gram_is_internal_error(self, structure):
+        # force an inadmissible deformation past the norm check
+        x0 = np.zeros(5)
+        x0[4] = 1.5
+        object.__setattr__(structure, "x0", x0)
         with pytest.raises(InternalConsistencyError):
-            structure.osculating_gram(E[0])
+            structure.osculating_gram(-x0)
+
+    def test_pole_opposite_boundary_deformation(self):
+        # ||x0|| one ulp below 1 with the pole at -x0: a = 1 + <x0, q> is of
+        # the order of the rounding error, yet admissible
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            x0 = unit(rng) * np.nextafter(1.0, 0.0)
+            frame = RandersStructure(heisenberg5(2.0, 1.0), x0).osculating_gram(-x0)
+            assert np.isfinite(frame.solve(x0)).all()
 
 
 class TestOsculatingProductFd:
