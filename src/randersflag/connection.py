@@ -8,12 +8,17 @@ correction appearing in an earlier stage carries a w slot and therefore
 vanishes.  Each stage is one product with the frame's closed-form inverse of
 the osculating Gram matrix; no factorization or iteration is needed.
 
-Stage 2 is stacked: :func:`nabla_v_w` solves for nabla_v w over any set of
-columns v at once.  A flag curvature needs it on three vectors only (see
-:mod:`randersflag.curvature`), so stages 1-2 cost O(n^3), the price of
-contracting the structure constants with a few vectors.  Stage 3, the full
-table of :func:`chern_rund_table`, costs O(n^4) and serves the reference
-tables, the residual checks and the public table API.
+Stages 1 and 2 take a frame of one pole or of poles stacked along leading
+axes, and :func:`nabla_v_w` solves for nabla_v w over any set of vectors v,
+stacked as rows along further leading axes, at once; one pole is simply the
+case with no leading axis.  The pairings of brackets with the pole that both
+stages read are contracted once per frame (``OsculatingFrame.pole_pairing``
+and ``pole_brackets``).  A flag curvature needs stage 2 on three vectors
+only (see :mod:`randersflag.curvature`), so stages 1-2 cost O(n^3) per
+flag, the price of contracting the structure constants with a few vectors.
+Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4), takes a
+frame of one pole, and serves the reference tables, the residual checks and
+the public table API.
 """
 
 from __future__ import annotations
@@ -52,34 +57,32 @@ class ConnectionTable:
         return x @ (y @ self.gamma)
 
 
-def _pole_pairing(frame: OsculatingFrame) -> np.ndarray:
-    """Matrix of <[e_i, e_j], w>_w, indexed [i, j]."""
-    return frame.structure.algebra.structure @ (frame.gram @ frame.w)
-
-
 def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
     """Covariant derivative of the reference vector along itself.
 
     Solves <v, e_i>_w = <[e_i, w], w>_w; every Cartan correction carries a w
     slot and vanishes, so this stage needs no prior data.
     """
-    return frame.solve(_pole_pairing(frame) @ frame.w)
+    return frame.solve(np.matvec(frame.pole_pairing, frame.w))
 
 
 def nabla_v_w(frame: OsculatingFrame, nww: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Column j holds nabla_v w for the column v = vectors[:, j].
+    """nabla_v w for every vector v of ``vectors``, in the same layout.
 
-    Solves <nabla_v w, e_k>_w = (<[v, w], e_k>_w - <[w, e_k], v>_w
-    + <[e_k, v], w>_w) / 2 - C_w(nabla_w w, e_k, v) for all columns in one
-    solve; ``nww`` is the stage-1 vector of :func:`nabla_w_of_w`, used in the
-    single surviving Cartan correction (the other two carry a w slot).
+    ``vectors`` is a vector or vectors stacked along leading axes that
+    broadcast against the frame's.  Solves <nabla_v w, e_k>_w =
+    (<[v, w], e_k>_w - <[w, e_k], v>_w + <[e_k, v], w>_w) / 2
+    - C_w(nabla_w w, e_k, v) for all of them in one solve; ``nww`` is the
+    stage-1 vector of :func:`nabla_w_of_w`, used in the single surviving
+    Cartan correction (the other two carry a w slot).
     """
-    c = frame.structure.algebra.structure
-    q, gram = frame.w, frame.gram
-    dim = frame.dim
-    right = (q @ c).T  # column j: [e_j, w]
-    left = (q @ c.reshape(dim, dim * dim)).reshape(dim, dim)  # row k: [w, e_k]
-    brackets = gram @ (right @ vectors) - left @ (gram @ vectors) + _pole_pairing(frame) @ vectors
+    gram = frame.gram
+    right, left = frame.pole_brackets
+    brackets = (
+        np.matvec(gram, np.vecmat(vectors, right))
+        - np.matvec(left, np.matvec(gram, vectors))
+        + np.matvec(frame.pole_pairing, vectors)
+    )
     return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))
 
 
@@ -89,16 +92,16 @@ def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
     Applying the map to the reference vector itself reproduces
     :func:`nabla_w_of_w`.
     """
-    return nabla_v_w(frame, nabla_w_of_w(frame), np.eye(frame.dim))
+    return nabla_v_w(frame, nabla_w_of_w(frame), np.eye(frame.dim)).T
 
 
 def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     """All connection coefficients nabla_{e_i} e_j at the frame's reference
-    vector, via the staged Koszul solve (one solve column per (i, j) pair)."""
+    vector, via the staged Koszul solve (one solved vector per (i, j) pair)."""
     c = frame.structure.algebra.structure
     gram, cartan = frame.gram, frame.cartan_tensor
     dim = frame.dim
-    rows = nabla_x_w_map(frame).T  # row i: nabla_{e_i} w
+    rows = nabla_v_w(frame, nabla_w_of_w(frame), np.eye(dim))  # row i: nabla_{e_i} w
     # pairings[i, j, k] = <[e_i, e_j], e_k>_w and
     # corrections[i, j, k] = C_w(nabla_{e_i} w, e_j, e_k); the other Koszul
     # terms are the same arrays with (i, j, k) cycled
@@ -110,7 +113,7 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
         - corrections.transpose(2, 0, 1)
         + corrections.transpose(1, 2, 0)
     )
-    gamma = frame.solve(rhs.reshape(dim * dim, dim).T).T.reshape(dim, dim, dim)
+    gamma = frame.solve(rhs)
     return ConnectionTable(frame=frame, gamma=gamma)
 
 

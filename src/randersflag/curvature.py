@@ -9,9 +9,15 @@ plane; it is invariant under rescaling of x and under mixing x with the pole.
 N v = nabla_v w, the numerator <R(x, w)w, x>_w is
 <nabla_x (N w), x>_w - <nabla_w (N x), x>_w - <N [x, w], x>_w.  The first two
 terms are Koszul right-hand sides paired with x, which need no solve, and N
-is needed on x, N w and [x, w] only: stage 1 plus one three-column stage-2
-solve, O(n^3) per flag.  :func:`curvature_operator` and :func:`flag_report`
-read a prebuilt table and are the reference the flag path is tested against.
+is needed on x, N w and [x, w] only: stage 1 plus one three-vector stage-2
+solve, O(n^3) per flag.  This flag path is written once for stacks: poles
+and transverse vectors may carry leading batch axes, and every frame
+quantity, stage and quotient broadcasts over them, so :func:`flag_curvature`
+is the case with no batch axis and :func:`sign_search` evaluates its
+candidates in chunks, one stacked call per chunk, scanning the results in
+candidate order.  :func:`curvature_operator` and :func:`flag_report` read a
+prebuilt table of one pole and are the reference the flag path is tested
+against.
 
 On the five-dimensional Heisenberg model eight special flag families have
 closed-form curvatures, catalogued here by case id; they also seed the sign
@@ -21,14 +27,22 @@ negative flags.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, _pole_pairing, nabla_v_w, nabla_w_of_w
+from .connection import ConnectionTable, nabla_v_w, nabla_w_of_w
 from .errors import DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector
-from .randers import ZERO_VECTOR_TOL, OsculatingFrame, RandersStructure, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _contract
+from .randers import (
+    ZERO_VECTOR_TOL,
+    OsculatingFrame,
+    RandersStructure,
+    _frozen,
+    _unit_reference,
+)
 
 #: A flag is degenerate when its Gram determinant falls below this fraction of
 #: the product of squared osculating norms (scale-invariant cutoff).
@@ -36,6 +50,10 @@ DEGENERACY_REL_TOL = 1e-10
 
 #: Sign witnesses must clear this margin away from zero curvature.
 WITNESS_MIN_CURVATURE = 1e-8
+
+#: Sizes of the successive chunks of random candidates that
+#: :func:`sign_search` evaluates in one stacked call each; the last repeats.
+SEARCH_CHUNKS = (8, 16, 32, 64)
 
 #: Case ids of the special flag families, in search order.
 SPECIAL_FLAG_CASES = ("1.1", "1.2", "2.1", "2.2", "2.3", "3.1", "3.2", "3.3")
@@ -124,19 +142,24 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     return mx @ (my @ z) - my @ (mx @ z) - mb @ z
 
 
-def _quotient(frame: OsculatingFrame, x: np.ndarray, numerator: float) -> FlagReport:
+def _quotient(frame: OsculatingFrame, x: np.ndarray, numerator):
+    """``(k, denominator, degenerate)`` of the flags (w, x): the curvature
+    quotient and its degeneracy test, with the leading axes of the frame and
+    x; a degenerate flag gets k = NaN and leaves its neighbours alone."""
     q, gram = frame.w, frame.gram
-    norms = float((q @ gram @ q) * (x @ gram @ x))
-    cross = float(x @ gram @ q)
-    denominator = norms - cross**2
-    degenerate = denominator < DEGENERACY_REL_TOL * norms
-    k = float("nan") if degenerate else numerator / denominator
+    gx = np.matvec(gram, x)
+    norms = np.vecdot(q, np.matvec(gram, q)) * np.vecdot(x, gx)
+    cross = np.vecdot(q, gx)
+    denominator = norms - cross * cross
+    floor = DEGENERACY_REL_TOL * norms
+    degenerate = denominator < floor
+    k = np.where(degenerate, np.nan, numerator / np.maximum(denominator, floor))
+    return k, denominator, degenerate
+
+
+def _report(w: np.ndarray, x: np.ndarray, k, denominator, degenerate) -> FlagReport:
     return FlagReport(
-        w=frame.w,
-        x=_frozen(x),
-        k=k,
-        denominator=denominator,
-        degenerate=degenerate,
+        w=w, x=_frozen(x), k=float(k), denominator=float(denominator), degenerate=bool(degenerate)
     )
 
 
@@ -146,31 +169,42 @@ def flag_report(table: ConnectionTable, x) -> FlagReport:
     frame = table.frame
     x = _as_vector(x, frame.dim)
     r = curvature_operator(table, x, frame.w, frame.w)
-    return _quotient(frame, x, float(r @ frame.gram @ x))
+    return _report(frame.w, x, *_quotient(frame, x, r @ frame.gram @ x))
 
 
-def _flag_numerator(frame: OsculatingFrame, x: np.ndarray) -> float:
-    """<R(x, w)w, x>_w from stages 1-2 and two Koszul pairings."""
+def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
+    """<R(x, w)w, x>_w from stages 1-2 and two Koszul pairings, with the
+    leading axes of the frame and x."""
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
+    right, _ = frame.pole_brackets
     a = nabla_w_of_w(frame)
-    xw = frame.structure.algebra.bracket(x, q)
-    nx, na, nxw = nabla_v_w(frame, a, np.array((x, a, xw)).T).T
-    gx = gram @ x
-    pairs_x = c @ gx  # <[e_i, e_j], x>_w, indexed [i, j]
-    cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)).T).T
+    xw = np.vecmat(x, right)  # [x, w]
+    nx, na, nxw = nabla_v_w(frame, a, np.array((x, a, xw)))
+    gx = np.matvec(gram, x)
+    pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
+    cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)))
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
     # <[x, a], x>_w, and of the Cartan terms only -C_w(N a, x, x) survives
-    along_x = x @ pairs_x @ a - cartan_xx @ na
+    along_x = np.vecdot(x, np.matvec(pairs_x, a)) - np.vecdot(cartan_xx, na)
     # <nabla_w (N x), x>_w: of the Cartan terms only -C_w(a, N x, x) has no
     # w slot
-    brackets = q @ pairs_x @ nx - nx @ _pole_pairing(frame) @ x + xw @ gram @ nx
-    along_w = 0.5 * brackets - cartan_xb @ a
-    return float(along_x - along_w - nxw @ gx)
+    brackets = (
+        np.vecdot(q, np.matvec(pairs_x, nx))
+        - np.vecdot(nx, np.matvec(frame.pole_pairing, x))
+        + np.vecdot(xw, np.matvec(gram, nx))
+    )
+    along_w = 0.5 * brackets - np.vecdot(cartan_xb, a)
+    return along_x - along_w - np.vecdot(nxw, gx)
 
 
-def _frame_report(frame: OsculatingFrame, x: np.ndarray) -> FlagReport:
-    return _quotient(frame, x, _flag_numerator(frame, x))
+def _flag_curvatures(structure: RandersStructure, w: np.ndarray, x: np.ndarray):
+    """``(frame, k, denominator, degenerate)`` for flags whose poles and
+    transverse vectors are stacked along the same leading axes (or are plain
+    vectors); the flag path of :func:`flag_curvature` and
+    :func:`sign_search`, which never builds the connection table."""
+    frame = structure.osculating_gram(w)
+    return frame, *_quotient(frame, x, _flag_numerator(frame, x))
 
 
 def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
@@ -182,11 +216,12 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     """
     w = _as_vector(w, structure.dim)
     x = _as_vector(x, structure.dim)
-    if float(np.linalg.norm(w)) < ZERO_VECTOR_TOL:
+    if math.sqrt(w @ w) < ZERO_VECTOR_TOL:
         raise DomainError("flag pole is numerically zero")
-    if float(np.linalg.norm(x)) < ZERO_VECTOR_TOL:
+    if math.sqrt(x @ x) < ZERO_VECTOR_TOL:
         raise DomainError("transverse vector is numerically zero")
-    return _frame_report(structure.osculating_gram(w), x)
+    frame, *quotient = _flag_curvatures(structure, w, x)
+    return _report(frame.w, x, *quotient)
 
 
 def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> float:
@@ -261,49 +296,48 @@ def sign_search(
     Returns the first witness of each sign exceeding the minimum margin;
     raises :class:`SearchFailure` when the sample budget runs out, which
     signals a flat metric or insufficient sampling.
+
+    Candidates are evaluated in chunks, one stacked call each: the special
+    flags together, then random pairs in chunks of ``SEARCH_CHUNKS`` sizes,
+    each cut to the remaining budget.  A chunk of m pairs is drawn as
+    ``standard_normal((m, 2, dim))``, the same stream as drawing the pole and
+    then the transverse vector of each pair in turn, and its results are
+    scanned in candidate order, so the witnesses and ``samples_tried`` do not
+    depend on the chunking.
     """
     if max_samples < 1:
         raise ParameterError("max_samples must be positive")
     rng = np.random.default_rng(seed)
     dim = structure.dim
-    frames: dict[bytes, OsculatingFrame] = {}
-
-    def evaluate(w: np.ndarray, x: np.ndarray) -> FlagReport:
-        q = w / np.linalg.norm(w)
-        key = q.tobytes()
-        frame = frames.get(key)
-        if frame is None:
-            frame = structure.osculating_gram(q)
-            frames[key] = frame
-        return _frame_report(frame, x)
-
-    def candidates():
-        if dim == 5:
-            for case_id in SPECIAL_FLAG_CASES:
-                yield special_flag_vectors(case_id)
-        while True:
-            w = rng.standard_normal(dim)
-            x = rng.standard_normal(dim)
-            yield w / np.linalg.norm(w), x / np.linalg.norm(x)
-
-    positive = negative = None
+    sizes = itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1]))
+    witnesses = {}  # sign -> (candidate index, report)
     tried = 0
-    for w, x in candidates():
-        if tried >= max_samples:
-            break
-        tried += 1
-        report = evaluate(w, x)
-        if report.degenerate:
-            continue
-        if positive is None and report.k > WITNESS_MIN_CURVATURE:
-            positive = report
-        if negative is None and report.k < -WITNESS_MIN_CURVATURE:
-            negative = report
-        if positive is not None and negative is not None:
-            return SignCertificate(positive, negative, tried)
-    if positive is None and negative is None:
+    while tried < max_samples:
+        if tried == 0 and dim == 5:
+            pairs = np.array([special_flag_vectors(case_id) for case_id in SPECIAL_FLAG_CASES])
+        else:
+            pairs = _unit_reference(rng.standard_normal((next(sizes), 2, dim)), dim)
+        pairs = pairs[: max_samples - tried]
+        x = pairs[:, 1]
+        # the unit pole is normalized once more before the frame normalizes
+        # it; every normalization can move the last bit, and the witnesses
+        # printed by `search` are pinned to this sequence
+        frame, k, denominator, degenerate = _flag_curvatures(
+            structure, _unit_reference(pairs[:, 0], dim), x
+        )
+        signs = (("positive", k > WITNESS_MIN_CURVATURE), ("negative", k < -WITNESS_MIN_CURVATURE))
+        for sign, hits in signs:
+            if sign not in witnesses and hits.any():
+                i = int(hits.argmax())
+                report = _report(frame.w[i], x[i], k[i], denominator[i], degenerate[i])
+                witnesses[sign] = (tried + i, report)
+        tried += len(pairs)
+        if len(witnesses) == 2:
+            (i_pos, positive), (i_neg, negative) = witnesses["positive"], witnesses["negative"]
+            return SignCertificate(positive, negative, max(i_pos, i_neg) + 1)
+    if not witnesses:
         missing = "no nonzero curvature found"
-    elif positive is None:
+    elif "positive" not in witnesses:
         missing = "no strictly positive curvature found"
     else:
         missing = "no strictly negative curvature found"

@@ -37,6 +37,21 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def _contract(c: np.ndarray, v: np.ndarray, slot: int) -> np.ndarray:
+    """Structure constants c[i, j, k] with index ``slot`` (0, 1 or 2)
+    contracted against v, which may carry leading axes; the two remaining
+    indices, in order, become the last two axes.  Each case is one matrix
+    product over all leading axes at once."""
+    n = c.shape[0]
+    if slot == 0:
+        out = v @ c.reshape(n, n * n)
+    elif slot == 1:
+        out = (v.reshape(-1, n) @ c).swapaxes(0, 1)
+    else:
+        out = v @ c.reshape(n * n, n).T
+    return out.reshape(v.shape[:-1] + (n, n))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False

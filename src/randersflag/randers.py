@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import (
     DegenerateReferenceVector,
+    DimensionMismatch,
     InternalConsistencyError,
     ParameterError,
 )
-from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _frozen
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -38,13 +39,43 @@ CARTAN_FD_STEPS = (1e-3, 1e-1)
 
 
 def _unit_reference(w, dim: int) -> np.ndarray:
-    w = _as_vector(w, dim)
-    # math.sqrt of the exact dot keeps normalization exact under scaling by
-    # powers of two, which the homogeneity contract relies on.
-    n = math.sqrt(float(w @ w))
-    if n < ZERO_VECTOR_TOL:
+    """w / |w| for a pole, or for poles stacked along leading axes."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (dim,):
+        raise DimensionMismatch(
+            f"expected coordinate vectors of length {dim}, got shape {w.shape}"
+        )
+    squares = np.vecdot(w, w)
+    if not (squares < math.inf).all():
+        raise ParameterError("reference vector must be finite with a finite squared norm")
+    if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
         raise DegenerateReferenceVector("reference vector is numerically zero")
-    return w / n
+    # the square root of the exact dot keeps normalization exact under
+    # scaling by powers of two, which the homogeneity contract relies on
+    return w / np.sqrt(squares)[..., None]
+
+
+def _randers_form(p: np.ndarray, q: np.ndarray):
+    """``(a, p_perp, l)`` of the osculating Randers form at unit q.
+
+    The osculating Gram matrix at q is a (I - q q^T) + l l^T with
+    a = 1 + <p, q>, p_perp = p - <p, q> q and l = a q + p_perp; q may carry
+    leading axes, and the results carry the same ones.
+    """
+    margin = 1.0 - p @ p
+    if not margin > 0.0:
+        raise InternalConsistencyError(
+            "osculating Gram matrix is not positive definite; "
+            "a construction invariant was violated"
+        )
+    # a = 1 + <p, q> as a sum of a nonnegative term and the positive margin:
+    # no cancellation as q -> -p / |p|, and a >= margin / 2 > 0
+    qp = q + p
+    a = 0.5 * (np.vecdot(qp, qp) + margin)
+    p_perp = p - (q @ p)[..., None] * q
+    # l = q + p, written with the a above so that every quantity built from
+    # the form (Gram matrix, inverse, pairing) comes from the same numbers
+    return a, p_perp, a[..., None] * q + p_perp
 
 
 def _sorted_sum(a: float, b: float, c: float) -> float:
@@ -59,26 +90,12 @@ def _sorted_product(a: float, b: float, c: float) -> float:
 
 
 def _cartan_basis_tensor(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Totally symmetric (0,3) Cartan tensor on the basis, at unit q."""
-    pw = float(p @ q)
-    eye = np.eye(len(q))
-    qqq = np.einsum("a,b,c->abc", q, q, q)
-    dq = (
-        np.einsum("bc,a->abc", eye, q)
-        + np.einsum("ca,b->abc", eye, q)
-        + np.einsum("ab,c->abc", eye, q)
-    )
-    pqq = (
-        np.einsum("c,a,b->abc", p, q, q)
-        + np.einsum("a,b,c->abc", p, q, q)
-        + np.einsum("b,c,a->abc", p, q, q)
-    )
-    pd = (
-        np.einsum("a,bc->abc", p, eye)
-        + np.einsum("b,ca->abc", p, eye)
-        + np.einsum("c,ab->abc", p, eye)
-    )
-    return 0.5 * (3.0 * pw * qqq - pw * dq - pqq + pd)
+    """Totally symmetric (0,3) Cartan tensor on the basis, at unit q: the
+    symmetrization of p_perp (x) (I - q q^T), see
+    :meth:`OsculatingFrame.cartan_covector`."""
+    p_perp = p - (p @ q) * q
+    t = p_perp[:, None, None] * (np.eye(len(q)) - np.outer(q, q))
+    return 0.5 * (t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,20 +145,21 @@ class RandersStructure:
         """Closed-form osculating inner product <u, v>_w at unit-normalized w.
 
         Symmetric and bilinear in (u, v), positive definite for ||x0|| < 1,
-        and 0-homogeneous in w.
+        and 0-homogeneous in w.  Evaluated as the Randers form
+        a (<u, v> - <q, u><q, v>) + <l, u><l, v> of :class:`OsculatingFrame`,
+        which keeps its accuracy as ||x0|| -> 1 and is bit-stable under
+        swapping u and v.
         """
-        q = _unit_reference(w, self.dim)
+        # _as_vector first: the closed forms take one pole, not a stack
+        q = _unit_reference(_as_vector(w, self.dim), self.dim)
         u = _as_vector(u, self.dim)
         v = _as_vector(v, self.dim)
-        p = self.x0
-        pw = float(p @ q)
-        # grouped so the value is bit-stable under swapping u and v
-        base = (1.0 + pw) * (u @ v) + (p @ u) * (p @ v) - pw * (q @ u) * (q @ v)
-        cross = (p @ u) * (q @ v) + (p @ v) * (q @ u)
-        return float(base + cross)
+        a, _, ell = _randers_form(self.x0, q)
+        return float(a * (u @ v - (q @ u) * (q @ v)) + (ell @ u) * (ell @ v))
 
     def osculating_gram(self, w) -> "OsculatingFrame":
-        """Assemble the osculating Gram matrix at w with its cached solver."""
+        """Assemble the osculating Gram matrix at w with its cached solver;
+        w is a pole or poles stacked along leading axes."""
         return OsculatingFrame(self, w)
 
     def osculating_product_fd(self, w, u, v, h: float = 1e-4) -> float:
@@ -173,7 +191,7 @@ class RandersStructure:
         Totally symmetric and trilinear; vanishes whenever a slot equals the
         reference vector, and vanishes identically when x0 is parallel to w.
         """
-        q = _unit_reference(w, self.dim)
+        q = _unit_reference(_as_vector(w, self.dim), self.dim)
         u = _as_vector(u, self.dim)
         v = _as_vector(v, self.dim)
         x = _as_vector(x, self.dim)
@@ -235,39 +253,34 @@ class OsculatingFrame:
         P / a - (p_perp q^T + q p_perp^T) / a^2 + ((a + |p_perp|^2) / a^3) q q^T,
 
     which is built once at construction, so a solve is one matrix product.
-    The (n, n, n) Cartan tensor on basis triples is built on first read, since
-    only the full connection table needs it.  Frames are read-only, so they
-    are safe for concurrent use (a racing first read builds the same tensor).
+
+    ``w`` is one pole, shape (n,), or poles stacked along leading axes,
+    shape (..., n); every array of the frame then carries the same leading
+    axes (``gram`` is (..., n, n)), and the vectors passed to its methods may
+    carry further leading axes that broadcast against them.  One pole is
+    simply the case with no leading axis.  The pairings of brackets with the
+    pole that the Koszul stages share, and the (n, n, n) Cartan tensor that
+    only the full connection table reads, are built on first read.  Frames
+    are read-only, so they are safe for concurrent use (a racing first read
+    builds the same arrays).
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
         q = _unit_reference(w, structure.dim)
-        p = structure.x0
-        pw = float(p @ q)
-        p_perp = p - pw * q
-        # a = 1 + <p, q> as a sum of two nonnegative terms: no cancellation as
-        # q -> -p / |p|, and 1 - |p|^2 > 0 for every admissible x0
-        a = 0.5 * (float((q + p) @ (q + p)) + (1.0 - float(p @ p)))
-        if not a > 0.0:
-            raise InternalConsistencyError(
-                "osculating Gram matrix is not positive definite; "
-                "a construction invariant was violated"
-            )
-        # l = q + p, written with the a above so that the Gram matrix and the
-        # inverse below are built from the same three numbers
-        ell = a * q + p_perp
-        qq = np.outer(q, q)
+        a, p_perp, ell = _randers_form(structure.x0, q)
+        qq = q[..., :, None] * q[..., None, :]
         projector = np.eye(structure.dim) - qq
-        cross = np.outer(p_perp, q)
+        cross = p_perp[..., :, None] * q[..., None, :]
+        scale = a[..., None, None]
         inverse = (
-            projector / a
-            - (cross + cross.T) / (a * a)
-            + ((a + float(p_perp @ p_perp)) / (a * a * a)) * qq
+            projector / scale
+            - (cross + cross.mT) / (scale * scale)
+            + ((a + np.vecdot(p_perp, p_perp)) / (a * a * a))[..., None, None] * qq
         )
         self.structure = structure
         self.w = _frozen(q)
-        self.gram = _frozen(a * projector + np.outer(ell, ell))
-        self._pw = pw
+        self.gram = _frozen(scale * projector + ell[..., :, None] * ell[..., None, :])
+        self._p_perp = p_perp
         self._inverse = inverse
 
     @property
@@ -276,35 +289,54 @@ class OsculatingFrame:
 
     @cached_property
     def cartan_tensor(self) -> np.ndarray:
-        """Cartan tensor on basis triples, (n, n, n); built on first read."""
+        """Cartan tensor on basis triples, (n, n, n); built on first read.
+
+        Defined for a frame of one pole only."""
         return _frozen(_cartan_basis_tensor(self.structure.x0, self.w))
 
-    def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the covector C_w(u, v, .), in O(n) per column.
+    @cached_property
+    def pole_pairing(self) -> np.ndarray:
+        """<[e_i, e_j], w>_w, indexed [..., i, j]; built on first read."""
+        c = self.structure.algebra.structure
+        return _contract(c, np.matvec(self.gram, self.w), 2)
 
-        ``v`` is a vector or stacked columns; the result has its shape, so
-        ``cartan_covector(u, v) @ x`` is the Cartan tensor C_w(u, v, x).
-        The closed form of :meth:`RandersStructure.cartan` with one slot left
-        open.
+    @cached_property
+    def pole_brackets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(right, left)`` with rows right[..., i] = [e_i, w] and
+        left[..., i] = [w, e_i], so that [v, w] = v @ right; built on first
+        read."""
+        c = self.structure.algebra.structure
+        return _contract(c, self.w, 1), _contract(c, self.w, 0)
+
+    def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Coordinates of the covector C_w(u, v, .), in O(n) per vector.
+
+        ``u`` and ``v`` are vectors, or vectors stacked along leading axes
+        that broadcast against each other and the frame's; the result has
+        the broadcast shape, so ``np.vecdot(cartan_covector(u, v), x)`` is
+        the Cartan tensor C_w(u, v, x).  The closed form of
+        :meth:`RandersStructure.cartan` with one slot left open, written
+        with the parts y_perp = y - <q, y> q orthogonal to the pole:
+        2 C_w(u, v, .) = <p_perp, u> v_perp + <p_perp, v> u_perp
+        + <u_perp, v_perp> p_perp.
         """
-        p, q, pw = self.structure.x0, self.w, self._pw
-        qu, pu = q @ u, p @ u
-        qv, pv, uv = q @ v, p @ v, u @ v
-        outer = np.multiply.outer
+        q, p_perp = self.w, self._p_perp
+        u_perp = u - np.vecdot(q, u)[..., None] * q
+        v_perp = v - np.vecdot(q, v)[..., None] * q
         return 0.5 * (
-            outer(q, 3.0 * pw * qu * qv - pw * uv - pu * qv - pv * qu)
-            + (pu - pw * qu) * v
-            + outer(u, pv - pw * qv)
-            + outer(p, uv - qu * qv)
+            np.vecdot(p_perp, u)[..., None] * v_perp
+            + np.vecdot(p_perp, v)[..., None] * u_perp
+            + np.vecdot(u_perp, v_perp)[..., None] * p_perp
         )
 
     def inner(self, u, v) -> float:
-        """<u, v>_w against the cached Gram matrix."""
+        """<u, v>_w against the cached Gram matrix of a one-pole frame."""
         u = _as_vector(u, self.dim)
         v = _as_vector(v, self.dim)
         return float(u @ self.gram @ v)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve gram @ x = rhs (vector or stacked columns) with the stored
-        closed-form inverse."""
-        return self._inverse @ rhs
+        """Solve gram @ x = rhs with the stored closed-form inverse; ``rhs``
+        is a vector or vectors stacked along leading axes that broadcast
+        against the frame's."""
+        return np.matvec(self._inverse, rhs)

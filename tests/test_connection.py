@@ -93,9 +93,9 @@ class TestStageSolves:
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
-            vectors = rng.standard_normal((5, 3))
+            vectors = rng.standard_normal((3, 5))
             stacked = nabla_v_w(frame, nabla_w_of_w(frame), vectors)
-            assert np.abs(stacked - nabla_x_w_map(frame) @ vectors).max() <= 1e-13
+            assert np.abs(stacked - vectors @ nabla_x_w_map(frame).T).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
         # the dropped stage-2 terms all carry a pole slot; the cached tensor

@@ -1,6 +1,8 @@
 """Curvature operator, flag curvature against the special-flag closed forms,
 sign certification, and the Riemannian specialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from randersflag import (
 )
 from randersflag import connection, curvature
 from randersflag.cli import TABLE1_TOL
-from randersflag.curvature import SPECIAL_FLAG_CASES
+from randersflag.curvature import (
+    SPECIAL_FLAG_CASES,
+    WITNESS_MIN_CURVATURE,
+    SignCertificate,
+    _flag_curvatures,
+)
 from helpers import (
     abelian_structure,
     nilpotent_algebra,
@@ -299,6 +306,130 @@ class TestFlagPathAgainstTable:
         assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
         certificate = sign_search(structure, seed=0)
         assert certificate.positive_witness.k > 0 > certificate.negative_witness.k
+
+
+class _SequentialSearch:
+    """The one-flag-per-iteration search that the chunked :func:`sign_search`
+    must reproduce: the same candidate stream (special flags on dim 5, then a
+    pole and a transverse vector drawn and normalized in turn), evaluated by
+    :func:`flag_curvature` in order.  Reports are computed on demand and
+    shared between budgets, since a smaller budget sees a prefix of them."""
+
+    def __init__(self, structure, seed):
+        self.structure = structure
+        self.candidates = self._candidates(np.random.default_rng(seed), structure.dim)
+        self.reports = []
+
+    @staticmethod
+    def _candidates(rng, dim):
+        if dim == 5:
+            for case_id in SPECIAL_FLAG_CASES:
+                yield special_flag_vectors(case_id)
+        while True:
+            w = rng.standard_normal(dim)
+            x = rng.standard_normal(dim)
+            yield w / np.linalg.norm(w), x / np.linalg.norm(x)
+
+    def _report(self, i):
+        while len(self.reports) <= i:
+            w, x = next(self.candidates)
+            # the pole is normalized once more before the frame normalizes it
+            self.reports.append(flag_curvature(self.structure, w / np.linalg.norm(w), x))
+        return self.reports[i]
+
+    def run(self, max_samples):
+        positive = negative = None
+        for tried in range(1, max_samples + 1):
+            report = self._report(tried - 1)
+            if report.degenerate:
+                continue
+            if positive is None and report.k > WITNESS_MIN_CURVATURE:
+                positive = report
+            if negative is None and report.k < -WITNESS_MIN_CURVATURE:
+                negative = report
+            if positive is not None and negative is not None:
+                return SignCertificate(positive, negative, tried)
+        if positive is None and negative is None:
+            missing = "no nonzero curvature found"
+        elif positive is None:
+            missing = "no strictly positive curvature found"
+        else:
+            missing = "no strictly negative curvature found"
+        raise SearchFailure(f"{missing} within {max_samples} samples")
+
+
+def _hyperbolic_plus_heisenberg():
+    """Real hyperbolic 5-space times a scaled Heisenberg 3-algebra: most
+    flags are negatively curved, so positive witnesses come late or not at
+    all and the search runs across several chunks."""
+    c = np.zeros((8, 8, 8))
+    c[0, 1:5, 1:5] = np.eye(4)
+    c[1:5, 0, 1:5] = -np.eye(4)
+    c[5, 6, 7], c[6, 5, 7] = 0.5, -0.5
+    return RandersStructure(MetricLieAlgebra(c), np.zeros(8))
+
+
+def _search_models():
+    rng = np.random.default_rng(404)
+    solvable_x0 = unit(rng, 9) * 0.6
+    return {
+        "heisenberg5-2-1-0.5": z_randers(2.0, 1.0, 0.5),
+        "heisenberg5-3-1-0.7": z_randers(3.0, 1.0, 0.7),
+        "heisenberg5-1-1-0.1": z_randers(1.0, 1.0, 0.1),
+        "nilpotent7": RandersStructure(nilpotent_algebra(rng, 7), np.zeros(7)),
+        "nilpotent8": RandersStructure(nilpotent_algebra(rng, 8), np.zeros(8)),
+        "nilpotent9": RandersStructure(nilpotent_algebra(rng, 9), np.zeros(9)),
+        "solvable9-deformed": RandersStructure(solvable_algebra(rng, 9), solvable_x0),
+        "hyperbolic5+heisenberg3": _hyperbolic_plus_heisenberg(),
+        "flat5": abelian_structure(),
+    }
+
+
+SEARCH_MODELS = _search_models()
+
+
+class TestChunkedSearch:
+    """sign_search evaluates its candidates in stacked chunks; the outcome
+    must be that of the sequential loop, budget by budget."""
+
+    @pytest.mark.parametrize("name", list(SEARCH_MODELS))
+    def test_matches_sequential_search(self, name):
+        structure = SEARCH_MODELS[name]
+        for seed in range(20):
+            sequential = _SequentialSearch(structure, seed)
+            for max_samples in (1, 7, 8, 9, 63, 64, 65, 512):
+                try:
+                    expected = sequential.run(max_samples)
+                except SearchFailure as failure:
+                    with pytest.raises(SearchFailure) as raised:
+                        sign_search(structure, seed=seed, max_samples=max_samples)
+                    assert str(raised.value) == str(failure)
+                    continue
+                got = sign_search(structure, seed=seed, max_samples=max_samples)
+                assert got.samples_tried == expected.samples_tried
+                for witness in ("positive_witness", "negative_witness"):
+                    a, b = getattr(got, witness), getattr(expected, witness)
+                    assert np.array_equal(a.w, b.w)
+                    assert np.array_equal(a.x, b.x)
+                    assert a.k == pytest.approx(b.k, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["heisenberg5-2-1-0.5", "nilpotent9", "solvable9-deformed"])
+    def test_stacked_rows_match_single_flags(self, name):
+        structure = SEARCH_MODELS[name]
+        rng = np.random.default_rng(7)
+        w, x = rng.standard_normal((2, 9, structure.dim))
+        x[4] = -2.5 * w[4]  # a zero-area flag in the middle of the stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame, k, denominator, degenerate = _flag_curvatures(structure, w, x)
+        assert degenerate.tolist() == [i == 4 for i in range(9)]
+        assert np.isnan(k[4])
+        for i in range(9):
+            single = flag_curvature(structure, w[i], x[i])
+            assert np.array_equal(frame.w[i], single.w)
+            assert denominator[i] == pytest.approx(single.denominator, rel=1e-13)
+            if i != 4:
+                assert k[i] == pytest.approx(single.k, rel=1e-13, abs=0.0)
 
 
 class TestNearUnitDeformation:

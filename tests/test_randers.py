@@ -109,6 +109,22 @@ class TestOsculatingProduct:
         with pytest.raises(DegenerateReferenceVector):
             structure.osculating_product(np.zeros(5), E[0], E[1])
 
+    @pytest.mark.parametrize("xi", [1 - 1e-9, 1 - 2.0**-30])
+    def test_near_unit_deformation_at_opposite_pole(self, xi):
+        # <Z, Z> at pole -Z is (1 - xi)^2, far below the rounding of 1
+        s = z_randers(2.0, 1.0, xi)
+        value = s.osculating_product(-Z, Z, Z)
+        assert value == pytest.approx((1 - xi) ** 2, rel=1e-6, abs=0.0)
+        assert value == pytest.approx(s.osculating_gram(-Z).inner(Z, Z), rel=1e-6, abs=0.0)
+
+    def test_near_unit_deformation_matches_fd_oracle(self):
+        # a dyadic xi and step make every norm the oracle evaluates exact, so
+        # its second difference resolves (1 - xi)^2 = 2^-60
+        s = z_randers(2.0, 1.0, 1 - 2.0**-30)
+        oracle = s.osculating_product_fd(-Z, Z, Z, 2.0**-7)
+        assert oracle == 2.0**-60
+        assert s.osculating_product(-Z, Z, Z) == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
 
 class TestOsculatingFrame:
     def test_gram_entries_at_plane_pole(self, structure):
@@ -148,9 +164,9 @@ class TestOsculatingFrame:
                 s = abelian_structure(dim, size * direction)
                 for w in (unit(rng, dim), -direction, -direction + 1e-6 * unit(rng, dim)):
                     frame = s.osculating_gram(w)
-                    rhs = rng.standard_normal((dim, 3))
-                    assert np.allclose(frame.gram @ frame.solve(rhs), rhs, atol=1e-13)
-                    assert np.allclose(frame.gram @ frame.solve(rhs[:, 0]), rhs[:, 0], atol=1e-13)
+                    rhs = rng.standard_normal((3, dim))
+                    assert np.allclose(np.matvec(frame.gram, frame.solve(rhs)), rhs, atol=1e-13)
+                    assert np.allclose(frame.gram @ frame.solve(rhs[0]), rhs[0], atol=1e-13)
 
     def test_non_positive_definite_gram_is_internal_error(self, structure):
         # force an inadmissible deformation past the norm check
@@ -248,11 +264,11 @@ class TestCartan:
     def test_covector_matches_cached_basis_tensor(self, structure, rng):
         frame = structure.osculating_gram(unit(rng))
         u, v = rng.standard_normal((2, 5))
-        columns = rng.standard_normal((5, 3))
+        rows = rng.standard_normal((3, 5))
         expected = np.einsum("abc,a,b->c", frame.cartan_tensor, u, v)
         assert np.abs(frame.cartan_covector(u, v) - expected).max() <= 1e-13
-        stacked = np.einsum("abc,a,bj->cj", frame.cartan_tensor, u, columns)
-        assert np.abs(frame.cartan_covector(u, columns) - stacked).max() <= 1e-13
+        stacked = np.einsum("abc,a,jb->jc", frame.cartan_tensor, u, rows)
+        assert np.abs(frame.cartan_covector(u, rows) - stacked).max() <= 1e-13
 
     def test_basis_tensor_built_on_first_read(self, structure, rng):
         frame = structure.osculating_gram(unit(rng))
