@@ -6,7 +6,9 @@ Subcommands: ``table1`` (special-flag curvature families as CSV),
 self-checks).  Exit codes: 0 success, 1 tolerance or verdict failure,
 2 usage/config error, 3 I/O error.
 
-Model configs are single JSON documents with exactly one of::
+``table1`` and ``connection-tables`` take the heisenberg5 parameters as
+options; ``flag``, ``search`` and ``verify`` read a model config, a single
+JSON document with exactly one of::
 
     {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
     {"explicit": {"dim": 5,
@@ -16,7 +18,11 @@ Model configs are single JSON documents with exactly one of::
 Indices in config files are 1-based (e_1..e_n); each bracket entry sets
 [e_i, e_j] and implies the antisymmetric counterpart.  The preset encodes the
 deformation x0 = xi * Z with 0 < xi < 1; for the plain Euclidean case use an
-explicit model with x0 = 0.
+explicit model with x0 = 0.  A config parses straight to a
+:class:`RandersStructure`; the library's own checks (finite structure
+constants, x0 of length dim, finite, of norm < 1) surface as
+:class:`ConfigError`, as do malformed JSON, non-integral dims and indices,
+out-of-range indices and structure constants that fail the Jacobi identity.
 """
 
 from __future__ import annotations
@@ -24,9 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .curvature import (
     special_flag_closed_form,
     special_flag_vectors,
 )
-from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
+from .errors import ConfigError, DimensionMismatch, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, heisenberg5
 from .randers import RandersStructure
 from .reference_tables import reference_blocks
@@ -73,29 +77,24 @@ _VERIFY_TOLS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class ModelConfig:
-    """Validated model description: a heisenberg5 preset or an explicit
-    structure-constant model."""
-
-    preset: tuple[float, float, float] | None = None
-    explicit: RandersStructure | None = None
-
-    @property
-    def is_preset(self) -> bool:
-        return self.preset is not None
-
-    def structure(self) -> RandersStructure:
-        if self.preset is not None:
-            lam, mu, xi = self.preset
-            x0 = np.zeros(5)
-            x0[4] = xi
-            return RandersStructure(heisenberg5(lam, mu), x0)
-        assert self.explicit is not None
-        return self.explicit
+def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
+    """The heisenberg5 preset with x0 = xi * Z; inadmissible parameters raise
+    :class:`ConfigError`."""
+    try:
+        algebra = heisenberg5(lam, mu)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid preset: {exc}") from exc
+    if not (0.0 < xi < 1.0):
+        raise ConfigError(
+            f"preset requires 0 < xi < 1, got xi={xi}; "
+            "use an explicit model with x0 = 0 for the Euclidean case"
+        )
+    x0 = np.zeros(5)
+    x0[4] = xi
+    return RandersStructure(algebra, x0)
 
 
-def _parse_preset(data: dict) -> ModelConfig:
+def _parse_preset(data: dict) -> RandersStructure:
     name = data.get("name")
     if name != "heisenberg5":
         raise ConfigError(f"unknown preset name {name!r} (expected 'heisenberg5')")
@@ -105,34 +104,33 @@ def _parse_preset(data: dict) -> ModelConfig:
         xi = float(data["xi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"preset needs numeric 'lambda', 'mu', 'xi': {exc}") from exc
-    try:
-        heisenberg5(lam, mu)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid preset: {exc}") from exc
-    if not (0.0 < xi < 1.0):
-        raise ConfigError(
-            f"preset requires 0 < xi < 1, got xi={xi}; "
-            "use an explicit model with x0 = 0 for the Euclidean case"
-        )
-    return ModelConfig(preset=(lam, mu, xi))
+    return _preset_structure(lam, mu, xi)
 
 
-def _parse_explicit(data: dict) -> ModelConfig:
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"explicit model needs an integer 'dim': {exc}") from exc
+def _integer(value, what: str) -> int:
+    """A JSON integer; an integral float such as 5.0 passes, booleans and
+    fractions do not (int() would truncate them)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_explicit(data: dict) -> RandersStructure:
+    dim = _integer(data.get("dim"), "dim")
     if dim <= 0:
         raise ConfigError(f"dim must be positive, got {dim}")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ConfigError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
     constants = np.zeros((dim, dim, dim))
-    for entry in data.get("brackets", []):
+    for entry in brackets:
         try:
-            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
+            i, j, k = (_integer(entry[key], f"bracket index {key!r}") for key in "ijk")
             value = float(entry["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed bracket entry {entry!r}: {exc}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"bracket value must be finite, got {entry!r}")
         if not all(1 <= idx <= dim for idx in (i, j, k)):
             raise ConfigError(f"bracket indices must lie in 1..{dim}, got {entry!r}")
         constants[i - 1, j - 1, k - 1] = value
@@ -143,15 +141,11 @@ def _parse_explicit(data: dict) -> ModelConfig:
         x0 = np.asarray(data["x0"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
-    if x0.shape != (dim,):
-        raise ConfigError(f"x0 must have length {dim}, got shape {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"x0 must be finite, got {x0.tolist()}")
-    if float(np.linalg.norm(x0)) >= 1.0:
-        raise ConfigError(
-            f"x0 must have Euclidean norm < 1, got {np.linalg.norm(x0):.6g}"
-        )
-    algebra = MetricLieAlgebra(constants)
+    try:
+        algebra = MetricLieAlgebra(constants)
+        structure = RandersStructure(algebra, x0)
+    except (ParameterError, DimensionMismatch) as exc:
+        raise ConfigError(f"invalid explicit model: {exc}") from exc
     report = algebra.validate()
     if not report.passed:
         raise ConfigError(
@@ -159,10 +153,10 @@ def _parse_explicit(data: dict) -> ModelConfig:
             f"(antisymmetry defect {report.antisymmetry_defect:.3e}, "
             f"Jacobi defect {report.jacobi_defect:.3e})"
         )
-    return ModelConfig(explicit=RandersStructure(algebra, x0))
+    return structure
 
 
-def model_config_from_dict(data) -> ModelConfig:
+def model_config_from_dict(data) -> RandersStructure:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     present = [key for key in ("preset", "explicit") if key in data]
@@ -176,7 +170,7 @@ def model_config_from_dict(data) -> ModelConfig:
     return _parse_explicit(section)
 
 
-def load_model_config(path: str) -> ModelConfig:
+def load_model_config(path: str) -> RandersStructure:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -185,43 +179,32 @@ def load_model_config(path: str) -> ModelConfig:
     return model_config_from_dict(data)
 
 
-def cmd_table1(config: ModelConfig, out: str) -> int:
+def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     """CSV of the eight special-flag families: computed vs closed form."""
-    if not config.is_preset:
-        raise ConfigError("table1 requires a heisenberg5 preset config")
-    lam, mu, xi = config.preset
-    structure = config.structure()
+    structure = _preset_structure(lam, mu, xi)
+    closed_forms = [special_flag_closed_form(case_id, lam, mu, xi) for case_id in SPECIAL_FLAG_CASES]
     rng = np.random.default_rng(_REPORT_SEED)
     flags = np.array([special_flag_vectors(case_id, rng) for case_id in SPECIAL_FLAG_CASES])
     _, k, _, _ = _flag_curvatures(structure, flags[:, 0], flags[:, 1])
-    rows = []
     max_err = 0.0
-    for case_id, computed in zip(SPECIAL_FLAG_CASES, k.tolist()):
-        closed = special_flag_closed_form(case_id, lam, mu, xi)
-        err = abs(computed - closed)
-        max_err = max(max_err, err)
-        pole_span, transverse_span = SPECIAL_FLAG_SPANS[case_id]
-        rows.append(
-            (case_id, SPAN_LABELS[pole_span], SPAN_LABELS[transverse_span], computed, closed, err)
-        )
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["case", "flag_pole", "transverse", "k_computed", "k_closed_form", "abs_err"]
         )
-        for case_id, pole, transverse, computed, closed, err in rows:
+        for case_id, computed, closed in zip(SPECIAL_FLAG_CASES, k.tolist(), closed_forms):
+            err = abs(computed - closed)
+            max_err = max(max_err, err)
+            pole, transverse = (SPAN_LABELS[span] for span in SPECIAL_FLAG_SPANS[case_id])
             writer.writerow([case_id, pole, transverse, repr(computed), repr(closed), repr(err)])
     ok = max_err <= TABLE1_TOL
     print(f"table1: wrote {out}; max_abs_err={max_err:.6e}; pass={ok}")
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def cmd_connection_tables(config: ModelConfig, out: str) -> int:
+def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     """JSON with the four closed-form connection blocks and their defects."""
-    if not config.is_preset:
-        raise ConfigError("connection-tables requires a heisenberg5 preset config")
-    lam, mu, xi = config.preset
-    structure = config.structure()
+    structure = _preset_structure(lam, mu, xi)
     rng = np.random.default_rng(_REPORT_SEED)
     blocks = {}
     max_defect = 0.0
@@ -266,18 +249,17 @@ def _report_json(report: FlagReport) -> dict:
     }
 
 
-def cmd_flag(config: ModelConfig, w_coords, x_coords) -> int:
+def cmd_flag(structure: RandersStructure, w_coords, x_coords) -> int:
     """Print one flag-curvature report as JSON; degenerate flags exit 1."""
-    structure = config.structure()
     report = flag_curvature(structure, np.asarray(w_coords, float), np.asarray(x_coords, float))
     print(json.dumps(_report_json(report)))
     return EXIT_OK if not report.degenerate else EXIT_VERDICT
 
 
-def cmd_search(config: ModelConfig, seed: int, max_samples: int = 512) -> int:
+def cmd_search(structure: RandersStructure, seed: int, max_samples: int) -> int:
     """Print a sign certificate as JSON; exit 0.  A failed search raises
     :class:`SearchFailure`, which :func:`main` reports with exit 1."""
-    certificate = sign_search(config.structure(), seed=seed, max_samples=max_samples)
+    certificate = sign_search(structure, seed=seed, max_samples=max_samples)
     witnesses = {
         "positive_witness": certificate.positive_witness,
         "negative_witness": certificate.negative_witness,
@@ -291,15 +273,10 @@ def cmd_search(config: ModelConfig, seed: int, max_samples: int = 512) -> int:
     return EXIT_OK
 
 
-def run_verification(
-    structure: RandersStructure,
-    seed: int = _REPORT_SEED,
-    fd_samples: int = 60,
-    frame_samples: int = 25,
-) -> list[dict]:
+def run_verification(structure: RandersStructure) -> list[dict]:
     """Residual self-checks: closed forms vs difference oracles, connection
     contracts, and the zero-deformation Levi-Civita coincidence."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_REPORT_SEED)
     dim = structure.dim
 
     def unit() -> np.ndarray:
@@ -309,7 +286,7 @@ def run_verification(
     defects = {}
     worst_osc = 0.0
     worst_cartan = 0.0
-    for _ in range(fd_samples):
+    for _ in range(60):
         w, u, v, x = unit(), unit(), unit(), unit()
         worst_osc = max(
             worst_osc,
@@ -324,7 +301,7 @@ def run_verification(
 
     worst_torsion = 0.0
     worst_metric = 0.0
-    for _ in range(frame_samples):
+    for _ in range(25):
         table = chern_rund_table(structure.osculating_gram(unit()))
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
@@ -350,9 +327,9 @@ def run_verification(
     ]
 
 
-def cmd_verify(config: ModelConfig) -> int:
+def cmd_verify(structure: RandersStructure) -> int:
     """Run the residual suite and print a JSON defect table."""
-    checks = run_verification(config.structure())
+    checks = run_verification(structure)
     ok = all(check["pass"] for check in checks)
     print(json.dumps({"checks": checks, "pass": ok}))
     if not ok:
@@ -414,15 +391,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "table1":
-            config = model_config_from_dict(
-                {"preset": {"name": "heisenberg5", "lambda": args.lam, "mu": args.mu, "xi": args.xi}}
-            )
-            return cmd_table1(config, args.out)
+            return cmd_table1(args.lam, args.mu, args.xi, args.out)
         if args.command == "connection-tables":
-            config = model_config_from_dict(
-                {"preset": {"name": "heisenberg5", "lambda": args.lam, "mu": args.mu, "xi": args.xi}}
-            )
-            return cmd_connection_tables(config, args.out)
+            return cmd_connection_tables(args.lam, args.mu, args.xi, args.out)
         if args.command == "flag":
             return cmd_flag(load_model_config(args.config), args.w, args.x)
         if args.command == "search":

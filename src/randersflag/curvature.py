@@ -241,16 +241,21 @@ def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> 
         raise ParameterError(f"require lam >= mu > 0, got lam={lam}, mu={mu}")
     if not (0.0 < xi < 1.0):
         raise ParameterError(f"require 0 < xi < 1, got xi={xi}")
-    return float(form(lam, mu, xi))
+    try:
+        return float(form(lam, mu, xi))
+    except OverflowError:
+        raise ParameterError(
+            f"closed form of case {case_id} overflows at lam={lam}, mu={mu}"
+        ) from None
 
 
-def _span_unit(span: str, rng: np.random.Generator | None) -> np.ndarray:
+def _span_unit(span: str, rng: np.random.Generator) -> np.ndarray:
     v = np.zeros(5)
     if span == "Z":
-        v[4] = 1.0 if rng is None else (1.0 if rng.random() < 0.5 else -1.0)
+        v[4] = 1.0 if rng.random() < 0.5 else -1.0
         return v
     i = 0 if span == "e12" else 2
-    theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
     v[i] = np.cos(theta)
     v[i + 1] = np.sin(theta)
     return v

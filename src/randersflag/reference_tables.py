@@ -9,10 +9,11 @@ Four cell layouts cover the poles where the connection has closed forms:
 * ``pole_e12_rows_e34`` -- same pole, derivatives along e3, e4 of W and Wperp;
 * ``pole_e34_rows_e12`` -- pole in span(e3, e4), derivatives along e1, e2.
 
-The 3x3 frame block for poles in span(e3, e4) (``pole_e34_frame_cells``) is
-structurally the e12 block with the squared bracket coefficient swapped; it is
-exercised by the test suite.  Expected vectors are in the fixed orthonormal
-basis; ``direction``/``argument`` feed ConnectionTable.derivative directly, so
+``pole_frame_cells`` and ``pole_rows_cells`` take the pole plane, "e12" or
+"e34", as their first argument; the 3x3 frame block for poles in span(e3, e4)
+(``pole_frame_cells("e34", ...)``) is not reported but is exercised by the
+test suite.  Expected vectors are in the fixed orthonormal basis;
+``direction``/``argument`` feed ConnectionTable.derivative directly, so
 rescaled frame vectors are passed verbatim.
 """
 
@@ -70,11 +71,19 @@ def pole_z_cells(lam: float, mu: float, xi: float) -> list[TableCell]:
     ]
 
 
-def _frame_cells(scale_sq: float, xi: float, w: np.ndarray, wp: np.ndarray) -> list[TableCell]:
-    """The 3x3 block on (W, Wperp, Z) shared by both center-free pole planes;
-    ``scale_sq`` is lam**2 for span(e1, e2) poles, mu**2 for span(e3, e4)."""
+def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float, int]:
+    """For a pole in ``plane`` ("e12" or "e34"): its own bracket coefficient,
+    the other plane's coefficient, and the other plane's first 0-based index."""
+    return {"e12": (lam, mu, 2), "e34": (mu, lam, 0)}[plane]
+
+
+def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
+    """3x3 (W, Wperp, Z) block for a unit pole in ``plane`` ("e12" or
+    "e34"); the two planes differ only in the squared bracket coefficient."""
+    own, _, _ = _plane_coefficients(plane, lam, mu)
     _, z = _basis()
-    a = scale_sq
+    wp = w_perp(heisenberg5(lam, mu), w)
+    a = own * own
     expected = {
         ("W", "W"): xi * wp,
         ("W", "Wperp"): -0.5 * a * (xi * w + z),
@@ -95,66 +104,39 @@ def _frame_cells(scale_sq: float, xi: float, w: np.ndarray, wp: np.ndarray) -> l
     ]
 
 
-def pole_e12_frame_cells(lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
-    """3x3 (W, Wperp, Z) block for a unit pole in span(e1, e2)."""
-    wp = w_perp(heisenberg5(lam, mu), w)
-    return _frame_cells(lam * lam, xi, w, wp)
-
-
-def pole_e34_frame_cells(lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
-    """3x3 (W, Wperp, Z) block for a unit pole in span(e3, e4)."""
-    wp = w_perp(heisenberg5(lam, mu), w)
-    return _frame_cells(mu * mu, xi, w, wp)
-
-
-def pole_e12_rows_e34_cells(lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
-    """Derivatives along e3, e4 of W and Wperp, pole in span(e1, e2)."""
+def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
+    """Derivatives along the other bracket plane's basis vectors of W and
+    Wperp, for a unit pole in ``plane`` ("e12" or "e34")."""
+    own, other, first = _plane_coefficients(plane, lam, mu)
     eye, _ = _basis()
     wp = w_perp(heisenberg5(lam, mu), w)
+    ea, eb = f"e{first + 1}", f"e{first + 2}"
     expected = {
-        ("e3", "W"): -0.5 * mu * xi * eye[3],
-        ("e3", "Wperp"): -0.25 * xi * lam * lam * eye[2],
-        ("e4", "W"): 0.5 * mu * xi * eye[2],
-        ("e4", "Wperp"): -0.25 * xi * lam * lam * eye[3],
+        (ea, "W"): -0.5 * other * xi * eye[first + 1],
+        (ea, "Wperp"): -0.25 * xi * own * own * eye[first],
+        (eb, "W"): 0.5 * other * xi * eye[first],
+        (eb, "Wperp"): -0.25 * xi * own * own * eye[first + 1],
     }
-    vectors = {"e3": eye[2], "e4": eye[3], "W": w, "Wperp": wp}
+    vectors = {ea: eye[first], eb: eye[first + 1], "W": w, "Wperp": wp}
     return [
         TableCell(r, c, vectors[r], vectors[c], expected[(r, c)])
-        for r in ("e3", "e4")
-        for c in ("W", "Wperp")
-    ]
-
-
-def pole_e34_rows_e12_cells(lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
-    """Derivatives along e1, e2 of W and Wperp, pole in span(e3, e4)."""
-    eye, _ = _basis()
-    wp = w_perp(heisenberg5(lam, mu), w)
-    expected = {
-        ("e1", "W"): -0.5 * lam * xi * eye[1],
-        ("e1", "Wperp"): -0.25 * xi * mu * mu * eye[0],
-        ("e2", "W"): 0.5 * lam * xi * eye[0],
-        ("e2", "Wperp"): -0.25 * xi * mu * mu * eye[1],
-    }
-    vectors = {"e1": eye[0], "e2": eye[1], "W": w, "Wperp": wp}
-    return [
-        TableCell(r, c, vectors[r], vectors[c], expected[(r, c)])
-        for r in ("e1", "e2")
+        for r in (ea, eb)
         for c in ("W", "Wperp")
     ]
 
 
 def reference_blocks(
-    lam: float, mu: float, xi: float, rng: np.random.Generator | None = None
+    lam: float, mu: float, xi: float, rng: np.random.Generator
 ) -> dict[str, tuple[np.ndarray, list[TableCell]]]:
     """The four reporting blocks, keyed by layout name, each as
-    (pole, cells).  Center-free poles are sampled from ``rng`` when given
-    (the closed forms hold for every unit pole in the respective plane)."""
+    (pole, cells).  Center-free poles are sampled from ``rng`` (the closed
+    forms hold for every unit pole in the respective plane)."""
     _, z = _basis()
     w12 = _span_unit("e12", rng)
     w34 = _span_unit("e34", rng)
     return {
         "pole_z": (z, pole_z_cells(lam, mu, xi)),
-        "pole_e12_frame": (w12, pole_e12_frame_cells(lam, mu, xi, w12)),
-        "pole_e12_rows_e34": (w12, pole_e12_rows_e34_cells(lam, mu, xi, w12)),
-        "pole_e34_rows_e12": (w34, pole_e34_rows_e12_cells(lam, mu, xi, w34)),
+        "pole_e12_frame": (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
+        "pole_e12_rows_e34": (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
+        "pole_e34_rows_e12": (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
     }

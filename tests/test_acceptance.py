@@ -28,9 +28,8 @@ from randersflag import (
 )
 from randersflag.curvature import SPECIAL_FLAG_CASES
 from randersflag.reference_tables import (
-    pole_e12_frame_cells,
-    pole_e12_rows_e34_cells,
-    pole_e34_rows_e12_cells,
+    pole_frame_cells,
+    pole_rows_cells,
     pole_z_cells,
 )
 from helpers import random_heisenberg_params, unit, unit_in_plane, z_randers
@@ -76,9 +75,9 @@ def test_criterion_2_connection_tables(rng):
         w34 = unit_in_plane(rng, 2)
         layouts = [
             (Z, pole_z_cells(lam, mu, xi)),
-            (w12, pole_e12_frame_cells(lam, mu, xi, w12)),
-            (w12, pole_e12_rows_e34_cells(lam, mu, xi, w12)),
-            (w34, pole_e34_rows_e12_cells(lam, mu, xi, w34)),
+            (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
+            (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
+            (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
         ]
         for pole, cells in layouts:
             table = chern_rund_table(structure.osculating_gram(pole))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import randersflag
-from randersflag import ConfigError
+from randersflag import ConfigError, RandersStructure
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -43,15 +43,14 @@ def write_config(tmp_path, document, name="model.json"):
 
 class TestModelConfig:
     def test_valid_preset(self):
-        config = model_config_from_dict(PRESET)
-        assert config.is_preset
-        structure = config.structure()
+        structure = model_config_from_dict(PRESET)
+        assert isinstance(structure, RandersStructure)
         assert structure.dim == 5
         assert np.allclose(structure.x0, [0, 0, 0, 0, 0.5])
 
     def test_explicit_matches_preset(self):
-        preset = model_config_from_dict(PRESET).structure()
-        explicit = model_config_from_dict(EXPLICIT_HEISENBERG).structure()
+        preset = model_config_from_dict(PRESET)
+        explicit = model_config_from_dict(EXPLICIT_HEISENBERG)
         assert np.array_equal(preset.algebra.structure, explicit.algebra.structure)
         assert np.array_equal(preset.x0, explicit.x0)
 
@@ -71,6 +70,12 @@ class TestModelConfig:
             {"explicit": {"dim": 5, "brackets": [{"i": 1, "j": 2, "value": 1.0}], "x0": [0, 0, 0, 0, 0]}},
             {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, 0]}},
             "not a mapping",
+            {"explicit": {"dim": 5, "brackets": 5, "x0": [0, 0, 0, 0, 0]}},
+            {"explicit": {"dim": 5, "brackets": None, "x0": [0, 0, 0, 0, 0]}},
+            {"explicit": {"dim": 5.7, "brackets": [], "x0": [0, 0, 0, 0, 0]}},
+            {"explicit": {"dim": True, "brackets": [], "x0": [0]}},
+            {"explicit": {"dim": 5, "brackets": [{"i": 1.9, "j": 2, "k": 5, "value": 1.0}], "x0": [0, 0, 0, 0, 0]}},
+            {"explicit": {"dim": 5, "brackets": [{"i": True, "j": 2, "k": 5, "value": 1.0}], "x0": [0, 0, 0, 0, 0]}},
         ],
     )
     def test_invalid_configs_rejected(self, document):
@@ -133,6 +138,9 @@ class TestTable1:
         code, _ = self.run(tmp_path, 1.0, 2.0, 0.5)
         assert code == EXIT_USAGE
         code, _ = self.run(tmp_path, 2.0, 1.0, 1.5)
+        assert code == EXIT_USAGE
+        # lam**2 overflows in the closed forms
+        code, _ = self.run(tmp_path, 1e160, 1.0, 0.5)
         assert code == EXIT_USAGE
 
     def test_unwritable_output_is_io_error(self, tmp_path):

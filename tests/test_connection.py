@@ -19,10 +19,8 @@ from randersflag import (
 )
 from randersflag.connection import nabla_v_w
 from randersflag.reference_tables import (
-    pole_e12_frame_cells,
-    pole_e12_rows_e34_cells,
-    pole_e34_frame_cells,
-    pole_e34_rows_e12_cells,
+    pole_frame_cells,
+    pole_rows_cells,
     pole_z_cells,
     reference_blocks,
 )
@@ -133,25 +131,25 @@ class TestClosedFormTables:
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 0)
-            check_cells(z_randers(lam, mu, xi), w, pole_e12_frame_cells(lam, mu, xi, w), 1e-10)
+            check_cells(z_randers(lam, mu, xi), w, pole_frame_cells("e12", lam, mu, xi, w), 1e-10)
 
     def test_e12_pole_transverse_rows(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 0)
-            check_cells(z_randers(lam, mu, xi), w, pole_e12_rows_e34_cells(lam, mu, xi, w), 1e-10)
+            check_cells(z_randers(lam, mu, xi), w, pole_rows_cells("e12", lam, mu, xi, w), 1e-10)
 
     def test_e34_pole_frame_table(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 2)
-            check_cells(z_randers(lam, mu, xi), w, pole_e34_frame_cells(lam, mu, xi, w), 1e-10)
+            check_cells(z_randers(lam, mu, xi), w, pole_frame_cells("e34", lam, mu, xi, w), 1e-10)
 
     def test_e34_pole_transverse_rows(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 2)
-            check_cells(z_randers(lam, mu, xi), w, pole_e34_rows_e12_cells(lam, mu, xi, w), 1e-10)
+            check_cells(z_randers(lam, mu, xi), w, pole_rows_cells("e34", lam, mu, xi, w), 1e-10)
 
     def test_reference_blocks_cover_the_four_layouts(self, rng):
         blocks = reference_blocks(2.0, 1.0, 0.5, rng)
