@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -44,6 +45,7 @@ from .curvature import (
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
     SPECIAL_FLAG_SPANS,
+    TABLE_BLOCK_ENTRIES,
     FlagReport,
     _flag_curvatures,
     flag_curvature,
@@ -53,7 +55,7 @@ from .curvature import (
 )
 from .errors import ConfigError, DimensionMismatch, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, heisenberg5
-from .randers import RandersStructure
+from .randers import RandersStructure, _unit_reference
 from .reference_tables import reference_blocks
 
 EXIT_OK = 0
@@ -235,8 +237,7 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
         "pass": ok,
     }
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(document, indent=2) + "\n")
     print(f"connection-tables: wrote {out}; max_defect={max_defect:.6e}; pass={ok}")
     return EXIT_OK if ok else EXIT_VERDICT
 
@@ -273,36 +274,39 @@ def cmd_search(structure: RandersStructure, seed: int, max_samples: int) -> int:
     return EXIT_OK
 
 
+def _tables(structure: RandersStructure, poles: np.ndarray):
+    """Chern-Rund tables at the stacked ``poles``, one per block of at most
+    max(1, TABLE_BLOCK_ENTRIES // dim**3) poles."""
+    step = max(1, TABLE_BLOCK_ENTRIES // structure.dim**3)
+    for start in range(0, len(poles), step):
+        yield chern_rund_table(structure.osculating_gram(poles[start : start + step]))
+
+
 def run_verification(structure: RandersStructure) -> list[dict]:
-    """Residual self-checks: closed forms vs difference oracles, connection
-    contracts, and the zero-deformation Levi-Civita coincidence."""
+    """Residual self-checks: closed forms vs difference oracles on 60 random
+    unit quadruples (w, u, v, x), the torsion and almost-metric contracts of
+    the tables at 25 random unit poles, and the zero-deformation tables at 5
+    random unit poles against :func:`levi_civita_table`.
+
+    Each check is made over stacked samples: the oracles in one call each,
+    the tables in blocks of poles (see :func:`_tables`).  The samples are
+    drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
+    ``(5, dim)``, the same stream as drawing the vectors one at a time."""
     rng = np.random.default_rng(_REPORT_SEED)
     dim = structure.dim
 
-    def unit() -> np.ndarray:
-        v = rng.standard_normal(dim)
-        return v / np.linalg.norm(v)
+    def units(*shape: int) -> np.ndarray:
+        return _unit_reference(rng.standard_normal(shape + (dim,)), dim)
 
-    defects = {}
-    worst_osc = 0.0
-    worst_cartan = 0.0
-    for _ in range(60):
-        w, u, v, x = unit(), unit(), unit(), unit()
-        worst_osc = max(
-            worst_osc,
-            abs(structure.osculating_product(w, u, v) - structure.osculating_product_fd(w, u, v, 1e-4)),
-        )
-        worst_cartan = max(
-            worst_cartan,
-            abs(structure.cartan(w, u, v, x) - structure.cartan_fd(w, u, v, x, 5e-3)),
-        )
-    defects["osculating_fd"] = worst_osc
-    defects["cartan_fd"] = worst_cartan
+    w, u, v, x = np.moveaxis(units(60, 4), 1, 0)
+    osculating = np.abs(
+        structure.osculating_product(w, u, v) - structure.osculating_product_fd(w, u, v, 1e-4)
+    )
+    cartan = np.abs(structure.cartan(w, u, v, x) - structure.cartan_fd(w, u, v, x, 5e-3))
+    defects = {"osculating_fd": float(osculating.max()), "cartan_fd": float(cartan.max())}
 
-    worst_torsion = 0.0
-    worst_metric = 0.0
-    for _ in range(25):
-        table = chern_rund_table(structure.osculating_gram(unit()))
+    worst_torsion = worst_metric = 0.0
+    for table in _tables(structure, units(25)):
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
     defects["torsion"] = worst_torsion
@@ -311,8 +315,7 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     zero = RandersStructure(structure.algebra, np.zeros(dim))
     reference = levi_civita_table(structure.algebra)
     worst_lc = 0.0
-    for _ in range(5):
-        table = chern_rund_table(zero.osculating_gram(unit()))
+    for table in _tables(zero, units(5)):
         worst_lc = max(worst_lc, float(np.abs(table.gamma - reference.gamma).max()))
     defects["levi_civita_x0_zero"] = worst_lc
 
@@ -346,7 +349,10 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="randersflag",
         description="Chern-Rund connections and flag curvatures of left-invariant "

@@ -16,9 +16,14 @@ stages read are contracted once per frame (``OsculatingFrame.pole_pairing``
 and ``pole_brackets``).  A flag curvature needs stage 2 on three vectors
 only (see :mod:`randersflag.curvature`), so stages 1-2 cost O(n^3) per
 flag, the price of contracting the structure constants with a few vectors.
-Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4), takes a
-frame of one pole, and serves the reference tables, the residual checks and
-the public table API.
+Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
+and serves the reference tables, the residual checks and the public table
+API.  It too takes a frame of one pole or of stacked poles, with the
+arithmetic of one pole for each, and :func:`torsion_defect` and
+:func:`almost_metric_defect` reduce over the poles of a stacked table.  A
+stacked table holds (poles, n, n, n) arrays, so callers bound their size by
+building tables over many poles in blocks (``verify`` does, see
+``curvature.TABLE_BLOCK_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lie_algebra import MetricLieAlgebra, _as_vector
+from .lie_algebra import MetricLieAlgebra, _as_vector, _cycled
 from .randers import OsculatingFrame, RandersStructure
 
 #: Center coordinates larger than this disqualify a pole from the adapted
@@ -41,8 +46,10 @@ class ConnectionTable:
     """Connection coefficients at a fixed reference vector.
 
     ``gamma[i, j, k]`` holds the e_k coordinate of nabla_{e_i} e_j in the
-    fixed orthonormal basis.  Torsion-freeness ties gamma back to the algebra:
-    gamma[i, j] - gamma[j, i] equals the coordinates of [e_i, e_j].
+    fixed orthonormal basis; a table over stacked poles has the frame's
+    leading axes in front, ``gamma[..., i, j, k]``.  Torsion-freeness ties
+    gamma back to the algebra: gamma[i, j] - gamma[j, i] equals the
+    coordinates of [e_i, e_j].
     """
 
     frame: OsculatingFrame
@@ -95,25 +102,44 @@ def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
     return nabla_v_w(frame, nabla_w_of_w(frame), np.eye(frame.dim)).T
 
 
+def _cartan_corrections(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
+    """C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k], from the
+    frame's basis Cartan tensor."""
+    cartan = frame.cartan_tensor
+    dim = frame.dim
+    flat = cartan.reshape(cartan.shape[:-3] + (dim, dim * dim))
+    return (rows @ flat).reshape(cartan.shape)
+
+
 def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     """All connection coefficients nabla_{e_i} e_j at the frame's reference
-    vector, via the staged Koszul solve (one solved vector per (i, j) pair)."""
+    vector, via the staged Koszul solve (one solved vector per (i, j) pair).
+
+    The frame holds one pole or poles stacked along leading axes; the table's
+    ``gamma`` then carries the same leading axes, and each pole's
+    coefficients are computed with the arithmetic of a one-pole table."""
     c = frame.structure.algebra.structure
-    gram, cartan = frame.gram, frame.cartan_tensor
     dim = frame.dim
-    rows = nabla_v_w(frame, nabla_w_of_w(frame), np.eye(dim))  # row i: nabla_{e_i} w
-    # pairings[i, j, k] = <[e_i, e_j], e_k>_w and
-    # corrections[i, j, k] = C_w(nabla_{e_i} w, e_j, e_k); the other Koszul
-    # terms are the same arrays with (i, j, k) cycled
-    pairings = c @ gram
-    corrections = (rows @ cartan.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+    lead = frame.w.shape[:-1]
+    # the basis vectors ride on an axis of their own in front of the poles';
+    # row i of rows[..., i, :] is nabla_{e_i} w
+    eye = np.eye(dim).reshape((dim,) + (1,) * len(lead) + (dim,))
+    rows = np.moveaxis(nabla_v_w(frame, nabla_w_of_w(frame), eye), 0, -2)
+    # pairings[..., i, j, k] = <[e_i, e_j], e_k>_w and
+    # corrections[..., i, j, k] = C_w(nabla_{e_i} w, e_j, e_k); the other
+    # Koszul terms are the same arrays with (i, j, k) cycled
+    pairings = c @ frame.gram[..., None, :, :]
+    corrections = _cartan_corrections(frame, rows)
+    pairings_jki, pairings_kij = _cycled(pairings)
+    corrections_jki, corrections_kij = _cycled(corrections)
     rhs = (
-        0.5 * (pairings - pairings.transpose(2, 0, 1) + pairings.transpose(1, 2, 0))
+        0.5 * (pairings - pairings_jki + pairings_kij)
         - corrections
-        - corrections.transpose(2, 0, 1)
-        + corrections.transpose(1, 2, 0)
+        - corrections_jki
+        + corrections_kij
     )
-    gamma = frame.solve(rhs)
+    # frame.solve takes further axes in front of the poles': move (i, j) there
+    gamma = np.moveaxis(frame.solve(np.moveaxis(rhs, (-3, -2), (0, 1))), (0, 1), (-3, -2))
     return ConnectionTable(frame=frame, gamma=gamma)
 
 
@@ -132,27 +158,29 @@ def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
 
 
 def torsion_defect(table: ConnectionTable) -> float:
-    """Largest Euclidean norm over (i, j) of
-    nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]; contract: <= 1e-10."""
+    """Largest Euclidean norm over (i, j), and over the poles of a stacked
+    table, of nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]; contract:
+    <= 1e-10."""
     c = table.frame.structure.algebra.structure
-    defect = table.gamma - np.swapaxes(table.gamma, 0, 1) - c
-    return float(np.sqrt((defect**2).sum(axis=2)).max())
+    defect = table.gamma - np.swapaxes(table.gamma, -3, -2) - c
+    return float(np.sqrt((defect**2).sum(axis=-1)).max())
 
 
 def almost_metric_defect(table: ConnectionTable) -> float:
-    """Largest violation of the almost-metric identity over basis triples.
+    """Largest violation of the almost-metric identity over basis triples,
+    and over the poles of a stacked table.
 
     For left-invariant fields the derivative of the inner product vanishes, so
     <nabla_{e_i} e_j, e_k>_w + <e_j, nabla_{e_i} e_k>_w
     + 2 * C_w(nabla_{e_i} w, e_j, e_k) must be zero; contract: <= 1e-10.
     """
-    gram = table.frame.gram
-    cartan = table.frame.cartan_tensor
-    rows = np.einsum("ijk,j->ik", table.gamma, table.frame.w)  # nabla_{e_i} w
-    s1 = np.einsum("ijm,mk->ijk", table.gamma, gram)
-    s2 = np.einsum("ikm,mj->ijk", table.gamma, gram)
-    s3 = 2.0 * np.einsum("im,mjk->ijk", rows, cartan)
-    return float(np.abs(s1 + s2 + s3).max())
+    frame, gamma = table.frame, table.gamma
+    rows = np.vecmat(frame.w[..., None, :], gamma)  # nabla_{e_i} w
+    # metric[..., i, j, k] = <nabla_{e_i} e_j, e_k>_w; the second term of the
+    # identity is the same array with j and k swapped
+    metric = gamma @ frame.gram[..., None, :, :]
+    defect = metric + np.swapaxes(metric, -1, -2) + 2.0 * _cartan_corrections(frame, rows)
+    return float(np.abs(defect).max())
 
 
 def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:

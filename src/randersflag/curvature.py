@@ -55,6 +55,12 @@ WITNESS_MIN_CURVATURE = 1e-8
 #: :func:`sign_search` evaluates in one stacked call each; the last repeats.
 SEARCH_CHUNKS = (8, 16, 32, 64)
 
+#: Entries (float64) each (poles, n, n, n) array may hold when connection
+#: tables are built over stacked poles, as ``verify`` does: a block holds
+#: max(1, TABLE_BLOCK_ENTRIES // n**3) poles, so its arrays stay within 64 KB
+#: from dim 1 to dim 20 and a block is one pole from dim 21 on.
+TABLE_BLOCK_ENTRIES = 2**13
+
 #: Case ids of the special flag families, in search order.
 SPECIAL_FLAG_CASES = ("1.1", "1.2", "2.1", "2.2", "2.3", "3.1", "3.2", "3.3")
 

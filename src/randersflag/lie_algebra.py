@@ -22,15 +22,26 @@ from .errors import DimensionMismatch, ParameterError
 VALIDATION_TOL = 1e-12
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
+def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
+    """x as a float coordinate vector of length dim or, with ``stacked``,
+    as such vectors stacked along any leading axes."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (dim,):
+    if (v.shape[-1:] if stacked else v.shape) != (dim,):
         raise DimensionMismatch(
             f"expected a coordinate vector of length {dim}, got shape {v.shape}"
         )
     # v.v is finite exactly when every entry is finite and the squared norm,
-    # which every osculating quantity is built from, does not overflow
-    if not math.isfinite(v.dot(v)):
+    # which every osculating quantity is built from, does not overflow.  An
+    # overflow must reject the input, not raise a numpy warning: one vector,
+    # the case on every flag, goes through math.hypot, which never warns and
+    # costs less than entering np.errstate; a stack through np.vecdot under it
+    if v.ndim == 1:
+        norm = math.hypot(*v.tolist())
+        finite = norm * norm < math.inf
+    else:
+        with np.errstate(over="ignore"):
+            finite = (np.vecdot(v, v) < math.inf).all()
+    if not finite:
         raise ParameterError(
             f"coordinate vector must be finite with a finite squared norm, got {v.tolist()}"
         )
@@ -50,6 +61,12 @@ def _contract(c: np.ndarray, v: np.ndarray, slot: int) -> np.ndarray:
     else:
         out = v @ c.reshape(n * n, n).T
     return out.reshape(v.shape[:-1] + (n, n))
+
+
+def _cycled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views t[..., j, k, i] and t[..., k, i, j], indexed [..., i, j, k]: the
+    other two cyclic orders of the last three axes."""
+    return t.swapaxes(-2, -1).swapaxes(-3, -2), t.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

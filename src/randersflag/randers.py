@@ -7,7 +7,8 @@ the Cartan tensor is a quarter of the third derivative.  Both have closed
 forms at Euclidean-unit w, and both are 0-homogeneous in w, so the closed-form
 operations normalize w on entry.  The finite-difference variants evaluate the
 derivative definitions verbatim (no normalization) and serve as independent
-oracles for the closed forms.
+oracles for the closed forms.  All four take one sample or samples stacked
+along leading axes, so a whole oracle comparison is one call each.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import numpy as np
 
 from .errors import (
     DegenerateReferenceVector,
-    DimensionMismatch,
     InternalConsistencyError,
     ParameterError,
 )
-from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _cycled, _frozen
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -40,14 +40,8 @@ CARTAN_FD_STEPS = (1e-3, 1e-1)
 
 def _unit_reference(w, dim: int) -> np.ndarray:
     """w / |w| for a pole, or for poles stacked along leading axes."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != (dim,):
-        raise DimensionMismatch(
-            f"expected coordinate vectors of length {dim}, got shape {w.shape}"
-        )
+    w = _as_vector(w, dim, stacked=True)
     squares = np.vecdot(w, w)
-    if not (squares < math.inf).all():
-        raise ParameterError("reference vector must be finite with a finite squared norm")
     if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
         raise DegenerateReferenceVector("reference vector is numerically zero")
     # the square root of the exact dot keeps normalization exact under
@@ -78,24 +72,26 @@ def _randers_form(p: np.ndarray, q: np.ndarray):
     return a, p_perp, a[..., None] * q + p_perp
 
 
-def _sorted_sum(a: float, b: float, c: float) -> float:
-    # value-sorted accumulation: bit-stable under permutations of the inputs
-    lo, mid, hi = sorted((a, b, c))
-    return (lo + mid) + hi
+def _sorted(a, b, c) -> np.ndarray:
+    # the three terms broadcast and sorted by value along a last axis of
+    # length 3, so that sums and products taken in that order are bit-stable
+    # under permutations of the terms
+    return np.sort(np.stack(np.broadcast_arrays(a, b, c), axis=-1), axis=-1)
 
 
-def _sorted_product(a: float, b: float, c: float) -> float:
-    lo, mid, hi = sorted((a, b, c))
-    return (lo * mid) * hi
+def _sorted_sum(a, b, c) -> np.ndarray:
+    s = _sorted(a, b, c)
+    return (s[..., 0] + s[..., 1]) + s[..., 2]
 
 
-def _cartan_basis_tensor(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Totally symmetric (0,3) Cartan tensor on the basis, at unit q: the
-    symmetrization of p_perp (x) (I - q q^T), see
-    :meth:`OsculatingFrame.cartan_covector`."""
-    p_perp = p - (p @ q) * q
-    t = p_perp[:, None, None] * (np.eye(len(q)) - np.outer(q, q))
-    return 0.5 * (t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
+def _sorted_product(a, b, c) -> np.ndarray:
+    s = _sorted(a, b, c)
+    return (s[..., 0] * s[..., 1]) * s[..., 2]
+
+
+def _sample(value: np.ndarray):
+    """A float for one sample, the array for stacked samples."""
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,44 +134,57 @@ class RandersStructure:
         x = _as_vector(x, self.dim)
         return float(math.sqrt(float(x @ x)) + self.x0 @ x)
 
-    def _norm_squared(self, x: np.ndarray) -> float:
-        return float((math.sqrt(float(x @ x)) + self.x0 @ x) ** 2)
+    def _norm_squared(self, x: np.ndarray) -> np.ndarray:
+        """F(x)^2 for vectors stacked along leading axes (or one vector)."""
+        return (np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)) ** 2
 
-    def osculating_product(self, w, u, v) -> float:
+    def _vectors(self, *vectors) -> list[np.ndarray]:
+        return [_as_vector(v, self.dim, stacked=True) for v in vectors]
+
+    def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
+        """Reference vector and directions of a difference oracle; w is taken
+        verbatim, and must not be numerically zero."""
+        lo, hi = steps
+        if not (lo <= h <= hi):
+            raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
+        w, *directions = self._vectors(w, *directions)
+        if not (np.sqrt(np.vecdot(w, w)) >= ZERO_VECTOR_TOL).all():
+            raise DegenerateReferenceVector("reference vector is numerically zero")
+        return w, *directions
+
+    def osculating_product(self, w, u, v) -> float | np.ndarray:
         """Closed-form osculating inner product <u, v>_w at unit-normalized w.
 
         Symmetric and bilinear in (u, v), positive definite for ||x0|| < 1,
         and 0-homogeneous in w.  Evaluated as the Randers form
         a (<u, v> - <q, u><q, v>) + <l, u><l, v> of :class:`OsculatingFrame`,
         which keeps its accuracy as ||x0|| -> 1 and is bit-stable under
-        swapping u and v.
+        swapping u and v.  Like every oracle of this class it takes vectors
+        or vectors stacked along leading axes that broadcast against each
+        other, one sample per stacked position, and returns a float for one
+        sample or the array of the broadcast leading shape.
         """
-        # _as_vector first: the closed forms take one pole, not a stack
-        q = _unit_reference(_as_vector(w, self.dim), self.dim)
-        u = _as_vector(u, self.dim)
-        v = _as_vector(v, self.dim)
+        q = _unit_reference(w, self.dim)
+        u, v = self._vectors(u, v)
         a, _, ell = _randers_form(self.x0, q)
-        return float(a * (u @ v - (q @ u) * (q @ v)) + (ell @ u) * (ell @ v))
+        return _sample(
+            a * (np.vecdot(u, v) - np.vecdot(q, u) * np.vecdot(q, v))
+            + np.vecdot(ell, u) * np.vecdot(ell, v)
+        )
 
     def osculating_gram(self, w) -> "OsculatingFrame":
         """Assemble the osculating Gram matrix at w with its cached solver;
         w is a pole or poles stacked along leading axes."""
         return OsculatingFrame(self, w)
 
-    def osculating_product_fd(self, w, u, v, h: float = 1e-4) -> float:
+    def osculating_product_fd(self, w, u, v, h: float = 1e-4) -> float | np.ndarray:
         """Central second difference of F^2/2 in directions u, v at w.
 
         Evaluates the derivative definition as stated: w is *not* normalized.
-        Oracle counterpart of :meth:`osculating_product` (compare at unit w).
+        Oracle counterpart of :meth:`osculating_product` (compare at unit w),
+        with the same stacking.
         """
-        lo, hi = OSCULATING_FD_STEPS
-        if not (lo <= h <= hi):
-            raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
-        w = _as_vector(w, self.dim)
-        if math.sqrt(float(w @ w)) < ZERO_VECTOR_TOL:
-            raise DegenerateReferenceVector("reference vector is numerically zero")
-        u = _as_vector(u, self.dim)
-        v = _as_vector(v, self.dim)
+        w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
         f2 = self._norm_squared
         stencil = (
             f2(w + h * u + h * v)
@@ -183,23 +192,22 @@ class RandersStructure:
             - f2(w - h * u + h * v)
             + f2(w - h * u - h * v)
         )
-        return 0.5 * stencil / (4.0 * h * h)
+        return _sample(0.5 * stencil / (4.0 * h * h))
 
-    def cartan(self, w, u, v, x) -> float:
+    def cartan(self, w, u, v, x) -> float | np.ndarray:
         """Closed-form Cartan tensor <u, v, x>_w at unit-normalized w.
 
         Totally symmetric and trilinear; vanishes whenever a slot equals the
         reference vector, and vanishes identically when x0 is parallel to w.
+        Stacked like :meth:`osculating_product`.
         """
-        q = _unit_reference(_as_vector(w, self.dim), self.dim)
-        u = _as_vector(u, self.dim)
-        v = _as_vector(v, self.dim)
-        x = _as_vector(x, self.dim)
+        q = _unit_reference(w, self.dim)
+        u, v, x = self._vectors(u, v, x)
         p = self.x0
-        pw = float(p @ q)
-        qu, qv, qx = float(q @ u), float(q @ v), float(q @ x)
-        pu, pv, px = float(p @ u), float(p @ v), float(p @ x)
-        uv, vx, xu = float(u @ v), float(v @ x), float(x @ u)
+        pw = np.vecdot(q, p)
+        qu, qv, qx = np.vecdot(q, u), np.vecdot(q, v), np.vecdot(q, x)
+        pu, pv, px = np.vecdot(p, u), np.vecdot(p, v), np.vecdot(p, x)
+        uv, vx, xu = np.vecdot(u, v), np.vecdot(v, x), np.vecdot(x, u)
         # the cyclic sum regrouped into four totally symmetric pieces, each
         # combined in sorted order so the value is bit-stable under all six
         # permutations of (u, v, x)
@@ -207,29 +215,22 @@ class RandersStructure:
         mixed = pw * _sorted_sum(uv * qx, vx * qu, xu * qv)
         drift_pair = _sorted_sum(pu * (qv * qx), pv * (qx * qu), px * (qu * qv))
         drift_dot = _sorted_sum(pu * vx, pv * xu, px * uv)
-        return 0.5 * (triple - mixed - drift_pair + drift_dot)
+        return _sample(0.5 * (triple - mixed - drift_pair + drift_dot))
 
-    def cartan_fd(self, w, u, v, x, h: float = 1e-2) -> float:
+    def cartan_fd(self, w, u, v, x, h: float = 1e-2) -> float | np.ndarray:
         """Central third difference of F^2/4 at w in directions u, v, x.
 
-        As with the second-difference oracle, w is taken verbatim.
+        As with the second-difference oracle, w is taken verbatim; stacked
+        like :meth:`osculating_product`.
         """
-        lo, hi = CARTAN_FD_STEPS
-        if not (lo <= h <= hi):
-            raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
-        w = _as_vector(w, self.dim)
-        if math.sqrt(float(w @ w)) < ZERO_VECTOR_TOL:
-            raise DegenerateReferenceVector("reference vector is numerically zero")
-        u = _as_vector(u, self.dim)
-        v = _as_vector(v, self.dim)
-        x = _as_vector(x, self.dim)
+        w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
         f2 = self._norm_squared
         total = 0.0
         for su in (1.0, -1.0):
             for sv in (1.0, -1.0):
                 for sx in (1.0, -1.0):
                     total += su * sv * sx * f2(w + su * h * u + sv * h * v + sx * h * x)
-        return 0.25 * total / (8.0 * h**3)
+        return _sample(0.25 * total / (8.0 * h**3))
 
     def is_berwald(self) -> BerwaldReport:
         """Berwald criterion: x0 is parallel iff <[e_i, e_j], x0> = 0 for all
@@ -259,8 +260,8 @@ class OsculatingFrame:
     axes (``gram`` is (..., n, n)), and the vectors passed to its methods may
     carry further leading axes that broadcast against them.  One pole is
     simply the case with no leading axis.  The pairings of brackets with the
-    pole that the Koszul stages share, and the (n, n, n) Cartan tensor that
-    only the full connection table reads, are built on first read.  Frames
+    pole that the Koszul stages share, and the (..., n, n, n) Cartan tensor
+    that only the full connection table reads, are built on first read.  Frames
     are read-only, so they are safe for concurrent use (a racing first read
     builds the same arrays).
     """
@@ -289,10 +290,16 @@ class OsculatingFrame:
 
     @cached_property
     def cartan_tensor(self) -> np.ndarray:
-        """Cartan tensor on basis triples, (n, n, n); built on first read.
-
-        Defined for a frame of one pole only."""
-        return _frozen(_cartan_basis_tensor(self.structure.x0, self.w))
+        """Cartan tensor on basis triples, (..., n, n, n); built on first
+        read.  The symmetrization of p_perp (x) (I - q q^T), see
+        :meth:`cartan_covector`."""
+        q = self.w
+        projector = np.eye(self.dim) - q[..., :, None] * q[..., None, :]
+        t = self._p_perp[..., :, None, None] * projector[..., None, :, :]
+        t_jki, t_kij = _cycled(t)
+        tensor = 0.5 * (t + t_kij + t_jki)
+        tensor.flags.writeable = False  # fresh, so frozen without a copy
+        return tensor
 
     @cached_property
     def pole_pairing(self) -> np.ndarray:

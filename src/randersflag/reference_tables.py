@@ -19,12 +19,14 @@ rescaled frame vectors are passed verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import w_perp
 from .curvature import _span_unit
+from .errors import ParameterError
 from .lie_algebra import heisenberg5
 
 
@@ -130,13 +132,27 @@ def reference_blocks(
 ) -> dict[str, tuple[np.ndarray, list[TableCell]]]:
     """The four reporting blocks, keyed by layout name, each as
     (pole, cells).  Center-free poles are sampled from ``rng`` (the closed
-    forms hold for every unit pole in the respective plane)."""
+    forms hold for every unit pole in the respective plane).  Parameters
+    whose cells overflow, those with no finite squared norm (the rule every
+    coordinate vector of the library obeys; it sets in near lam = 1e51),
+    raise :class:`ParameterError`."""
     _, z = _basis()
     w12 = _span_unit("e12", rng)
     w34 = _span_unit("e34", rng)
-    return {
-        "pole_z": (z, pole_z_cells(lam, mu, xi)),
-        "pole_e12_frame": (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
-        "pole_e12_rows_e34": (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
-        "pole_e34_rows_e12": (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
-    }
+    # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
+    # not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = {
+            "pole_z": (z, pole_z_cells(lam, mu, xi)),
+            "pole_e12_frame": (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
+            "pole_e12_rows_e34": (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
+            "pole_e34_rows_e12": (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
+        }
+        expected = np.array([cell.expected for _, cells in blocks.values() for cell in cells])
+        squares = np.vecdot(expected, expected)
+    if not (squares < math.inf).all():
+        raise ParameterError(
+            f"closed-form connection cells overflow at lam={lam}, mu={mu}, xi={xi}: "
+            "a cell has no finite squared norm"
+        )
+    return blocks

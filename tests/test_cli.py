@@ -1,7 +1,9 @@
 """Config ingestion, the five subcommands, exit codes, and output formats."""
 
 import csv
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,16 +12,28 @@ import numpy as np
 import pytest
 
 import randersflag
-from randersflag import ConfigError, RandersStructure
+from randersflag import (
+    ConfigError,
+    RandersStructure,
+    almost_metric_defect,
+    chern_rund_table,
+    levi_civita_table,
+    torsion_defect,
+)
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    _tables,
+    build_parser,
     load_model_config,
     main,
     model_config_from_dict,
+    run_verification,
 )
+from randersflag.curvature import TABLE_BLOCK_ENTRIES
+from helpers import nilpotent_algebra, unit
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
 EXPLICIT_HEISENBERG = {
@@ -216,9 +230,34 @@ class TestConnectionTables:
         )
         assert (worst <= 1e-10) == document["pass"]
 
-    def test_invalid_parameters_are_usage_errors(self, tmp_path):
+    def test_invalid_parameters_are_usage_errors(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, lam=0.5, mu=1.0)
         assert code == EXIT_USAGE
+        capsys.readouterr()
+        # the closed-form cells overflow: one stderr line, and no numpy
+        # warning (the suite turns warnings into errors)
+        code, _ = self.run(tmp_path, lam=1e160, mu=1.0)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "closed-form connection cells overflow" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_repeats_help_and_usage_errors(self, capsys):
+        runs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as shown_help:
+                main(["--help"])
+            with pytest.raises(SystemExit) as usage_error:
+                main(["flag", "--config"])
+            runs.append((shown_help.value.code, usage_error.value.code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == (0, EXIT_USAGE)
+        assert runs[0][2].out.startswith("usage: randersflag")
 
 
 class TestFlag:
@@ -334,6 +373,152 @@ class TestVerify:
             tmp_path, {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, 0, 0, 1.2]}}
         )
         assert main(["verify", "--config", config]) == EXIT_USAGE
+
+
+class _SequentialVerification:
+    """The per-sample loop that ``run_verification`` replaced: unit vectors
+    drawn one at a time, the oracles on one quadruple at a time with the
+    difference stencils in Python floats, and one table per pole."""
+
+    def __init__(self, structure):
+        rng = np.random.default_rng(0)
+        dim = structure.dim
+
+        def unit():
+            v = rng.standard_normal(dim)
+            return v / np.linalg.norm(v)
+
+        self.structure = structure
+        self.quadruples = [(unit(), unit(), unit(), unit()) for _ in range(60)]
+        self.poles = [unit() for _ in range(25)]
+        self.zero_poles = [unit() for _ in range(5)]
+
+    def f2(self, y):
+        return (math.sqrt(float(y @ y)) + float(self.structure.x0 @ y)) ** 2
+
+    def osculating_fd(self, w, u, v, h=1e-4):
+        f2 = self.f2
+        stencil = (
+            f2(w + h * u + h * v)
+            - f2(w + h * u - h * v)
+            - f2(w - h * u + h * v)
+            + f2(w - h * u - h * v)
+        )
+        return 0.5 * stencil / (4.0 * h * h)
+
+    def cartan_fd(self, w, u, v, x, h=5e-3):
+        total = 0.0
+        for su, sv, sx in itertools.product((1.0, -1.0), repeat=3):
+            total += su * sv * sx * self.f2(w + su * h * u + sv * h * v + sx * h * x)
+        return 0.25 * total / (8.0 * h**3)
+
+    def defects(self):
+        s = self.structure
+        osculating = cartan = torsion = metric = levi_civita = 0.0
+        for w, u, v, x in self.quadruples:
+            osculating = max(
+                osculating, abs(s.osculating_product(w, u, v) - self.osculating_fd(w, u, v))
+            )
+            cartan = max(cartan, abs(s.cartan(w, u, v, x) - self.cartan_fd(w, u, v, x)))
+        for pole in self.poles:
+            table = chern_rund_table(s.osculating_gram(pole))
+            torsion = max(torsion, torsion_defect(table))
+            metric = max(metric, almost_metric_defect(table))
+        zero = RandersStructure(s.algebra, np.zeros(s.dim))
+        reference = levi_civita_table(s.algebra).gamma
+        for pole in self.zero_poles:
+            gamma = chern_rund_table(zero.osculating_gram(pole)).gamma
+            levi_civita = max(levi_civita, float(np.abs(gamma - reference).max()))
+        return {
+            "osculating_fd": osculating,
+            "cartan_fd": cartan,
+            "torsion": torsion,
+            "almost_metric": metric,
+            "levi_civita_x0_zero": levi_civita,
+        }
+
+
+def _fd_roundoff(structure):
+    """Largest differences of the stacked osculating and Cartan stencils
+    from the sequential ones: each F^2 of a stencil may differ by one unit
+    in the last place (an exact square against ``pow``), F^2 is at most
+    ((1 + 3h)(1 + |x0|))^2 at unit vectors, and a stencil of m terms
+    multiplies their sum by c.  Twice m ulps of F^2 times c, for each."""
+
+    def bound(h, terms, scale):
+        f2_max = ((1.0 + 3.0 * h) * (1.0 + float(np.linalg.norm(structure.x0)))) ** 2
+        return 2.0 * terms * float(np.spacing(f2_max)) * scale
+
+    return bound(1e-4, 4, 0.5 / (4.0 * 1e-4**2)), bound(5e-3, 8, 0.25 / (8.0 * 5e-3**3))
+
+
+def _verification_models():
+    rng = np.random.default_rng(12)
+    return {
+        "heisenberg5": model_config_from_dict(PRESET),
+        "explicit12": RandersStructure(nilpotent_algebra(rng, 12), 0.5 * unit(rng, 12)),
+    }
+
+
+VERIFICATION_MODELS = _verification_models()
+
+
+class TestStackedVerification:
+    """run_verification evaluates its samples stacked and its tables in
+    blocks; the outcome must be that of the per-sample loop."""
+
+    @pytest.mark.parametrize("name", list(VERIFICATION_MODELS))
+    def test_oracles_match_sequential_loop(self, name):
+        structure = VERIFICATION_MODELS[name]
+        sequential = _SequentialVerification(structure)
+        rng = np.random.default_rng(0)
+        stacked = rng.standard_normal((60, 4, structure.dim))
+        stacked /= np.sqrt(np.vecdot(stacked, stacked))[..., None]
+        # the same stream as the one-at-a-time draws, vector for vector
+        assert np.array_equal(stacked, np.array(sequential.quadruples))
+        w, u, v, x = np.moveaxis(stacked, 1, 0)
+        closed = structure.osculating_product(w, u, v), structure.cartan(w, u, v, x)
+        fd = structure.osculating_product_fd(w, u, v, 1e-4), structure.cartan_fd(w, u, v, x, 5e-3)
+        osculating_bound, cartan_bound = _fd_roundoff(structure)
+        # closed forms: 1e-13 relative, with a floor for values near zero
+        # (their terms are products of unit vectors)
+        for i, (wi, ui, vi, xi) in enumerate(sequential.quadruples):
+            osculating = structure.osculating_product(wi, ui, vi)
+            assert closed[0][i] == pytest.approx(osculating, rel=1e-13, abs=1e-15)
+            assert closed[1][i] == pytest.approx(structure.cartan(wi, ui, vi, xi), rel=1e-13, abs=1e-15)
+            assert abs(fd[0][i] - sequential.osculating_fd(wi, ui, vi)) <= osculating_bound
+            assert abs(fd[1][i] - sequential.cartan_fd(wi, ui, vi, xi)) <= cartan_bound
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("dim, blocks", [(5, [25]), (9, [11, 11, 3]), (16, [2] * 12 + [1])])
+    def test_table_blocks_match_one_pole_tables(self, dim, blocks, deformed):
+        rng = np.random.default_rng(dim)
+        x0 = 0.7 * unit(rng, dim) if deformed else np.zeros(dim)
+        structure = RandersStructure(nilpotent_algebra(rng, dim), x0)
+        poles = rng.standard_normal((25, dim))
+        tables = list(_tables(structure, poles))
+        assert [len(table.gamma) for table in tables] == blocks
+        assert all(table.gamma.size <= TABLE_BLOCK_ENTRIES for table in tables)
+        gamma = np.concatenate([table.gamma for table in tables])
+        for pole, rows in zip(poles, gamma):
+            one = chern_rund_table(structure.osculating_gram(pole)).gamma
+            # as in test_connection.TestStackedTables: a few ulps of the table
+            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
+
+    @pytest.mark.parametrize("name", list(VERIFICATION_MODELS))
+    def test_checks_pass_and_match_sequential_loop(self, name):
+        structure = VERIFICATION_MODELS[name]
+        expected = _SequentialVerification(structure).defects()
+        checks = run_verification(structure)
+        assert [check["name"] for check in checks] == list(expected)
+        for check in checks:
+            assert check["pass"] is True
+            assert check["max_defect"] <= check["tolerance"]
+            assert expected[check["name"]] <= check["tolerance"]
+        got = {check["name"]: check["max_defect"] for check in checks}
+        osculating_bound, cartan_bound = _fd_roundoff(structure)
+        assert abs(got["osculating_fd"] - expected["osculating_fd"]) <= osculating_bound
+        assert abs(got["cartan_fd"] - expected["cartan_fd"]) <= cartan_bound
 
 
 class TestDependencies:

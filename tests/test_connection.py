@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randersflag import (
+    ConnectionTable,
     DomainError,
     MetricLieAlgebra,
     RandersStructure,
@@ -24,7 +25,7 @@ from randersflag.reference_tables import (
     pole_z_cells,
     reference_blocks,
 )
-from helpers import random_heisenberg_params, unit, unit_in_plane, z_randers
+from helpers import nilpotent_algebra, random_heisenberg_params, unit, unit_in_plane, z_randers
 
 E = np.eye(5)
 Z = E[4]
@@ -199,6 +200,41 @@ class TestConnectionContracts:
     def test_almost_metric_center_pole(self):
         table = chern_rund_table(z_randers(2.0, 1.0, 0.5).osculating_gram(Z))
         assert almost_metric_defect(table) <= 1e-12
+
+
+class TestStackedTables:
+    """chern_rund_table over a frame of stacked poles: each pole's rows are
+    its one-pole table, and the defects reduce over the poles."""
+
+    def structure(self, dim, deformed):
+        rng = np.random.default_rng(dim)
+        x0 = 0.7 * unit(rng, dim) if deformed else np.zeros(dim)
+        return RandersStructure(nilpotent_algebra(rng, dim), x0), rng
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("dim", [5, 9, 16])
+    def test_rows_match_one_pole_tables(self, dim, deformed):
+        s, rng = self.structure(dim, deformed)
+        poles = rng.standard_normal((2, 3, dim))
+        table = chern_rund_table(s.osculating_gram(poles))
+        assert table.gamma.shape == (2, 3, dim, dim, dim)
+        for index in np.ndindex(2, 3):
+            one = chern_rund_table(s.osculating_gram(poles[index])).gamma
+            # a stacked frame forms <x0, w> in one matrix-vector product, a
+            # one-pole frame in a dot product; the two may differ in the last
+            # bit, which the staged solve carries to a few ulps of the table
+            assert np.abs(table.gamma[index] - one).max() <= 1e-14 * np.abs(one).max()
+
+    def test_defects_reduce_over_poles(self):
+        s, rng = self.structure(9, True)
+        table = chern_rund_table(s.osculating_gram(rng.standard_normal((6, 9))))
+        assert torsion_defect(table) <= 1e-10
+        assert almost_metric_defect(table) <= 1e-10
+        gamma = table.gamma.copy()
+        gamma[4, 0, 1, 2] += 1e-6  # one coefficient of one pole
+        broken = ConnectionTable(table.frame, gamma)
+        assert torsion_defect(broken) == pytest.approx(1e-6, rel=1e-6)
+        assert almost_metric_defect(broken) >= 1e-7
 
 
 class TestLeviCivita:

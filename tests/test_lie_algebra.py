@@ -10,6 +10,7 @@ from randersflag import (
     ParameterError,
     heisenberg5,
 )
+from randersflag.lie_algebra import _as_vector
 
 E = np.eye(5)
 Z = E[4]
@@ -61,6 +62,27 @@ class TestBracket:
         a = heisenberg5(2.0, 1.0)
         with pytest.raises(DimensionMismatch):
             a.bracket(np.ones(4), np.ones(5))
+
+    def test_overflowing_squared_norm_is_parameter_error(self):
+        # finite coordinates whose squared norm overflows: a typed error,
+        # not a numpy overflow warning (which the suite turns into an error)
+        a = heisenberg5(2.0, 1.0)
+        with pytest.raises(ParameterError, match="finite squared norm"):
+            a.bracket([1e200, 0, 0, 0, 0], E[1])
+        with pytest.raises(ParameterError, match="finite squared norm"):
+            _as_vector([1e200, 0, 0, 0, 0], 5)
+        with pytest.raises(ParameterError, match="finite squared norm"):
+            _as_vector([[1, 0, 0, 0, 0], [0, 1e200, 0, 0, 0]], 5, stacked=True)
+        with pytest.raises(ParameterError, match="finite squared norm"):
+            _as_vector([1, 0, 0, float("nan"), 0], 5)
+
+    def test_stacked_vectors_need_the_flag(self):
+        stack = np.ones((3, 5))
+        assert _as_vector(stack, 5, stacked=True).shape == (3, 5)
+        with pytest.raises(DimensionMismatch):
+            _as_vector(stack, 5)
+        with pytest.raises(DimensionMismatch):
+            _as_vector(np.ones((3, 4)), 5, stacked=True)
 
 
 class TestValidate:

@@ -6,6 +6,7 @@ import pytest
 
 from randersflag import (
     DegenerateReferenceVector,
+    DimensionMismatch,
     InternalConsistencyError,
     ParameterError,
     RandersStructure,
@@ -108,6 +109,13 @@ class TestOsculatingProduct:
     def test_zero_reference_rejected(self, structure):
         with pytest.raises(DegenerateReferenceVector):
             structure.osculating_product(np.zeros(5), E[0], E[1])
+
+    def test_overflowing_reference_rejected(self, structure):
+        # the squared norm overflows: a typed error, not a numpy warning
+        with pytest.raises(ParameterError):
+            structure.osculating_product([1e200, 0, 0, 0, 0], E[0], E[1])
+        with pytest.raises(ParameterError):
+            structure.osculating_gram([[1, 0, 0, 0, 0], [1e200, 0, 0, 0, 0]])
 
     @pytest.mark.parametrize("xi", [1 - 1e-9, 1 - 2.0**-30])
     def test_near_unit_deformation_at_opposite_pole(self, xi):
@@ -270,6 +278,14 @@ class TestCartan:
         stacked = np.einsum("abc,a,jb->jc", frame.cartan_tensor, u, rows)
         assert np.abs(frame.cartan_covector(u, rows) - stacked).max() <= 1e-13
 
+    def test_stacked_basis_tensor_matches_closed_form(self, structure, rng):
+        w = rng.standard_normal((2, 3, 5))
+        frame = structure.osculating_gram(w)
+        assert frame.cartan_tensor.shape == (2, 3, 5, 5, 5)
+        u, v, x = rng.standard_normal((3, 2, 3, 5))
+        contracted = np.einsum("...abc,...a,...b,...c->...", frame.cartan_tensor, u, v, x)
+        assert np.abs(structure.cartan(w, u, v, x) - contracted).max() <= 1e-13
+
     def test_basis_tensor_built_on_first_read(self, structure, rng):
         frame = structure.osculating_gram(unit(rng))
         assert "cartan_tensor" not in vars(frame)
@@ -310,6 +326,55 @@ class TestCartanFd:
             structure.cartan_fd(E[0], E[1], E[1], Z, 1e-4)
         with pytest.raises(ParameterError):
             structure.cartan_fd(E[0], E[1], E[1], Z, 0.5)
+
+
+class TestStackedOracles:
+    """The four oracles take samples stacked along leading axes that
+    broadcast against each other; one sample gives a float."""
+
+    def oracles(self, s, w, u, v, x):
+        return (
+            s.osculating_product(w, u, v),
+            s.osculating_product_fd(w, u, v, 1e-4),
+            s.cartan(w, u, v, x),
+            s.cartan_fd(w, u, v, x, 5e-3),
+        )
+
+    def test_one_sample_gives_floats(self, structure, rng):
+        w, u, v, x = rng.standard_normal((4, 5))
+        assert all(type(value) is float for value in self.oracles(structure, w, u, v, x))
+
+    @pytest.mark.parametrize("x0", [[0, 0, 0, 0, 0.5], [0.3, -0.2, 0.1, 0.4, 0.5]])
+    def test_stacked_samples_match_one_sample_calls(self, x0, rng):
+        s = RandersStructure(heisenberg5(2.0, 1.0), x0)
+        # poles along the first axis, the other slots along the second
+        w = rng.standard_normal((3, 1, 5))
+        u, v, x = rng.standard_normal((3, 4, 5))
+        stacked = self.oracles(s, w, u, v, x)
+        for values in stacked:
+            assert values.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                single = self.oracles(s, w[i, 0], u[j], v[j], x[j])
+                for values, one in zip(stacked, single):
+                    assert values[i, j] == pytest.approx(one, rel=1e-13, abs=1e-15)
+
+    def test_stacked_cartan_keeps_exact_symmetry(self, structure, rng):
+        from itertools import permutations
+
+        w, u, v, x = rng.standard_normal((4, 6, 5))
+        base = structure.cartan(w, u, v, x)
+        for a, b, c in permutations((u, v, x)):
+            assert np.array_equal(structure.cartan(w, a, b, c), base)
+
+    def test_stacked_inputs_are_validated(self, structure):
+        good = np.ones((2, 5))
+        with pytest.raises(DimensionMismatch):
+            structure.cartan(good, np.ones((2, 4)), good, good)
+        with pytest.raises(ParameterError):
+            structure.osculating_product_fd(good, good, [[1, 0, 0, 0, 0], [np.inf, 0, 0, 0, 0]])
+        with pytest.raises(DegenerateReferenceVector):
+            structure.cartan_fd([E[0], np.zeros(5)], good, good, good, 1e-2)
 
 
 class TestOracleAgreementAcrossDeformations:
