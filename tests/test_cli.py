@@ -111,6 +111,27 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="validation"):
             model_config_from_dict(document)
 
+    def test_overflowing_jacobi_sum_is_usage_error(self, tmp_path, capsys):
+        # [e1, e2] = 1e160 e5 and [e1, e5] = 1e160 e2: finite brackets whose
+        # Jacobi sum is inf - inf; one stderr line and no numpy warning (the
+        # suite turns warnings into errors)
+        document = {
+            "explicit": {
+                "dim": 5,
+                "brackets": [
+                    {"i": 1, "j": 2, "k": 5, "value": 1e160},
+                    {"i": 1, "j": 5, "k": 2, "value": 1e160},
+                ],
+                "x0": [0, 0, 0, 0, 0],
+            }
+        }
+        code = main(["verify", "--config", write_config(tmp_path, document)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Jacobi defect nan" in captured.err
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -1,6 +1,8 @@
 """Bracket arithmetic, structure-constant validation, and the heisenberg5
 constructor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,23 @@ from randersflag import (
     ParameterError,
     heisenberg5,
 )
-from randersflag.lie_algebra import _as_vector
+from randersflag.lie_algebra import VALIDATION_TOL, _as_vector
+from helpers import nilpotent_algebra, solvable_algebra
 
 E = np.eye(5)
 Z = E[4]
+
+
+def einsum_jacobi_defect(c):
+    """Reference Jacobi defect: the three terms over the whole index set as
+    (n, n, n, n) einsums, indexed [i, j, k, m]."""
+    return float(
+        np.abs(
+            np.einsum("jkl,ilm->ijkm", c, c)
+            + np.einsum("kil,jlm->ijkm", c, c)
+            + np.einsum("ijl,klm->ijkm", c, c)
+        ).max()
+    )
 
 
 class TestBracket:
@@ -119,6 +134,52 @@ class TestValidate:
         assert report.antisymmetry_defect == 0.0
         assert report.jacobi_defect > 0.5
         assert not report.passed
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9, 16])
+    @pytest.mark.parametrize("family", [nilpotent_algebra, solvable_algebra])
+    def test_matches_einsum_reference(self, dim, family, rng):
+        # exact and perturbed constants: [e_n, e_{n-1}] gains eps e_1, which
+        # breaks the Jacobi identity of most draws by about eps
+        exact = family(rng, dim).structure
+        variants = [exact]
+        for eps in (1e-6, 1e-11, 1e-13) if dim > 1 else ():
+            c = exact.copy()
+            c[dim - 1, dim - 2, 0] += eps
+            c[dim - 2, dim - 1, 0] -= eps
+            variants.append(c)
+        for c in variants:
+            report = MetricLieAlgebra(c).validate()
+            reference = einsum_jacobi_defect(c)
+            # each component sums 3n products of size <= max|c|^2; either
+            # summation order errs by at most 3n eps times that 3n max|c|^2
+            bound = 2 * (3 * dim) ** 2 * np.finfo(float).eps * np.abs(c).max() ** 2
+            assert abs(report.jacobi_defect - reference) <= bound
+            assert report.passed == (
+                report.antisymmetry_defect <= VALIDATION_TOL and reference <= VALIDATION_TOL
+            )
+
+    def test_overflow_in_an_early_slice_fails_with_nan(self):
+        # [e1, e2] = 1e160 e5 and [e1, e5] = 1e160 e2 on six dimensions: the
+        # slices of e1, e2 and e5 are inf - inf, the last slice (e6) is zero
+        c = np.zeros((6, 6, 6))
+        c[0, 1, 4], c[1, 0, 4] = 1e160, -1e160
+        c[0, 4, 1], c[4, 0, 1] = 1e160, -1e160
+        report = MetricLieAlgebra(c).validate()
+        assert report.antisymmetry_defect == 0.0
+        assert np.isnan(report.jacobi_defect)
+        assert not report.passed
+
+    def test_memory_stays_cubic(self, rng):
+        # one (n, n, n) slice at a time: 0.5 MB at dim 40, where one
+        # (n, n, n, n) array of the whole index set would be 20 MB
+        algebra = nilpotent_algebra(rng, 40)
+        tracemalloc.start()
+        try:
+            assert algebra.validate().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestHeisenberg5:
