@@ -1,6 +1,6 @@
 """Chern-Rund connections and flag curvatures of left-invariant Randers
 metrics on metric Lie algebras, with the five-dimensional Heisenberg model
-built in."""
+built in (:mod:`randersflag.reference_tables`)."""
 
 from .connection import (
     ConnectionTable,
@@ -10,10 +10,8 @@ from .connection import (
     nabla_w_of_w,
     nabla_x_w_map,
     torsion_defect,
-    w_perp,
 )
 from .curvature import (
-    SPECIAL_FLAG_CASES,
     FlagReport,
     SignCertificate,
     curvature_operator,
@@ -21,8 +19,6 @@ from .curvature import (
     flag_report,
     riemannian_sectional,
     sign_search,
-    special_flag_closed_form,
-    special_flag_vectors,
 )
 from .errors import (
     ConfigError,
@@ -34,8 +30,16 @@ from .errors import (
     ParameterError,
     SearchFailure,
 )
-from .lie_algebra import MetricLieAlgebra, ValidationReport, heisenberg5
+from .lie_algebra import MetricLieAlgebra, ValidationReport
 from .randers import BerwaldReport, OsculatingFrame, RandersStructure
+from .reference_tables import (
+    SPECIAL_FLAG_CASES,
+    heisenberg5,
+    special_flag_closed_form,
+    special_flag_vectors,
+    w_perp,
+    z_randers,
+)
 
 __version__ = "0.1.0"
 
@@ -72,4 +76,5 @@ __all__ = [
     "special_flag_vectors",
     "torsion_defect",
     "w_perp",
+    "z_randers",
 ]

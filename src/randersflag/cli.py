@@ -42,22 +42,19 @@ from .connection import (
     levi_civita_table,
     torsion_defect,
 )
-from .curvature import (
+from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
+from .errors import ConfigError, DimensionMismatch, GeometryError, ParameterError, SearchFailure
+from .lie_algebra import MetricLieAlgebra
+from .randers import RandersStructure, _unit_reference
+from .reference_tables import (
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
     SPECIAL_FLAG_SPANS,
-    TABLE_BLOCK_ENTRIES,
-    FlagReport,
-    _flag_curvatures,
-    flag_curvature,
-    sign_search,
+    reference_blocks,
     special_flag_closed_form,
     special_flag_vectors,
+    z_randers,
 )
-from .errors import ConfigError, DimensionMismatch, GeometryError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, heisenberg5
-from .randers import RandersStructure, _unit_reference
-from .reference_tables import reference_blocks
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -81,20 +78,12 @@ _VERIFY_TOLS = {
 
 
 def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
-    """The heisenberg5 preset with x0 = xi * Z; inadmissible parameters raise
-    :class:`ConfigError`."""
+    """The heisenberg5 preset :func:`z_randers`; inadmissible parameters
+    raise :class:`ConfigError`."""
     try:
-        algebra = heisenberg5(lam, mu)
+        return z_randers(lam, mu, xi)
     except ParameterError as exc:
         raise ConfigError(f"invalid preset: {exc}") from exc
-    if not (0.0 < xi < 1.0):
-        raise ConfigError(
-            f"preset requires 0 < xi < 1, got xi={xi}; "
-            "use an explicit model with x0 = 0 for the Euclidean case"
-        )
-    x0 = np.zeros(5)
-    x0[4] = xi
-    return RandersStructure(algebra, x0)
 
 
 def _parse_preset(data: dict) -> RandersStructure:
@@ -284,6 +273,13 @@ def cmd_search(structure: RandersStructure, seed: int, max_samples: int) -> int:
     document["samples_tried"] = certificate.samples_tried
     print(json.dumps(document))
     return EXIT_OK
+
+
+#: Entries (float64) each (poles, n, n, n) array may hold when connection
+#: tables are built over stacked poles, as ``verify`` does: a block holds
+#: max(1, TABLE_BLOCK_ENTRIES // n**3) poles, so its arrays stay within 64 KB
+#: from dim 1 to dim 20 and a block is one pole from dim 21 on.
+TABLE_BLOCK_ENTRIES = 2**13
 
 
 def _tables(structure: RandersStructure, poles: np.ndarray):

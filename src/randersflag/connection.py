@@ -23,7 +23,7 @@ arithmetic of one pole for each, and :func:`torsion_defect` and
 :func:`almost_metric_defect` reduce over the poles of a stacked table.  A
 stacked table holds (poles, n, n, n) arrays, so callers bound their size by
 building tables over many poles in blocks (``verify`` does, see
-``curvature.TABLE_BLOCK_ENTRIES``).
+``cli.TABLE_BLOCK_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .lie_algebra import MetricLieAlgebra, _as_vector, _cycled
 from .randers import OsculatingFrame, RandersStructure
-
-#: Center coordinates larger than this disqualify a pole from the adapted
-#: orthogonal construction below.
-CENTER_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,22 +177,3 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     defect = metric + np.swapaxes(metric, -1, -2) + 2.0 * _cartan_corrections(frame, rows)
     return float(np.abs(defect).max())
 
-
-def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
-    """Distinguished orthogonal direction of a center-free pole on the
-    five-dimensional Heisenberg model.
-
-    For w = w1 e1 + w2 e2 + w3 e3 + w4 e4 returns
-    lam*w2 e1 - lam*w1 e2 + mu*w4 e3 - mu*w3 e4, which is Euclidean-orthogonal
-    to w.  Specific to the heisenberg5 bracket layout.
-    """
-    if algebra.dim != 5:
-        raise DomainError("w_perp is defined only on the 5-dimensional Heisenberg model")
-    w = _as_vector(w, 5)
-    if abs(w[4]) > CENTER_TOL:
-        raise DomainError(
-            f"pole must be center-free (|center component| = {abs(w[4]):.3g} > {CENTER_TOL:g})"
-        )
-    lam = float(algebra.structure[0, 1, 4])
-    mu = float(algebra.structure[2, 3, 4])
-    return np.array([lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0])

@@ -19,10 +19,9 @@ candidate order.  :func:`curvature_operator` and :func:`flag_report` read a
 prebuilt table of one pole and are the reference the flag path is tested
 against.
 
-On the five-dimensional Heisenberg model eight special flag families have
-closed-form curvatures, catalogued here by case id; they also seed the sign
-search that certifies the coexistence of strictly positive and strictly
-negative flags.
+Nothing here depends on a particular algebra except :func:`sign_search`,
+whose first chunk on five-dimensional algebras is the canonical special flags
+of :mod:`randersflag.reference_tables`.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .randers import (
     _frozen,
     _unit_reference,
 )
+from .reference_tables import CANONICAL_FLAGS
 
 #: A flag is degenerate when its Gram determinant falls below this fraction of
 #: the product of squared osculating norms (scale-invariant cutoff).
@@ -54,55 +54,6 @@ WITNESS_MIN_CURVATURE = 1e-8
 #: Sizes of the successive chunks of random candidates that
 #: :func:`sign_search` evaluates in one stacked call each; the last repeats.
 SEARCH_CHUNKS = (8, 16, 32, 64)
-
-#: Entries (float64) each (poles, n, n, n) array may hold when connection
-#: tables are built over stacked poles, as ``verify`` does: a block holds
-#: max(1, TABLE_BLOCK_ENTRIES // n**3) poles, so its arrays stay within 64 KB
-#: from dim 1 to dim 20 and a block is one pole from dim 21 on.
-TABLE_BLOCK_ENTRIES = 2**13
-
-#: Case ids of the special flag families, in search order.
-SPECIAL_FLAG_CASES = ("1.1", "1.2", "2.1", "2.2", "2.3", "3.1", "3.2", "3.3")
-
-#: Pole span and transverse span of each case; "Z" is the center,
-#: "e12"/"e34" the two bracket planes.
-SPECIAL_FLAG_SPANS = {
-    "1.1": ("Z", "e12"),
-    "1.2": ("Z", "e34"),
-    "2.1": ("e12", "Z"),
-    "2.2": ("e12", "e12"),
-    "2.3": ("e12", "e34"),
-    "3.1": ("e34", "Z"),
-    "3.2": ("e34", "e12"),
-    "3.3": ("e34", "e34"),
-}
-
-#: Human-readable span labels used in emitted reports.
-SPAN_LABELS = {"Z": "Z-span", "e12": "e1-span", "e34": "e3-span"}
-
-# Canonical (pole index, transverse index) representatives per case, used by
-# the deterministic sign search.
-_CANONICAL_FLAGS = {
-    "1.1": (4, 0),
-    "1.2": (4, 2),
-    "2.1": (0, 4),
-    "2.2": (0, 1),
-    "2.3": (0, 2),
-    "3.1": (2, 4),
-    "3.2": (2, 0),
-    "3.3": (2, 3),
-}
-
-_CLOSED_FORMS = {
-    "1.1": lambda lam, mu, xi: lam**2 / 4.0,
-    "1.2": lambda lam, mu, xi: mu**2 / 4.0,
-    "2.1": lambda lam, mu, xi: (1.0 - xi**2) * lam**2 / 4.0,
-    "2.2": lambda lam, mu, xi: (xi**2 - 3.0) * lam**2 / 4.0,
-    "2.3": lambda lam, mu, xi: (mu**2 - lam**2) * xi**2 / 4.0,
-    "3.1": lambda lam, mu, xi: (1.0 - xi**2) * mu**2 / 4.0,
-    "3.2": lambda lam, mu, xi: (lam**2 - mu**2) * xi**2 / 4.0,
-    "3.3": lambda lam, mu, xi: (xi**2 - 3.0) * mu**2 / 4.0,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,84 +167,17 @@ def _flag_curvatures(structure: RandersStructure, w: np.ndarray, x: np.ndarray):
 def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     """Flag curvature K(w, x) at the Euclidean-normalized pole w.
 
-    Builds the osculating frame at w and evaluates the curvature quotient
-    without the connection table.  The report is marked degenerate when x is
-    parallel to w in the osculating product (zero-area flag).
+    Builds the osculating frame at w, which rejects a numerically zero pole
+    (:class:`DegenerateReferenceVector`, a :class:`DomainError`), and
+    evaluates the curvature quotient without the connection table.  The report
+    is marked degenerate when x is parallel to w in the osculating product.
     """
     w = _as_vector(w, structure.dim)
     x = _as_vector(x, structure.dim)
-    if math.sqrt(w @ w) < ZERO_VECTOR_TOL:
-        raise DomainError("flag pole is numerically zero")
     if math.sqrt(x @ x) < ZERO_VECTOR_TOL:
         raise DomainError("transverse vector is numerically zero")
     frame, *quotient = _flag_curvatures(structure, w, x)
     return _report(frame.w, x, *quotient)
-
-
-def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> float:
-    """Closed-form flag curvature of one special flag family on heisenberg5.
-
-    Case ids: "1.1", "1.2" pole in the center; "2.1".."2.3" pole in
-    span(e1, e2); "3.1".."3.3" pole in span(e3, e4), with the transverse span
-    cycling through the center and the two bracket planes.
-    """
-    try:
-        form = _CLOSED_FORMS[str(case_id)]
-    except KeyError:
-        raise ParameterError(
-            f"unknown case id {case_id!r}; expected one of {', '.join(SPECIAL_FLAG_CASES)}"
-        ) from None
-    if not (lam >= mu > 0.0):
-        raise ParameterError(f"require lam >= mu > 0, got lam={lam}, mu={mu}")
-    if not (0.0 < xi < 1.0):
-        raise ParameterError(f"require 0 < xi < 1, got xi={xi}")
-    try:
-        return float(form(lam, mu, xi))
-    except OverflowError:
-        raise ParameterError(
-            f"closed form of case {case_id} overflows at lam={lam}, mu={mu}"
-        ) from None
-
-
-def _span_unit(span: str, rng: np.random.Generator) -> np.ndarray:
-    v = np.zeros(5)
-    if span == "Z":
-        v[4] = 1.0 if rng.random() < 0.5 else -1.0
-        return v
-    i = 0 if span == "e12" else 2
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    v[i] = np.cos(theta)
-    v[i + 1] = np.sin(theta)
-    return v
-
-
-def special_flag_vectors(
-    case_id: str, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pole and transverse representatives of one special flag family.
-
-    Without ``rng`` returns the canonical basis representatives; with ``rng``
-    samples uniform unit vectors in the corresponding spans, resampling the
-    transverse vector when it is nearly parallel to the pole.
-    """
-    case_id = str(case_id)
-    if case_id not in SPECIAL_FLAG_SPANS:
-        raise ParameterError(
-            f"unknown case id {case_id!r}; expected one of {', '.join(SPECIAL_FLAG_CASES)}"
-        )
-    if rng is None:
-        wi, xi_ = _CANONICAL_FLAGS[case_id]
-        w = np.zeros(5)
-        x = np.zeros(5)
-        w[wi] = 1.0
-        x[xi_] = 1.0
-        return w, x
-    pole_span, transverse_span = SPECIAL_FLAG_SPANS[case_id]
-    w = _span_unit(pole_span, rng)
-    x = _span_unit(transverse_span, rng)
-    while pole_span == transverse_span and abs(float(w @ x)) > 0.999:
-        x = _span_unit(transverse_span, rng)
-    return w, x
 
 
 def sign_search(
@@ -325,7 +209,7 @@ def sign_search(
     tried = 0
     while tried < max_samples:
         if tried == 0 and dim == 5:
-            pairs = np.array([special_flag_vectors(case_id) for case_id in SPECIAL_FLAG_CASES])
+            pairs = CANONICAL_FLAGS
         else:
             pairs = _unit_reference(rng.standard_normal((next(sizes), 2, dim)), dim)
         pairs = pairs[: max_samples - tried]

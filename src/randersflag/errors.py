@@ -13,12 +13,12 @@ class ParameterError(GeometryError, ValueError):
     """A scalar parameter is outside its admissible range."""
 
 
-class DegenerateReferenceVector(GeometryError, ValueError):
-    """The reference vector of an osculating object is numerically zero."""
-
-
 class DomainError(GeometryError, ValueError):
     """Input lies outside the mathematical domain of the operation."""
+
+
+class DegenerateReferenceVector(DomainError):
+    """The reference vector of an osculating object is numerically zero."""
 
 
 class InternalConsistencyError(GeometryError, RuntimeError):

@@ -155,19 +155,3 @@ class MetricLieAlgebra:
                 jacobi = np.maximum(jacobi, np.abs(terms).max())
         return ValidationReport(antisymmetry, float(jacobi))
 
-
-def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
-    """Five-dimensional Heisenberg algebra in an orthonormal adapted basis.
-
-    Basis order is (e1, e2, e3, e4, Z) with the one-dimensional center spanned
-    by Z = e5.  The only nonzero brackets are [e1, e2] = lam * Z and
-    [e3, e4] = mu * Z, normalized to lam >= mu > 0.
-    """
-    if not (lam >= mu > 0.0):
-        raise ParameterError(f"heisenberg5 requires lam >= mu > 0, got lam={lam}, mu={mu}")
-    c = np.zeros((5, 5, 5))
-    c[0, 1, 4] = lam
-    c[1, 0, 4] = -lam
-    c[2, 3, 4] = mu
-    c[3, 2, 4] = -mu
-    return MetricLieAlgebra(c)

@@ -1,4 +1,11 @@
-"""Closed-form Chern-Rund connection components of the heisenberg5 model.
+"""The heisenberg5 model, the one module that knows its basis layout.
+
+:func:`heisenberg5` has the orthonormal basis (e1, e2, e3, e4, Z = e5) and
+brackets [e1, e2] = lam * Z, [e3, e4] = mu * Z, lam >= mu > 0;
+:func:`z_randers` adds x0 = xi * Z, 0 < xi < 1 (the CLI preset).  One case
+table gives each special flag family of Table 1 its spans, canonical basis
+representative and closed-form curvature; :data:`CANONICAL_FLAGS` stacks the
+representatives, which seed :func:`~randersflag.curvature.sign_search`.
 
 Four cell layouts cover the poles where the connection has closed forms:
 
@@ -24,10 +31,155 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import w_perp
-from .curvature import _span_unit
-from .errors import ParameterError
-from .lie_algebra import heisenberg5
+from .errors import DomainError, ParameterError
+from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen
+from .randers import RandersStructure
+
+#: Center coordinates larger than this disqualify a pole from :func:`w_perp`.
+CENTER_TOL = 1e-12
+
+# Per case id, in search order: pole span, transverse span, the 0-based basis
+# indices of the canonical (pole, transverse) representative, and the
+# closed-form flag curvature.
+_CASES = {
+    "1.1": ("Z", "e12", (4, 0), lambda lam, mu, xi: lam**2 / 4.0),
+    "1.2": ("Z", "e34", (4, 2), lambda lam, mu, xi: mu**2 / 4.0),
+    "2.1": ("e12", "Z", (0, 4), lambda lam, mu, xi: (1.0 - xi**2) * lam**2 / 4.0),
+    "2.2": ("e12", "e12", (0, 1), lambda lam, mu, xi: (xi**2 - 3.0) * lam**2 / 4.0),
+    "2.3": ("e12", "e34", (0, 2), lambda lam, mu, xi: (mu**2 - lam**2) * xi**2 / 4.0),
+    "3.1": ("e34", "Z", (2, 4), lambda lam, mu, xi: (1.0 - xi**2) * mu**2 / 4.0),
+    "3.2": ("e34", "e12", (2, 0), lambda lam, mu, xi: (lam**2 - mu**2) * xi**2 / 4.0),
+    "3.3": ("e34", "e34", (2, 3), lambda lam, mu, xi: (xi**2 - 3.0) * mu**2 / 4.0),
+}
+
+#: Case ids of the special flag families, in search order.
+SPECIAL_FLAG_CASES = tuple(_CASES)
+
+#: Pole span and transverse span of each case.
+SPECIAL_FLAG_SPANS = {case_id: case[:2] for case_id, case in _CASES.items()}
+
+#: Human-readable span labels used in emitted reports.
+SPAN_LABELS = {"Z": "Z-span", "e12": "e1-span", "e34": "e3-span"}
+
+#: Canonical (pole, transverse) basis representatives of the cases, stacked
+#: in case order as one read-only (8, 2, 5) array.
+CANONICAL_FLAGS = _frozen(np.eye(5)[[indices for _, _, indices, _ in _CASES.values()]])
+
+
+def _check_parameters(lam: float, mu: float, xi: float | None = None) -> None:
+    """The model's domain: lam >= mu > 0 and, when xi is given, 0 < xi < 1."""
+    if not (lam >= mu > 0.0):
+        raise ParameterError(f"heisenberg5 requires lam >= mu > 0, got lam={lam}, mu={mu}")
+    if xi is not None and not (0.0 < xi < 1.0):
+        raise ParameterError(
+            f"Z-Randers metrics require 0 < xi < 1, got xi={xi}; "
+            "give x0 = 0 explicitly for the Euclidean metric"
+        )
+
+
+def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
+    """Five-dimensional Heisenberg algebra in an orthonormal adapted basis.
+
+    Basis order is (e1, e2, e3, e4, Z) with the one-dimensional center spanned
+    by Z = e5.  The only nonzero brackets are [e1, e2] = lam * Z and
+    [e3, e4] = mu * Z, normalized to lam >= mu > 0.
+    """
+    _check_parameters(lam, mu)
+    c = np.zeros((5, 5, 5))
+    c[0, 1, 4] = lam
+    c[1, 0, 4] = -lam
+    c[2, 3, 4] = mu
+    c[3, 2, 4] = -mu
+    return MetricLieAlgebra(c)
+
+
+def z_randers(lam: float, mu: float, xi: float) -> RandersStructure:
+    """The Z-Randers metric x0 = xi * Z on heisenberg5(lam, mu), with
+    lam >= mu > 0 and 0 < xi < 1; other parameters raise
+    :class:`ParameterError`."""
+    _check_parameters(lam, mu, xi)
+    x0 = np.zeros(5)
+    x0[4] = xi
+    return RandersStructure(heisenberg5(lam, mu), x0)
+
+
+def _case(case_id: str) -> tuple:
+    try:
+        return _CASES[str(case_id)]
+    except KeyError:
+        raise ParameterError(
+            f"unknown case id {case_id!r}; expected one of {', '.join(SPECIAL_FLAG_CASES)}"
+        ) from None
+
+
+def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> float:
+    """Closed-form flag curvature of one special flag family on heisenberg5.
+
+    Case ids: "1.1", "1.2" pole in the center; "2.1".."2.3" pole in
+    span(e1, e2); "3.1".."3.3" pole in span(e3, e4), with the transverse span
+    cycling through the center and the two bracket planes.
+    """
+    *_, form = _case(case_id)
+    _check_parameters(lam, mu, xi)
+    try:
+        return float(form(lam, mu, xi))
+    except OverflowError:
+        raise ParameterError(
+            f"closed form of case {case_id} overflows at lam={lam}, mu={mu}"
+        ) from None
+
+
+def _span_unit(span: str, rng: np.random.Generator) -> np.ndarray:
+    v = np.zeros(5)
+    if span == "Z":
+        v[4] = 1.0 if rng.random() < 0.5 else -1.0
+        return v
+    i = 0 if span == "e12" else 2
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    v[i] = np.cos(theta)
+    v[i + 1] = np.sin(theta)
+    return v
+
+
+def special_flag_vectors(
+    case_id: str, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pole and transverse representatives of one special flag family.
+
+    Without ``rng`` returns the canonical basis representatives; with ``rng``
+    samples uniform unit vectors in the corresponding spans, resampling the
+    transverse vector when it is nearly parallel to the pole.
+    """
+    pole_span, transverse_span, indices, _ = _case(case_id)
+    if rng is None:
+        return tuple(np.eye(5)[list(indices)])
+    w = _span_unit(pole_span, rng)
+    x = _span_unit(transverse_span, rng)
+    while pole_span == transverse_span and abs(float(w @ x)) > 0.999:
+        x = _span_unit(transverse_span, rng)
+    return w, x
+
+
+def _w_perp(lam: float, mu: float, w: np.ndarray) -> np.ndarray:
+    return np.array([lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0])
+
+
+def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
+    """Distinguished orthogonal direction of a center-free pole on the
+    five-dimensional Heisenberg model.
+
+    For w = w1 e1 + w2 e2 + w3 e3 + w4 e4 returns
+    lam*w2 e1 - lam*w1 e2 + mu*w4 e3 - mu*w3 e4, which is Euclidean-orthogonal
+    to w, with lam and mu read from the heisenberg5 bracket layout.
+    """
+    if algebra.dim != 5:
+        raise DomainError("w_perp is defined only on the 5-dimensional Heisenberg model")
+    w = _as_vector(w, 5)
+    if abs(w[4]) > CENTER_TOL:
+        raise DomainError(
+            f"pole must be center-free (|center component| = {abs(w[4]):.3g} > {CENTER_TOL:g})"
+        )
+    return _w_perp(float(algebra.structure[0, 1, 4]), float(algebra.structure[2, 3, 4]), w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +236,7 @@ def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray
     "e34"); the two planes differ only in the squared bracket coefficient."""
     own, _, _ = _plane_coefficients(plane, lam, mu)
     _, z = _basis()
-    wp = w_perp(heisenberg5(lam, mu), w)
+    wp = _w_perp(lam, mu, w)
     a = own * own
     expected = {
         ("W", "W"): xi * wp,
@@ -111,7 +263,7 @@ def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray)
     Wperp, for a unit pole in ``plane`` ("e12" or "e34")."""
     own, other, first = _plane_coefficients(plane, lam, mu)
     eye, _ = _basis()
-    wp = w_perp(heisenberg5(lam, mu), w)
+    wp = _w_perp(lam, mu, w)
     ea, eb = f"e{first + 1}", f"e{first + 2}"
     expected = {
         (ea, "W"): -0.5 * other * xi * eye[first + 1],
@@ -133,9 +285,10 @@ def reference_blocks(
     """The four reporting blocks, keyed by layout name, each as
     (pole, cells).  Center-free poles are sampled from ``rng`` (the closed
     forms hold for every unit pole in the respective plane).  Parameters
-    whose cells overflow, those with no finite squared norm (the rule every
-    coordinate vector of the library obeys; it sets in near lam = 1e51),
-    raise :class:`ParameterError`."""
+    off lam >= mu > 0, and those whose cells overflow, those with no finite
+    squared norm (the rule every coordinate vector of the library obeys; it
+    sets in near lam = 1e51), raise :class:`ParameterError`."""
+    _check_parameters(lam, mu)
     _, z = _basis()
     w12 = _span_unit("e12", rng)
     w34 = _span_unit("e34", rng)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from randersflag import RandersStructure, heisenberg5
+# z_randers is imported here for the tests that take their samplers from helpers
+from randersflag import RandersStructure, z_randers
 
 
 def unit(rng, dim=5):
@@ -25,13 +26,6 @@ def random_heisenberg_params(rng):
     lam = mu + rng.uniform(0.0, 2.5)
     xi = rng.uniform(0.05, 0.95)
     return lam, mu, xi
-
-
-def z_randers(lam, mu, xi):
-    """Heisenberg-5 structure with center deformation x0 = xi * Z."""
-    x0 = np.zeros(5)
-    x0[4] = xi
-    return RandersStructure(heisenberg5(lam, mu), x0)
 
 
 def abelian_structure(dim=5, x0=None):

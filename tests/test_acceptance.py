@@ -26,8 +26,8 @@ from randersflag import (
     torsion_defect,
     almost_metric_defect,
 )
-from randersflag.curvature import SPECIAL_FLAG_CASES
 from randersflag.reference_tables import (
+    SPECIAL_FLAG_CASES,
     pole_frame_cells,
     pole_rows_cells,
     pole_z_cells,

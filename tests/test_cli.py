@@ -25,6 +25,7 @@ from randersflag.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    TABLE_BLOCK_ENTRIES,
     _tables,
     build_parser,
     load_model_config,
@@ -32,7 +33,6 @@ from randersflag.cli import (
     model_config_from_dict,
     run_verification,
 )
-from randersflag.curvature import TABLE_BLOCK_ENTRIES
 from helpers import nilpotent_algebra, unit
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}

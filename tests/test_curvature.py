@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from randersflag import (
+    SPECIAL_FLAG_CASES,
     DomainError,
     MetricLieAlgebra,
     ParameterError,
@@ -27,7 +28,6 @@ from randersflag import (
 from randersflag import connection, curvature
 from randersflag.cli import TABLE1_TOL
 from randersflag.curvature import (
-    SPECIAL_FLAG_CASES,
     WITNESS_MIN_CURVATURE,
     SignCertificate,
     _flag_curvatures,

@@ -1,0 +1,124 @@
+"""CLI output pinned across commits.
+
+The determinism tests compare two runs of one build; these compare every run
+with files under ``tests/golden/``: the ``table1`` CSVs, the stdout of every
+subcommand, and sha256 digests of the ``connection-tables`` JSON files, at
+three heisenberg5 presets, plus one ``search`` on an explicit model whose
+witnesses come from the random phase after the eight special flags.  The
+output path in a ``wrote <path>`` line is replaced by ``<out>``.
+
+A change that moves output on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and says which bytes moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from randersflag.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+PRESETS = ((2.0, 1.0, 0.5), (3.0, 0.7, 0.9), (1.3, 1.1, 0.2))
+
+#: A generic pole and transverse vector for ``flag``.
+FLAG_W, FLAG_X = "0.3,-0.5,0.2,0.6,0.4", "-0.7,0.1,0.5,0.2,-0.3"
+
+#: [e2, e3] = 1.5 e4 with a tilted deformation: the special flags give no
+#: negative witness, and seed 31 finds one at sample 13.
+RANDOM_PHASE_MODEL = {
+    "explicit": {
+        "dim": 5,
+        "brackets": [{"i": 2, "j": 3, "k": 4, "value": 1.5}],
+        "x0": [0, 0, 0.3, 0, 0.4],
+    }
+}
+
+
+def golden_cases() -> dict:
+    """Case name -> (argv, config document or None).  ``{out}`` and
+    ``{config}`` in argv stand for a file in the run's directory."""
+    cases = {}
+    for lam, mu, xi in PRESETS:
+        tag = f"{lam}-{mu}-{xi}"
+        options = ["--lambda", str(lam), "--mu", str(mu), "--xi", str(xi), "--out", "{out}"]
+        preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
+        cases[f"table1-{tag}"] = (["table1", *options], None)
+        cases[f"connection-tables-{tag}"] = (["connection-tables", *options], None)
+        flag = ["flag", "--config", "{config}", f"--w={FLAG_W}", f"--x={FLAG_X}"]
+        cases[f"flag-{tag}"] = (flag, preset)
+        cases[f"search-{tag}"] = (["search", "--config", "{config}", "--seed", "7"], preset)
+        cases[f"verify-{tag}"] = (["verify", "--config", "{config}"], preset)
+    cases["search-random-phase"] = (
+        ["search", "--config", "{config}", "--seed", "31"],
+        RANDOM_PHASE_MODEL,
+    )
+    return cases
+
+
+def run_case(workdir: Path, name: str) -> tuple[int, str, bytes | None]:
+    """Exit code, normalized stdout and output file bytes (None when the
+    command writes no file) of one case, run in-process in ``workdir``."""
+    argv, config = golden_cases()[name]
+    out = workdir / f"{name}.out"
+    config_path = workdir / f"{name}.json"
+    if config is not None:
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [arg.format(out=out, config=config_path) for arg in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    written = out.read_bytes() if out.exists() else None
+    return code, stdout.getvalue().replace(str(out), "<out>"), written
+
+
+def _expected_stdout() -> dict:
+    return json.loads((GOLDEN / "stdout.json").read_text(encoding="utf-8"))
+
+
+def _expected_digests() -> dict:
+    lines = (GOLDEN / "connection-tables.sha256").read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_cli_output_matches_golden(tmp_path, name):
+    code, stdout, written = run_case(tmp_path, name)
+    expected = _expected_stdout()[name]
+    assert (code, stdout) == (expected["exit"], expected["stdout"])
+    if name.startswith("table1-"):
+        assert written == (GOLDEN / f"{name}.csv").read_bytes()
+    elif name.startswith("connection-tables-"):
+        assert hashlib.sha256(written).hexdigest() == _expected_digests()[name]
+    else:
+        assert written is None
+
+
+def test_random_phase_case_leaves_the_special_flags():
+    document = json.loads(_expected_stdout()["search-random-phase"]["stdout"])
+    assert document["samples_tried"] > 8
+
+
+def regenerate(workdir: Path) -> None:
+    """Rewrite every file under ``tests/golden/`` from the current build."""
+    GOLDEN.mkdir(exist_ok=True)
+    stdout, digests = {}, []
+    for name in sorted(golden_cases()):
+        code, text, written = run_case(workdir, name)
+        stdout[name] = {"exit": code, "stdout": text}
+        if name.startswith("table1-"):
+            (GOLDEN / f"{name}.csv").write_bytes(written)
+        elif name.startswith("connection-tables-"):
+            digests.append(f"{hashlib.sha256(written).hexdigest()}  {name}\n")
+    (GOLDEN / "stdout.json").write_text(json.dumps(stdout, indent=2) + "\n", encoding="utf-8")
+    (GOLDEN / "connection-tables.sha256").write_text("".join(digests), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        regenerate(Path(scratch))
