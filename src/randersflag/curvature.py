@@ -190,7 +190,9 @@ def sign_search(
     first (in case order), then uniform random unit pole/transverse pairs.
     Returns the first witness of each sign exceeding the minimum margin;
     raises :class:`SearchFailure` when the sample budget runs out, which
-    signals a flat metric or insufficient sampling.
+    signals a flat metric or insufficient sampling.  ``seed`` must be a
+    nonnegative integer (a negative one raises :class:`ParameterError`), and
+    each such seed keeps its :func:`numpy.random.default_rng` stream.
 
     Candidates are evaluated in chunks, one stacked call each: the special
     flags together, then random pairs in chunks of ``SEARCH_CHUNKS`` sizes,
@@ -202,6 +204,8 @@ def sign_search(
     """
     if max_samples < 1:
         raise ParameterError("max_samples must be positive")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = structure.dim
     sizes = itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1]))

@@ -1,6 +1,7 @@
 """Config ingestion, the five subcommands, exit codes, and output formats."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from randersflag import (
     levi_civita_table,
     torsion_defect,
 )
+from randersflag import cli
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -28,11 +30,13 @@ from randersflag.cli import (
     TABLE_BLOCK_ENTRIES,
     _tables,
     build_parser,
+    connection_tables_json,
     load_model_config,
     main,
     model_config_from_dict,
     run_verification,
 )
+from randersflag.reference_tables import TableCell, reference_blocks, special_flag_closed_form
 from helpers import nilpotent_algebra, unit
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
@@ -47,6 +51,9 @@ EXPLICIT_HEISENBERG = {
     }
 }
 ABELIAN = {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, 0, 0, 0]}}
+
+#: Well-computed models whose cells and curvatures are far from unit size.
+LARGE_MODELS = [(1000.0, 1.0, 0.5), (1e5, 1e4, 0.3)]
 
 
 def write_config(tmp_path, document, name="model.json"):
@@ -191,6 +198,19 @@ class TestTable1:
         _, second = self.run(tmp_path, 2.0, 1.0, 0.5)
         assert second.read_bytes() == content
 
+    @pytest.mark.parametrize("params", LARGE_MODELS)
+    def test_large_models_pass(self, tmp_path, params):
+        code, _ = self.run(tmp_path, *params)
+        assert code == EXIT_OK
+
+    def test_perturbed_closed_form_fails(self, tmp_path, monkeypatch):
+        def perturbed(case_id, lam, mu, xi):
+            return special_flag_closed_form(case_id, lam, mu, xi) * (1 + 1e-6)
+
+        monkeypatch.setattr(cli, "special_flag_closed_form", perturbed)
+        code, _ = self.run(tmp_path, *LARGE_MODELS[0])
+        assert code == EXIT_VERDICT
+
     def test_round_trip_verdict_stable(self, tmp_path):
         _, out = self.run(tmp_path, 3.0, 0.5, 0.9)
         rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -249,7 +269,40 @@ class TestConnectionTables:
             for block in document["blocks"].values()
             for c in block["cells"]
         )
-        assert (worst <= 1e-10) == document["pass"]
+        scale = max(
+            1.0,
+            max(
+                abs(np.asarray(c["closed_form"])).max()
+                for block in document["blocks"].values()
+                for c in block["cells"]
+            ),
+        )
+        assert (worst <= 1e-10 * scale) == document["pass"]
+
+    @pytest.mark.parametrize("params", LARGE_MODELS)
+    def test_large_models_pass(self, tmp_path, params):
+        code, out = self.run(tmp_path, *params)
+        assert code == EXIT_OK
+        document = json.loads(out.read_text(encoding="utf-8"))
+        # the absolute defect is printed as it is, above 1e-10
+        assert document["pass"] is True and document["max_defect"] > 1e-10
+
+    def test_perturbed_cell_fails(self, tmp_path, monkeypatch):
+        # the (Wperp, Wperp) cell, the largest, moved by 1e-6 of its size
+        def perturbed(*args):
+            blocks = reference_blocks(*args)
+            pole, cells = blocks["pole_e12_frame"]
+            cells = [
+                dataclasses.replace(c, expected=c.expected * (1 + 1e-6))
+                if (c.row, c.col) == ("Wperp", "Wperp") else c
+                for c in cells
+            ]
+            return {**blocks, "pole_e12_frame": (pole, cells)}
+
+        monkeypatch.setattr(cli, "reference_blocks", perturbed)
+        code, out = self.run(tmp_path, *LARGE_MODELS[0])
+        assert code == EXIT_VERDICT
+        assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
 
     def test_invalid_parameters_are_usage_errors(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, lam=0.5, mu=1.0)
@@ -262,6 +315,88 @@ class TestConnectionTables:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "closed-form connection cells overflow" in err
+
+
+def _emitter_presets() -> list[tuple[float, float, float]]:
+    """Admissible (lam, mu, xi): the three golden presets, then 20 moderate
+    ones, 20 with lam, mu over 1e-3..1e6 and 20 at lam = mu or xi within
+    1e-12 of 0 or 1."""
+    rng = np.random.default_rng(909)
+    presets = [(2.0, 1.0, 0.5), (3.0, 0.7, 0.9), (1.3, 1.1, 0.2)]
+    for _ in range(20):
+        lam = float(rng.uniform(0.5, 3.0))
+        presets.append((lam, lam * float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.05, 0.95))))
+    for _ in range(20):
+        mu, lam = sorted(float(v) for v in 10.0 ** rng.uniform(-3, 6, 2))
+        presets.append((lam, mu, float(rng.uniform(0.01, 0.99))))
+    for i in range(20):
+        lam = float(10.0 ** rng.uniform(-3, 6))
+        edge = float(rng.uniform(0, 1e-12))
+        xi = (edge or 1e-12, 1 - edge, float(rng.uniform(0.05, 0.95)))[i % 3]
+        presets.append((lam, lam if i % 3 == 2 else lam * float(rng.uniform(0.2, 1.0)), xi))
+    return presets
+
+
+class TestConnectionTablesJson:
+    """``connection-tables`` writes the text of ``json.dumps(document,
+    indent=2)`` without going through json's indenting encoder."""
+
+    @pytest.mark.parametrize("params", _emitter_presets())
+    def test_file_is_indent_2_json(self, tmp_path, params):
+        lam, mu, xi = params
+        out = tmp_path / "tables.json"
+        code = main(["connection-tables", "--lambda", repr(lam), "--mu", repr(mu),
+                     "--xi", repr(xi), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VERDICT)
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_non_finite_and_extreme_numbers(self, ok):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05]
+        computed = np.array([specials[:3], specials[3:6], specials[4:]])
+        expected = computed[::-1] * -1.0
+        defects = np.array([math.nan, 0.0, 1e-05])
+        zero = np.zeros(3)
+        cells = [TableCell(row, col, zero, zero, e) for (row, col), e in
+                 zip([("e1", "W"), ("Wperp", "Z"), ("e\u00e9", 'q"')], expected)]
+        reference = {"a": (np.array([-0.0, 1e16, math.inf]), cells[:2]),
+                     "b": (np.array([5e-324, 0.1, -1.5]), cells[2:])}
+        lam, mu, xi = 1e16, 5e-324, 1e-05
+        document = {
+            "lambda": lam,
+            "mu": mu,
+            "xi": xi,
+            "blocks": {
+                "a": {"pole": [-0.0, 1e16, math.inf], "cells": []},
+                "b": {"pole": [5e-324, 0.1, -1.5], "cells": []},
+            },
+            "max_defect": math.nan,
+            "pass": ok,
+        }
+        for i, cell in enumerate(cells):
+            document["blocks"]["a" if i < 2 else "b"]["cells"].append({
+                "row": cell.row,
+                "col": cell.col,
+                "computed": computed[i].tolist(),
+                "closed_form": expected[i].tolist(),
+                "defect": float(defects[i]),
+            })
+        text = connection_tables_json(
+            lam, mu, xi, reference, computed, expected, defects, math.nan, ok
+        )
+        assert text == json.dumps(document, indent=2) + "\n"
+
+    def test_indenting_encoder_unused(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("connection-tables ran json's indenting encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+        out = tmp_path / "tables.json"
+        code = main(["connection-tables", "--lambda", "2", "--mu", "1", "--xi", "0.5",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
 
 
 class TestParser:
@@ -349,6 +484,14 @@ class TestSearch:
         assert code == EXIT_VERDICT
         captured = capsys.readouterr()
         assert "no nonzero curvature" in captured.err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, PRESET)
+        code = main(["search", "--config", config, "--seed", "-1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative, got -1\n"
 
     def test_deterministic_output(self, tmp_path, capsys):
         config = write_config(

@@ -222,6 +222,20 @@ class TestSignSearch:
         assert a.positive_witness.k == b.positive_witness.k
         assert a.negative_witness.k == b.negative_witness.k
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
+
+    def test_large_seed_keeps_its_stream(self):
+        structure = SEARCH_MODELS["nilpotent7"]
+        seed = 2**64 + 3
+        expected = _SequentialSearch(structure, seed).run(64)
+        got = sign_search(structure, seed=seed, max_samples=64)
+        assert got.samples_tried == expected.samples_tried
+        assert np.array_equal(got.positive_witness.w, expected.positive_witness.w)
+        assert np.array_equal(got.negative_witness.x, expected.negative_witness.x)
+
     def test_random_stage_reachable(self, rng):
         # a structure whose special flags are all flat: abelian with drift
         s = abelian_structure(x0=np.array([0.3, 0, 0, 0, 0]))
