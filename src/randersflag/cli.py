@@ -7,9 +7,10 @@ self-checks).  Exit codes: 0 success, 1 tolerance or verdict failure,
 2 usage/config error, 3 I/O error.
 
 ``table1`` passes when its largest error is at most ``TABLE1_TOL`` times
-max(1, largest |closed form|), ``connection-tables`` when its largest defect
-is at most ``CONNECTION_TOL`` times max(1, largest |closed-form entry|); the
-printed errors and defects are absolute.  ``connection-tables`` writes the
+max(1, largest |closed form|), ``connection-tables`` when each cell's defect
+is at most ``CONNECTION_TOL`` times max(1, |direction| |argument| times the
+largest |coefficient| of the table at the cell's pole); the printed errors
+and defects are absolute.  ``connection-tables`` writes the
 text :func:`json.dumps` writes with ``indent=2`` (two spaces per level, one
 number per line, numbers spelled by ``repr``, non-finite ones as ``NaN``,
 ``Infinity``, ``-Infinity``), filled into fixed templates by
@@ -72,8 +73,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 #: Verdict tolerances of ``table1`` and ``connection-tables``, relative to
-#: max(1, largest closed-form magnitude): the largest |closed form|
-#: curvature, the largest |entry| of the closed-form cells.
+#: max(1, scale): for ``table1`` the largest |closed form| curvature, for
+#: each ``connection-tables`` cell |direction| |argument| times the largest
+#: |coefficient| of the table at its pole.
 TABLE1_TOL = 1e-9
 CONNECTION_TOL = 1e-10
 
@@ -317,13 +319,15 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     structure = _preset_structure(lam, mu, xi)
     rng = np.random.default_rng(_REPORT_SEED)
     reference = reference_blocks(lam, mu, xi, rng)
-    # one table over the distinct poles (two blocks share theirs), and every
-    # cell's nabla_direction argument in one contraction, summed over j and
-    # then over i as ConnectionTable.derivative does
-    poles, pole_of_block = np.unique(
-        [pole for pole, _ in reference.values()], axis=0, return_inverse=True
-    )
-    gamma = chern_rund_table(structure.osculating_gram(poles)).gamma
+    # one table over the distinct poles (two blocks share theirs), in the
+    # order of first use, and every cell's nabla_direction argument in one
+    # contraction, summed over j and then over i as
+    # ConnectionTable.derivative does
+    block_poles = [pole for pole, _ in reference.values()]
+    distinct = {pole.tobytes(): pole for pole in block_poles}
+    slot = {key: i for i, key in enumerate(distinct)}
+    gamma = chern_rund_table(structure.osculating_gram(np.array(list(distinct.values())))).gamma
+    pole_of_block = [slot[pole.tobytes()] for pole in block_poles]
     pole_of_cell = np.repeat(pole_of_block, [len(block) for _, block in reference.values()])
     cells = [cell for _, block in reference.values() for cell in block]
     directions = np.array([cell.direction for cell in cells])
@@ -332,10 +336,12 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     computed = np.vecmat(directions, np.vecmat(arguments[:, None, :], gamma[pole_of_cell]))
     defects = np.abs(computed - expected).max(axis=-1)
     max_defect = float(defects.max())
-    # the cells grow like powers of lam (up to lam**3), so the tolerance
-    # scales with the largest closed-form entry; unit-scale models keep the
-    # absolute bound
-    ok = max_defect <= CONNECTION_TOL * max(1.0, float(np.abs(expected).max()))
+    # a cell's round-off follows the terms it sums, |direction| |argument|
+    # times the largest coefficient of its pole's table, not its own size:
+    # terms of size lam**3 can cancel to a cell of size xi lam**3
+    terms = np.sqrt(np.vecdot(directions, directions) * np.vecdot(arguments, arguments))
+    scales = np.maximum(1.0, terms * np.abs(gamma).max(axis=(-3, -2, -1))[pole_of_cell])
+    ok = bool((defects <= CONNECTION_TOL * scales).all())
     text = connection_tables_json(
         lam, mu, xi, reference, computed, expected, defects, max_defect, ok
     )

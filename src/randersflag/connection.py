@@ -12,10 +12,11 @@ Stages 1 and 2 take a frame of one pole or of poles stacked along leading
 axes, and :func:`nabla_v_w` solves for nabla_v w over any set of vectors v,
 stacked as rows along further leading axes, at once; one pole is simply the
 case with no leading axis.  The pairings of brackets with the pole that both
-stages read are contracted once per frame (``OsculatingFrame.pole_pairing``
-and ``pole_brackets``).  A flag curvature needs stage 2 on three vectors
-only (see :mod:`randersflag.curvature`), so stages 1-2 cost O(n^3) per
-flag, the price of contracting the structure constants with a few vectors.
+stages read are contracted once, when the frame is built
+(``OsculatingFrame.pole_pairing`` and ``pole_brackets``).  A flag curvature
+needs stage 2 on three vectors only (see :mod:`randersflag.curvature`), so
+stages 1-2 cost O(n^3) per flag, the price of contracting the structure
+constants with a few vectors.
 Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
 and serves the reference tables, the residual checks and the public table
 API.  It too takes a frame of one pole or of stacked poles, with the
@@ -78,11 +79,16 @@ def nabla_v_w(frame: OsculatingFrame, nww: np.ndarray, vectors: np.ndarray) -> n
     stage-1 vector of :func:`nabla_w_of_w`, used in the single surviving
     Cartan correction (the other two carry a w slot).
     """
-    gram = frame.gram
+    return _nabla_v_w(frame, nww, vectors, np.matvec(frame.gram, vectors))
+
+
+def _nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors) -> np.ndarray:
+    """:func:`nabla_v_w` given ``gram_vectors``, the products gram @ v of
+    the vectors, which the flag path reads again."""
     right, left = frame.pole_brackets
     brackets = (
-        np.matvec(gram, np.vecmat(vectors, right))
-        - np.matvec(left, np.matvec(gram, vectors))
+        np.matvec(frame.gram, np.vecmat(vectors, right))
+        - np.matvec(left, gram_vectors)
         + np.matvec(frame.pole_pairing, vectors)
     )
     return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))

@@ -15,9 +15,13 @@ and transverse vectors may carry leading batch axes, and every frame
 quantity, stage and quotient broadcasts over them, so :func:`flag_curvature`
 is the case with no batch axis and :func:`sign_search` evaluates its
 candidates in chunks, one stacked call per chunk, scanning the results in
-candidate order.  :func:`curvature_operator` and :func:`flag_report` read a
-prebuilt table of one pole and are the reference the flag path is tested
-against.
+candidate order.  At dim 5 the cost of a flag is mostly numpy call
+overhead, so the path forms each Gram product once: the frame brings gram @ w
+and the bracket pairings with the pole from its construction, and
+:func:`_flag_numerator` forms gram @ (x, N w, [x, w]) once, for stage 2, the
+Koszul pairing and the quotient.  :func:`curvature_operator` and
+:func:`flag_report` read a prebuilt table of one pole and are the reference
+the flag path is tested against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
@@ -28,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, nabla_v_w, nabla_w_of_w
-from .errors import DomainError, ParameterError, SearchFailure
+from .connection import ConnectionTable, _nabla_v_w, nabla_w_of_w
+from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _as_vector, _contract
 from .randers import (
     ZERO_VECTOR_TOL,
@@ -99,13 +104,13 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     return mx @ (my @ z) - my @ (mx @ z) - mb @ z
 
 
-def _quotient(frame: OsculatingFrame, x: np.ndarray, numerator):
-    """``(k, denominator, degenerate)`` of the flags (w, x): the curvature
-    quotient and its degeneracy test, with the leading axes of the frame and
-    x; a degenerate flag gets k = NaN and leaves its neighbours alone."""
-    q, gram = frame.w, frame.gram
-    gx = np.matvec(gram, x)
-    norms = np.vecdot(q, np.matvec(gram, q)) * np.vecdot(x, gx)
+def _quotient(frame: OsculatingFrame, x: np.ndarray, gx: np.ndarray, numerator):
+    """``(k, denominator, degenerate)`` of the flags (w, x), given the
+    products ``gx`` = gram @ x: the curvature quotient and its degeneracy
+    test, with the leading axes of the frame and x; a degenerate flag gets
+    k = NaN and leaves its neighbours alone."""
+    q = frame.w
+    norms = np.vecdot(q, frame.pole_covector) * np.vecdot(x, gx)
     cross = np.vecdot(q, gx)
     denominator = norms - cross * cross
     floor = DEGENERACY_REL_TOL * norms
@@ -126,19 +131,23 @@ def flag_report(table: ConnectionTable, x) -> FlagReport:
     frame = table.frame
     x = _as_vector(x, frame.dim)
     r = curvature_operator(table, x, frame.w, frame.w)
-    return _report(frame.w, x, *_quotient(frame, x, r @ frame.gram @ x))
+    gx = np.matvec(frame.gram, x)
+    return _report(frame.w, x, *_quotient(frame, x, gx, r @ frame.gram @ x))
 
 
 def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
-    """<R(x, w)w, x>_w from stages 1-2 and two Koszul pairings, with the
-    leading axes of the frame and x."""
+    """``(numerator, gx)``: <R(x, w)w, x>_w from stages 1-2 and two Koszul
+    pairings, and gx = gram @ x, with the leading axes of the frame and x."""
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
     right, _ = frame.pole_brackets
     a = nabla_w_of_w(frame)
     xw = np.vecmat(x, right)  # [x, w]
-    nx, na, nxw = nabla_v_w(frame, a, np.array((x, a, xw)))
-    gx = np.matvec(gram, x)
+    vectors = np.array((x, a, xw))
+    # stage 2 and the pairings below read gram @ x: formed once, here
+    gram_vectors = np.matvec(gram, vectors)
+    nx, na, nxw = _nabla_v_w(frame, a, vectors, gram_vectors)
+    gx = gram_vectors[0]
     pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
     cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)))
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
@@ -152,7 +161,7 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
         + np.vecdot(xw, np.matvec(gram, nx))
     )
     along_w = 0.5 * brackets - np.vecdot(cartan_xb, a)
-    return along_x - along_w - np.vecdot(nxw, gx)
+    return along_x - along_w - np.vecdot(nxw, gx), gx
 
 
 def _flag_curvatures(structure: RandersStructure, w: np.ndarray, x: np.ndarray):
@@ -161,23 +170,40 @@ def _flag_curvatures(structure: RandersStructure, w: np.ndarray, x: np.ndarray):
     vectors); the flag path of :func:`flag_curvature` and
     :func:`sign_search`, which never builds the connection table."""
     frame = structure.osculating_gram(w)
-    return frame, *_quotient(frame, x, _flag_numerator(frame, x))
+    numerator, gx = _flag_numerator(frame, x)
+    return frame, *_quotient(frame, x, gx, numerator)
 
 
 def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     """Flag curvature K(w, x) at the Euclidean-normalized pole w.
 
-    Builds the osculating frame at w, which rejects a numerically zero pole
-    (:class:`DegenerateReferenceVector`, a :class:`DomainError`), and
-    evaluates the curvature quotient without the connection table.  The report
-    is marked degenerate when x is parallel to w in the osculating product.
+    Builds the osculating frame at w, which checks the pole as every frame
+    does (a numerically zero one raises :class:`DegenerateReferenceVector`,
+    a :class:`DomainError`), and evaluates the curvature quotient without the
+    connection table.  The report is marked degenerate when x is parallel to
+    w in the osculating product.
     """
-    w = _as_vector(w, structure.dim)
+    # the frame checks the pole, but takes stacked poles too: reject those
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise DimensionMismatch(
+            f"expected a coordinate vector of length {structure.dim}, got shape {w.shape}"
+        )
     x = _as_vector(x, structure.dim)
     if math.sqrt(x @ x) < ZERO_VECTOR_TOL:
         raise DomainError("transverse vector is numerically zero")
     frame, *quotient = _flag_curvatures(structure, w, x)
     return _report(frame.w, x, *quotient)
+
+
+def _random_chunks(seed: int, dim: int):
+    """Chunks of uniform random unit pole/transverse pairs, (m, 2, dim), of
+    the ``SEARCH_CHUNKS`` sizes, the last repeating.  The generator is made
+    when the first chunk is drawn, so a search that ends on the special
+    flags never makes it."""
+    rng = np.random.default_rng(seed)
+    for size in itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1])):
+        yield _unit_reference(rng.standard_normal((size, 2, dim)), dim)
 
 
 def sign_search(
@@ -191,8 +217,9 @@ def sign_search(
     Returns the first witness of each sign exceeding the minimum margin;
     raises :class:`SearchFailure` when the sample budget runs out, which
     signals a flat metric or insufficient sampling.  ``seed`` must be a
-    nonnegative integer (a negative one raises :class:`ParameterError`), and
-    each such seed keeps its :func:`numpy.random.default_rng` stream.
+    nonnegative integer (anything else raises :class:`ParameterError`), and
+    each such seed keeps its :func:`numpy.random.default_rng` stream, which
+    is only made once the special flags are done.
 
     Candidates are evaluated in chunks, one stacked call each: the special
     flags together, then random pairs in chunks of ``SEARCH_CHUNKS`` sizes,
@@ -204,18 +231,18 @@ def sign_search(
     """
     if max_samples < 1:
         raise ParameterError("max_samples must be positive")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
     dim = structure.dim
-    sizes = itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1]))
+    chunks = _random_chunks(seed, dim)
     witnesses = {}  # sign -> (candidate index, report)
     tried = 0
     while tried < max_samples:
-        if tried == 0 and dim == 5:
-            pairs = CANONICAL_FLAGS
-        else:
-            pairs = _unit_reference(rng.standard_normal((next(sizes), 2, dim)), dim)
+        pairs = CANONICAL_FLAGS if tried == 0 and dim == 5 else next(chunks)
         pairs = pairs[: max_samples - tried]
         x = pairs[:, 1]
         # the unit pole is normalized once more before the frame normalizes

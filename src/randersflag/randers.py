@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,6 +36,12 @@ BERWALD_TOL = 1e-12
 #: steps, third derivatives need larger ones against round-off amplification.
 OSCULATING_FD_STEPS = (1e-6, 1e-2)
 CARTAN_FD_STEPS = (1e-3, 1e-1)
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only identity matrix of a dimension, built once."""
+    return _frozen(np.eye(dim))
 
 
 def _unit_reference(w, dim: int) -> np.ndarray:
@@ -259,18 +265,22 @@ class OsculatingFrame:
     shape (..., n); every array of the frame then carries the same leading
     axes (``gram`` is (..., n, n)), and the vectors passed to its methods may
     carry further leading axes that broadcast against them.  One pole is
-    simply the case with no leading axis.  The pairings of brackets with the
-    pole that the Koszul stages share, and the (..., n, n, n) Cartan tensor
-    that only the full connection table reads, are built on first read.  Frames
-    are read-only, so they are safe for concurrent use (a racing first read
-    builds the same arrays).
+    simply the case with no leading axis.  Construction builds everything the
+    flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
+    (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse.  Only
+    the (..., n, n, n) ``cartan_tensor``, which only the full connection table
+    reads, is built on first read.  Every array a frame holds is read-only,
+    so frames are safe for concurrent use (a racing first read of
+    ``cartan_tensor`` builds the same array).
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
-        q = _unit_reference(w, structure.dim)
+        c = structure.algebra.structure
+        dim = c.shape[0]
+        q = _unit_reference(w, dim)
         a, p_perp, ell = _randers_form(structure.x0, q)
         qq = q[..., :, None] * q[..., None, :]
-        projector = np.eye(structure.dim) - qq
+        projector = _identity(dim) - qq
         cross = p_perp[..., :, None] * q[..., None, :]
         scale = a[..., None, None]
         inverse = (
@@ -278,11 +288,24 @@ class OsculatingFrame:
             - (cross + cross.mT) / (scale * scale)
             + ((a + np.vecdot(p_perp, p_perp)) / (a * a * a))[..., None, None] * qq
         )
+        gram = scale * projector + ell[..., :, None] * ell[..., None, :]
+        pole_covector = np.matvec(gram, q)
         self.structure = structure
-        self.w = _frozen(q)
-        self.gram = _frozen(scale * projector + ell[..., :, None] * ell[..., None, :])
+        self.w = q
+        self.gram = gram
+        #: <w, .>_w as coordinates, gram @ w
+        self.pole_covector = pole_covector
+        #: <[e_i, e_j], w>_w, indexed [..., i, j]
+        self.pole_pairing = _contract(c, pole_covector, 2)
+        #: ``(right, left)`` with rows right[..., i] = [e_i, w] and
+        #: left[..., i] = [w, e_i], so that [v, w] = v @ right
+        self.pole_brackets = (_contract(c, q, 1), _contract(c, q, 0))
         self._p_perp = p_perp
         self._inverse = inverse
+        # every array above is fresh, so it is frozen without a copy
+        frozen = (q, gram, pole_covector, self.pole_pairing, *self.pole_brackets, p_perp, inverse)
+        for array in frozen:
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -294,26 +317,12 @@ class OsculatingFrame:
         read.  The symmetrization of p_perp (x) (I - q q^T), see
         :meth:`cartan_covector`."""
         q = self.w
-        projector = np.eye(self.dim) - q[..., :, None] * q[..., None, :]
+        projector = _identity(self.dim) - q[..., :, None] * q[..., None, :]
         t = self._p_perp[..., :, None, None] * projector[..., None, :, :]
         t_jki, t_kij = _cycled(t)
         tensor = 0.5 * (t + t_kij + t_jki)
         tensor.flags.writeable = False  # fresh, so frozen without a copy
         return tensor
-
-    @cached_property
-    def pole_pairing(self) -> np.ndarray:
-        """<[e_i, e_j], w>_w, indexed [..., i, j]; built on first read."""
-        c = self.structure.algebra.structure
-        return _contract(c, np.matvec(self.gram, self.w), 2)
-
-    @cached_property
-    def pole_brackets(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(right, left)`` with rows right[..., i] = [e_i, w] and
-        left[..., i] = [w, e_i], so that [v, w] = v @ right; built on first
-        read."""
-        c = self.structure.algebra.structure
-        return _contract(c, self.w, 1), _contract(c, self.w, 0)
 
     def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Coordinates of the covector C_w(u, v, .), in O(n) per vector.

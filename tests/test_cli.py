@@ -37,7 +37,7 @@ from randersflag.cli import (
     run_verification,
 )
 from randersflag.reference_tables import TableCell, reference_blocks, special_flag_closed_form
-from helpers import nilpotent_algebra, unit
+from helpers import nilpotent_algebra, unit, z_randers
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
 EXPLICIT_HEISENBERG = {
@@ -54,6 +54,10 @@ ABELIAN = {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, 0, 0, 0]}}
 
 #: Well-computed models whose cells and curvatures are far from unit size.
 LARGE_MODELS = [(1000.0, 1.0, 0.5), (1e5, 1e4, 0.3)]
+
+#: Well-computed models at large lam and small xi: the (Wperp, Wperp) cell of
+#: ``pole_e12_frame`` is ~xi lam**3, summed from terms of size lam**3.
+SMALL_XI_MODELS = [(1e8, 9e7, 1e-6), (1e7, 9e6, 1e-13)]
 
 
 def write_config(tmp_path, document, name="model.json"):
@@ -303,6 +307,40 @@ class TestConnectionTables:
         code, out = self.run(tmp_path, *LARGE_MODELS[0])
         assert code == EXIT_VERDICT
         assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
+
+    @pytest.mark.parametrize("params", SMALL_XI_MODELS)
+    def test_small_xi_models_pass(self, tmp_path, params):
+        code, out = self.run(tmp_path, *params)
+        assert code == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.5), *SMALL_XI_MODELS])
+    def test_each_perturbed_cell_fails(self, tmp_path, monkeypatch, params):
+        # each cell in turn moved by 1e-6 of the scale its defect is judged
+        # by, max(1, |direction| |argument| max|gamma| at its pole)
+        structure = z_randers(*params)
+        blocks = reference_blocks(*params, np.random.default_rng(0))
+        for name, (_, cells) in blocks.items():
+            for i in range(len(cells)):
+
+                def perturbed(*args, name=name, i=i):
+                    blocks = reference_blocks(*args)
+                    pole, cells = blocks[name]
+                    gamma = chern_rund_table(structure.osculating_gram(pole)).gamma
+                    cell = cells[i]
+                    scale = max(
+                        1.0,
+                        np.linalg.norm(cell.direction)
+                        * np.linalg.norm(cell.argument)
+                        * np.abs(gamma).max(),
+                    )
+                    shift = 1e-6 * scale * np.eye(5)[i % 5]
+                    moved = dataclasses.replace(cell, expected=cell.expected + shift)
+                    return {**blocks, name: (pole, [*cells[:i], moved, *cells[i + 1:]])}
+
+                monkeypatch.setattr(cli, "reference_blocks", perturbed)
+                code, _ = self.run(tmp_path, *params)
+                assert code == EXIT_VERDICT, (name, cells[i].row, cells[i].col)
 
     def test_invalid_parameters_are_usage_errors(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, lam=0.5, mu=1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from randersflag import (
     SPECIAL_FLAG_CASES,
+    DimensionMismatch,
     DomainError,
     MetricLieAlgebra,
     ParameterError,
@@ -114,6 +115,12 @@ class TestFlagCurvature:
             flag_curvature(structure, np.zeros(5), E[0])
         with pytest.raises(DomainError):
             flag_curvature(structure, E[0], np.zeros(5))
+
+    @pytest.mark.parametrize("w", [np.ones((2, 5)), 1.0, np.ones(4)])
+    def test_pole_of_wrong_shape_rejected(self, structure, w):
+        # the frame takes stacked poles, flag_curvature one
+        with pytest.raises(DimensionMismatch):
+            flag_curvature(structure, w, E[1])
 
     def test_transverse_invariance(self, rng):
         for _ in range(100):
@@ -226,6 +233,19 @@ class TestSignSearch:
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ParameterError, match="seed must be nonnegative"):
             sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
+
+    def test_special_flags_certificate_makes_no_generator(self, monkeypatch):
+        # a dim-5 search that ends on the special flags draws no random chunk
+        def no_generator(seed):
+            raise AssertionError(f"random generator made for seed {seed}")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert sign_search(z_randers(2.0, 1.0, 0.5), seed=3).samples_tried == 4
 
     def test_large_seed_keeps_its_stream(self):
         structure = SEARCH_MODELS["nilpotent7"]

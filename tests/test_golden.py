@@ -7,6 +7,11 @@ three heisenberg5 presets, plus one ``search`` on an explicit model whose
 witnesses come from the random phase after the eight special flags.  The
 output path in a ``wrote <path>`` line is replaced by ``<out>``.
 
+``flag_kernel.json`` pins the flag kernel itself, bit for bit: ``float.hex``
+of ``k`` and ``denominator`` for single flags, for stacked chunks of 8 and 64
+flags and for ``sign_search`` certificates, on heisenberg5 and on random
+nilpotent and solvable algebras of dims 7-9, with and without deformation.
+
 A change that moves output on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says which bytes moved.
 """
@@ -18,9 +23,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from randersflag import RandersStructure, SearchFailure, flag_curvature, heisenberg5, sign_search
 from randersflag.cli import main
+from randersflag.curvature import _flag_curvatures
+from helpers import nilpotent_algebra, solvable_algebra, z_randers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +47,67 @@ RANDOM_PHASE_MODEL = {
         "x0": [0, 0, 0.3, 0, 0.4],
     }
 }
+
+
+#: Seeds of the ``sign_search`` certificates pinned per flag-kernel model.
+KERNEL_SEARCH_SEEDS = (0, 1, 7, 31, 2**40)
+
+
+def kernel_models() -> dict:
+    """Model name -> structure of the flag-kernel case, from fixed seeds."""
+    rng = np.random.default_rng(1604)
+
+    def deformed(algebra, norm):
+        x0 = rng.standard_normal(algebra.dim)
+        return RandersStructure(algebra, norm * x0 / np.linalg.norm(x0))
+
+    models = {
+        "heisenberg5-z": z_randers(2.0, 1.0, 0.5),
+        "heisenberg5-tilted": deformed(heisenberg5(3.0, 0.7), 0.6),
+        "heisenberg5-euclidean": deformed(heisenberg5(1.3, 1.1), 0.0),
+    }
+    for dim, build, norm in (
+        (7, nilpotent_algebra, 0.4), (7, solvable_algebra, 0.0),
+        (8, nilpotent_algebra, 0.0), (8, solvable_algebra, 0.7),
+        (9, nilpotent_algebra, 0.9), (9, solvable_algebra, 0.0),
+    ):
+        models[f"{build.__name__.split('_')[0]}{dim}-x0-{norm}"] = deformed(build(rng, dim), norm)
+    return models
+
+
+def _hex(*values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def flag_kernel_outputs() -> dict:
+    """Per model, ``k`` and ``denominator`` in ``float.hex`` of 12 generic
+    single flags, one degenerate single flag (x parallel to w), stacked
+    chunks of 8 and 64 flags, and ``sign_search`` certificates (samples
+    tried, then k and denominator of the positive and negative witness, or
+    the failure) at ``KERNEL_SEARCH_SEEDS``."""
+    outputs = {}
+    for name, structure in kernel_models().items():
+        rng = np.random.default_rng([1604, structure.dim])
+        flags = rng.standard_normal((12 + 8 + 64, 2, structure.dim))
+        singles = [flag_curvature(structure, w, x) for w, x in flags[:12]]
+        singles.append(flag_curvature(structure, flags[0, 0], 3.0 * flags[0, 0]))
+        entry = {"single": [_hex(r.k, r.denominator) for r in singles]}
+        for label, chunk in (("chunk8", flags[12:20]), ("chunk64", flags[20:])):
+            _, k, denominator, _ = _flag_curvatures(structure, chunk[:, 0], chunk[:, 1])
+            entry[label] = [_hex(*pair) for pair in zip(k, denominator)]
+        searches = []
+        for seed in KERNEL_SEARCH_SEEDS:
+            try:
+                c = sign_search(structure, seed)
+            except SearchFailure as exc:
+                searches.append(f"{seed} {exc}")
+                continue
+            positive, negative = c.positive_witness, c.negative_witness
+            values = _hex(positive.k, positive.denominator, negative.k, negative.denominator)
+            searches.append(f"{seed} {c.samples_tried} {values}")
+        entry["search"] = searches
+        outputs[name] = entry
+    return outputs
 
 
 def golden_cases() -> dict:
@@ -104,6 +174,11 @@ def test_random_phase_case_leaves_the_special_flags():
     assert document["samples_tried"] > 8
 
 
+def test_flag_kernel_bits_match_golden():
+    expected = json.loads((GOLDEN / "flag_kernel.json").read_text(encoding="utf-8"))
+    assert flag_kernel_outputs() == expected
+
+
 def regenerate(workdir: Path) -> None:
     """Rewrite every file under ``tests/golden/`` from the current build."""
     GOLDEN.mkdir(exist_ok=True)
@@ -117,6 +192,9 @@ def regenerate(workdir: Path) -> None:
             digests.append(f"{hashlib.sha256(written).hexdigest()}  {name}\n")
     (GOLDEN / "stdout.json").write_text(json.dumps(stdout, indent=2) + "\n", encoding="utf-8")
     (GOLDEN / "connection-tables.sha256").write_text("".join(digests), encoding="utf-8")
+    (GOLDEN / "flag_kernel.json").write_text(
+        json.dumps(flag_kernel_outputs(), indent=1) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":

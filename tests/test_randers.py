@@ -142,6 +142,19 @@ class TestOsculatingFrame:
         expected[0, 4] = expected[4, 0] = 0.5
         assert np.allclose(frame.gram, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_every_array_is_read_only(self, structure, rng, shape):
+        frame = structure.osculating_gram(rng.standard_normal(shape))
+        frame.cartan_tensor  # built on first read
+        held = [v if isinstance(v, tuple) else (v,) for v in vars(frame).values()]
+        arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
+        # w, gram, pole_covector, pole_pairing, both pole_brackets, the
+        # inverse, p_perp and the Cartan tensor
+        assert len(arrays) == 9
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
     def test_zero_deformation_gram_is_identity(self, rng):
         s = RandersStructure(heisenberg5(2.0, 1.0), np.zeros(5))
         for _ in range(10):
