@@ -10,7 +10,9 @@ self-checks).  Exit codes: 0 success, 1 tolerance or verdict failure,
 max(1, largest |closed form|), ``connection-tables`` when each cell's defect
 is at most ``CONNECTION_TOL`` times max(1, |direction| |argument| times the
 largest |coefficient| of the table at the cell's pole); the printed errors
-and defects are absolute.  ``connection-tables`` writes the
+and defects are absolute.  ``verify``'s table checks are bounded likewise,
+by their tolerance times max(1, largest |coefficient| of their tables), and
+print that bound as ``tolerance``.  ``connection-tables`` writes the
 text :func:`json.dumps` writes with ``indent=2`` (two spaces per level, one
 number per line, numbers spelled by ``repr``, non-finite ones as ``NaN``,
 ``Infinity``, ``-Infinity``), filled into fixed templates by
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -48,6 +51,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .connection import (
+    _basis_rows,
+    _table,
     almost_metric_defect,
     chern_rund_table,
     levi_civita_table,
@@ -83,6 +88,9 @@ CONNECTION_TOL = 1e-10
 # randomized pole sampling deterministic across runs.
 _REPORT_SEED = 0
 
+#: ``verify`` tolerances: absolute for the oracle checks, relative to
+#: max(1, largest |coefficient|) for the table checks (see
+#: :func:`run_verification`).
 _VERIFY_TOLS = {
     "osculating_fd": 1e-6,
     "cartan_fd": 1e-4,
@@ -109,7 +117,7 @@ def _parse_preset(data: dict) -> RandersStructure:
         lam = float(data["lambda"])
         mu = float(data["mu"])
         xi = float(data["xi"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"preset needs numeric 'lambda', 'mu', 'xi': {exc}") from exc
     return _preset_structure(lam, mu, xi)
 
@@ -124,6 +132,52 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _bracket_entry(entry, dim: int) -> tuple[int, int, int, float]:
+    """1-based ``(i, j, k, value)`` of one bracket entry; a malformed entry
+    raises its :class:`ConfigError`."""
+    try:
+        i, j, k = (_integer(entry[key], f"bracket index {key!r}") for key in "ijk")
+        value = float(entry["value"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed bracket entry {entry!r}: {exc}") from exc
+    if not all(1 <= idx <= dim for idx in (i, j, k)):
+        raise ConfigError(f"bracket indices must lie in 1..{dim}, got {entry!r}")
+    return i, j, k, value
+
+
+def _structure_constants(brackets: list, dim: int) -> np.ndarray:
+    """The (dim, dim, dim) structure constants the bracket entries set.
+
+    The entries are checked in one pass: an entry whose indices are ints in
+    1..dim and whose value converts to a float is read at once; any other
+    goes through :func:`_bracket_entry`, which reads it (integral float
+    indices, say) or raises.  Entry by entry, [e_i, e_j] is set and then [e_j, e_i], so a
+    later entry wins over an earlier one and over its counterpart; one
+    scatter of the last write to each coefficient does all the stores."""
+    rows = []
+    for entry in brackets:
+        try:
+            i, j, k, value = entry["i"], entry["j"], entry["k"], float(entry["value"])
+            plain = (
+                type(i) is type(j) is type(k) is int
+                and 0 < i <= dim
+                and 0 < j <= dim
+                and 0 < k <= dim
+            )
+        except (KeyError, TypeError, ValueError, OverflowError):
+            plain = False
+        rows.append((i, j, k, value) if plain else _bracket_entry(entry, dim))
+    table = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
+    i, j, k = table[:, :3].astype(np.intp).T - 1
+    # the writes in entry order: (i, j, k) = value, then (j, i, k) = -value
+    flat = np.stack([(i * dim + j) * dim + k, (j * dim + i) * dim + k], axis=1).ravel()
+    values = np.stack([table[:, 3], -table[:, 3]], axis=1).ravel()
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    constants = np.zeros((dim, dim, dim))
+    constants.flat[flat[last]] = values[last]
+    return constants
+
+
 def _parse_explicit(data: dict) -> RandersStructure:
     dim = _integer(data.get("dim"), "dim")
     if dim <= 0:
@@ -131,22 +185,12 @@ def _parse_explicit(data: dict) -> RandersStructure:
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise ConfigError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
-    constants = np.zeros((dim, dim, dim))
-    for entry in brackets:
-        try:
-            i, j, k = (_integer(entry[key], f"bracket index {key!r}") for key in "ijk")
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed bracket entry {entry!r}: {exc}") from exc
-        if not all(1 <= idx <= dim for idx in (i, j, k)):
-            raise ConfigError(f"bracket indices must lie in 1..{dim}, got {entry!r}")
-        constants[i - 1, j - 1, k - 1] = value
-        constants[j - 1, i - 1, k - 1] = -value
+    constants = _structure_constants(brackets, dim)
     if "x0" not in data:
         raise ConfigError("explicit model needs an 'x0' coordinate list")
     try:
         x0 = np.asarray(data["x0"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
     try:
         algebra = MetricLieAlgebra(constants)
@@ -392,10 +436,18 @@ TABLE_BLOCK_ENTRIES = 2**13
 
 def _tables(structure: RandersStructure, poles: np.ndarray):
     """Chern-Rund tables at the stacked ``poles``, one per block of at most
-    max(1, TABLE_BLOCK_ENTRIES // dim**3) poles."""
+    max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.
+
+    One frame over all the poles and its stage-1-2 rows (nabla_{e_i} w) are
+    built once; each block builds only its (poles, n, n, n) arrays (the
+    Cartan tensor, the Koszul right-hand side and gamma), from read-only
+    views of that frame."""
+    frame = structure.osculating_gram(poles)
+    rows = _basis_rows(frame)
     step = max(1, TABLE_BLOCK_ENTRIES // structure.dim**3)
     for start in range(0, len(poles), step):
-        yield chern_rund_table(structure.osculating_gram(poles[start : start + step]))
+        block = slice(start, start + step)
+        yield _table(frame._poles(block), rows[block])
 
 
 def run_verification(structure: RandersStructure) -> list[dict]:
@@ -407,7 +459,14 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     Each check is made over stacked samples: the oracles in one call each,
     the tables in blocks of poles (see :func:`_tables`).  The samples are
     drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
-    ``(5, dim)``, the same stream as drawing the vectors one at a time."""
+    ``(5, dim)``, the same stream as drawing the vectors one at a time.
+
+    A check passes when its ``max_defect`` is at most its ``tolerance``.
+    The oracle checks compare unit-scale quantities against the absolute
+    ``_VERIFY_TOLS``; the table checks carry round-off in proportion to the
+    coefficients, so their bound is ``_VERIFY_TOLS`` times max(1, largest
+    |coefficient| of the check's tables), and that bound is the printed
+    ``tolerance``."""
     rng = np.random.default_rng(_REPORT_SEED)
     dim = structure.dim
 
@@ -420,30 +479,33 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     )
     cartan = np.abs(structure.cartan(w, u, v, x) - structure.cartan_fd(w, u, v, x, 5e-3))
     defects = {"osculating_fd": float(osculating.max()), "cartan_fd": float(cartan.max())}
+    scales = {"osculating_fd": 1.0, "cartan_fd": 1.0}
 
-    worst_torsion = worst_metric = 0.0
+    worst_torsion = worst_metric = scale = 0.0
     for table in _tables(structure, units(25)):
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
+        scale = max(scale, float(np.abs(table.gamma).max()))
     defects["torsion"] = worst_torsion
     defects["almost_metric"] = worst_metric
+    scales["torsion"] = scales["almost_metric"] = max(1.0, scale)
 
     zero = RandersStructure(structure.algebra, np.zeros(dim))
     reference = levi_civita_table(structure.algebra)
-    worst_lc = 0.0
+    worst_lc = scale = 0.0
     for table in _tables(zero, units(5)):
         worst_lc = max(worst_lc, float(np.abs(table.gamma - reference.gamma).max()))
+        scale = max(scale, float(np.abs(table.gamma).max()))
     defects["levi_civita_x0_zero"] = worst_lc
+    scales["levi_civita_x0_zero"] = max(1.0, scale)
 
-    return [
-        {
-            "name": name,
-            "max_defect": value,
-            "tolerance": _VERIFY_TOLS[name],
-            "pass": value <= _VERIFY_TOLS[name],
-        }
-        for name, value in defects.items()
-    ]
+    checks = []
+    for name, value in defects.items():
+        bound = _VERIFY_TOLS[name] * scales[name]
+        checks.append(
+            {"name": name, "max_defect": value, "tolerance": bound, "pass": value <= bound}
+        )
+    return checks
 
 
 def cmd_verify(structure: RandersStructure) -> int:

@@ -19,12 +19,17 @@ stages 1-2 cost O(n^3) per flag, the price of contracting the structure
 constants with a few vectors.
 Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
 and serves the reference tables, the residual checks and the public table
-API.  It too takes a frame of one pole or of stacked poles, with the
-arithmetic of one pole for each, and :func:`torsion_defect` and
-:func:`almost_metric_defect` reduce over the poles of a stacked table.  A
-stacked table holds (poles, n, n, n) arrays, so callers bound their size by
-building tables over many poles in blocks (``verify`` does, see
-``cli.TABLE_BLOCK_ENTRIES``).
+API.  It is built from whole-matrix products of the frame's arrays: stage 2
+on the whole basis at once (:func:`_basis_rows`, shared with
+:func:`nabla_x_w_map`), then the Koszul right-hand side from two contiguous
+(..., n, n, n) arrays and the solve as one product with the inverse
+(:func:`_table`).  It too takes a frame of one pole or of stacked poles, and
+:func:`torsion_defect` and :func:`almost_metric_defect` reduce over the
+poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays, so
+callers bound their size by building tables over many poles in blocks:
+``verify`` builds one frame and its stage-2 rows over all its poles, then
+stage 3 per block of poles from views of that frame (see ``cli._tables``
+and ``cli.TABLE_BLOCK_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -100,12 +105,34 @@ def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
     Applying the map to the reference vector itself reproduces
     :func:`nabla_w_of_w`.
     """
-    return nabla_v_w(frame, nabla_w_of_w(frame), np.eye(frame.dim)).T
+    return _basis_rows(frame).mT
+
+
+def _basis_rows(frame: OsculatingFrame) -> np.ndarray:
+    """nabla_{e_i} w for every basis vector e_i, as rows [..., i, :].
+
+    Stage 2 of :func:`nabla_v_w` on the whole basis, as products of the
+    frame's arrays: the Gram matrix and the inverse are exactly symmetric,
+    so the bracket terms of all the rows are right @ gram - gram @ left^T
+    + pole_pairing^T, and solving all the rows is one product with the
+    inverse.  The Cartan covector C_w(nabla_w w, e_i, .) of every basis
+    vector is closed form: with u = nabla_w w, u_perp = u - <q, u> q and
+    P = I - q q^T, twice it is <p_perp, u> P + p_perp u_perp^T
+    + u_perp p_perp^T.
+    """
+    right, left = frame.pole_brackets
+    gram, q, p_perp = frame.gram, frame.w, frame._p_perp
+    nww = nabla_w_of_w(frame)
+    u_perp = nww - np.vecdot(q, nww)[..., None] * q
+    cross = p_perp[..., :, None] * u_perp[..., None, :]
+    cartan = np.vecdot(p_perp, nww)[..., None, None] * frame._projector() + cross + cross.mT
+    rhs = 0.5 * (right @ gram - gram @ left.mT + frame.pole_pairing.mT - cartan)
+    return rhs @ frame._inverse
 
 
 def _cartan_corrections(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
     """C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k], from the
-    frame's basis Cartan tensor."""
+    frame's basis Cartan tensor: one matrix product per pole."""
     cartan = frame.cartan_tensor
     dim = frame.dim
     flat = cartan.reshape(cartan.shape[:-3] + (dim, dim * dim))
@@ -117,31 +144,28 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     vector, via the staged Koszul solve (one solved vector per (i, j) pair).
 
     The frame holds one pole or poles stacked along leading axes; the table's
-    ``gamma`` then carries the same leading axes, and each pole's
-    coefficients are computed with the arithmetic of a one-pole table."""
+    ``gamma`` then carries the same leading axes."""
+    return _table(frame, _basis_rows(frame))
+
+
+def _table(frame: OsculatingFrame, rows: np.ndarray) -> ConnectionTable:
+    """Stage 3 of :func:`chern_rund_table`, given ``rows``, the stage-2 rows
+    nabla_{e_i} w of :func:`_basis_rows` at the frame's poles.
+
+    With pairings P[..., i, j, k] = <[e_i, e_j], e_k>_w and corrections
+    C[..., i, j, k] = C_w(nabla_{e_i} w, e_j, e_k), the Koszul right-hand
+    side is X - Y[j, k, i] + Y[k, i, j] with X = P / 2 - C and
+    Y = P / 2 + C, two contiguous arrays; every product is one matrix
+    product per pole, and the solve is one product with the (exactly
+    symmetric) inverse."""
     c = frame.structure.algebra.structure
-    dim = frame.dim
-    lead = frame.w.shape[:-1]
-    # the basis vectors ride on an axis of their own in front of the poles';
-    # row i of rows[..., i, :] is nabla_{e_i} w
-    eye = np.eye(dim).reshape((dim,) + (1,) * len(lead) + (dim,))
-    rows = np.moveaxis(nabla_v_w(frame, nabla_w_of_w(frame), eye), 0, -2)
-    # pairings[..., i, j, k] = <[e_i, e_j], e_k>_w and
-    # corrections[..., i, j, k] = C_w(nabla_{e_i} w, e_j, e_k); the other
-    # Koszul terms are the same arrays with (i, j, k) cycled
-    pairings = c @ frame.gram[..., None, :, :]
+    half = c @ (0.5 * frame.gram)[..., None, :, :]
     corrections = _cartan_corrections(frame, rows)
-    pairings_jki, pairings_kij = _cycled(pairings)
-    corrections_jki, corrections_kij = _cycled(corrections)
-    rhs = (
-        0.5 * (pairings - pairings_jki + pairings_kij)
-        - corrections
-        - corrections_jki
-        + corrections_kij
-    )
-    # frame.solve takes further axes in front of the poles': move (i, j) there
-    gamma = np.moveaxis(frame.solve(np.moveaxis(rhs, (-3, -2), (0, 1))), (0, 1), (-3, -2))
-    return ConnectionTable(frame=frame, gamma=gamma)
+    rhs = half - corrections
+    y_jki, y_kij = _cycled(np.add(half, corrections, out=half))
+    rhs -= y_jki
+    rhs += y_kij
+    return ConnectionTable(frame=frame, gamma=rhs @ frame._inverse[..., None, :, :])
 
 
 def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
@@ -164,7 +188,7 @@ def torsion_defect(table: ConnectionTable) -> float:
     <= 1e-10."""
     c = table.frame.structure.algebra.structure
     defect = table.gamma - np.swapaxes(table.gamma, -3, -2) - c
-    return float(np.sqrt((defect**2).sum(axis=-1)).max())
+    return float(np.sqrt(np.vecdot(defect, defect).max()))
 
 
 def almost_metric_defect(table: ConnectionTable) -> float:
@@ -182,4 +206,3 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     metric = gamma @ frame.gram[..., None, :, :]
     defect = metric + np.swapaxes(metric, -1, -2) + 2.0 * _cartan_corrections(frame, rows)
     return float(np.abs(defect).max())
-

@@ -216,8 +216,9 @@ def sign_search(
     first (in case order), then uniform random unit pole/transverse pairs.
     Returns the first witness of each sign exceeding the minimum margin;
     raises :class:`SearchFailure` when the sample budget runs out, which
-    signals a flat metric or insufficient sampling.  ``seed`` must be a
-    nonnegative integer (anything else raises :class:`ParameterError`), and
+    signals a flat metric or insufficient sampling.  ``max_samples`` must be a
+    positive integer and ``seed`` a nonnegative one (anything else raises
+    :class:`ParameterError`), and
     each such seed keeps its :func:`numpy.random.default_rng` stream, which
     is only made once the special flags are done.
 
@@ -229,6 +230,10 @@ def sign_search(
     scanned in candidate order, so the witnesses and ``samples_tried`` do not
     depend on the chunking.
     """
+    try:
+        max_samples = operator.index(max_samples)
+    except TypeError:
+        raise ParameterError(f"max_samples must be an integer, got {max_samples!r}") from None
     if max_samples < 1:
         raise ParameterError("max_samples must be positive")
     try:

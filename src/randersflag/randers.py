@@ -311,18 +311,39 @@ class OsculatingFrame:
     def dim(self) -> int:
         return self.structure.dim
 
+    def _poles(self, index) -> "OsculatingFrame":
+        """The frame at the poles ``w[index]`` of this stacked frame, for a
+        basic index (a slice, say) of its leading axes; it holds read-only
+        views of this frame's arrays, so only its ``cartan_tensor`` is new."""
+        frame = object.__new__(OsculatingFrame)
+        frame.structure = self.structure
+        frame.w = self.w[index]
+        frame.gram = self.gram[index]
+        frame.pole_covector = self.pole_covector[index]
+        frame.pole_pairing = self.pole_pairing[index]
+        frame.pole_brackets = tuple(bracket[index] for bracket in self.pole_brackets)
+        frame._p_perp = self._p_perp[index]
+        frame._inverse = self._inverse[index]
+        return frame
+
     @cached_property
     def cartan_tensor(self) -> np.ndarray:
         """Cartan tensor on basis triples, (..., n, n, n); built on first
         read.  The symmetrization of p_perp (x) (I - q q^T), see
-        :meth:`cartan_covector`."""
-        q = self.w
-        projector = _identity(self.dim) - q[..., :, None] * q[..., None, :]
-        t = self._p_perp[..., :, None, None] * projector[..., None, :, :]
+        :meth:`cartan_covector`: one broadcast product of p_perp / 2 with
+        I - q q^T, plus its two cyclic transposes."""
+        t = (0.5 * self._p_perp)[..., :, None, None] * self._projector()[..., None, :, :]
         t_jki, t_kij = _cycled(t)
-        tensor = 0.5 * (t + t_kij + t_jki)
+        tensor = t + t_kij
+        tensor += t_jki
         tensor.flags.writeable = False  # fresh, so frozen without a copy
         return tensor
+
+    def _projector(self) -> np.ndarray:
+        """I - q q^T, (..., n, n), for the table path; the flag path never
+        needs it, so the frame does not keep it."""
+        q = self.w
+        return _identity(self.dim) - q[..., :, None] * q[..., None, :]
 
     def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Coordinates of the covector C_w(u, v, .), in O(n) per vector.

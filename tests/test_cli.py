@@ -107,6 +107,69 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             model_config_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "brackets, message",
+        [
+            ([{"i": 1, "j": 2, "value": 1.0}],
+             "malformed bracket entry {'i': 1, 'j': 2, 'value': 1.0}: 'k'"),
+            ([{"i": 1.9, "j": 2, "k": 5, "value": 1.0}],
+             "malformed bracket entry {'i': 1.9, 'j': 2, 'k': 5, 'value': 1.0}: "
+             "bracket index 'i' must be an integer, got 1.9"),
+            ([{"i": True, "j": 2, "k": 5, "value": 1.0}],
+             "malformed bracket entry {'i': True, 'j': 2, 'k': 5, 'value': 1.0}: "
+             "bracket index 'i' must be an integer, got True"),
+            ([{"i": 1, "j": 2, "k": 5, "value": "x"}],
+             "malformed bracket entry {'i': 1, 'j': 2, 'k': 5, 'value': 'x'}: "
+             "could not convert string to float: 'x'"),
+            ([{"i": 1, "j": 2, "k": 5, "value": None}],
+             "malformed bracket entry {'i': 1, 'j': 2, 'k': 5, 'value': None}: "
+             "float() argument must be a string or a real number, not 'NoneType'"),
+            ([5], "malformed bracket entry 5: 'int' object is not subscriptable"),
+            ([{"i": 1, "j": 2, "k": 9, "value": 1.0}],
+             "bracket indices must lie in 1..5, got {'i': 1, 'j': 2, 'k': 9, 'value': 1.0}"),
+            # the first bad entry is the one reported
+            ([{"i": 1, "j": 2, "k": 0, "value": 1.0}, {"i": 1, "value": 1.0}],
+             "bracket indices must lie in 1..5, got {'i': 1, 'j': 2, 'k': 0, 'value': 1.0}"),
+            ([{"i": 1, "j": 2, "k": 5, "value": 1.0}, {"i": 1, "j": 2, "k": 6, "value": 1.0}],
+             "bracket indices must lie in 1..5, got {'i': 1, 'j': 2, 'k': 6, 'value': 1.0}"),
+        ],
+    )
+    def test_malformed_bracket_messages(self, brackets, message):
+        document = {"explicit": {"dim": 5, "brackets": brackets, "x0": [0, 0, 0, 0, 0]}}
+        with pytest.raises(ConfigError) as caught:
+            model_config_from_dict(document)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"explicit": {"dim": 5, "brackets": [{"i": 1, "j": 2, "k": 5, "value": 10**400}],
+                          "x0": [0, 0, 0, 0, 0]}},
+            {"explicit": {"dim": 2, "brackets": [], "x0": [10**400, 0]}},
+            {"preset": {"name": "heisenberg5", "lambda": 10**400, "mu": 1.0, "xi": 0.5}},
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_config_error(self, document):
+        # JSON can spell an integer no float holds
+        with pytest.raises(ConfigError, match="int too large to convert to float"):
+            model_config_from_dict(document)
+
+    def test_later_bracket_entry_wins(self):
+        # entry by entry, [e_i, e_j] is set and then [e_j, e_i]: a repeated
+        # entry and the counterpart of an earlier one both override it
+        def constants(*entries):
+            brackets = [dict(zip("ijk", e[:3]), value=e[3]) for e in entries]
+            document = {"explicit": {"dim": 5, "brackets": brackets, "x0": [0, 0, 0, 0, 0]}}
+            return model_config_from_dict(document).algebra.structure
+
+        c = constants((1, 2, 5, 1.0), (1, 2, 5, 2.0))
+        assert (c[0, 1, 4], c[1, 0, 4]) == (2.0, -2.0)
+        c = constants((1, 2, 5, 1.0), (2, 1, 5, 3.0))
+        assert (c[0, 1, 4], c[1, 0, 4]) == (-3.0, 3.0)
+        c = constants((2.0, 1, 5.0, 3.0), (3, 4, 5, 0.5), (2, 1, 5, -1.0))
+        assert (c[0, 1, 4], c[1, 0, 4], c[2, 3, 4], c[3, 2, 4]) == (1.0, -1.0, 0.5, -0.5)
+        assert np.count_nonzero(c) == 4
+
     def test_non_jacobi_brackets_rejected(self):
         # [e1, e2] = e3, [e1, e3] = e1 violates the Jacobi identity
         document = {
@@ -563,6 +626,49 @@ class TestVerify:
         config = write_config(tmp_path, EXPLICIT_HEISENBERG)
         code = main(["verify", "--config", config])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "params", [(2.03e4, 1.79e4, 6.8e-6), (1.46e5, 8.4e3, 1 - 1.6e-6)]
+    )
+    def test_large_presets_pass(self, tmp_path, capsys, params):
+        # well-computed tables whose absolute round-off is above 1e-10
+        lam, mu, xi = params
+        preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
+        code = main(["verify", "--config", write_config(tmp_path, preset)])
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert max(c["max_defect"] / c["tolerance"] for c in checks.values()) <= 1.0
+        assert checks["levi_civita_x0_zero"]["max_defect"] > 1e-12
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.5), (1.46e5, 8.4e3, 1 - 1.6e-6)])
+    def test_perturbed_table_fails(self, tmp_path, monkeypatch, capsys, params):
+        # one coefficient of every table moved by 1e-6 of the table's scale
+        def perturbed(frame, rows):
+            table = stage_three(frame, rows)
+            gamma = table.gamma.copy()
+            gamma[..., 0, 1, 2] += 1e-6 * max(1.0, np.abs(gamma).max())
+            return dataclasses.replace(table, gamma=gamma)
+
+        stage_three = cli._table
+        monkeypatch.setattr(cli, "_table", perturbed)
+        lam, mu, xi = params
+        preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
+        code = main(["verify", "--config", write_config(tmp_path, preset)])
+        assert code == EXIT_VERDICT
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failing = {c["name"] for c in checks if not c["pass"]}
+        assert {"torsion", "levi_civita_x0_zero"} <= failing
+        assert all((c["max_defect"] <= c["tolerance"]) == c["pass"] for c in checks)
+
+    def test_table_checks_print_scaled_tolerance(self, tmp_path, capsys):
+        code = main(["verify", "--config", write_config(tmp_path, PRESET)])
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["osculating_fd"]["tolerance"] == 1e-6
+        assert checks["cartan_fd"]["tolerance"] == 1e-4
+        # heisenberg5(2, 1) has coefficients above 1 at a generic pole
+        assert checks["torsion"]["tolerance"] > 1e-10
+        assert checks["torsion"]["tolerance"] == checks["almost_metric"]["tolerance"]
 
     def test_zero_xi_preset_rejected(self, tmp_path):
         config = write_config(

@@ -18,6 +18,7 @@ from randersflag import (
     torsion_defect,
     w_perp,
 )
+from randersflag.cli import _tables
 from randersflag.connection import nabla_v_w
 from randersflag.reference_tables import (
     pole_frame_cells,
@@ -235,6 +236,98 @@ class TestStackedTables:
         broken = ConnectionTable(table.frame, gamma)
         assert torsion_defect(broken) == pytest.approx(1e-6, rel=1e-6)
         assert almost_metric_defect(broken) >= 1e-7
+
+
+def koszul_reference(structure, pole):
+    """gamma[i, j, k] at one pole from the staged Koszul system, built
+    without the frame: the Gram matrix and the Cartan tensor of the basis
+    from the ``osculating_product`` and ``cartan`` oracles, each stage
+    solved with ``np.linalg.solve``."""
+    c = structure.algebra.structure
+    e = np.eye(structure.dim)
+    gram = structure.osculating_product(pole, e[:, None], e[None, :])
+    cartan = structure.cartan(pole, e[:, None, None], e[None, :, None], e[None, None, :])
+    w = pole / np.linalg.norm(pole)
+    pair = np.einsum("ijm,mk->ijk", c, gram)  # <[e_i, e_j], e_k>_w
+    # stage 1: <nabla_w w, e_k>_w = <[e_k, w], w>_w
+    nww = np.linalg.solve(gram, np.einsum("kij,i,j->k", pair, w, w))
+    # stage 2: <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
+    # + <[e_k, e_i], w>_w) / 2 - C(nabla_w w, e_k, e_i)
+    brackets = (
+        np.einsum("ijk,j->ik", pair, w)
+        - np.einsum("jki,j->ik", pair, w)
+        + np.einsum("kij,j->ik", pair, w)
+    )
+    rhs = 0.5 * brackets - np.einsum("a,aki->ik", nww, cartan)
+    rows = np.linalg.solve(gram, rhs.T).T
+    # stage 3: <nabla_{e_i} e_j, e_k>_w = (<[e_i, e_j], e_k>_w
+    # - <[e_j, e_k], e_i>_w + <[e_k, e_i], e_j>_w) / 2 - C(nabla_{e_i} w, e_j, e_k)
+    # - C(nabla_{e_j} w, e_k, e_i) + C(nabla_{e_k} w, e_i, e_j)
+    corrections = np.einsum("ia,ajk->ijk", rows, cartan)
+    rhs = (
+        0.5 * (pair - np.einsum("jki->ijk", pair) + np.einsum("kij->ijk", pair))
+        - corrections
+        - np.einsum("jki->ijk", corrections)
+        + np.einsum("kij->ijk", corrections)
+    )
+    n = structure.dim
+    return np.linalg.solve(gram, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
+
+
+class TestIndependentReference:
+    """chern_rund_table against :func:`koszul_reference`, which shares
+    neither the frame's closed-form inverse nor its Cartan tensor."""
+
+    @staticmethod
+    def structure(dim, norm):
+        rng = np.random.default_rng([dim, int(norm * 10)])
+        x0 = norm * unit(rng, dim)
+        return RandersStructure(nilpotent_algebra(rng, dim), x0), rng
+
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("dim", [5, 9, 16, 24])
+    def test_single_and_stacked_tables(self, dim, norm):
+        s, rng = self.structure(dim, norm)
+        poles = rng.standard_normal((3, dim))
+        if norm:
+            # a pole near -x0, where a = 1 + <x0, w> is smallest
+            poles[0] = -s.x0 / norm + 0.3 * unit(rng, dim)
+        stacked = chern_rund_table(s.osculating_gram(poles)).gamma
+        for pole, rows in zip(poles, stacked):
+            expected = koszul_reference(s, pole)
+            scale = np.abs(expected).max()
+            single = chern_rund_table(s.osculating_gram(pole)).gamma
+            assert np.abs(single - expected).max() <= 1e-13 * scale
+            assert np.abs(rows - expected).max() <= 1e-13 * scale
+
+    def test_heisenberg_presets(self, rng):
+        for _ in range(5):
+            lam, mu, xi = random_heisenberg_params(rng)
+            s = z_randers(lam, mu, xi)
+            pole = unit(rng)
+            expected = koszul_reference(s, pole)
+            gamma = chern_rund_table(s.osculating_gram(pole)).gamma
+            assert np.abs(gamma - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("norm", [0.0, 0.7])
+    @pytest.mark.parametrize("dim", [5, 12, 24])
+    def test_verify_blocks_equal_one_stacked_table(self, dim, norm):
+        s, rng = self.structure(dim, norm)
+        poles = rng.standard_normal((25, dim))
+        blocks = np.concatenate([table.gamma for table in _tables(s, poles)])
+        whole = chern_rund_table(s.osculating_gram(poles)).gamma
+        assert np.abs(blocks - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("norm", [0.0, 0.9])
+    @pytest.mark.parametrize("dim", [5, 9, 16])
+    def test_nabla_x_w_map_matches_stage_two(self, dim, norm):
+        s, rng = self.structure(dim, norm)
+        for pole in rng.standard_normal((4, dim)):
+            frame = s.osculating_gram(pole)
+            expected = nabla_v_w(frame, nabla_w_of_w(frame), np.eye(dim)).T
+            assert np.abs(nabla_x_w_map(frame) - expected).max() <= 1e-13 * max(
+                1.0, np.abs(expected).max()
+            )
 
 
 class TestLeviCivita:

@@ -239,6 +239,16 @@ class TestSignSearch:
         with pytest.raises(ParameterError, match="seed must be an integer"):
             sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
 
+    @pytest.mark.parametrize("max_samples", [2.5, None, "8"])
+    def test_non_integer_max_samples_rejected(self, max_samples):
+        with pytest.raises(ParameterError, match="max_samples must be an integer"):
+            sign_search(z_randers(2.0, 1.0, 0.5), seed=0, max_samples=max_samples)
+
+    @pytest.mark.parametrize("max_samples", [0, -1])
+    def test_nonpositive_max_samples_rejected(self, max_samples):
+        with pytest.raises(ParameterError, match="max_samples must be positive"):
+            sign_search(z_randers(2.0, 1.0, 0.5), seed=0, max_samples=max_samples)
+
     def test_special_flags_certificate_makes_no_generator(self, monkeypatch):
         # a dim-5 search that ends on the special flags draws no random chunk
         def no_generator(seed):

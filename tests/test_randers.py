@@ -155,6 +155,23 @@ class TestOsculatingFrame:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
+    def test_frame_at_some_poles_is_read_only_views(self, structure, rng):
+        frame = structure.osculating_gram(rng.standard_normal((6, 5)))
+        part = frame._poles(slice(2, 5))
+        assert np.array_equal(part.w, frame.w[2:5])
+        assert np.array_equal(part.cartan_tensor, frame.cartan_tensor[2:5])
+        held = [v if isinstance(v, tuple) else (v,) for v in vars(part).values()]
+        arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        # every array but the Cartan tensor, built on first read, is a view
+        for name in ("w", "gram", "pole_covector", "pole_pairing", "_p_perp", "_inverse"):
+            assert np.shares_memory(getattr(part, name), getattr(frame, name))
+        for own, parent in zip(part.pole_brackets, frame.pole_brackets):
+            assert np.shares_memory(own, parent)
+
     def test_zero_deformation_gram_is_identity(self, rng):
         s = RandersStructure(heisenberg5(2.0, 1.0), np.zeros(5))
         for _ in range(10):
