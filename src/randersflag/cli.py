@@ -59,7 +59,7 @@ from .connection import (
     torsion_defect,
 )
 from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
-from .errors import ConfigError, DimensionMismatch, GeometryError, ParameterError, SearchFailure
+from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra
 from .randers import RandersStructure, _unit_reference
 from .reference_tables import (
@@ -83,6 +83,11 @@ EXIT_IO = 3
 #: |coefficient| of the table at its pole.
 TABLE1_TOL = 1e-9
 CONNECTION_TOL = 1e-10
+
+#: Largest ``dim`` of an explicit model, a limit of the parser: the
+#: structure constants of dim n take n**3 floats (2 MB at 64), and the flag
+#: kernel O(n^3) and a connection table O(n^4) per pole.
+MAX_EXPLICIT_DIM = 64
 
 # table1/connection-tables expose no seed flag; a fixed seed keeps their
 # randomized pole sampling deterministic across runs.
@@ -179,23 +184,28 @@ def _structure_constants(brackets: list, dim: int) -> np.ndarray:
 
 
 def _parse_explicit(data: dict) -> RandersStructure:
+    """The model of an ``explicit`` section; ``dim`` and the length of
+    ``x0`` are checked before the (dim, dim, dim) structure constants are
+    allocated."""
     dim = _integer(data.get("dim"), "dim")
-    if dim <= 0:
-        raise ConfigError(f"dim must be positive, got {dim}")
-    brackets = data.get("brackets", [])
-    if not isinstance(brackets, list):
-        raise ConfigError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
-    constants = _structure_constants(brackets, dim)
+    if not 0 < dim <= MAX_EXPLICIT_DIM:
+        raise ConfigError(f"dim must lie in 1..{MAX_EXPLICIT_DIM}, got {dim}")
     if "x0" not in data:
         raise ConfigError("explicit model needs an 'x0' coordinate list")
     try:
         x0 = np.asarray(data["x0"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
+    if x0.shape != (dim,):
+        raise ConfigError(f"x0 must be a list of dim = {dim} numbers, got shape {x0.shape}")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ConfigError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
+    constants = _structure_constants(brackets, dim)
     try:
         algebra = MetricLieAlgebra(constants)
         structure = RandersStructure(algebra, x0)
-    except (ParameterError, DimensionMismatch) as exc:
+    except ParameterError as exc:
         raise ConfigError(f"invalid explicit model: {exc}") from exc
     report = algebra.validate()
     if not report.passed:
@@ -574,17 +584,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "table1":
-            return cmd_table1(args.lam, args.mu, args.xi, args.out)
-        if args.command == "connection-tables":
-            return cmd_connection_tables(args.lam, args.mu, args.xi, args.out)
-        if args.command == "flag":
-            return cmd_flag(load_model_config(args.config), args.w, args.x)
-        if args.command == "search":
-            return cmd_search(load_model_config(args.config), args.seed, args.max_samples)
-        if args.command == "verify":
-            return cmd_verify(load_model_config(args.config))
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # a model or flag whose arithmetic leaves double range (finite
+        # brackets near 1e150, say, whose curvatures overflow) raises here
+        # instead of warning and printing inf or NaN; the checks that expect
+        # such values (the Jacobi sum, the closed forms) set their own state
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "table1":
+                return cmd_table1(args.lam, args.mu, args.xi, args.out)
+            if args.command == "connection-tables":
+                return cmd_connection_tables(args.lam, args.mu, args.xi, args.out)
+            if args.command == "flag":
+                return cmd_flag(load_model_config(args.config), args.w, args.x)
+            if args.command == "search":
+                return cmd_search(load_model_config(args.config), args.seed, args.max_samples)
+            if args.command == "verify":
+                return cmd_verify(load_model_config(args.config))
+            raise AssertionError(f"unhandled command {args.command!r}")
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -593,6 +608,9 @@ def main(argv=None) -> int:
         return EXIT_VERDICT
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: the input leaves double range: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

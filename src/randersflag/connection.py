@@ -84,17 +84,18 @@ def nabla_v_w(frame: OsculatingFrame, nww: np.ndarray, vectors: np.ndarray) -> n
     stage-1 vector of :func:`nabla_w_of_w`, used in the single surviving
     Cartan correction (the other two carry a w slot).
     """
-    return _nabla_v_w(frame, nww, vectors, np.matvec(frame.gram, vectors))
+    gram_vectors = np.matvec(frame.gram, vectors)
+    return _nabla_v_w(frame, nww, vectors, gram_vectors, np.matvec(frame.pole_pairing, vectors))
 
 
-def _nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors) -> np.ndarray:
-    """:func:`nabla_v_w` given ``gram_vectors``, the products gram @ v of
+def _nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors, pairing_vectors) -> np.ndarray:
+    """:func:`nabla_v_w` given the products gram @ v and pole_pairing @ v of
     the vectors, which the flag path reads again."""
     right, left = frame.pole_brackets
     brackets = (
         np.matvec(frame.gram, np.vecmat(vectors, right))
         - np.matvec(left, gram_vectors)
-        + np.matvec(frame.pole_pairing, vectors)
+        + pairing_vectors
     )
     return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))
 

@@ -18,8 +18,9 @@ candidates in chunks, one stacked call per chunk, scanning the results in
 candidate order.  At dim 5 the cost of a flag is mostly numpy call
 overhead, so the path forms each Gram product once: the frame brings gram @ w
 and the bracket pairings with the pole from its construction, and
-:func:`_flag_numerator` forms gram @ (x, N w, [x, w]) once, for stage 2, the
-Koszul pairing and the quotient.  :func:`curvature_operator` and
+:func:`_flag_numerator` forms gram @ (x, N w, [x, w]) and
+pole_pairing @ (x, N w, [x, w]) once each, for stage 2, the Koszul pairing
+and the quotient.  :func:`curvature_operator` and
 :func:`flag_report` read a prebuilt table of one pole and are the reference
 the flag path is tested against.
 
@@ -45,6 +46,7 @@ from .randers import (
     OsculatingFrame,
     RandersStructure,
     _frozen,
+    _normalized,
     _unit_reference,
 )
 from .reference_tables import CANONICAL_FLAGS
@@ -58,7 +60,14 @@ WITNESS_MIN_CURVATURE = 1e-8
 
 #: Sizes of the successive chunks of random candidates that
 #: :func:`sign_search` evaluates in one stacked call each; the last repeats.
-SEARCH_CHUNKS = (8, 16, 32, 64)
+#: At dim 5 most of a stacked call's cost is fixed numpy call overhead, so a
+#: 512-sample budget takes 8 calls where chunks ending at 64 took 11.  The
+#: schedule stops at 128: the cost per flag at dim 5 no longer falls past it
+#: (min of timeit, one BLAS thread, 2-vCPU Xeon: 6.2 us at 64, 4.9 us at 128,
+#: 6.2 us at 256), while a chunk's memory grows with it (the tracemalloc peak
+#: of a failing 512-sample search at dim 40 is 21.7 MB with 128, 10.9 MB with
+#: 64).
+SEARCH_CHUNKS = (8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +153,11 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     a = nabla_w_of_w(frame)
     xw = np.vecmat(x, right)  # [x, w]
     vectors = np.array((x, a, xw))
-    # stage 2 and the pairings below read gram @ x: formed once, here
+    # stage 2 and the pairings below read gram @ x and pole_pairing @ x:
+    # formed once, here, as row 0 of the stage-2 products
     gram_vectors = np.matvec(gram, vectors)
-    nx, na, nxw = _nabla_v_w(frame, a, vectors, gram_vectors)
+    pairing_vectors = np.matvec(frame.pole_pairing, vectors)
+    nx, na, nxw = _nabla_v_w(frame, a, vectors, gram_vectors, pairing_vectors)
     gx = gram_vectors[0]
     pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
     cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)))
@@ -157,7 +168,7 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     # w slot
     brackets = (
         np.vecdot(q, np.matvec(pairs_x, nx))
-        - np.vecdot(nx, np.matvec(frame.pole_pairing, x))
+        - np.vecdot(nx, pairing_vectors[0])
         + np.vecdot(xw, np.matvec(gram, nx))
     )
     along_w = 0.5 * brackets - np.vecdot(cartan_xb, a)
@@ -229,6 +240,13 @@ def sign_search(
     then the transverse vector of each pair in turn, and its results are
     scanned in candidate order, so the witnesses and ``samples_tried`` do not
     depend on the chunking.
+
+    A random pole is normalized three times, and the certificates printed
+    by ``search`` are pinned to that sequence, since each division can move
+    the last bit.  The first, when the pair is drawn, checks both vectors
+    (finite, not numerically zero); the second, here, only divides; the
+    third, in the frame, checks the pole again.  The special flags are
+    constants and skip the first.
     """
     try:
         max_samples = operator.index(max_samples)
@@ -249,12 +267,10 @@ def sign_search(
     while tried < max_samples:
         pairs = CANONICAL_FLAGS if tried == 0 and dim == 5 else next(chunks)
         pairs = pairs[: max_samples - tried]
-        x = pairs[:, 1]
-        # the unit pole is normalized once more before the frame normalizes
-        # it; every normalization can move the last bit, and the witnesses
-        # printed by `search` are pinned to this sequence
+        w, x = pairs[:, 0], pairs[:, 1]
+        # the second of the pole's three normalizations (see above)
         frame, k, denominator, degenerate = _flag_curvatures(
-            structure, _unit_reference(pairs[:, 0], dim), x
+            structure, _normalized(w, np.vecdot(w, w)), x
         )
         signs = (("positive", k > WITNESS_MIN_CURVATURE), ("negative", k < -WITNESS_MIN_CURVATURE))
         for sign, hits in signs:

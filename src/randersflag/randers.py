@@ -45,11 +45,20 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def _unit_reference(w, dim: int) -> np.ndarray:
-    """w / |w| for a pole, or for poles stacked along leading axes."""
+    """w / |w| for a pole, or for poles stacked along leading axes, after
+    checking that each is a finite vector of length dim and not numerically
+    zero."""
     w = _as_vector(w, dim, stacked=True)
     squares = np.vecdot(w, w)
     if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
         raise DegenerateReferenceVector("reference vector is numerically zero")
+    return _normalized(w, squares)
+
+
+def _normalized(w: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """w / |w| along the last axis, given ``squares`` = <w, w>, unchecked:
+    the arithmetic of :func:`_unit_reference` for float vectors already
+    known to be valid."""
     # the square root of the exact dot keeps normalization exact under
     # scaling by powers of two, which the homogeneity contract relies on
     return w / np.sqrt(squares)[..., None]

@@ -48,6 +48,19 @@ def nilpotent_algebra(rng, dim):
     return MetricLieAlgebra(c)
 
 
+def hyperbolic_plus_heisenberg():
+    """Real hyperbolic 5-space times a scaled Heisenberg 3-algebra, without
+    deformation: most flags are negatively curved, so positive witnesses
+    come late or not at all and a search runs across several chunks."""
+    from randersflag import MetricLieAlgebra
+
+    c = np.zeros((8, 8, 8))
+    c[0, 1:5, 1:5] = np.eye(4)
+    c[1:5, 0, 1:5] = -np.eye(4)
+    c[5, 6, 7], c[6, 5, 7] = 0.5, -0.5
+    return RandersStructure(MetricLieAlgebra(c), np.zeros(8))
+
+
 def solvable_algebra(rng, dim):
     """Random rank-one solvable algebra: [e1, e_j] = D e_j for a random
     derivation D of the abelian ideal spanned by e2..e_dim."""

@@ -27,6 +27,7 @@ from randersflag.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    MAX_EXPLICIT_DIM,
     TABLE_BLOCK_ENTRIES,
     _tables,
     build_parser,
@@ -152,6 +153,28 @@ class TestModelConfig:
     def test_integer_too_large_for_a_float_is_config_error(self, document):
         # JSON can spell an integer no float holds
         with pytest.raises(ConfigError, match="int too large to convert to float"):
+            model_config_from_dict(document)
+
+    @pytest.mark.parametrize("dim", [0, -1, MAX_EXPLICIT_DIM + 1, 300, 10**400])
+    def test_dim_outside_its_range_is_usage_error(self, tmp_path, capsys, dim):
+        # rejected before the dim**3 structure constants are allocated; 10**400
+        # once overflowed building them, and 300 allocated 216 MB
+        document = {"explicit": {"dim": dim, "brackets": [], "x0": [0, 0, 0]}}
+        config = write_config(tmp_path, document)
+        assert main(["flag", "--config", config, "--w=1,0,0", "--x=0,1,0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: dim must lie in 1..{MAX_EXPLICIT_DIM}, got {dim}\n"
+        )
+
+    @pytest.mark.parametrize("x0", [[0, 0, 0], [[0] * 40], [0] * 41, 0.5])
+    def test_x0_shape_checked_before_the_structure_constants(self, monkeypatch, x0):
+        def forbidden(*args):
+            raise AssertionError("structure constants built before the x0 check")
+
+        monkeypatch.setattr(cli, "_structure_constants", forbidden)
+        document = {"explicit": {"dim": 40, "brackets": [], "x0": x0}}
+        with pytest.raises(ConfigError, match="x0 must be a list of dim = 40 numbers"):
             model_config_from_dict(document)
 
     def test_later_bracket_entry_wins(self):
@@ -560,6 +583,21 @@ class TestFlag:
         code = main(["flag", "--config", config, "--w", "1,0", "--x", "0,1"])
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flag", "search", "verify"])
+    def test_overflowing_kernel_is_usage_error(self, tmp_path, capsys, command):
+        # [e1, e2] = 1e200 e3 passes the Jacobi check, but its curvatures
+        # (~1e400) overflow a double: one stderr line and no numpy warning
+        # (the suite turns warnings into errors)
+        brackets = [{"i": 1, "j": 2, "k": 3, "value": 1e200}]
+        document = {"explicit": {"dim": 3, "brackets": brackets, "x0": [0, 0.5, 0]}}
+        config = write_config(tmp_path, document)
+        options = {"flag": ["--w=1,0.2,0.3", "--x=0.1,1,0.2"], "search": ["--seed", "0"], "verify": []}
+        assert main([command, "--config", config, *options[command]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the input leaves double range: overflow")
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code = main(["flag", "--config", str(tmp_path / "nope.json"),

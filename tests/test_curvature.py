@@ -35,6 +35,7 @@ from randersflag.curvature import (
 )
 from helpers import (
     abelian_structure,
+    hyperbolic_plus_heisenberg,
     nilpotent_algebra,
     random_heisenberg_params,
     solvable_algebra,
@@ -402,17 +403,6 @@ class _SequentialSearch:
         raise SearchFailure(f"{missing} within {max_samples} samples")
 
 
-def _hyperbolic_plus_heisenberg():
-    """Real hyperbolic 5-space times a scaled Heisenberg 3-algebra: most
-    flags are negatively curved, so positive witnesses come late or not at
-    all and the search runs across several chunks."""
-    c = np.zeros((8, 8, 8))
-    c[0, 1:5, 1:5] = np.eye(4)
-    c[1:5, 0, 1:5] = -np.eye(4)
-    c[5, 6, 7], c[6, 5, 7] = 0.5, -0.5
-    return RandersStructure(MetricLieAlgebra(c), np.zeros(8))
-
-
 def _search_models():
     rng = np.random.default_rng(404)
     solvable_x0 = unit(rng, 9) * 0.6
@@ -424,7 +414,7 @@ def _search_models():
         "nilpotent8": RandersStructure(nilpotent_algebra(rng, 8), np.zeros(8)),
         "nilpotent9": RandersStructure(nilpotent_algebra(rng, 9), np.zeros(9)),
         "solvable9-deformed": RandersStructure(solvable_algebra(rng, 9), solvable_x0),
-        "hyperbolic5+heisenberg3": _hyperbolic_plus_heisenberg(),
+        "hyperbolic5+heisenberg3": hyperbolic_plus_heisenberg(),
         "flat5": abelian_structure(),
     }
 
@@ -439,9 +429,13 @@ class TestChunkedSearch:
     @pytest.mark.parametrize("name", list(SEARCH_MODELS))
     def test_matches_sequential_search(self, name):
         structure = SEARCH_MODELS[name]
+        # budgets on both sides of the chunk edges: the random chunks of 8,
+        # 16, 32, 64 and then 128 end at samples 8, 24, 56, 120, 248, 376 and
+        # 504, shifted by the eight special flags on dim 5
+        edges = (128, 129, 256, 257) if structure.dim == 5 else (120, 121, 248, 249, 376, 377)
         for seed in range(20):
             sequential = _SequentialSearch(structure, seed)
-            for max_samples in (1, 7, 8, 9, 63, 64, 65, 512):
+            for max_samples in (1, 7, 8, 9, 63, 64, 65, *edges, 512):
                 try:
                     expected = sequential.run(max_samples)
                 except SearchFailure as failure:
@@ -456,6 +450,24 @@ class TestChunkedSearch:
                     assert np.array_equal(a.w, b.w)
                     assert np.array_equal(a.x, b.x)
                     assert a.k == pytest.approx(b.k, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["heisenberg5-2-1-0.5", "nilpotent9", "solvable9-deformed", "hyperbolic5+heisenberg3"]
+    )
+    def test_stack_of_128_matches_smaller_stacks(self, name):
+        # the largest chunk of sign_search gives the bits of the smaller ones
+        structure = SEARCH_MODELS[name]
+        w, x = np.random.default_rng(128).standard_normal((2, 128, structure.dim))
+        _, k, denominator, degenerate = _flag_curvatures(structure, w, x)
+        for size in (8, 64):
+            for start in range(0, 128, size):
+                rows = slice(start, start + size)
+                _, k_rows, denominator_rows, degenerate_rows = _flag_curvatures(
+                    structure, w[rows], x[rows]
+                )
+                assert np.array_equal(k_rows, k[rows], equal_nan=True)
+                assert np.array_equal(denominator_rows, denominator[rows])
+                assert np.array_equal(degenerate_rows, degenerate[rows])
 
     @pytest.mark.parametrize("name", ["heisenberg5-2-1-0.5", "nilpotent9", "solvable9-deformed"])
     def test_stacked_rows_match_single_flags(self, name):

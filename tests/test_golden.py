@@ -8,9 +8,11 @@ witnesses come from the random phase after the eight special flags.  The
 output path in a ``wrote <path>`` line is replaced by ``<out>``.
 
 ``flag_kernel.json`` pins the flag kernel itself, bit for bit: ``float.hex``
-of ``k`` and ``denominator`` for single flags, for stacked chunks of 8 and 64
-flags and for ``sign_search`` certificates, on heisenberg5 and on random
-nilpotent and solvable algebras of dims 7-9, with and without deformation.
+of ``k`` and ``denominator`` for single flags, for stacked chunks of 8, 64
+and 128 flags and for ``sign_search`` certificates, on heisenberg5 and on
+random nilpotent and solvable algebras of dims 7-9, with and without
+deformation, plus certificates on a model whose positive witnesses come only
+after sample 120, from the random chunks of 128.
 
 A change that moves output on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says which bytes moved.
@@ -29,7 +31,7 @@ import pytest
 from randersflag import RandersStructure, SearchFailure, flag_curvature, heisenberg5, sign_search
 from randersflag.cli import main
 from randersflag.curvature import _flag_curvatures
-from helpers import nilpotent_algebra, solvable_algebra, z_randers
+from helpers import hyperbolic_plus_heisenberg, nilpotent_algebra, solvable_algebra, z_randers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +53,10 @@ RANDOM_PHASE_MODEL = {
 
 #: Seeds of the ``sign_search`` certificates pinned per flag-kernel model.
 KERNEL_SEARCH_SEEDS = (0, 1, 7, 31, 2**40)
+
+#: Seeds at which :func:`hyperbolic_plus_heisenberg` finds its positive
+#: witness after sample 120: at samples 416 and 121.
+LATE_WITNESS_SEEDS = (5, 53)
 
 
 def kernel_models() -> dict:
@@ -79,34 +85,48 @@ def _hex(*values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
+def _searches(structure, seeds) -> list[str]:
+    """``sign_search`` certificates at ``seeds``: samples tried, then k and
+    denominator of the positive and negative witness, or the failure."""
+    searches = []
+    for seed in seeds:
+        try:
+            c = sign_search(structure, seed)
+        except SearchFailure as exc:
+            searches.append(f"{seed} {exc}")
+            continue
+        positive, negative = c.positive_witness, c.negative_witness
+        values = _hex(positive.k, positive.denominator, negative.k, negative.denominator)
+        searches.append(f"{seed} {c.samples_tried} {values}")
+    return searches
+
+
 def flag_kernel_outputs() -> dict:
     """Per model, ``k`` and ``denominator`` in ``float.hex`` of 12 generic
     single flags, one degenerate single flag (x parallel to w), stacked
-    chunks of 8 and 64 flags, and ``sign_search`` certificates (samples
-    tried, then k and denominator of the positive and negative witness, or
-    the failure) at ``KERNEL_SEARCH_SEEDS``."""
+    chunks of 8, 64 and 128 flags, and the certificates of
+    ``KERNEL_SEARCH_SEEDS``; then the certificates of ``LATE_WITNESS_SEEDS``
+    on :func:`hyperbolic_plus_heisenberg`.  The 128-flag chunk has a
+    generator of its own, so the other entries keep their draws."""
     outputs = {}
     for name, structure in kernel_models().items():
         rng = np.random.default_rng([1604, structure.dim])
         flags = rng.standard_normal((12 + 8 + 64, 2, structure.dim))
+        chunk128 = np.random.default_rng([1604, structure.dim, 128]).standard_normal(
+            (128, 2, structure.dim)
+        )
         singles = [flag_curvature(structure, w, x) for w, x in flags[:12]]
         singles.append(flag_curvature(structure, flags[0, 0], 3.0 * flags[0, 0]))
         entry = {"single": [_hex(r.k, r.denominator) for r in singles]}
-        for label, chunk in (("chunk8", flags[12:20]), ("chunk64", flags[20:])):
+        chunks = (("chunk8", flags[12:20]), ("chunk64", flags[20:]), ("chunk128", chunk128))
+        for label, chunk in chunks:
             _, k, denominator, _ = _flag_curvatures(structure, chunk[:, 0], chunk[:, 1])
             entry[label] = [_hex(*pair) for pair in zip(k, denominator)]
-        searches = []
-        for seed in KERNEL_SEARCH_SEEDS:
-            try:
-                c = sign_search(structure, seed)
-            except SearchFailure as exc:
-                searches.append(f"{seed} {exc}")
-                continue
-            positive, negative = c.positive_witness, c.negative_witness
-            values = _hex(positive.k, positive.denominator, negative.k, negative.denominator)
-            searches.append(f"{seed} {c.samples_tried} {values}")
-        entry["search"] = searches
+        entry["search"] = _searches(structure, KERNEL_SEARCH_SEEDS)
         outputs[name] = entry
+    outputs["hyperbolic5+heisenberg3"] = {
+        "search": _searches(hyperbolic_plus_heisenberg(), LATE_WITNESS_SEEDS)
+    }
     return outputs
 
 
@@ -172,6 +192,12 @@ def test_cli_output_matches_golden(tmp_path, name):
 def test_random_phase_case_leaves_the_special_flags():
     document = json.loads(_expected_stdout()["search-random-phase"]["stdout"])
     assert document["samples_tried"] > 8
+
+
+def test_late_witnesses_come_from_the_random_chunks_of_128():
+    expected = json.loads((GOLDEN / "flag_kernel.json").read_text(encoding="utf-8"))
+    for certificate in expected["hyperbolic5+heisenberg3"]["search"]:
+        assert int(certificate.split()[1]) > 120
 
 
 def test_flag_kernel_bits_match_golden():
