@@ -31,10 +31,14 @@ JSON document with exactly one of::
 Indices in config files are 1-based (e_1..e_n); each bracket entry sets
 [e_i, e_j] and implies the antisymmetric counterpart.  The preset encodes the
 deformation x0 = xi * Z with 0 < xi < 1; for the plain Euclidean case use an
-explicit model with x0 = 0.  A config parses straight to a
+explicit model with x0 = 0.  Config numbers follow one rule: the preset
+parameters, the bracket values and the entries of x0 are JSON numbers, an
+int or a float (``true``, ``"1.5"`` and ``null`` are refused), and ``dim``
+and the bracket indices are JSON integers (``5.0`` passes, ``5.7`` does
+not).  A config parses straight to a
 :class:`RandersStructure`; the library's own checks (finite structure
 constants, x0 of length dim, finite, of norm < 1) surface as
-:class:`ConfigError`, as do malformed JSON, non-integral dims and indices,
+:class:`ConfigError`, as do malformed JSON, numbers that break the rule,
 out-of-range indices and structure constants that fail the Jacobi identity.
 """
 
@@ -43,7 +47,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -114,15 +117,24 @@ def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
         raise ConfigError(f"invalid preset: {exc}") from exc
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float: an int or a float, never a boolean, a string
+    or null; an int too large for a float raises too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{what} must fit a float: {exc}") from exc
+
+
 def _parse_preset(data: dict) -> RandersStructure:
     name = data.get("name")
     if name != "heisenberg5":
         raise ConfigError(f"unknown preset name {name!r} (expected 'heisenberg5')")
     try:
-        lam = float(data["lambda"])
-        mu = float(data["mu"])
-        xi = float(data["xi"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        lam, mu, xi = (_number(data[key], f"preset {key!r}") for key in ("lambda", "mu", "xi"))
+    except KeyError as exc:
         raise ConfigError(f"preset needs numeric 'lambda', 'mu', 'xi': {exc}") from exc
     return _preset_structure(lam, mu, xi)
 
@@ -138,66 +150,44 @@ def _integer(value, what: str) -> int:
 
 
 def _bracket_entry(entry, dim: int) -> tuple[int, int, int, float]:
-    """1-based ``(i, j, k, value)`` of one bracket entry; a malformed entry
-    raises its :class:`ConfigError`."""
+    """0-based ``(i, j, k)`` and the value of one bracket entry; a malformed
+    entry raises its :class:`ConfigError`."""
     try:
-        i, j, k = (_integer(entry[key], f"bracket index {key!r}") for key in "ijk")
-        value = float(entry["value"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        i = _integer(entry["i"], "bracket index 'i'")
+        j = _integer(entry["j"], "bracket index 'j'")
+        k = _integer(entry["k"], "bracket index 'k'")
+        value = _number(entry["value"], "bracket value")
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"malformed bracket entry {entry!r}: {exc}") from exc
-    if not all(1 <= idx <= dim for idx in (i, j, k)):
+    if not (0 < i <= dim and 0 < j <= dim and 0 < k <= dim):
         raise ConfigError(f"bracket indices must lie in 1..{dim}, got {entry!r}")
-    return i, j, k, value
+    return i - 1, j - 1, k - 1, value
 
 
 def _structure_constants(brackets: list, dim: int) -> np.ndarray:
     """The (dim, dim, dim) structure constants the bracket entries set.
-
-    The entries are checked in one pass: an entry whose indices are ints in
-    1..dim and whose value converts to a float is read at once; any other
-    goes through :func:`_bracket_entry`, which reads it (integral float
-    indices, say) or raises.  Entry by entry, [e_i, e_j] is set and then [e_j, e_i], so a
-    later entry wins over an earlier one and over its counterpart; one
-    scatter of the last write to each coefficient does all the stores."""
-    rows = []
-    for entry in brackets:
-        try:
-            i, j, k, value = entry["i"], entry["j"], entry["k"], float(entry["value"])
-            plain = (
-                type(i) is type(j) is type(k) is int
-                and 0 < i <= dim
-                and 0 < j <= dim
-                and 0 < k <= dim
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            plain = False
-        rows.append((i, j, k, value) if plain else _bracket_entry(entry, dim))
-    table = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
-    i, j, k = table[:, :3].astype(np.intp).T - 1
-    # the writes in entry order: (i, j, k) = value, then (j, i, k) = -value
-    flat = np.stack([(i * dim + j) * dim + k, (j * dim + i) * dim + k], axis=1).ravel()
-    values = np.stack([table[:, 3], -table[:, 3]], axis=1).ravel()
-    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    Entry by entry, [e_i, e_j] is set and then [e_j, e_i], so a later entry
+    wins over an earlier one and over its counterpart."""
     constants = np.zeros((dim, dim, dim))
-    constants.flat[flat[last]] = values[last]
+    for entry in brackets:
+        i, j, k, value = _bracket_entry(entry, dim)
+        constants[i, j, k] = value
+        constants[j, i, k] = -value
     return constants
 
 
 def _parse_explicit(data: dict) -> RandersStructure:
-    """The model of an ``explicit`` section; ``dim`` and the length of
-    ``x0`` are checked before the (dim, dim, dim) structure constants are
-    allocated."""
+    """The model of an ``explicit`` section; ``dim`` and ``x0`` are checked
+    before the (dim, dim, dim) structure constants are allocated."""
     dim = _integer(data.get("dim"), "dim")
     if not 0 < dim <= MAX_EXPLICIT_DIM:
         raise ConfigError(f"dim must lie in 1..{MAX_EXPLICIT_DIM}, got {dim}")
     if "x0" not in data:
         raise ConfigError("explicit model needs an 'x0' coordinate list")
-    try:
-        x0 = np.asarray(data["x0"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"x0 must be a list of numbers: {exc}") from exc
-    if x0.shape != (dim,):
-        raise ConfigError(f"x0 must be a list of dim = {dim} numbers, got shape {x0.shape}")
+    x0 = data["x0"]
+    if not isinstance(x0, list) or len(x0) != dim:
+        raise ConfigError(f"x0 must be a list of dim = {dim} numbers, got {x0!r}")
+    x0 = np.array([_number(value, "x0 entry") for value in x0])
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise ConfigError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
@@ -373,16 +363,15 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     structure = _preset_structure(lam, mu, xi)
     rng = np.random.default_rng(_REPORT_SEED)
     reference = reference_blocks(lam, mu, xi, rng)
-    # one table over the distinct poles (two blocks share theirs), in the
-    # order of first use, and every cell's nabla_direction argument in one
-    # contraction, summed over j and then over i as
-    # ConnectionTable.derivative does
-    block_poles = [pole for pole, _ in reference.values()]
-    distinct = {pole.tobytes(): pole for pole in block_poles}
-    slot = {key: i for i, key in enumerate(distinct)}
-    gamma = chern_rund_table(structure.osculating_gram(np.array(list(distinct.values())))).gamma
-    pole_of_block = [slot[pole.tobytes()] for pole in block_poles]
-    pole_of_cell = np.repeat(pole_of_block, [len(block) for _, block in reference.values()])
+    # one table stacked over the block poles, and every cell's
+    # nabla_direction argument in one contraction, summed over j and then
+    # over i as ConnectionTable.derivative does
+    gamma = chern_rund_table(
+        structure.osculating_gram(np.array([pole for pole, _ in reference.values()]))
+    ).gamma
+    pole_of_cell = np.repeat(
+        np.arange(len(reference)), [len(block) for _, block in reference.values()]
+    )
     cells = [cell for _, block in reference.values() for cell in block]
     directions = np.array([cell.direction for cell in cells])
     arguments = np.array([cell.argument for cell in cells])

@@ -1,9 +1,21 @@
 """Shared sampling helpers for the test suite."""
 
+import os
+
 import numpy as np
 
+import randersflag
 # z_randers is imported here for the tests that take their samplers from helpers
 from randersflag import RandersStructure, z_randers
+
+
+def package_env() -> dict:
+    """The environment for a child interpreter that imports the randersflag
+    under test: its source root goes first on PYTHONPATH, so a run from a
+    checkout needs no install."""
+    src = os.path.dirname(os.path.dirname(randersflag.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def unit(rng, dim=5):

@@ -32,7 +32,7 @@ from randersflag.reference_tables import (
     pole_rows_cells,
     pole_z_cells,
 )
-from helpers import random_heisenberg_params, unit, unit_in_plane, z_randers
+from helpers import package_env, random_heisenberg_params, unit, unit_in_plane, z_randers
 
 E = np.eye(5)
 Z = E[4]
@@ -199,8 +199,8 @@ def test_criterion_8_search_determinism(tmp_path):
     )
     command = [sys.executable, "-m", "randersflag", "search",
                "--config", str(config), "--seed", "7"]
-    first = subprocess.run(command, capture_output=True)
-    second = subprocess.run(command, capture_output=True)
+    first = subprocess.run(command, capture_output=True, env=package_env())
+    second = subprocess.run(command, capture_output=True, env=package_env())
     ok = (
         first.returncode == 0
         and second.returncode == 0

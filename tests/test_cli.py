@@ -5,14 +5,12 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import randersflag
 from randersflag import (
     ConfigError,
     RandersStructure,
@@ -38,7 +36,7 @@ from randersflag.cli import (
     run_verification,
 )
 from randersflag.reference_tables import TableCell, reference_blocks, special_flag_closed_form
-from helpers import nilpotent_algebra, unit, z_randers
+from helpers import nilpotent_algebra, package_env, unit, z_randers
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
 EXPLICIT_HEISENBERG = {
@@ -102,6 +100,17 @@ class TestModelConfig:
             {"explicit": {"dim": True, "brackets": [], "x0": [0]}},
             {"explicit": {"dim": 5, "brackets": [{"i": 1.9, "j": 2, "k": 5, "value": 1.0}], "x0": [0, 0, 0, 0, 0]}},
             {"explicit": {"dim": 5, "brackets": [{"i": True, "j": 2, "k": 5, "value": 1.0}], "x0": [0, 0, 0, 0, 0]}},
+            # config numbers are JSON numbers: no strings, booleans or null
+            *(
+                document
+                for junk in ("1.5", True, None)
+                for document in (
+                    {"preset": {"name": "heisenberg5", "lambda": junk, "mu": 1.0, "xi": 0.5}},
+                    {"explicit": {"dim": 5, "brackets": [{"i": 1, "j": 2, "k": 5, "value": junk}],
+                                  "x0": [0, 0, 0, 0, 0]}},
+                    {"explicit": {"dim": 5, "brackets": [], "x0": [0, 0, junk, 0, 0]}},
+                )
+            ),
         ],
     )
     def test_invalid_configs_rejected(self, document):
@@ -121,10 +130,10 @@ class TestModelConfig:
              "bracket index 'i' must be an integer, got True"),
             ([{"i": 1, "j": 2, "k": 5, "value": "x"}],
              "malformed bracket entry {'i': 1, 'j': 2, 'k': 5, 'value': 'x'}: "
-             "could not convert string to float: 'x'"),
+             "bracket value must be a number, got 'x'"),
             ([{"i": 1, "j": 2, "k": 5, "value": None}],
              "malformed bracket entry {'i': 1, 'j': 2, 'k': 5, 'value': None}: "
-             "float() argument must be a string or a real number, not 'NoneType'"),
+             "bracket value must be a number, got None"),
             ([5], "malformed bracket entry 5: 'int' object is not subscriptable"),
             ([{"i": 1, "j": 2, "k": 9, "value": 1.0}],
              "bracket indices must lie in 1..5, got {'i': 1, 'j': 2, 'k': 9, 'value': 1.0}"),
@@ -881,10 +890,8 @@ rf.chern_rund_table(s.osculating_gram([1, 0, 0, 0, 0]))
 assert cli.main(["verify", "--config", {config!r}]) == 0
 assert "scipy" not in sys.modules, "scipy was imported"
 """
-        src = os.path.dirname(os.path.dirname(randersflag.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
         result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
+            timeout=120,
         )
         assert result.returncode == 0, result.stderr

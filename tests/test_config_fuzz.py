@@ -2,7 +2,9 @@
 
 Every document, well formed or not, must end in a documented outcome: exit 0
 or 1 with JSON on stdout (a failed search prints none, but one stderr line)
-or exit 2 with one stderr line, never an exception or a numpy warning.  The
+or exit 2 with one stderr line, never an exception or a numpy warning; a
+bracket value or an ``x0`` entry that is not a JSON number always ends in
+exit 2.  The
 documents mix wrong types, non-integral and boolean indices, out-of-range and
 duplicate bracket entries, huge finite values, an ``x0`` of the wrong length
 or shape and ``dim`` of 0, -1, 10**400 and just above ``MAX_EXPLICIT_DIM``.  Documents
@@ -81,9 +83,12 @@ SPOILS = (
 
 @st.composite
 def explicit_documents(draw, spoil):
-    """``(document, dim)``: a config document with an explicit model, well
-    formed or spoiled in one way, and the dim its flag vectors take."""
+    """``(document, dim, refused)``: a config document with an explicit
+    model, well formed or spoiled in one way, the dim its flag vectors take
+    and whether it holds a number that is not a JSON number, which the
+    parser must refuse."""
     section = draw(_valid_section())
+    refused = False
     dim = section["dim"]
     entries = section["brackets"]
     if spoil == "dim range":
@@ -100,7 +105,8 @@ def explicit_documents(draw, spoil):
         entries.append(entry)
     elif spoil == "value":
         # huge brackets overflow the Jacobi check or the kernel
-        value = draw(st.one_of(st.sampled_from(HUGE), JUNK))
+        refused = draw(st.booleans())
+        value = draw(JUNK if refused else st.sampled_from(HUGE))
         entries.append({"i": 1, "j": min(2, dim), "k": dim, "value": value})
     elif spoil == "duplicate":
         # a repeated entry, or one that sets the counterpart [e_j, e_i]
@@ -109,7 +115,8 @@ def explicit_documents(draw, spoil):
             entry = dict(entry, i=entry["j"], j=entry["i"])
         entries.append(dict(entry, value=draw(_numbers(3.0))))
     elif spoil == "x0":
-        entry = draw(st.one_of(st.sampled_from(HUGE), JUNK))
+        refused = draw(st.booleans())
+        entry = draw(JUNK if refused else st.sampled_from(HUGE))
         section["x0"][draw(st.integers(0, dim - 1))] = entry
     elif spoil == "x0 length":
         section["x0"] = section["x0"][:-1] if draw(st.booleans()) else section["x0"] + [0.0]
@@ -117,7 +124,7 @@ def explicit_documents(draw, spoil):
         section["x0"] = draw(st.one_of(st.just([section["x0"]]), JUNK))
     elif spoil == "missing":
         del section[draw(st.sampled_from(sorted(section)))]
-    return {"explicit": section}, dim
+    return {"explicit": section}, dim, refused
 
 
 def _vector(size: int, first: float) -> str:
@@ -128,7 +135,7 @@ def _vector(size: int, first: float) -> str:
 @FUZZ_SETTINGS
 @given(data=st.data())
 def test_every_document_has_a_documented_outcome(tmp_path_factory, spoil, data):
-    document, size = data.draw(explicit_documents(spoil))
+    document, size, refused = data.draw(explicit_documents(spoil))
     command = data.draw(st.sampled_from(["flag", "search", "verify"]))
     config = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
     config.write_text(json.dumps(document), encoding="utf-8")
@@ -144,6 +151,7 @@ def test_every_document_has_a_documented_outcome(tmp_path_factory, spoil, data):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
     out, err = stdout.getvalue(), stderr.getvalue()
+    assert code == 2 or not refused
     if code == 2:
         assert out == ""
         assert len(err.splitlines()) == 1
