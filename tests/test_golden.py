@@ -3,7 +3,8 @@
 The determinism tests compare two runs of one build; these compare every run
 with files under ``tests/golden/``: the ``table1`` CSVs, the stdout of every
 subcommand, and sha256 digests of the ``connection-tables`` JSON files, at
-three heisenberg5 presets, plus one ``search`` on an explicit model whose
+three heisenberg5 presets (and the ``table1`` and ``connection-tables``
+output at three extreme ones), plus one ``search`` on an explicit model whose
 witnesses come from the random phase after the eight special flags.  The
 output path in a ``wrote <path>`` line is replaced by ``<out>``.
 
@@ -36,6 +37,11 @@ from helpers import hyperbolic_plus_heisenberg, nilpotent_algebra, solvable_alge
 GOLDEN = Path(__file__).parent / "golden"
 
 PRESETS = ((2.0, 1.0, 0.5), (3.0, 0.7, 0.9), (1.3, 1.1, 0.2))
+
+#: Presets at the edges of the domain, pinned for ``table1`` and
+#: ``connection-tables`` only: large lam with tiny xi, xi near 1, and a
+#: large-lam model with small xi.
+EXTREME_PRESETS = ((1.5e5, 1e5, 1e-8), (1e3, 1e3, 1 - 1e-6), (2.03e4, 1.79e4, 6.8e-6))
 
 #: A generic pole and transverse vector for ``flag``.
 FLAG_W, FLAG_X = "0.3,-0.5,0.2,0.6,0.4", "-0.7,0.1,0.5,0.2,-0.3"
@@ -134,12 +140,14 @@ def golden_cases() -> dict:
     """Case name -> (argv, config document or None).  ``{out}`` and
     ``{config}`` in argv stand for a file in the run's directory."""
     cases = {}
-    for lam, mu, xi in PRESETS:
+    for lam, mu, xi in PRESETS + EXTREME_PRESETS:
         tag = f"{lam}-{mu}-{xi}"
         options = ["--lambda", str(lam), "--mu", str(mu), "--xi", str(xi), "--out", "{out}"]
-        preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
         cases[f"table1-{tag}"] = (["table1", *options], None)
         cases[f"connection-tables-{tag}"] = (["connection-tables", *options], None)
+    for lam, mu, xi in PRESETS:
+        tag = f"{lam}-{mu}-{xi}"
+        preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
         flag = ["flag", "--config", "{config}", f"--w={FLAG_W}", f"--x={FLAG_X}"]
         cases[f"flag-{tag}"] = (flag, preset)
         cases[f"search-{tag}"] = (["search", "--config", "{config}", "--seed", "7"], preset)
