@@ -38,7 +38,8 @@ and the bracket indices are JSON integers (``5.0`` passes, ``5.7`` does
 not).  A config parses straight to a
 :class:`RandersStructure`; the library's own checks (finite structure
 constants, x0 of length dim, finite, of norm < 1) surface as
-:class:`ConfigError`, as do malformed JSON, numbers that break the rule,
+:class:`ConfigError`, as do bytes that are not UTF-8, malformed JSON,
+documents nested too deeply to read or to quote, numbers that break the rule,
 out-of-range indices and structure constants that fail the Jacobi identity.
 """
 
@@ -63,13 +64,14 @@ from .connection import (
 )
 from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra
+from .lie_algebra import MetricLieAlgebra, _frozen
 from .randers import RandersStructure, _unit_reference
 from .reference_tables import (
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
     SPECIAL_FLAG_SPANS,
     reference_blocks,
+    reference_poles,
     special_flag_closed_form,
     special_flag_vectors,
     z_randers,
@@ -95,6 +97,23 @@ MAX_EXPLICIT_DIM = 64
 # table1/connection-tables expose no seed flag; a fixed seed keeps their
 # randomized pole sampling deterministic across runs.
 _REPORT_SEED = 0
+
+
+@functools.cache
+def _report_flags() -> np.ndarray:
+    """``table1``'s eight special flags, (8, 2, 5) read-only, drawn once
+    per process from ``default_rng(_REPORT_SEED)``: the parameters do not
+    change them."""
+    rng = np.random.default_rng(_REPORT_SEED)
+    return _frozen([special_flag_vectors(case_id, rng) for case_id in SPECIAL_FLAG_CASES])
+
+
+@functools.cache
+def _report_poles() -> np.ndarray:
+    """``connection-tables``'s poles in span(e1, e2) and span(e3, e4), (2, 5)
+    read-only, drawn once per process from ``default_rng(_REPORT_SEED)``."""
+    return _frozen(reference_poles(np.random.default_rng(_REPORT_SEED)))
+
 
 #: ``verify`` tolerances: absolute for the oracle checks, relative to
 #: max(1, largest |coefficient|) for the table checks (see
@@ -208,6 +227,9 @@ def _parse_explicit(data: dict) -> RandersStructure:
 
 
 def model_config_from_dict(data) -> RandersStructure:
+    """The model of a config document; a document that breaks the config
+    rules raises :class:`ConfigError`, as does one nested too deeply to
+    quote in its message."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     present = [key for key in ("preset", "explicit") if key in data]
@@ -216,17 +238,28 @@ def model_config_from_dict(data) -> RandersStructure:
     section = data[present[0]]
     if not isinstance(section, dict):
         raise ConfigError(f"'{present[0]}' must be a JSON object")
-    if present[0] == "preset":
-        return _parse_preset(section)
-    return _parse_explicit(section)
+    try:
+        if present[0] == "preset":
+            return _parse_preset(section)
+        return _parse_explicit(section)
+    except RecursionError:
+        raise ConfigError(f"'{present[0]}' nests too deeply") from None
 
 
 def load_model_config(path: str) -> RandersStructure:
+    """The model of the config file at ``path``: UTF-8 JSON text, read by
+    :func:`model_config_from_dict`.  Bytes that are not UTF-8, text that is
+    not JSON and JSON nested too deeply for :mod:`json` raise
+    :class:`ConfigError`."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config file {path} nests too deeply to read") from None
     return model_config_from_dict(data)
 
 
@@ -234,8 +267,7 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     """CSV of the eight special-flag families: computed vs closed form."""
     structure = _preset_structure(lam, mu, xi)
     closed_forms = [special_flag_closed_form(case_id, lam, mu, xi) for case_id in SPECIAL_FLAG_CASES]
-    rng = np.random.default_rng(_REPORT_SEED)
-    flags = np.array([special_flag_vectors(case_id, rng) for case_id in SPECIAL_FLAG_CASES])
+    flags = _report_flags()
     _, k, _, _ = _flag_curvatures(structure, flags[:, 0], flags[:, 1])
     max_err = 0.0
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -325,34 +357,35 @@ def connection_tables_json(
     of ``defects``), ``max_defect`` and ``pass``.
 
     ``reference`` maps block names to (pole, cells) as
-    :func:`reference_blocks` returns them; the rows of the arrays follow its
-    cells in order.  The layout is fixed, so the text is filled into
+    :func:`reference_blocks` returns them; the rows of the arrays follow the
+    blocks' cells in order.  The layout is fixed, so the text is filled into
     templates rather than run through :mod:`json`'s indenting encoder, which
     is pure Python."""
-    cells = [cell for _, block in reference.values() for cell in block]
+    blocks = reference.values()
+    rows = [label for _, cells in blocks for label in cells.rows]
+    cols = [label for _, cells in blocks for label in cells.cols]
     cell_texts = [
-        _CELL.format(
-            encode_basestring_ascii(cell.row), encode_basestring_ascii(cell.col), *texts
-        )
-        for cell, *texts in zip(
-            cells,
+        _CELL.format(encode_basestring_ascii(row), encode_basestring_ascii(col), *texts)
+        for row, col, *texts in zip(
+            rows,
+            cols,
             _json_lists(computed, 12),
             _json_lists(expected, 12),
             _json_floats(defects.tolist()),
         )
     ]
-    poles = _json_lists(np.array([pole for pole, _ in reference.values()]), 8)
-    blocks = []
+    poles = _json_lists(np.array([pole for pole, _ in blocks]), 8)
+    block_texts = []
     start = 0
-    for (name, (_, block)), pole in zip(reference.items(), poles):
-        stop = start + len(block)
-        blocks.append(
+    for (name, (_, cells)), pole in zip(reference.items(), poles):
+        stop = start + len(cells.rows)
+        block_texts.append(
             _BLOCK.format(encode_basestring_ascii(name), pole, ",".join(cell_texts[start:stop]))
         )
         start = stop
     return _DOCUMENT.format(
         *_json_floats([lam, mu, xi]),
-        ",".join(blocks),
+        ",".join(block_texts),
         *_json_floats([max_defect]),
         "true" if ok else "false",
     )
@@ -361,21 +394,17 @@ def connection_tables_json(
 def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     """JSON with the four closed-form connection blocks and their defects."""
     structure = _preset_structure(lam, mu, xi)
-    rng = np.random.default_rng(_REPORT_SEED)
-    reference = reference_blocks(lam, mu, xi, rng)
+    reference = reference_blocks(lam, mu, xi, *_report_poles())
+    blocks = reference.values()
     # one table stacked over the block poles, and every cell's
     # nabla_direction argument in one contraction, summed over j and then
     # over i as ConnectionTable.derivative does
-    gamma = chern_rund_table(
-        structure.osculating_gram(np.array([pole for pole, _ in reference.values()]))
-    ).gamma
-    pole_of_cell = np.repeat(
-        np.arange(len(reference)), [len(block) for _, block in reference.values()]
-    )
-    cells = [cell for _, block in reference.values() for cell in block]
-    directions = np.array([cell.direction for cell in cells])
-    arguments = np.array([cell.argument for cell in cells])
-    expected = np.array([cell.expected for cell in cells])
+    poles = np.array([pole for pole, _ in blocks])
+    gamma = chern_rund_table(structure.osculating_gram(poles)).gamma
+    pole_of_cell = np.repeat(np.arange(len(reference)), [len(cells.rows) for _, cells in blocks])
+    directions = np.concatenate([cells.directions for _, cells in blocks])
+    arguments = np.concatenate([cells.arguments for _, cells in blocks])
+    expected = np.concatenate([cells.expected for _, cells in blocks])
     computed = np.vecmat(directions, np.vecmat(arguments[:, None, :], gamma[pole_of_cell]))
     defects = np.abs(computed - expected).max(axis=-1)
     max_defect = float(defects.max())

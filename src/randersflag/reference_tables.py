@@ -19,15 +19,22 @@ Four cell layouts cover the poles where the connection has closed forms:
 ``pole_frame_cells`` and ``pole_rows_cells`` take the pole plane, "e12" or
 "e34", as their first argument; the 3x3 frame block for poles in span(e3, e4)
 (``pole_frame_cells("e34", ...)``) is not reported but is exercised by the
-test suite.  Expected vectors are in the fixed orthonormal basis;
-``direction``/``argument`` feed ConnectionTable.derivative directly, so
-rescaled frame vectors are passed verbatim.
+test suite.  Each layout returns one :class:`Cells` record: the row and
+column labels, and the cells' ``directions``, ``arguments`` and ``expected``
+vectors stacked as (cells, 5) arrays, built by whole-array operations.
+Expected vectors are in the fixed orthonormal basis; a direction and an
+argument feed ConnectionTable.derivative directly, so rescaled frame
+vectors are passed verbatim.  Each expected entry is the product of one
+scalar coefficient and one entry of a vector, formed in the order the
+closed forms are written, so its bits (signed zeros too) do not depend on
+how the cells are stacked.  :func:`reference_blocks` gathers the four
+reported layouts at the poles :func:`reference_poles` draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,126 +189,147 @@ def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
     return _w_perp(float(algebra.structure[0, 1, 4]), float(algebra.structure[2, 3, 4]), w)
 
 
-@dataclass(frozen=True, eq=False)
-class TableCell:
-    """One closed-form cell: nabla_{direction} argument = expected."""
+class Cells(NamedTuple):
+    """Closed-form cells of one layout, stacked: for each cell c,
+    nabla_{directions[c]} arguments[c] = expected[c], labelled ``rows[c]``,
+    ``cols[c]``; the arrays are (cells, 5)."""
 
-    row: str
-    col: str
-    direction: np.ndarray
-    argument: np.ndarray
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    directions: np.ndarray
+    arguments: np.ndarray
     expected: np.ndarray
 
 
-def _basis():
-    eye = np.eye(5)
-    return eye, eye[4]
+_EYE = _frozen(np.eye(5))
+_Z = _EYE[4]
+
+# Pole Z: every derivative nabla_{e_i} e_j, i, j = 1..5, in row-major
+# order, is a coefficient of (0, lam/2, -lam/2, mu/2, -mu/2) times a basis
+# vector; _Z_TERMS gives (coefficient index, 0-based basis index) of the
+# cells that do not vanish.
+_Z_TERMS = {
+    (0, 1): (1, 4), (0, 4): (2, 1), (1, 0): (2, 4), (1, 4): (1, 0),
+    (2, 3): (3, 4), (2, 4): (4, 3), (3, 2): (4, 4), (3, 4): (3, 2),
+    (4, 0): (2, 1), (4, 1): (1, 0), (4, 2): (4, 3), (4, 3): (3, 2),
+}
+_Z_ROW_INDEX, _Z_COL_INDEX = np.divmod(np.arange(25), 5)
+_Z_PAIRS = list(zip(_Z_ROW_INDEX.tolist(), _Z_COL_INDEX.tolist()))
+_Z_ROWS = tuple(f"e{i + 1}" for i, _ in _Z_PAIRS)
+_Z_COLS = tuple(f"e{j + 1}" for _, j in _Z_PAIRS)
+_Z_COEFFICIENT = np.array([[_Z_TERMS.get(pair, (0, 0))[0]] for pair in _Z_PAIRS])
+_Z_UNITS = _frozen([_EYE[_Z_TERMS[pair][1]] if pair in _Z_TERMS else 0.0 * _Z for pair in _Z_PAIRS])
+
+# The (W, Wperp, Z) block in row-major order: each cell is a coefficient
+# times one of (Wperp, xi W + Z, Z - xi W, (xi^2 - 2) W - xi Z).
+_FRAME_ROW_INDEX, _FRAME_COL_INDEX = np.divmod(np.arange(9), 3)
+_FRAME_LABELS = ("W", "Wperp", "Z")
+_FRAME_ROWS = tuple(_FRAME_LABELS[i] for i in _FRAME_ROW_INDEX)
+_FRAME_COLS = tuple(_FRAME_LABELS[j] for j in _FRAME_COL_INDEX)
+_FRAME_VECTOR = np.array([0, 1, 0, 2, 0, 3, 0, 3, 0])
+
+# The rows blocks, per pole plane: cells (ea, W), (ea, Wperp), (eb, W),
+# (eb, Wperp) with ea, eb the other plane's basis vectors, their row labels,
+# directions, and the basis vector each cell is a multiple of.
+_ROWS_COLS = ("W", "Wperp") * 2
+_ROWS = {
+    plane: (
+        (f"e{first + 1}",) * 2 + (f"e{first + 2}",) * 2,
+        _frozen(_EYE[[first, first, first + 1, first + 1]]),
+        _frozen(_EYE[[first + 1, first, first, first + 1]]),
+    )
+    for plane, first in (("e12", 2), ("e34", 0))
+}
 
 
-def pole_z_cells(lam: float, mu: float, xi: float) -> list[TableCell]:
+def pole_z_cells(lam: float, mu: float, xi: float) -> Cells:
     """All 25 derivatives at pole Z in the frame (e1..e4, e5 = Z/(1+xi)),
     which is orthonormal for the osculating product at Z."""
-    eye, z = _basis()
     half_lam, half_mu = 0.5 * lam, 0.5 * mu
-    expected = np.zeros((5, 5, 5))
-    expected[0, 1] = half_lam * z
-    expected[0, 4] = -half_lam * eye[1]
-    expected[1, 0] = -half_lam * z
-    expected[1, 4] = half_lam * eye[0]
-    expected[2, 3] = half_mu * z
-    expected[2, 4] = -half_mu * eye[3]
-    expected[3, 2] = -half_mu * z
-    expected[3, 4] = half_mu * eye[2]
-    expected[4, 0] = -half_lam * eye[1]
-    expected[4, 1] = half_lam * eye[0]
-    expected[4, 2] = -half_mu * eye[3]
-    expected[4, 3] = half_mu * eye[2]
-    labels = ("e1", "e2", "e3", "e4", "e5")
-    vectors = [eye[0], eye[1], eye[2], eye[3], z / (1.0 + xi)]
-    return [
-        TableCell(labels[i], labels[j], vectors[i], vectors[j], expected[i, j])
-        for i in range(5)
-        for j in range(5)
-    ]
+    coefficients = np.array([0.0, half_lam, -half_lam, half_mu, -half_mu])
+    vectors = _EYE.copy()
+    vectors[4] /= 1.0 + xi
+    return Cells(
+        _Z_ROWS,
+        _Z_COLS,
+        vectors[_Z_ROW_INDEX],
+        vectors[_Z_COL_INDEX],
+        coefficients[_Z_COEFFICIENT] * _Z_UNITS,
+    )
 
 
-def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float, int]:
-    """For a pole in ``plane`` ("e12" or "e34"): its own bracket coefficient,
-    the other plane's coefficient, and the other plane's first 0-based index."""
-    return {"e12": (lam, mu, 2), "e34": (mu, lam, 0)}[plane]
+def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float]:
+    """For a pole in ``plane`` ("e12" or "e34"): its own bracket coefficient
+    and the other plane's."""
+    return {"e12": (lam, mu), "e34": (mu, lam)}[plane]
 
 
-def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
+def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
     """3x3 (W, Wperp, Z) block for a unit pole in ``plane`` ("e12" or
     "e34"); the two planes differ only in the squared bracket coefficient."""
-    own, _, _ = _plane_coefficients(plane, lam, mu)
-    _, z = _basis()
+    own, _ = _plane_coefficients(plane, lam, mu)
     wp = _w_perp(lam, mu, w)
     a = own * own
-    expected = {
-        ("W", "W"): xi * wp,
-        ("W", "Wperp"): -0.5 * a * (xi * w + z),
-        ("W", "Z"): 0.5 * wp,
-        ("Wperp", "W"): 0.5 * a * (z - xi * w),
-        ("Wperp", "Wperp"): -0.25 * xi * a * wp,
-        ("Wperp", "Z"): 0.25 * a * ((xi**2 - 2.0) * w - xi * z),
-        ("Z", "W"): 0.5 * wp,
-        ("Z", "Wperp"): 0.25 * a * ((xi**2 - 2.0) * w - xi * z),
-        ("Z", "Z"): 0.25 * xi * wp,
-    }
-    vectors = {"W": w, "Wperp": wp, "Z": z}
-    order = ("W", "Wperp", "Z")
-    return [
-        TableCell(r, c, vectors[r], vectors[c], expected[(r, c)])
-        for r in order
-        for c in order
-    ]
+    xw = xi * w
+    vectors = np.array([wp, xw + _Z, _Z - xw, (xi**2 - 2.0) * w - xi * _Z])
+    coefficients = np.array(
+        [xi, -0.5 * a, 0.5, 0.5 * a, -0.25 * xi * a, 0.25 * a, 0.5, 0.25 * a, 0.25 * xi]
+    )
+    frame = np.array([w, wp, _Z])
+    return Cells(
+        _FRAME_ROWS,
+        _FRAME_COLS,
+        frame[_FRAME_ROW_INDEX],
+        frame[_FRAME_COL_INDEX],
+        coefficients[:, None] * vectors[_FRAME_VECTOR],
+    )
 
 
-def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> list[TableCell]:
+def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
     """Derivatives along the other bracket plane's basis vectors of W and
     Wperp, for a unit pole in ``plane`` ("e12" or "e34")."""
-    own, other, first = _plane_coefficients(plane, lam, mu)
-    eye, _ = _basis()
+    own, other = _plane_coefficients(plane, lam, mu)
+    rows, directions, units = _ROWS[plane]
     wp = _w_perp(lam, mu, w)
-    ea, eb = f"e{first + 1}", f"e{first + 2}"
-    expected = {
-        (ea, "W"): -0.5 * other * xi * eye[first + 1],
-        (ea, "Wperp"): -0.25 * xi * own * own * eye[first],
-        (eb, "W"): 0.5 * other * xi * eye[first],
-        (eb, "Wperp"): -0.25 * xi * own * own * eye[first + 1],
-    }
-    vectors = {ea: eye[first], eb: eye[first + 1], "W": w, "Wperp": wp}
-    return [
-        TableCell(r, c, vectors[r], vectors[c], expected[(r, c)])
-        for r in (ea, eb)
-        for c in ("W", "Wperp")
-    ]
+    coefficients = np.array(
+        [
+            [-0.5 * other * xi],
+            [-0.25 * xi * own * own],
+            [0.5 * other * xi],
+            [-0.25 * xi * own * own],
+        ]
+    )
+    return Cells(rows, _ROWS_COLS, directions, np.array([w, wp, w, wp]), coefficients * units)
+
+
+def reference_poles(rng: np.random.Generator) -> np.ndarray:
+    """The center-free poles of :func:`reference_blocks`, drawn from
+    ``rng``: a unit vector in span(e1, e2), then one in span(e3, e4), as a
+    (2, 5) array."""
+    return np.array([_span_unit("e12", rng), _span_unit("e34", rng)])
 
 
 def reference_blocks(
-    lam: float, mu: float, xi: float, rng: np.random.Generator
-) -> dict[str, tuple[np.ndarray, list[TableCell]]]:
+    lam: float, mu: float, xi: float, w12: np.ndarray, w34: np.ndarray
+) -> dict[str, tuple[np.ndarray, Cells]]:
     """The four reporting blocks, keyed by layout name, each as
-    (pole, cells).  Center-free poles are sampled from ``rng`` (the closed
-    forms hold for every unit pole in the respective plane).  Parameters
+    (pole, cells), at the unit poles ``w12`` in span(e1, e2) and ``w34`` in
+    span(e3, e4) (the closed forms hold for every unit pole in the
+    respective plane; :func:`reference_poles` draws them).  Parameters
     off lam >= mu > 0, and those whose cells overflow, those with no finite
     squared norm (the rule every coordinate vector of the library obeys; it
     sets in near lam = 1e51), raise :class:`ParameterError`."""
     _check_parameters(lam, mu)
-    _, z = _basis()
-    w12 = _span_unit("e12", rng)
-    w34 = _span_unit("e34", rng)
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = {
-            "pole_z": (z, pole_z_cells(lam, mu, xi)),
+            "pole_z": (_Z, pole_z_cells(lam, mu, xi)),
             "pole_e12_frame": (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
             "pole_e12_rows_e34": (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
             "pole_e34_rows_e12": (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
         }
-        expected = np.array([cell.expected for _, cells in blocks.values() for cell in cells])
+        expected = np.concatenate([cells.expected for _, cells in blocks.values()])
         squares = np.vecdot(expected, expected)
     if not (squares < math.inf).all():
         raise ParameterError(

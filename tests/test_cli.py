@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from randersflag import (
+    SPECIAL_FLAG_CASES,
     ConfigError,
     RandersStructure,
     almost_metric_defect,
@@ -35,7 +36,13 @@ from randersflag.cli import (
     model_config_from_dict,
     run_verification,
 )
-from randersflag.reference_tables import TableCell, reference_blocks, special_flag_closed_form
+from randersflag.reference_tables import (
+    Cells,
+    reference_blocks,
+    reference_poles,
+    special_flag_closed_form,
+    special_flag_vectors,
+)
 from helpers import nilpotent_algebra, package_env, unit, z_randers
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
@@ -244,6 +251,40 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             load_model_config(str(path))
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # not UTF-8: a UTF-16 byte order mark, then UTF-16 text
+            ('{"preset": {}}'.encode("utf-16"), "is not UTF-8 text"),
+            # deeper than json's recursion limit, bare and inside a section
+            (b"[" * 100000 + b"]" * 100000, "nests too deeply to read"),
+            (b'{"explicit": {"dim": 3, "x0": ' + b"[" * 100000 + b"]" * 100000 + b"}}",
+             "nests too deeply to read"),
+        ],
+    )
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_model_config(str(path))
+        assert main(["verify", "--config", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    def test_section_too_deep_to_quote_is_config_error(self):
+        # json reads less than the interpreter's recursion limit, but a
+        # document built in Python can nest deeper than repr can quote
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        for document in (
+            {"explicit": {"dim": 3, "brackets": [], "x0": deep}},
+            {"preset": {"name": "heisenberg5", "lambda": deep, "mu": 1.0, "xi": 0.5}},
+        ):
+            with pytest.raises(ConfigError, match="nests too deeply"):
+                model_config_from_dict(document)
+
 
 class TestTable1:
     def run(self, tmp_path, lam, mu, xi):
@@ -391,12 +432,9 @@ class TestConnectionTables:
         def perturbed(*args):
             blocks = reference_blocks(*args)
             pole, cells = blocks["pole_e12_frame"]
-            cells = [
-                dataclasses.replace(c, expected=c.expected * (1 + 1e-6))
-                if (c.row, c.col) == ("Wperp", "Wperp") else c
-                for c in cells
-            ]
-            return {**blocks, "pole_e12_frame": (pole, cells)}
+            expected = cells.expected.copy()
+            expected[list(zip(cells.rows, cells.cols)).index(("Wperp", "Wperp"))] *= 1 + 1e-6
+            return {**blocks, "pole_e12_frame": (pole, cells._replace(expected=expected))}
 
         monkeypatch.setattr(cli, "reference_blocks", perturbed)
         code, out = self.run(tmp_path, *LARGE_MODELS[0])
@@ -414,28 +452,27 @@ class TestConnectionTables:
         # each cell in turn moved by 1e-6 of the scale its defect is judged
         # by, max(1, |direction| |argument| max|gamma| at its pole)
         structure = z_randers(*params)
-        blocks = reference_blocks(*params, np.random.default_rng(0))
+        blocks = reference_blocks(*params, *reference_poles(np.random.default_rng(0)))
         for name, (_, cells) in blocks.items():
-            for i in range(len(cells)):
+            for i in range(len(cells.rows)):
 
                 def perturbed(*args, name=name, i=i):
                     blocks = reference_blocks(*args)
                     pole, cells = blocks[name]
                     gamma = chern_rund_table(structure.osculating_gram(pole)).gamma
-                    cell = cells[i]
                     scale = max(
                         1.0,
-                        np.linalg.norm(cell.direction)
-                        * np.linalg.norm(cell.argument)
+                        np.linalg.norm(cells.directions[i])
+                        * np.linalg.norm(cells.arguments[i])
                         * np.abs(gamma).max(),
                     )
-                    shift = 1e-6 * scale * np.eye(5)[i % 5]
-                    moved = dataclasses.replace(cell, expected=cell.expected + shift)
-                    return {**blocks, name: (pole, [*cells[:i], moved, *cells[i + 1:]])}
+                    expected = cells.expected.copy()
+                    expected[i] += 1e-6 * scale * np.eye(5)[i % 5]
+                    return {**blocks, name: (pole, cells._replace(expected=expected))}
 
                 monkeypatch.setattr(cli, "reference_blocks", perturbed)
                 code, _ = self.run(tmp_path, *params)
-                assert code == EXIT_VERDICT, (name, cells[i].row, cells[i].col)
+                assert code == EXIT_VERDICT, (name, cells.rows[i], cells.cols[i])
 
     def test_invalid_parameters_are_usage_errors(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, lam=0.5, mu=1.0)
@@ -470,6 +507,43 @@ def _emitter_presets() -> list[tuple[float, float, float]]:
     return presets
 
 
+class TestReportInputs:
+    """``table1``'s special flags and ``connection-tables``' poles do not
+    depend on the parameters: each is drawn once per process, on first use."""
+
+    def test_read_only_and_equal_to_a_fresh_draw(self):
+        flags, poles = cli._report_flags(), cli._report_poles()
+        assert cli._report_flags() is flags and cli._report_poles() is poles
+        assert not flags.flags.writeable and not poles.flags.writeable
+        rng = np.random.default_rng(cli._REPORT_SEED)
+        fresh = np.array([special_flag_vectors(case_id, rng) for case_id in SPECIAL_FLAG_CASES])
+        assert flags.shape == (8, 2, 5) and flags.tobytes() == fresh.tobytes()
+        fresh = reference_poles(np.random.default_rng(cli._REPORT_SEED))
+        assert poles.shape == (2, 5) and poles.tobytes() == fresh.tobytes()
+
+    def test_not_drawn_at_import(self):
+        script = (
+            "import randersflag.cli as cli\n"
+            "print(*(draw.cache_info().currsize for draw in (cli._report_flags, cli._report_poles)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout == "0 0\n"
+
+    def test_two_runs_write_identical_files(self, tmp_path):
+        # table1's twin is TestTable1.test_output_bytes_deterministic
+        written = []
+        for run in range(2):
+            out = tmp_path / f"tables-{run}.json"
+            argv = ["connection-tables", "--lambda", "3.0", "--mu", "0.7", "--xi", "0.9",
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
 class TestConnectionTablesJson:
     """``connection-tables`` writes the text of ``json.dumps(document,
     indent=2)`` without going through json's indenting encoder."""
@@ -490,11 +564,10 @@ class TestConnectionTablesJson:
         computed = np.array([specials[:3], specials[3:6], specials[4:]])
         expected = computed[::-1] * -1.0
         defects = np.array([math.nan, 0.0, 1e-05])
-        zero = np.zeros(3)
-        cells = [TableCell(row, col, zero, zero, e) for (row, col), e in
-                 zip([("e1", "W"), ("Wperp", "Z"), ("e\u00e9", 'q"')], expected)]
-        reference = {"a": (np.array([-0.0, 1e16, math.inf]), cells[:2]),
-                     "b": (np.array([5e-324, 0.1, -1.5]), cells[2:])}
+        zero = np.zeros((3, 3))
+        cells = Cells(("e1", "Wperp", "e\u00e9"), ("W", "Z", 'q"'), zero, zero, expected)
+        reference = {"a": (np.array([-0.0, 1e16, math.inf]), Cells(*(part[:2] for part in cells))),
+                     "b": (np.array([5e-324, 0.1, -1.5]), Cells(*(part[2:] for part in cells)))}
         lam, mu, xi = 1e16, 5e-324, 1e-05
         document = {
             "lambda": lam,
@@ -507,10 +580,10 @@ class TestConnectionTablesJson:
             "max_defect": math.nan,
             "pass": ok,
         }
-        for i, cell in enumerate(cells):
+        for i, (row, col) in enumerate(zip(cells.rows, cells.cols)):
             document["blocks"]["a" if i < 2 else "b"]["cells"].append({
-                "row": cell.row,
-                "col": cell.col,
+                "row": row,
+                "col": col,
                 "computed": computed[i].tolist(),
                 "closed_form": expected[i].tolist(),
                 "defect": float(defects[i]),

@@ -25,6 +25,7 @@ from randersflag.reference_tables import (
     pole_rows_cells,
     pole_z_cells,
     reference_blocks,
+    reference_poles,
 )
 from helpers import nilpotent_algebra, random_heisenberg_params, unit, unit_in_plane, z_randers
 
@@ -41,9 +42,9 @@ def table_e1():
 def check_cells(structure, pole, cells, tol):
     table = chern_rund_table(structure.osculating_gram(pole))
     worst = 0.0
-    for cell in cells:
-        computed = table.derivative(cell.direction, cell.argument)
-        worst = max(worst, float(np.abs(computed - cell.expected).max()))
+    for direction, argument, expected in zip(cells.directions, cells.arguments, cells.expected):
+        computed = table.derivative(direction, argument)
+        worst = max(worst, float(np.abs(computed - expected).max()))
     assert worst <= tol, f"worst cell defect {worst:.3e} exceeds {tol:g}"
 
 
@@ -154,17 +155,13 @@ class TestClosedFormTables:
             check_cells(z_randers(lam, mu, xi), w, pole_rows_cells("e34", lam, mu, xi, w), 1e-10)
 
     def test_reference_blocks_cover_the_four_layouts(self, rng):
-        blocks = reference_blocks(2.0, 1.0, 0.5, rng)
-        assert set(blocks) == {
-            "pole_z",
-            "pole_e12_frame",
-            "pole_e12_rows_e34",
-            "pole_e34_rows_e12",
-        }
-        assert len(blocks["pole_z"][1]) == 25
-        assert len(blocks["pole_e12_frame"][1]) == 9
-        assert len(blocks["pole_e12_rows_e34"][1]) == 4
-        assert len(blocks["pole_e34_rows_e12"][1]) == 4
+        blocks = reference_blocks(2.0, 1.0, 0.5, *reference_poles(rng))
+        sizes = {"pole_z": 25, "pole_e12_frame": 9, "pole_e12_rows_e34": 4, "pole_e34_rows_e12": 4}
+        assert set(blocks) == set(sizes)
+        for name, (_, cells) in blocks.items():
+            assert len(cells.rows) == len(cells.cols) == sizes[name]
+            for part in (cells.directions, cells.arguments, cells.expected):
+                assert part.shape == (sizes[name], 5)
 
 
 class TestConnectionContracts:
