@@ -6,6 +6,14 @@ Subcommands: ``table1`` (special-flag curvature families as CSV),
 self-checks).  Exit codes: 0 success, 1 tolerance or verdict failure,
 2 usage/config error, 3 I/O error.
 
+``--out`` receives exactly the UTF-8 bytes of the text, with no newline
+translation (the bytes POSIX text files get), by :func:`write_output`: an
+existing file is overwritten in place and then cut to length, a target that
+is not a regular file (``/dev/null``, a FIFO) is written as a stream, and a
+file whose write fails is emptied before the command exits 3.  An option
+value that reads as comma-separated floats is a value even when it starts
+with ``-``: ``--xi -1e-3`` and ``--w -0.3,0.5,...`` need no ``=``.
+
 ``table1`` passes when its largest error is at most ``TABLE1_TOL`` times
 max(1, largest |closed form|), ``connection-tables`` when each cell's defect
 is at most ``CONNECTION_TOL`` times max(1, |direction| |argument| times the
@@ -48,7 +56,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -263,6 +274,36 @@ def load_model_config(path: str) -> RandersStructure:
     return model_config_from_dict(data)
 
 
+def write_output(out: str, text: str) -> None:
+    """Write ``text`` to the file ``out`` as exactly its UTF-8 bytes, with
+    no newline translation.
+
+    An existing file is overwritten in place and then cut to the written
+    length, so it keeps its permission bits, and a filesystem that frees the
+    blocks of a truncated file does not free and allocate them again for
+    every rewrite.  A target that is not a regular file (``/dev/null``,
+    ``/dev/stdout``, a FIFO) is written as a stream and never cut.  When a
+    write to a regular file fails, the file is cut to 0 bytes before the
+    :class:`OSError` propagates, so a failed run never leaves the new text
+    in front of the old file's tail."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if regular:
+                os.ftruncate(fd, written)
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+
+
 def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     """CSV of the eight special-flag families: computed vs closed form."""
     structure = _preset_structure(lam, mu, xi)
@@ -270,16 +311,15 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     flags = _report_flags()
     _, k, _, _ = _flag_curvatures(structure, flags[:, 0], flags[:, 1])
     max_err = 0.0
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["case", "flag_pole", "transverse", "k_computed", "k_closed_form", "abs_err"]
-        )
-        for case_id, computed, closed in zip(SPECIAL_FLAG_CASES, k.tolist(), closed_forms):
-            err = abs(computed - closed)
-            max_err = max(max_err, err)
-            pole, transverse = (SPAN_LABELS[span] for span in SPECIAL_FLAG_SPANS[case_id])
-            writer.writerow([case_id, pole, transverse, repr(computed), repr(closed), repr(err)])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["case", "flag_pole", "transverse", "k_computed", "k_closed_form", "abs_err"])
+    for case_id, computed, closed in zip(SPECIAL_FLAG_CASES, k.tolist(), closed_forms):
+        err = abs(computed - closed)
+        max_err = max(max_err, err)
+        pole, transverse = (SPAN_LABELS[span] for span in SPECIAL_FLAG_SPANS[case_id])
+        writer.writerow([case_id, pole, transverse, repr(computed), repr(closed), repr(err)])
+    write_output(out, text.getvalue())
     # the curvatures grow like lam**2, so the tolerance scales with the
     # largest closed form; unit-scale models keep the absolute bound
     ok = max_err <= TABLE1_TOL * max(1.0, max(map(abs, closed_forms)))
@@ -417,8 +457,7 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     text = connection_tables_json(
         lam, mu, xi, reference, computed, expected, defects, max_defect, ok
     )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_output(out, text)
     print(f"connection-tables: wrote {out}; max_defect={max_defect:.6e}; pass={ok}")
     return EXIT_OK if ok else EXIT_VERDICT
 
@@ -555,11 +594,35 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}") from exc
 
 
+#: The characters after a leading ``-`` that can begin a float: a digit, a
+#: point, or the first letter of ``inf``, ``infinity`` or ``nan``.
+_NUMBER_STARTS = frozenset("0123456789.iInN")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token of comma-separated floats, such
+    as ``-1e-3``, ``-inf``, ``-nan`` or ``-0.3,0.5``, as a value rather than
+    an option; :mod:`argparse` itself takes only ``-1`` and ``-0.5`` for
+    negative numbers.  No option of this CLI looks like a number, so such a
+    token can only be the value of the option before it.  Only tokens whose
+    second character is in ``_NUMBER_STARTS`` are parsed, so option names
+    cost no failed float conversion."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] in _NUMBER_STARTS:
+            try:
+                _csv_floats(arg_string)
+                return None
+            except argparse.ArgumentTypeError:
+                pass
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every call of :func:`main` can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randersflag",
         description="Chern-Rund connections and flag curvatures of left-invariant "
         "Randers metrics on metric Lie algebras.",

@@ -316,10 +316,11 @@ def reference_blocks(
     (pole, cells), at the unit poles ``w12`` in span(e1, e2) and ``w34`` in
     span(e3, e4) (the closed forms hold for every unit pole in the
     respective plane; :func:`reference_poles` draws them).  Parameters
-    off lam >= mu > 0, and those whose cells overflow, those with no finite
-    squared norm (the rule every coordinate vector of the library obeys; it
-    sets in near lam = 1e51), raise :class:`ParameterError`."""
-    _check_parameters(lam, mu)
+    off lam >= mu > 0 and 0 < xi < 1, and those whose cells overflow, those
+    with no finite squared norm (the rule every coordinate vector of the
+    library obeys; it sets in near lam = 1e51), raise
+    :class:`ParameterError`."""
+    _check_parameters(lam, mu, xi)
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

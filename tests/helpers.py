@@ -1,12 +1,28 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and the in-process CLI runner of the test suite."""
 
+import contextlib
+import io
 import os
+import warnings
 
 import numpy as np
 
 import randersflag
 # z_randers is imported here for the tests that take their samplers from helpers
 from randersflag import RandersStructure, z_randers
+from randersflag.cli import main
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """``(code, stdout, stderr)`` of :func:`randersflag.cli.main` on
+    ``argv``, with stdout and stderr captured and every warning raised as an
+    error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def package_env() -> dict:

@@ -8,21 +8,25 @@ nothing on stdout; never an exception or a numpy warning.  The values mix
 huge, tiny, subnormal, zero, negative, infinite and NaN numbers with
 ordinary ones, and half the triples are admissible (lam >= mu > 0,
 0 < xi < 1) at extreme scales, so the closed forms, the kernel and the
-overflow checks all run.
+overflow checks all run.  Each value is passed as ``--opt v`` or as
+``--opt=v``, so negative values such as ``-1e-300`` and ``-inf`` must read
+as values in both forms.
+
+Every example writes to one path, over the file of the example before it:
+CSV and JSON alternate there, so a stale tail left by a shorter rewrite
+fails the content checks.
 
 Hypothesis runs derandomized, so every run draws the same examples."""
 
-import contextlib
 import csv
-import io
 import json
 import math
-import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randersflag.cli import EXIT_USAGE, main
+from randersflag.cli import EXIT_USAGE
+from helpers import run_main
 
 #: Values at the edges of double range and of the model's domain.
 EDGES = (
@@ -54,19 +58,20 @@ def triples(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(command=st.sampled_from(["table1", "connection-tables"]), params=triples())
-def test_every_triple_has_a_documented_outcome(tmp_path_factory, command, params):
+@given(
+    command=st.sampled_from(["table1", "connection-tables"]),
+    params=triples(),
+    spaced=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_every_triple_has_a_documented_outcome(tmp_path_factory, command, params, spaced):
     out = tmp_path_factory.getbasetemp() / "fuzzed-report"
-    out.unlink(missing_ok=True)
     lam, mu, xi = params
-    # "=" form: a value such as -inf would otherwise read as an option
-    argv = [command, f"--lambda={lam!r}", f"--mu={mu!r}", f"--xi={xi!r}", f"--out={out}"]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-    text, err = stdout.getvalue(), stderr.getvalue()
+    argv = [command]
+    for option, value, apart in zip(
+        ("--lambda", "--mu", "--xi", "--out"), (repr(lam), repr(mu), repr(xi), str(out)), spaced
+    ):
+        argv += [option, value] if apart else [f"{option}={value}"]
+    code, text, err = run_main(argv)
     if code == EXIT_USAGE:
         assert text == ""
         assert len(err.splitlines()) == 1

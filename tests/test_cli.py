@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import errno
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -43,7 +46,7 @@ from randersflag.reference_tables import (
     special_flag_closed_form,
     special_flag_vectors,
 )
-from helpers import nilpotent_algebra, package_env, unit, z_randers
+from helpers import nilpotent_algebra, package_env, run_main, unit, z_randers
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
 EXPLICIT_HEISENBERG = {
@@ -544,6 +547,68 @@ class TestReportInputs:
         assert written[0] == written[1]
 
 
+def _report_argv(command, out):
+    return [command, "--lambda", "2", "--mu", "1", "--xi", "0.5", "--out", str(out)]
+
+
+class TestOutputFile:
+    """``--out`` is rewritten in place and cut to length; targets that are
+    not regular files are written as streams; an I/O error exits 3 and
+    leaves an empty file."""
+
+    @pytest.mark.parametrize(
+        "first, second", [("connection-tables", "table1"), ("table1", "connection-tables")]
+    )
+    def test_rewrite_leaves_the_bytes_of_a_fresh_run(self, tmp_path, first, second):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert run_main(_report_argv(first, shared))[0] == EXIT_OK
+        assert run_main(_report_argv(second, shared))[0] == EXIT_OK
+        assert run_main(_report_argv(second, fresh))[0] == EXIT_OK
+        assert shared.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", ["table1", "connection-tables"])
+    def test_dev_null_is_written_as_a_stream(self, command):
+        code, out, err = run_main(_report_argv(command, os.devnull))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"{command}: wrote {os.devnull}; ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["table1", "connection-tables"])
+    def test_full_device_is_io_error(self, command):
+        code, out, err = run_main(_report_argv(command, "/dev/full"))
+        assert (code, out) == (EXIT_IO, "")
+        assert len(err.splitlines()) == 1 and err.startswith("I/O error: ")
+
+    def test_directory_is_io_error(self, tmp_path):
+        code, out, err = run_main(_report_argv("table1", tmp_path))
+        assert (code, out) == (EXIT_IO, "")
+        assert len(err.splitlines()) == 1
+
+    def test_existing_file_keeps_its_permission_bits(self, tmp_path):
+        out = tmp_path / "table1.csv"
+        out.write_text("old\n" * 10_000)
+        out.chmod(0o604)
+        assert run_main(_report_argv("table1", out))[0] == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    def test_failed_write_empties_the_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "tables.json"
+        out.write_text("old\n" * 10_000)
+        write, calls = os.write, []
+
+        def write_once_then_fail(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data[:100])
+
+        monkeypatch.setattr(cli.os, "write", write_once_then_fail)
+        code, stdout, err = run_main(_report_argv("connection-tables", out))
+        assert (code, stdout) == (EXIT_IO, "") and len(calls) == 2
+        assert len(err.splitlines()) == 1
+        assert out.read_bytes() == b""
+
+
 class TestConnectionTablesJson:
     """``connection-tables`` writes the text of ``json.dumps(document,
     indent=2)`` without going through json's indenting encoder."""
@@ -620,6 +685,20 @@ class TestParser:
         assert runs[0] == runs[1]
         assert runs[0][:2] == (0, EXIT_USAGE)
         assert runs[0][2].out.startswith("usage: randersflag")
+
+    @pytest.mark.parametrize("xi", ["-1e-3", "-0.001", "-1E+2", "-inf", "-nan"])
+    def test_negative_numbers_in_every_spelling_are_values(self, tmp_path, xi):
+        argv = ["table1", "--lambda", "2", "--mu", "1", "--xi", xi, "--out", str(tmp_path / "t")]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and "0 < xi < 1" in err
+
+    def test_negative_vector_entries_are_values(self, tmp_path):
+        config = write_config(tmp_path, PRESET)
+        w, x = "-0.3,0.5,-1e-1,0,1", "-1e0,0,0.5,0,-2.5e-1"
+        spaced = run_main(["flag", "--config", config, "--w", w, "--x", x])
+        joined = run_main(["flag", "--config", config, f"--w={w}", f"--x={x}"])
+        assert spaced == joined and spaced[0] == EXIT_OK
 
 
 class TestFlag:

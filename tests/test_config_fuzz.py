@@ -14,16 +14,14 @@ few MB.
 
 Hypothesis runs derandomized, so every run draws the same examples."""
 
-import contextlib
-import io
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randersflag.cli import MAX_EXPLICIT_DIM, main
+from randersflag.cli import MAX_EXPLICIT_DIM
+from helpers import run_main
 
 FUZZ_SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
 
@@ -145,12 +143,7 @@ def test_every_document_has_a_documented_outcome(tmp_path_factory, spoil, data):
         "search": ["search", "--config", str(config), "--seed", "3", "--max-samples", "16"],
         "verify": ["verify", "--config", str(config)],
     }[command]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-    out, err = stdout.getvalue(), stderr.getvalue()
+    code, out, err = run_main(argv)
     assert code == 2 or not refused
     if code == 2:
         assert out == ""

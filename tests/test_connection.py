@@ -8,6 +8,7 @@ from randersflag import (
     ConnectionTable,
     DomainError,
     MetricLieAlgebra,
+    ParameterError,
     RandersStructure,
     almost_metric_defect,
     chern_rund_table,
@@ -162,6 +163,13 @@ class TestClosedFormTables:
             assert len(cells.rows) == len(cells.cols) == sizes[name]
             for part in (cells.directions, cells.arguments, cells.expected):
                 assert part.shape == (sizes[name], 5)
+
+    @pytest.mark.parametrize(
+        "params", [(2.0, 1.0, 1.5), (2.0, 1.0, 0.0), (2.0, 1.0, -0.5), (2.0, 1.0, np.nan), (1.0, 2.0, 0.5)]
+    )
+    def test_reference_blocks_reject_parameters_off_the_domain(self, rng, params):
+        with pytest.raises(ParameterError):
+            reference_blocks(*params, *reference_poles(rng))
 
 
 class TestConnectionContracts:
