@@ -5,8 +5,9 @@ with files under ``tests/golden/``: the ``table1`` CSVs, the stdout of every
 subcommand, and sha256 digests of the ``connection-tables`` JSON files, at
 three heisenberg5 presets (and the ``table1`` and ``connection-tables``
 output at three extreme ones), plus one ``search`` on an explicit model whose
-witnesses come from the random phase after the eight special flags.  The
-output path in a ``wrote <path>`` line is replaced by ``<out>``.
+witnesses come from the random phase after the eight special flags, and
+``verify`` on explicit models of dims 12 and 24, whose tables are built in
+several blocks of poles.  The output path in a ``wrote <path>`` line is replaced by ``<out>``.
 
 ``flag_kernel.json`` pins the flag kernel itself, bit for bit: ``float.hex``
 of ``k`` and ``denominator`` for single flags, for stacked chunks of 8, 64
@@ -55,6 +56,35 @@ RANDOM_PHASE_MODEL = {
         "x0": [0, 0, 0.3, 0, 0.4],
     }
 }
+
+
+def explicit_config(structure) -> dict:
+    """The ``explicit`` config document of a structure: one bracket entry
+    per nonzero [e_i, e_j] with i < j, 1-based."""
+    c = structure.algebra.structure
+    brackets = [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "value": value}
+        for (i, j, k), value in zip(np.argwhere(c).tolist(), c[c != 0].tolist())
+        if i < j
+    ]
+    return {
+        "explicit": {"dim": structure.dim, "brackets": brackets, "x0": structure.x0.tolist()}
+    }
+
+
+def verify_models() -> dict:
+    """Explicit models with a general deformation whose ``verify`` builds
+    its tables in several blocks: a nilpotent one of dim 12 (7 blocks of at
+    most 4 poles) and a solvable one of dim 24 (one pole per block)."""
+    models = {}
+    for build, dim in ((nilpotent_algebra, 12), (solvable_algebra, 24)):
+        rng = np.random.default_rng([1604, dim])
+        algebra = build(rng, dim)
+        x0 = rng.standard_normal(dim)
+        models[f"verify-{build.__name__.split('_')[0]}{dim}"] = explicit_config(
+            RandersStructure(algebra, 0.6 * x0 / np.linalg.norm(x0))
+        )
+    return models
 
 
 #: Seeds of the ``sign_search`` certificates pinned per flag-kernel model.
@@ -156,6 +186,8 @@ def golden_cases() -> dict:
         ["search", "--config", "{config}", "--seed", "31"],
         RANDOM_PHASE_MODEL,
     )
+    for name, config in verify_models().items():
+        cases[name] = (["verify", "--config", "{config}"], config)
     return cases
 
 
