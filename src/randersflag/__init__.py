@@ -6,9 +6,9 @@ from .connection import (
     ConnectionTable,
     almost_metric_defect,
     chern_rund_table,
+    chern_rund_tables,
     levi_civita_table,
     nabla_w_of_w,
-    nabla_x_w_map,
     torsion_defect,
 )
 from .curvature import (
@@ -63,13 +63,13 @@ __all__ = [
     "ValidationReport",
     "almost_metric_defect",
     "chern_rund_table",
+    "chern_rund_tables",
     "curvature_operator",
     "flag_curvature",
     "flag_report",
     "heisenberg5",
     "levi_civita_table",
     "nabla_w_of_w",
-    "nabla_x_w_map",
     "riemannian_sectional",
     "sign_search",
     "special_flag_closed_form",

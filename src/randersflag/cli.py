@@ -4,7 +4,7 @@ Subcommands: ``table1`` (special-flag curvature families as CSV),
 ``connection-tables`` (closed-form connection blocks as JSON), ``flag``
 (single flag query), ``search`` (sign certification), ``verify`` (residual
 self-checks).  Exit codes: 0 success, 1 tolerance or verdict failure,
-2 usage/config error, 3 I/O error.
+2 usage/config error, 3 I/O error; each error prints one stderr line.
 
 ``--out`` receives exactly the UTF-8 bytes of the text, with no newline
 translation (the bytes POSIX text files get), by :func:`write_output`: an
@@ -66,10 +66,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .connection import (
-    _basis_rows,
-    _table,
     almost_metric_defect,
     chern_rund_table,
+    chern_rund_tables,
     levi_civita_table,
     torsion_defect,
 )
@@ -285,7 +284,8 @@ def write_output(out: str, text: str) -> None:
     ``/dev/stdout``, a FIFO) is written as a stream and never cut.  When a
     write to a regular file fails, the file is cut to 0 bytes before the
     :class:`OSError` propagates, so a failed run never leaves the new text
-    in front of the old file's tail."""
+    in front of the old file's tail; a failed write names ``out`` as its
+    filename."""
     data = memoryview(text.encode("utf-8"))
     fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -296,9 +296,10 @@ def write_output(out: str, text: str) -> None:
                 written += os.write(fd, data[written:])
             if regular:
                 os.ftruncate(fd, written)
-        except OSError:
+        except OSError as exc:
             if regular:
                 os.ftruncate(fd, 0)
+            exc.filename = out
             raise
     finally:
         os.close(fd)
@@ -494,29 +495,6 @@ def cmd_search(structure: RandersStructure, seed: int, max_samples: int) -> int:
     return EXIT_OK
 
 
-#: Entries (float64) each (poles, n, n, n) array may hold when connection
-#: tables are built over stacked poles, as ``verify`` does: a block holds
-#: max(1, TABLE_BLOCK_ENTRIES // n**3) poles, so its arrays stay within 64 KB
-#: from dim 1 to dim 20 and a block is one pole from dim 21 on.
-TABLE_BLOCK_ENTRIES = 2**13
-
-
-def _tables(structure: RandersStructure, poles: np.ndarray):
-    """Chern-Rund tables at the stacked ``poles``, one per block of at most
-    max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.
-
-    One frame over all the poles and its stage-1-2 rows (nabla_{e_i} w) are
-    built once; each block builds only its (poles, n, n, n) arrays (the
-    Cartan tensor, the Koszul right-hand side and gamma), from read-only
-    views of that frame."""
-    frame = structure.osculating_gram(poles)
-    rows = _basis_rows(frame)
-    step = max(1, TABLE_BLOCK_ENTRIES // structure.dim**3)
-    for start in range(0, len(poles), step):
-        block = slice(start, start + step)
-        yield _table(frame._poles(block), rows[block])
-
-
 def run_verification(structure: RandersStructure) -> list[dict]:
     """Residual self-checks: closed forms vs difference oracles on 60 random
     unit quadruples (w, u, v, x), the torsion and almost-metric contracts of
@@ -524,8 +502,9 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     random unit poles against :func:`levi_civita_table`.
 
     Each check is made over stacked samples: the oracles in one call each,
-    the tables in blocks of poles (see :func:`_tables`).  The samples are
-    drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
+    the tables by :func:`connection.chern_rund_tables`, in blocks of at most
+    max(1, ``connection.TABLE_BLOCK_ENTRIES`` // dim**3) poles.  The samples
+    are drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
     ``(5, dim)``, the same stream as drawing the vectors one at a time.
 
     A check passes when its ``max_defect`` is at most its ``tolerance``.
@@ -549,7 +528,7 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     scales = {"osculating_fd": 1.0, "cartan_fd": 1.0}
 
     worst_torsion = worst_metric = scale = 0.0
-    for table in _tables(structure, units(25)):
+    for table in chern_rund_tables(structure.osculating_gram(units(25))):
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
         scale = max(scale, float(np.abs(table.gamma).max()))
@@ -560,7 +539,7 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     zero = RandersStructure(structure.algebra, np.zeros(dim))
     reference = levi_civita_table(structure.algebra)
     worst_lc = scale = 0.0
-    for table in _tables(zero, units(5)):
+    for table in chern_rund_tables(zero.osculating_gram(units(5))):
         worst_lc = max(worst_lc, float(np.abs(table.gamma - reference.gamma).max()))
         scale = max(scale, float(np.abs(table.gamma).max()))
     defects["levi_civita_x0_zero"] = worst_lc
@@ -600,13 +579,25 @@ _NUMBER_STARTS = frozenset("0123456789.iInN")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads a token of comma-separated floats, such
-    as ``-1e-3``, ``-inf``, ``-nan`` or ``-0.3,0.5``, as a value rather than
-    an option; :mod:`argparse` itself takes only ``-1`` and ``-0.5`` for
-    negative numbers.  No option of this CLI looks like a number, so such a
-    token can only be the value of the option before it.  Only tokens whose
-    second character is in ``_NUMBER_STARTS`` are parsed, so option names
-    cost no failed float conversion."""
+    """An argument parser that reports a usage error on one stderr line and
+    reads a token of comma-separated floats, such as ``-1e-3``, ``-inf``,
+    ``-nan`` or ``-0.3,0.5``, as a value rather than an option;
+    :mod:`argparse` itself takes only ``-1`` and ``-0.5`` for negative
+    numbers.  No option of this CLI looks like a number, so such a token can
+    only be the value of the option before it.  Only tokens whose second
+    character is in ``_NUMBER_STARTS`` are parsed, so option names cost no
+    failed float conversion.  ``--opt=--`` passes ``--`` to the option's
+    type, where :mod:`argparse` would pass ``[]`` on unconverted."""
+
+    def error(self, message):
+        """Print only ``<prog>: error: <message>``, without the usage block
+        :mod:`argparse` prints first, and exit 2."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
     def _parse_optional(self, arg_string):
         if arg_string[:1] == "-" and arg_string[1:2] in _NUMBER_STARTS:

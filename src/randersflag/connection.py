@@ -20,16 +20,15 @@ constants with a few vectors.
 Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
 and serves the reference tables, the residual checks and the public table
 API.  It is built from whole-matrix products of the frame's arrays: stage 2
-on the whole basis at once (:func:`_basis_rows`, shared with
-:func:`nabla_x_w_map`), then the Koszul right-hand side from two contiguous
-(..., n, n, n) arrays and the solve as one product with the inverse
-(:func:`_table`).  It too takes a frame of one pole or of stacked poles, and
-:func:`torsion_defect` and :func:`almost_metric_defect` reduce over the
-poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays, so
-callers bound their size by building tables over many poles in blocks:
-``verify`` builds one frame and its stage-2 rows over all its poles, then
-stage 3 per block of poles from views of that frame (see ``cli._tables``
-and ``cli.TABLE_BLOCK_ENTRIES``).
+on the whole basis at once (:func:`_basis_rows`), then the Koszul right-hand
+side from two contiguous (..., n, n, n) arrays and the solve as one product
+with the inverse (:func:`_table`).  It too takes a frame of one pole or of
+stacked poles, and :func:`torsion_defect` and :func:`almost_metric_defect`
+reduce over the poles of a stacked table.  A stacked table holds
+(poles, n, n, n) arrays, so :func:`chern_rund_tables` bounds their size: it
+builds the stage-2 rows once over all the poles of a frame, then stage 3
+per block of at most max(1, ``TABLE_BLOCK_ENTRIES`` // n**3) poles from
+views of that frame, as ``verify`` does.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .lie_algebra import MetricLieAlgebra, _as_vector, _cycled
 from .randers import OsculatingFrame, RandersStructure
 
@@ -100,15 +100,6 @@ def _nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors, pairing_vecto
     return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))
 
 
-def nabla_x_w_map(frame: OsculatingFrame) -> np.ndarray:
-    """Matrix of x -> nabla_x w; column j holds nabla_{e_j} w.
-
-    Applying the map to the reference vector itself reproduces
-    :func:`nabla_w_of_w`.
-    """
-    return _basis_rows(frame).mT
-
-
 def _basis_rows(frame: OsculatingFrame) -> np.ndarray:
     """nabla_{e_i} w for every basis vector e_i, as rows [..., i, :].
 
@@ -147,6 +138,29 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
     The frame holds one pole or poles stacked along leading axes; the table's
     ``gamma`` then carries the same leading axes."""
     return _table(frame, _basis_rows(frame))
+
+
+#: Entries (float64) each (poles, n, n, n) array of a block of
+#: :func:`chern_rund_tables` may hold: a block holds
+#: max(1, TABLE_BLOCK_ENTRIES // n**3) poles, so its arrays stay within 64 KB
+#: from dim 1 to dim 20 and a block is one pole from dim 21 on.
+TABLE_BLOCK_ENTRIES = 2**13
+
+
+def chern_rund_tables(frame: OsculatingFrame):
+    """The tables of :func:`chern_rund_table` at the poles of ``frame``,
+    stacked on one axis (else :class:`DimensionMismatch`), yielded per block
+    of at most max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.  The stage-1-2
+    rows (nabla_{e_i} w) are built once over all the poles; each block
+    builds only its (poles, n, n, n) arrays (the Cartan tensor, the Koszul
+    right-hand side and gamma) from read-only views of the frame."""
+    if frame.w.ndim != 2:
+        raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
+    rows = _basis_rows(frame)
+    step = max(1, TABLE_BLOCK_ENTRIES // frame.dim**3)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        yield _table(frame._poles(block), rows[block])
 
 
 def _table(frame: OsculatingFrame, rows: np.ndarray) -> ConnectionTable:

@@ -375,12 +375,6 @@ class OsculatingFrame:
             + np.vecdot(u_perp, v_perp)[..., None] * p_perp
         )
 
-    def inner(self, u, v) -> float:
-        """<u, v>_w against the cached Gram matrix of a one-pole frame."""
-        u = _as_vector(u, self.dim)
-        v = _as_vector(v, self.dim)
-        return float(u @ self.gram @ v)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs with the stored closed-form inverse; ``rhs``
         is a vector or vectors stacked along leading axes that broadcast

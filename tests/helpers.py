@@ -16,12 +16,16 @@ from randersflag.cli import main
 def run_main(argv) -> tuple[int, str, str]:
     """``(code, stdout, stderr)`` of :func:`randersflag.cli.main` on
     ``argv``, with stdout and stderr captured and every warning raised as an
-    error."""
+    error; a usage error the argument parser reports by :class:`SystemExit`
+    gives its exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     return code, stdout.getvalue(), stderr.getvalue()
 
 

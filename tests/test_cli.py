@@ -1,5 +1,6 @@
 """Config ingestion, the five subcommands, exit codes, and output formats."""
 
+import ast
 import csv
 import dataclasses
 import errno
@@ -10,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +25,13 @@ from randersflag import (
     levi_civita_table,
     torsion_defect,
 )
-from randersflag import cli
+from randersflag import cli, connection
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
     MAX_EXPLICIT_DIM,
-    TABLE_BLOCK_ENTRIES,
-    _tables,
     build_parser,
     connection_tables_json,
     load_model_config,
@@ -577,7 +577,9 @@ class TestOutputFile:
     def test_full_device_is_io_error(self, command):
         code, out, err = run_main(_report_argv(command, "/dev/full"))
         assert (code, out) == (EXIT_IO, "")
-        assert len(err.splitlines()) == 1 and err.startswith("I/O error: ")
+        # one line that names the file
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert err == f"I/O error: {reason}: '/dev/full'\n"
 
     def test_directory_is_io_error(self, tmp_path):
         code, out, err = run_main(_report_argv("table1", tmp_path))
@@ -605,7 +607,7 @@ class TestOutputFile:
         monkeypatch.setattr(cli.os, "write", write_once_then_fail)
         code, stdout, err = run_main(_report_argv("connection-tables", out))
         assert (code, stdout) == (EXIT_IO, "") and len(calls) == 2
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and err.endswith(f": {str(out)!r}\n")
         assert out.read_bytes() == b""
 
 
@@ -685,6 +687,31 @@ class TestParser:
         assert runs[0] == runs[1]
         assert runs[0][:2] == (0, EXIT_USAGE)
         assert runs[0][2].out.startswith("usage: randersflag")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+            (["search", "--seed=-1e3"], "argument --seed: invalid int value: '-1e3'"),
+            (["search", "--seed", "0", "--max-samples", "2.5"],
+             "argument --max-samples: invalid int value: '2.5'"),
+            (["table1", "--lambda", "2", "--mu", "1", "--xi", "abc", "--out", "t"],
+             "argument --xi: invalid float value: 'abc'"),
+            (["flag", "--w", "1,0,0,0,0", "--x", "abc"],
+             "argument --x: expected comma-separated floats: "
+             "could not convert string to float: 'abc'"),
+            (["table1", "--lambda=--", "--mu", "1", "--xi", "0.5", "--out", "t"],
+             "argument --lambda: invalid float value: '--'"),
+        ],
+        ids=["seed-fraction", "seed-float", "max-samples-fraction", "xi-word", "x-word", "dashes"],
+    )
+    def test_refused_value_is_one_stderr_line(self, tmp_path, argv, message):
+        # argparse's usage block is not printed: only the error line
+        if argv[0] != "table1":
+            argv = [*argv, "--config", write_config(tmp_path, PRESET)]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"randersflag {argv[0]}: error: {message}\n"
 
     @pytest.mark.parametrize("xi", ["-1e-3", "-0.001", "-1E+2", "-inf", "-nan"])
     def test_negative_numbers_in_every_spelling_are_values(self, tmp_path, xi):
@@ -848,8 +875,8 @@ class TestVerify:
             gamma[..., 0, 1, 2] += 1e-6 * max(1.0, np.abs(gamma).max())
             return dataclasses.replace(table, gamma=gamma)
 
-        stage_three = cli._table
-        monkeypatch.setattr(cli, "_table", perturbed)
+        stage_three = connection._table
+        monkeypatch.setattr(connection, "_table", perturbed)
         lam, mu, xi = params
         preset = {"preset": {"name": "heisenberg5", "lambda": lam, "mu": mu, "xi": xi}}
         code = main(["verify", "--config", write_config(tmp_path, preset)])
@@ -996,22 +1023,6 @@ class TestStackedVerification:
             assert abs(fd[0][i] - sequential.osculating_fd(wi, ui, vi)) <= osculating_bound
             assert abs(fd[1][i] - sequential.cartan_fd(wi, ui, vi, xi)) <= cartan_bound
 
-    @pytest.mark.parametrize("deformed", [False, True])
-    @pytest.mark.parametrize("dim, blocks", [(5, [25]), (9, [11, 11, 3]), (16, [2] * 12 + [1])])
-    def test_table_blocks_match_one_pole_tables(self, dim, blocks, deformed):
-        rng = np.random.default_rng(dim)
-        x0 = 0.7 * unit(rng, dim) if deformed else np.zeros(dim)
-        structure = RandersStructure(nilpotent_algebra(rng, dim), x0)
-        poles = rng.standard_normal((25, dim))
-        tables = list(_tables(structure, poles))
-        assert [len(table.gamma) for table in tables] == blocks
-        assert all(table.gamma.size <= TABLE_BLOCK_ENTRIES for table in tables)
-        gamma = np.concatenate([table.gamma for table in tables])
-        for pole, rows in zip(poles, gamma):
-            one = chern_rund_table(structure.osculating_gram(pole)).gamma
-            # as in test_connection.TestStackedTables: a few ulps of the table
-            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
-
     @pytest.mark.parametrize("name", list(VERIFICATION_MODELS))
     def test_checks_pass_and_match_sequential_loop(self, name):
         structure = VERIFICATION_MODELS[name]
@@ -1029,12 +1040,28 @@ class TestStackedVerification:
 
 
 class TestDependencies:
+    def test_cli_uses_only_public_table_names(self):
+        # the blocked table build lives in connection; cli reaches it only
+        # through public names
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "connection" and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+        assert not any(
+            isinstance(node, ast.Attribute) and node.attr == "_poles" for node in ast.walk(tree)
+        )
+
     def test_scipy_never_imported(self, tmp_path):
         config = write_config(tmp_path, PRESET)
         script = f"""
 import sys
 import randersflag as rf
-from randersflag import cli
+from randersflag import cli, connection
 
 s = rf.RandersStructure(rf.heisenberg5(2.0, 1.0), [0, 0, 0, 0, 0.5])
 rf.flag_curvature(s, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])

@@ -6,21 +6,21 @@ import pytest
 
 from randersflag import (
     ConnectionTable,
+    DimensionMismatch,
     DomainError,
     MetricLieAlgebra,
     ParameterError,
     RandersStructure,
     almost_metric_defect,
     chern_rund_table,
+    chern_rund_tables,
     heisenberg5,
     levi_civita_table,
     nabla_w_of_w,
-    nabla_x_w_map,
     torsion_defect,
     w_perp,
 )
-from randersflag.cli import _tables
-from randersflag.connection import nabla_v_w
+from randersflag.connection import TABLE_BLOCK_ENTRIES, _basis_rows, nabla_v_w
 from randersflag.reference_tables import (
     pole_frame_cells,
     pole_rows_cells,
@@ -77,9 +77,10 @@ class TestStageSolves:
             assert np.abs(nabla_w_of_w(frame) - expected).max() <= 1e-12
 
     def test_nabla_x_w_map_columns(self):
+        # the matrix of x -> nabla_x w: column j holds nabla_{e_j} w
         s = z_randers(2.0, 1.0, 0.5)
         frame = s.osculating_gram(E[0])
-        m = nabla_x_w_map(frame)
+        m = _basis_rows(frame).mT
         assert np.allclose(m[:, 4], -E[1], atol=1e-14)  # along Z: half of Wperp
         assert np.allclose(m[:, 2], -0.25 * E[3], atol=1e-14)  # along e3
         assert np.allclose(m[:, 3], 0.25 * E[2], atol=1e-14)  # along e4
@@ -89,7 +90,7 @@ class TestStageSolves:
             lam, mu, xi = random_heisenberg_params(rng)
             s = z_randers(lam, mu, xi)
             frame = s.osculating_gram(unit(rng))
-            assert np.abs(nabla_x_w_map(frame) @ frame.w - nabla_w_of_w(frame)).max() <= 1e-13
+            assert np.abs(frame.w @ _basis_rows(frame) - nabla_w_of_w(frame)).max() <= 1e-13
 
     def test_stacked_stage_two_matches_map(self, rng):
         for _ in range(10):
@@ -97,7 +98,7 @@ class TestStageSolves:
             frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
             vectors = rng.standard_normal((3, 5))
             stacked = nabla_v_w(frame, nabla_w_of_w(frame), vectors)
-            assert np.abs(stacked - vectors @ nabla_x_w_map(frame).T).max() <= 1e-13
+            assert np.abs(stacked - vectors @ _basis_rows(frame)).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
         # the dropped stage-2 terms all carry a pole slot; the cached tensor
@@ -210,7 +211,8 @@ class TestConnectionContracts:
 
 class TestStackedTables:
     """chern_rund_table over a frame of stacked poles: each pole's rows are
-    its one-pole table, and the defects reduce over the poles."""
+    its one-pole table, and the defects reduce over the poles; the blocks of
+    chern_rund_tables are that stacked table."""
 
     def structure(self, dim, deformed):
         rng = np.random.default_rng(dim)
@@ -230,6 +232,33 @@ class TestStackedTables:
             # one-pole frame in a dot product; the two may differ in the last
             # bit, which the staged solve carries to a few ulps of the table
             assert np.abs(table.gamma[index] - one).max() <= 1e-14 * np.abs(one).max()
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize(
+        "dim, blocks",
+        [(5, [25]), (9, [11, 11, 3]), (12, [4] * 6 + [1]), (16, [2] * 12 + [1]), (24, [1] * 25)],
+    )
+    def test_blocks_match_one_pole_and_one_stacked_tables(self, dim, blocks, deformed):
+        s, rng = self.structure(dim, deformed)
+        poles = rng.standard_normal((25, dim))
+        frame = s.osculating_gram(poles)
+        tables = list(chern_rund_tables(frame))
+        assert [len(table.gamma) for table in tables] == blocks
+        # a block of one pole may exceed the bound only from dim 21 on
+        bound = max(TABLE_BLOCK_ENTRIES, dim**3)
+        assert all(table.gamma.size <= bound for table in tables)
+        gamma = np.concatenate([table.gamma for table in tables])
+        whole = chern_rund_table(frame).gamma
+        assert np.abs(gamma - whole).max() <= 1e-15 * np.abs(whole).max()
+        for pole, rows in zip(poles, gamma):
+            one = chern_rund_table(s.osculating_gram(pole)).gamma
+            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+    def test_blocks_need_poles_on_one_axis(self, shape):
+        frame = z_randers(2.0, 1.0, 0.5).osculating_gram(np.ones(shape))
+        with pytest.raises(DimensionMismatch):
+            next(chern_rund_tables(frame))
 
     def test_defects_reduce_over_poles(self):
         s, rng = self.structure(9, True)
@@ -314,15 +343,6 @@ class TestIndependentReference:
             gamma = chern_rund_table(s.osculating_gram(pole)).gamma
             assert np.abs(gamma - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("norm", [0.0, 0.7])
-    @pytest.mark.parametrize("dim", [5, 12, 24])
-    def test_verify_blocks_equal_one_stacked_table(self, dim, norm):
-        s, rng = self.structure(dim, norm)
-        poles = rng.standard_normal((25, dim))
-        blocks = np.concatenate([table.gamma for table in _tables(s, poles)])
-        whole = chern_rund_table(s.osculating_gram(poles)).gamma
-        assert np.abs(blocks - whole).max() <= 1e-15 * np.abs(whole).max()
-
     @pytest.mark.parametrize("norm", [0.0, 0.9])
     @pytest.mark.parametrize("dim", [5, 9, 16])
     def test_nabla_x_w_map_matches_stage_two(self, dim, norm):
@@ -330,7 +350,7 @@ class TestIndependentReference:
         for pole in rng.standard_normal((4, dim)):
             frame = s.osculating_gram(pole)
             expected = nabla_v_w(frame, nabla_w_of_w(frame), np.eye(dim)).T
-            assert np.abs(nabla_x_w_map(frame) - expected).max() <= 1e-13 * max(
+            assert np.abs(_basis_rows(frame).mT - expected).max() <= 1e-13 * max(
                 1.0, np.abs(expected).max()
             )
 

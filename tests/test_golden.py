@@ -7,7 +7,8 @@ three heisenberg5 presets (and the ``table1`` and ``connection-tables``
 output at three extreme ones), plus one ``search`` on an explicit model whose
 witnesses come from the random phase after the eight special flags, and
 ``verify`` on explicit models of dims 12 and 24, whose tables are built in
-several blocks of poles.  The output path in a ``wrote <path>`` line is replaced by ``<out>``.
+several blocks of poles.  The output path in a ``wrote <path>`` line is
+replaced by ``<out>``.
 
 ``flag_kernel.json`` pins the flag kernel itself, bit for bit: ``float.hex``
 of ``k`` and ``denominator`` for single flags, for stacked chunks of 8, 64

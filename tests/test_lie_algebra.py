@@ -1,6 +1,7 @@
 """Bracket arithmetic, structure-constant validation, and the heisenberg5
 constructor."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from randersflag import (
     heisenberg5,
 )
 from randersflag.lie_algebra import VALIDATION_TOL, _as_vector
-from helpers import nilpotent_algebra, solvable_algebra
+from helpers import nilpotent_algebra, run_main, solvable_algebra
 
 E = np.eye(5)
 Z = E[4]
@@ -134,6 +135,31 @@ class TestValidate:
         assert report.antisymmetry_defect == 0.0
         assert report.jacobi_defect > 0.5
         assert not report.passed
+
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    def test_jacobi_defect_at_its_tolerance(self, tmp_path, factor):
+        # heisenberg5(1, 1) plus [e1, Z] = t e3: the only nonzero Jacobi sum
+        # is [e2, [Z, e1]] = -t Z, so the defect is exactly t
+        t = factor * VALIDATION_TOL
+        c = heisenberg5(1.0, 1.0).structure.copy()
+        c[0, 4, 2], c[4, 0, 2] = t, -t
+        report = MetricLieAlgebra(c).validate()
+        assert report.jacobi_defect == t
+        assert report.passed == (factor < 1)
+        brackets = [
+            {"i": 1, "j": 2, "k": 5, "value": 1.0},
+            {"i": 3, "j": 4, "k": 5, "value": 1.0},
+            {"i": 1, "j": 5, "k": 3, "value": t},
+        ]
+        config = tmp_path / "model.json"
+        document = {"explicit": {"dim": 5, "brackets": brackets, "x0": [0, 0, 0, 0, 0.5]}}
+        config.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_main(["verify", "--config", str(config)])
+        if factor < 1:
+            assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+        else:
+            assert (code, out) == (2, "") and len(err.splitlines()) == 1
+            assert f"Jacobi defect {t:.3e}" in err
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9, 16])
     @pytest.mark.parametrize("family", [nilpotent_algebra, solvable_algebra])

@@ -123,7 +123,7 @@ class TestOsculatingProduct:
         s = z_randers(2.0, 1.0, xi)
         value = s.osculating_product(-Z, Z, Z)
         assert value == pytest.approx((1 - xi) ** 2, rel=1e-6, abs=0.0)
-        assert value == pytest.approx(s.osculating_gram(-Z).inner(Z, Z), rel=1e-6, abs=0.0)
+        assert value == pytest.approx(Z @ s.osculating_gram(-Z).gram @ Z, rel=1e-6, abs=0.0)
 
     def test_near_unit_deformation_matches_fd_oracle(self):
         # a dyadic xi and step make every norm the oracle evaluates exact, so
