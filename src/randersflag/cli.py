@@ -612,7 +612,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
-    unchanged, so every call of :func:`main` can share it."""
+    unchanged, so every call of :func:`main` can share it.  Each subcommand
+    sets its handler as the ``run`` default, which :func:`main` calls with
+    the parsed arguments."""
     parser = _Parser(
         prog="randersflag",
         description="Chern-Rund connections and flag curvatures of left-invariant "
@@ -623,8 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser(
         "table1", help="emit the eight special-flag curvature families as CSV"
     )
+    table1.set_defaults(run=lambda args: cmd_table1(args.lam, args.mu, args.xi, args.out))
     tables = sub.add_parser(
         "connection-tables", help="emit the closed-form connection blocks as JSON"
+    )
+    tables.set_defaults(
+        run=lambda args: cmd_connection_tables(args.lam, args.mu, args.xi, args.out)
     )
     for cmd in (table1, tables):
         cmd.add_argument("--lambda", dest="lam", type=float, required=True,
@@ -636,20 +642,23 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output file path")
 
     flag = sub.add_parser("flag", help="flag curvature of one pole/transverse pair")
-    flag.add_argument("--config", required=True, help="model config JSON path")
+    flag.set_defaults(run=lambda args: cmd_flag(load_model_config(args.config), args.w, args.x))
+    search = sub.add_parser("search", help="certify strictly positive and negative flags")
+    search.set_defaults(
+        run=lambda args: cmd_search(load_model_config(args.config), args.seed, args.max_samples)
+    )
+    verify = sub.add_parser("verify", help="run the residual self-check suite")
+    verify.set_defaults(run=lambda args: cmd_verify(load_model_config(args.config)))
+    for cmd in (flag, search, verify):
+        cmd.add_argument("--config", required=True, help="model config JSON path")
+
     flag.add_argument("--w", required=True, type=_csv_floats,
                       help="pole coordinates, comma-separated")
     flag.add_argument("--x", required=True, type=_csv_floats,
                       help="transverse coordinates, comma-separated")
-
-    search = sub.add_parser("search", help="certify strictly positive and negative flags")
-    search.add_argument("--config", required=True, help="model config JSON path")
     search.add_argument("--seed", type=int, required=True, help="sampling seed")
     search.add_argument("--max-samples", type=int, default=512,
                         help="sampling budget (default 512)")
-
-    verify = sub.add_parser("verify", help="run the residual self-check suite")
-    verify.add_argument("--config", required=True, help="model config JSON path")
     return parser
 
 
@@ -661,17 +670,7 @@ def main(argv=None) -> int:
         # instead of warning and printing inf or NaN; the checks that expect
         # such values (the Jacobi sum, the closed forms) set their own state
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if args.command == "table1":
-                return cmd_table1(args.lam, args.mu, args.xi, args.out)
-            if args.command == "connection-tables":
-                return cmd_connection_tables(args.lam, args.mu, args.xi, args.out)
-            if args.command == "flag":
-                return cmd_flag(load_model_config(args.config), args.w, args.x)
-            if args.command == "search":
-                return cmd_search(load_model_config(args.config), args.seed, args.max_samples)
-            if args.command == "verify":
-                return cmd_verify(load_model_config(args.config))
-            raise AssertionError(f"unhandled command {args.command!r}")
+            return args.run(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,10 +13,12 @@ axes, and :func:`nabla_v_w` solves for nabla_v w over any set of vectors v,
 stacked as rows along further leading axes, at once; one pole is simply the
 case with no leading axis.  The pairings of brackets with the pole that both
 stages read are contracted once, when the frame is built
-(``OsculatingFrame.pole_pairing`` and ``pole_brackets``).  A flag curvature
-needs stage 2 on three vectors only (see :mod:`randersflag.curvature`), so
-stages 1-2 cost O(n^3) per flag, the price of contracting the structure
-constants with a few vectors.
+(``OsculatingFrame.pole_pairing`` and ``pole_brackets``), and the caller of
+:func:`nabla_v_w` passes in the products gram @ v and pole_pairing @ v of
+its vectors, which it reads again.  A flag curvature needs stage 2 on three
+vectors only, so stages 1-2 cost O(n^3) per flag, the price of contracting
+the structure constants with a few vectors; :mod:`randersflag.curvature`
+calls :func:`nabla_v_w` by that name, once per stacked evaluation.
 Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
 and serves the reference tables, the residual checks and the public table
 API.  It is built from whole-matrix products of the frame's arrays: stage 2
@@ -74,23 +76,18 @@ def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
     return frame.solve(np.matvec(frame.pole_pairing, frame.w))
 
 
-def nabla_v_w(frame: OsculatingFrame, nww: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors, pairing_vectors) -> np.ndarray:
     """nabla_v w for every vector v of ``vectors``, in the same layout.
 
     ``vectors`` is a vector or vectors stacked along leading axes that
-    broadcast against the frame's.  Solves <nabla_v w, e_k>_w =
+    broadcast against the frame's; ``gram_vectors`` and ``pairing_vectors``
+    are their products gram @ v and pole_pairing @ v, which the flag path
+    reads again.  Solves <nabla_v w, e_k>_w =
     (<[v, w], e_k>_w - <[w, e_k], v>_w + <[e_k, v], w>_w) / 2
     - C_w(nabla_w w, e_k, v) for all of them in one solve; ``nww`` is the
     stage-1 vector of :func:`nabla_w_of_w`, used in the single surviving
     Cartan correction (the other two carry a w slot).
     """
-    gram_vectors = np.matvec(frame.gram, vectors)
-    return _nabla_v_w(frame, nww, vectors, gram_vectors, np.matvec(frame.pole_pairing, vectors))
-
-
-def _nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors, pairing_vectors) -> np.ndarray:
-    """:func:`nabla_v_w` given the products gram @ v and pole_pairing @ v of
-    the vectors, which the flag path reads again."""
     right, left = frame.pole_brackets
     brackets = (
         np.matvec(frame.gram, np.vecmat(vectors, right))
@@ -117,7 +114,7 @@ def _basis_rows(frame: OsculatingFrame) -> np.ndarray:
     nww = nabla_w_of_w(frame)
     u_perp = nww - np.vecdot(q, nww)[..., None] * q
     cross = p_perp[..., :, None] * u_perp[..., None, :]
-    cartan = np.vecdot(p_perp, nww)[..., None, None] * frame._projector() + cross + cross.mT
+    cartan = np.vecdot(p_perp, nww)[..., None, None] * frame._projector + cross + cross.mT
     rhs = 0.5 * (right @ gram - gram @ left.mT + frame.pole_pairing.mT - cartan)
     return rhs @ frame._inverse
 
@@ -191,7 +188,8 @@ def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
     :func:`chern_rund_table` must coincide with it for any reference vector.
     """
     c = algebra.structure
-    gamma = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    c_jki, c_kij = _cycled(c)
+    gamma = 0.5 * (c - c_jki + c_kij)
     zero = RandersStructure(algebra, np.zeros(algebra.dim))
     frame = zero.osculating_gram(algebra.basis_vector(0))
     return ConnectionTable(frame=frame, gamma=gamma)

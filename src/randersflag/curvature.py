@@ -19,14 +19,16 @@ candidate order.  At dim 5 the cost of a flag is mostly numpy call
 overhead, so the path forms each Gram product once: the frame brings gram @ w
 and the bracket pairings with the pole from its construction, and
 :func:`_flag_numerator` forms gram @ (x, N w, [x, w]) and
-pole_pairing @ (x, N w, [x, w]) once each, for stage 2, the Koszul pairing
-and the quotient.  :func:`curvature_operator` and
+pole_pairing @ (x, N w, [x, w]) once each, for stage 2
+(:func:`connection.nabla_v_w`, one call per stacked evaluation), the Koszul
+pairing and the quotient.  :func:`curvature_operator` and
 :func:`flag_report` read a prebuilt table of one pole and are the reference
 the flag path is tested against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
-of :mod:`randersflag.reference_tables`.
+of :mod:`randersflag.reference_tables`.  The search's witness margin scales
+with the squared brackets, as flag curvatures and their round-off do.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, _nabla_v_w, nabla_w_of_w
+from .connection import ConnectionTable, nabla_v_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _as_vector, _contract
 from .randers import (
@@ -55,7 +57,8 @@ from .reference_tables import CANONICAL_FLAGS
 #: the product of squared osculating norms (scale-invariant cutoff).
 DEGENERACY_REL_TOL = 1e-10
 
-#: Sign witnesses must clear this margin away from zero curvature.
+#: Sign witnesses must clear this margin times the largest squared |structure
+#: constant|: brackets scaled by t scale K, and its round-off, by t**2.
 WITNESS_MIN_CURVATURE = 1e-8
 
 #: Sizes of the successive chunks of random candidates that
@@ -157,7 +160,7 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     # formed once, here, as row 0 of the stage-2 products
     gram_vectors = np.matvec(gram, vectors)
     pairing_vectors = np.matvec(frame.pole_pairing, vectors)
-    nx, na, nxw = _nabla_v_w(frame, a, vectors, gram_vectors, pairing_vectors)
+    nx, na, nxw = nabla_v_w(frame, a, vectors, gram_vectors, pairing_vectors)
     gx = gram_vectors[0]
     pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
     cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)))
@@ -225,13 +228,14 @@ def sign_search(
 
     On five-dimensional algebras the eight special flag families are tried
     first (in case order), then uniform random unit pole/transverse pairs.
-    Returns the first witness of each sign exceeding the minimum margin;
+    Returns the first witness of each sign whose |k| exceeds
+    ``WITNESS_MIN_CURVATURE`` times the largest squared |structure constant|;
     raises :class:`SearchFailure` when the sample budget runs out, which
-    signals a flat metric or insufficient sampling.  ``max_samples`` must be a
-    positive integer and ``seed`` a nonnegative one (anything else raises
-    :class:`ParameterError`), and
-    each such seed keeps its :func:`numpy.random.default_rng` stream, which
-    is only made once the special flags are done.
+    signals a flat metric or insufficient sampling.
+    ``max_samples`` must be a positive integer and ``seed`` a nonnegative one
+    (anything else raises :class:`ParameterError`), and each such seed keeps
+    its :func:`numpy.random.default_rng` stream, which is only made once the
+    special flags are done.
 
     Candidates are evaluated in chunks, one stacked call each: the special
     flags together, then random pairs in chunks of ``SEARCH_CHUNKS`` sizes,
@@ -261,6 +265,8 @@ def sign_search(
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     dim = structure.dim
+    # a numpy scalar: an overflowing square raises under np.errstate
+    margin = WITNESS_MIN_CURVATURE * np.abs(structure.algebra.structure).max() ** 2
     chunks = _random_chunks(seed, dim)
     witnesses = {}  # sign -> (candidate index, report)
     tried = 0
@@ -272,7 +278,7 @@ def sign_search(
         frame, k, denominator, degenerate = _flag_curvatures(
             structure, _normalized(w, np.vecdot(w, w)), x
         )
-        signs = (("positive", k > WITNESS_MIN_CURVATURE), ("negative", k < -WITNESS_MIN_CURVATURE))
+        signs = (("positive", k > margin), ("negative", k < -margin))
         for sign, hits in signs:
             if sign not in witnesses and hits.any():
                 i = int(hits.argmax())

@@ -77,18 +77,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Largest antisymmetry and Jacobi defects over all basis tuples."""
+    """Largest antisymmetry and Jacobi defects over all basis tuples;
+    ``passed`` when both are at most ``VALIDATION_TOL``."""
 
     antisymmetry_defect: float
     jacobi_defect: float
-    tolerance: float = VALIDATION_TOL
 
     @property
     def passed(self) -> bool:
-        return (
-            self.antisymmetry_defect <= self.tolerance
-            and self.jacobi_defect <= self.tolerance
-        )
+        return self.antisymmetry_defect <= VALIDATION_TOL and self.jacobi_defect <= VALIDATION_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -276,8 +276,9 @@ class OsculatingFrame:
     carry further leading axes that broadcast against them.  One pole is
     simply the case with no leading axis.  Construction builds everything the
     flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
-    (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse.  Only
-    the (..., n, n, n) ``cartan_tensor``, which only the full connection table
+    (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse; it
+    keeps P, which the Cartan terms of the table path read.  Only the
+    (..., n, n, n) ``cartan_tensor``, which only the full connection table
     reads, is built on first read.  Every array a frame holds is read-only,
     so frames are safe for concurrent use (a racing first read of
     ``cartan_tensor`` builds the same array).
@@ -310,10 +311,11 @@ class OsculatingFrame:
         #: left[..., i] = [w, e_i], so that [v, w] = v @ right
         self.pole_brackets = (_contract(c, q, 1), _contract(c, q, 0))
         self._p_perp = p_perp
+        self._projector = projector
         self._inverse = inverse
         # every array above is fresh, so it is frozen without a copy
-        frozen = (q, gram, pole_covector, self.pole_pairing, *self.pole_brackets, p_perp, inverse)
-        for array in frozen:
+        for array in (q, gram, pole_covector, self.pole_pairing, *self.pole_brackets, p_perp,
+                      projector, inverse):
             array.flags.writeable = False
 
     @property
@@ -332,6 +334,7 @@ class OsculatingFrame:
         frame.pole_pairing = self.pole_pairing[index]
         frame.pole_brackets = tuple(bracket[index] for bracket in self.pole_brackets)
         frame._p_perp = self._p_perp[index]
+        frame._projector = self._projector[index]
         frame._inverse = self._inverse[index]
         return frame
 
@@ -341,18 +344,12 @@ class OsculatingFrame:
         read.  The symmetrization of p_perp (x) (I - q q^T), see
         :meth:`cartan_covector`: one broadcast product of p_perp / 2 with
         I - q q^T, plus its two cyclic transposes."""
-        t = (0.5 * self._p_perp)[..., :, None, None] * self._projector()[..., None, :, :]
+        t = (0.5 * self._p_perp)[..., :, None, None] * self._projector[..., None, :, :]
         t_jki, t_kij = _cycled(t)
         tensor = t + t_kij
         tensor += t_jki
         tensor.flags.writeable = False  # fresh, so frozen without a copy
         return tensor
-
-    def _projector(self) -> np.ndarray:
-        """I - q q^T, (..., n, n), for the table path; the flag path never
-        needs it, so the frame does not keep it."""
-        q = self.w
-        return _identity(self.dim) - q[..., :, None] * q[..., None, :]
 
     def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Coordinates of the covector C_w(u, v, .), in O(n) per vector.

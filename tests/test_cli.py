@@ -25,7 +25,7 @@ from randersflag import (
     levi_civita_table,
     torsion_defect,
 )
-from randersflag import cli, connection
+from randersflag import cli, connection, curvature
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -830,6 +830,18 @@ class TestSearch:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_small_brackets_certified(self, tmp_path, capsys):
+        # K(Z, e1) = 2.5e-9 and K(e1, e2) = -6.9e-9 are far below an absolute
+        # 1e-8 but not below the margin relative to the brackets' scale
+        config = write_config(
+            tmp_path, {"preset": {"name": "heisenberg5", "lambda": 1e-4, "mu": 1e-4, "xi": 0.5}}
+        )
+        assert main(["search", "--config", config, "--seed", "0"]) == EXIT_OK
+        document = json.loads(capsys.readouterr().out)
+        assert document["samples_tried"] == 4
+        assert document["positive_witness"]["k"] == pytest.approx(2.5e-9, rel=1e-12)
+        assert document["negative_witness"]["k"] == pytest.approx(-6.875e-9, rel=1e-12)
+
 
 class TestVerify:
     def test_preset_passes(self, tmp_path, capsys):
@@ -1039,22 +1051,31 @@ class TestStackedVerification:
         assert abs(got["cartan_fd"] - expected["cartan_fd"]) <= cartan_bound
 
 
+def _private_connection_imports(tree) -> list[str]:
+    """The underscore names a module's ``from .connection import`` takes."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "connection" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 class TestDependencies:
     def test_cli_uses_only_public_table_names(self):
         # the blocked table build lives in connection; cli reaches it only
         # through public names
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        private = [
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "connection" and node.level == 1
-            for alias in node.names
-            if alias.name.startswith("_")
-        ]
-        assert private == []
+        assert _private_connection_imports(tree) == []
         assert not any(
             isinstance(node, ast.Attribute) and node.attr == "_poles" for node in ast.walk(tree)
         )
+
+    def test_curvature_uses_only_public_connection_names(self):
+        # the flag path calls stage 2 by its public name, which a tracer wraps
+        tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
+        assert _private_connection_imports(tree) == []
 
     def test_scipy_never_imported(self, tmp_path):
         config = write_config(tmp_path, PRESET)

@@ -1,6 +1,7 @@
 """Curvature operator, flag curvature against the special-flag closed forms,
 sign certification, and the Riemannian specialization."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -362,6 +363,7 @@ class _SequentialSearch:
 
     def __init__(self, structure, seed):
         self.structure = structure
+        self.margin = WITNESS_MIN_CURVATURE * np.abs(structure.algebra.structure).max() ** 2
         self.candidates = self._candidates(np.random.default_rng(seed), structure.dim)
         self.reports = []
 
@@ -388,9 +390,9 @@ class _SequentialSearch:
             report = self._report(tried - 1)
             if report.degenerate:
                 continue
-            if positive is None and report.k > WITNESS_MIN_CURVATURE:
+            if positive is None and report.k > self.margin:
                 positive = report
-            if negative is None and report.k < -WITNESS_MIN_CURVATURE:
+            if negative is None and report.k < -self.margin:
                 negative = report
             if positive is not None and negative is not None:
                 return SignCertificate(positive, negative, tried)
@@ -486,6 +488,94 @@ class TestChunkedSearch:
             assert denominator[i] == pytest.approx(single.denominator, rel=1e-13)
             if i != 4:
                 assert k[i] == pytest.approx(single.k, rel=1e-13, abs=0.0)
+
+
+def _scaled(structure, t):
+    """``structure`` with its brackets scaled by t."""
+    return RandersStructure(MetricLieAlgebra(t * structure.algebra.structure), structure.x0)
+
+
+def _euclidean_motions(s):
+    """e(2) + R^2, [e1, e2] = s e3 and [e1, e3] = -s e2, without deformation:
+    a flat metric at every s, whose flag curvatures are round-off."""
+    c = np.zeros((5, 5, 5))
+    c[0, 1, 2], c[1, 0, 2] = s, -s
+    c[0, 2, 1], c[2, 0, 1] = -s, s
+    return RandersStructure(MetricLieAlgebra(c), np.zeros(5))
+
+
+def _margin_models():
+    rng = np.random.default_rng(18)
+    x0 = 0.4 * rng.standard_normal(7) / np.sqrt(7)
+    return {
+        "heisenberg5": z_randers(2.0, 1.0, 0.5),
+        "nilpotent7-deformed": RandersStructure(nilpotent_algebra(rng, 7), x0),
+    }
+
+
+MARGIN_MODELS = _margin_models()
+
+
+class TestWitnessMargin:
+    """Scaling the brackets by t scales every flag curvature by t**2, and the
+    witness margin with it: for a power of two t the certificate is the same
+    but for k, which is exactly t**2 times as large."""
+
+    @pytest.mark.parametrize("exponent", range(-30, 31, 5))
+    @pytest.mark.parametrize("name", list(MARGIN_MODELS))
+    def test_scaled_brackets_scale_only_k(self, name, exponent):
+        structure = MARGIN_MODELS[name]
+        t = 2.0**exponent
+        expected = sign_search(structure, seed=0)
+        got = sign_search(_scaled(structure, t), seed=0)
+        assert got.samples_tried == expected.samples_tried
+        for witness in ("positive_witness", "negative_witness"):
+            a, b = getattr(got, witness), getattr(expected, witness)
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.x, b.x)
+            assert a.k == t * t * b.k
+
+    @pytest.mark.parametrize("exponent", [0, 10, 14, 20])
+    def test_flat_model_fails_at_any_scale(self, exponent):
+        # at s = 2**14 the round-off curvatures reach 4e-8, past an absolute
+        # margin of 1e-8
+        with pytest.raises(SearchFailure, match="no nonzero curvature found"):
+            sign_search(_euclidean_motions(2.0**exponent), seed=0)
+
+
+class TestStageTwoTrace:
+    """An outside-in tracer wraps ``connection.nabla_v_w`` in every module
+    that binds it; the flag path calls stage 2 by that name, once per
+    stacked evaluation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        original = connection.nabla_v_w
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        holders = [
+            (module, key)
+            for name, module in list(sys.modules.items())
+            if name == "randersflag" or name.startswith("randersflag.")
+            for key, value in vars(module).items()
+            if value is original
+        ]
+        assert (connection, "nabla_v_w") in holders
+        for module, key in holders:
+            monkeypatch.setattr(module, key, counting)
+        return calls
+
+    def test_flag_curvature_calls_stage_two_once(self, calls, structure):
+        assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
+        assert len(calls) == 1
+
+    def test_special_flag_search_calls_stage_two_once(self, calls, structure):
+        assert sign_search(structure, seed=0).samples_tried == 4
+        assert len(calls) == 1
 
 
 class TestNearUnitDeformation:

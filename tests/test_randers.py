@@ -149,8 +149,8 @@ class TestOsculatingFrame:
         held = [v if isinstance(v, tuple) else (v,) for v in vars(frame).values()]
         arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
         # w, gram, pole_covector, pole_pairing, both pole_brackets, the
-        # inverse, p_perp and the Cartan tensor
-        assert len(arrays) == 9
+        # inverse, p_perp, the projector and the Cartan tensor
+        assert len(arrays) == 10
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -162,12 +162,14 @@ class TestOsculatingFrame:
         assert np.array_equal(part.cartan_tensor, frame.cartan_tensor[2:5])
         held = [v if isinstance(v, tuple) else (v,) for v in vars(part).values()]
         arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == 10
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
         # every array but the Cartan tensor, built on first read, is a view
-        for name in ("w", "gram", "pole_covector", "pole_pairing", "_p_perp", "_inverse"):
+        for name in (
+            "w", "gram", "pole_covector", "pole_pairing", "_p_perp", "_projector", "_inverse"
+        ):
             assert np.shares_memory(getattr(part, name), getattr(frame, name))
         for own, parent in zip(part.pole_brackets, frame.pole_brackets):
             assert np.shares_memory(own, parent)
