@@ -8,6 +8,7 @@ from .connection import (
     chern_rund_table,
     chern_rund_tables,
     levi_civita_table,
+    nabla_basis_w,
     nabla_w_of_w,
     torsion_defect,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "flag_report",
     "heisenberg5",
     "levi_civita_table",
+    "nabla_basis_w",
     "nabla_w_of_w",
     "riemannian_sectional",
     "sign_search",

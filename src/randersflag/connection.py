@@ -8,29 +8,26 @@ correction appearing in an earlier stage carries a w slot and therefore
 vanishes.  Each stage is one product with the frame's closed-form inverse of
 the osculating Gram matrix; no factorization or iteration is needed.
 
-Stages 1 and 2 take a frame of one pole or of poles stacked along leading
-axes, and :func:`nabla_v_w` solves for nabla_v w over any set of vectors v,
-stacked as rows along further leading axes, at once; one pole is simply the
-case with no leading axis.  The pairings of brackets with the pole that both
-stages read are contracted once, when the frame is built
-(``OsculatingFrame.pole_pairing`` and ``pole_brackets``), and the caller of
-:func:`nabla_v_w` passes in the products gram @ v and pole_pairing @ v of
-its vectors, which it reads again.  A flag curvature needs stage 2 on three
-vectors only, so stages 1-2 cost O(n^3) per flag, the price of contracting
-the structure constants with a few vectors; :mod:`randersflag.curvature`
-calls :func:`nabla_v_w` by that name, once per stacked evaluation.
-Stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per pole
-and serves the reference tables, the residual checks and the public table
-API.  It is built from whole-matrix products of the frame's arrays: stage 2
-on the whole basis at once (:func:`_basis_rows`), then the Koszul right-hand
-side from two contiguous (..., n, n, n) arrays and the solve as one product
-with the inverse (:func:`_table`).  It too takes a frame of one pole or of
-stacked poles, and :func:`torsion_defect` and :func:`almost_metric_defect`
-reduce over the poles of a stacked table.  A stacked table holds
-(poles, n, n, n) arrays, so :func:`chern_rund_tables` bounds their size: it
-builds the stage-2 rows once over all the poles of a frame, then stage 3
-per block of at most max(1, ``TABLE_BLOCK_ENTRIES`` // n**3) poles from
-views of that frame, as ``verify`` does.
+Every stage takes a frame of one pole or of poles stacked along leading
+axes; one pole is simply the case with no leading axis.  The pairings of
+brackets with the pole that stages 1 and 2 read are contracted once, when
+the frame is built (``OsculatingFrame.pole_pairing`` and ``pole_brackets``).
+Stage 2 has one implementation, :func:`nabla_basis_w`: the rows
+nabla_{e_i} w of the whole basis, from two n x n products with the Gram
+matrix, the Cartan matrix of stage 1's vector and one product with the
+inverse, so nabla_v w = v @ rows for any v.  It serves both regimes, once
+per stacked evaluation: :mod:`randersflag.curvature` contracts the rows
+with the three vectors a flag needs, O(n^3) per flag, and stage 3, the full
+table of :func:`chern_rund_table`, costs O(n^4) per pole and serves the
+reference tables, the residual checks and the public table API.  Stage 3
+builds the Koszul right-hand side from two contiguous (..., n, n, n) arrays
+and solves it as one product with the inverse (:func:`_table`), and
+:func:`torsion_defect` and :func:`almost_metric_defect` reduce over the
+poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays,
+so :func:`chern_rund_tables` bounds their size: it builds the stage-2 rows
+once over all the poles of a frame, then stage 3 per block of at most
+max(1, ``TABLE_BLOCK_ENTRIES`` // n**3) poles from views of that frame, as
+``verify`` does.
 """
 
 from __future__ import annotations
@@ -76,45 +73,23 @@ def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
     return frame.solve(np.matvec(frame.pole_pairing, frame.w))
 
 
-def nabla_v_w(frame: OsculatingFrame, nww, vectors, gram_vectors, pairing_vectors) -> np.ndarray:
-    """nabla_v w for every vector v of ``vectors``, in the same layout.
+def nabla_basis_w(frame: OsculatingFrame, nww: np.ndarray) -> np.ndarray:
+    """Stage 2: nabla_{e_i} w for every basis vector e_i, as rows [..., i, :],
+    so that nabla_v w = v @ rows for any v.
 
-    ``vectors`` is a vector or vectors stacked along leading axes that
-    broadcast against the frame's; ``gram_vectors`` and ``pairing_vectors``
-    are their products gram @ v and pole_pairing @ v, which the flag path
-    reads again.  Solves <nabla_v w, e_k>_w =
-    (<[v, w], e_k>_w - <[w, e_k], v>_w + <[e_k, v], w>_w) / 2
-    - C_w(nabla_w w, e_k, v) for all of them in one solve; ``nww`` is the
-    stage-1 vector of :func:`nabla_w_of_w`, used in the single surviving
-    Cartan correction (the other two carry a w slot).
+    ``nww`` is the stage-1 vector of :func:`nabla_w_of_w` at the same poles.
+    Solves <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
+    + <[e_k, e_i], w>_w) / 2 - C_w(nabla_w w, e_k, e_i) for every row at
+    once, as products of the frame's arrays: the Gram matrix and the inverse
+    are exactly symmetric, so the bracket terms are right @ gram
+    - gram @ left^T + pole_pairing^T, the single surviving Cartan correction
+    (the other two carry a w slot) is half the matrix
+    ``frame.cartan_matrix(nww)``, and solving all the rows is one product
+    with the inverse.
     """
     right, left = frame.pole_brackets
-    brackets = (
-        np.matvec(frame.gram, np.vecmat(vectors, right))
-        - np.matvec(left, gram_vectors)
-        + pairing_vectors
-    )
-    return frame.solve(0.5 * brackets - frame.cartan_covector(nww, vectors))
-
-
-def _basis_rows(frame: OsculatingFrame) -> np.ndarray:
-    """nabla_{e_i} w for every basis vector e_i, as rows [..., i, :].
-
-    Stage 2 of :func:`nabla_v_w` on the whole basis, as products of the
-    frame's arrays: the Gram matrix and the inverse are exactly symmetric,
-    so the bracket terms of all the rows are right @ gram - gram @ left^T
-    + pole_pairing^T, and solving all the rows is one product with the
-    inverse.  The Cartan covector C_w(nabla_w w, e_i, .) of every basis
-    vector is closed form: with u = nabla_w w, u_perp = u - <q, u> q and
-    P = I - q q^T, twice it is <p_perp, u> P + p_perp u_perp^T
-    + u_perp p_perp^T.
-    """
-    right, left = frame.pole_brackets
-    gram, q, p_perp = frame.gram, frame.w, frame._p_perp
-    nww = nabla_w_of_w(frame)
-    u_perp = nww - np.vecdot(q, nww)[..., None] * q
-    cross = p_perp[..., :, None] * u_perp[..., None, :]
-    cartan = np.vecdot(p_perp, nww)[..., None, None] * frame._projector + cross + cross.mT
+    gram = frame.gram
+    cartan = frame.cartan_matrix(nww)
     rhs = 0.5 * (right @ gram - gram @ left.mT + frame.pole_pairing.mT - cartan)
     return rhs @ frame._inverse
 
@@ -134,7 +109,7 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
 
     The frame holds one pole or poles stacked along leading axes; the table's
     ``gamma`` then carries the same leading axes."""
-    return _table(frame, _basis_rows(frame))
+    return _table(frame, nabla_basis_w(frame, nabla_w_of_w(frame)))
 
 
 #: Entries (float64) each (poles, n, n, n) array of a block of
@@ -147,13 +122,13 @@ TABLE_BLOCK_ENTRIES = 2**13
 def chern_rund_tables(frame: OsculatingFrame):
     """The tables of :func:`chern_rund_table` at the poles of ``frame``,
     stacked on one axis (else :class:`DimensionMismatch`), yielded per block
-    of at most max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.  The stage-1-2
+    of at most max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.  The stage-2
     rows (nabla_{e_i} w) are built once over all the poles; each block
     builds only its (poles, n, n, n) arrays (the Cartan tensor, the Koszul
     right-hand side and gamma) from read-only views of the frame."""
     if frame.w.ndim != 2:
         raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
-    rows = _basis_rows(frame)
+    rows = nabla_basis_w(frame, nabla_w_of_w(frame))
     step = max(1, TABLE_BLOCK_ENTRIES // frame.dim**3)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
@@ -162,7 +137,7 @@ def chern_rund_tables(frame: OsculatingFrame):
 
 def _table(frame: OsculatingFrame, rows: np.ndarray) -> ConnectionTable:
     """Stage 3 of :func:`chern_rund_table`, given ``rows``, the stage-2 rows
-    nabla_{e_i} w of :func:`_basis_rows` at the frame's poles.
+    nabla_{e_i} w of :func:`nabla_basis_w` at the frame's poles.
 
     With pairings P[..., i, j, k] = <[e_i, e_j], e_k>_w and corrections
     C[..., i, j, k] = C_w(nabla_{e_i} w, e_j, e_k), the Koszul right-hand

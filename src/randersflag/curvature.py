@@ -9,21 +9,24 @@ plane; it is invariant under rescaling of x and under mixing x with the pole.
 N v = nabla_v w, the numerator <R(x, w)w, x>_w is
 <nabla_x (N w), x>_w - <nabla_w (N x), x>_w - <N [x, w], x>_w.  The first two
 terms are Koszul right-hand sides paired with x, which need no solve, and N
-is needed on x, N w and [x, w] only: stage 1 plus one three-vector stage-2
-solve, O(n^3) per flag.  This flag path is written once for stacks: poles
-and transverse vectors may carry leading batch axes, and every frame
-quantity, stage and quotient broadcasts over them, so :func:`flag_curvature`
-is the case with no batch axis and :func:`sign_search` evaluates its
-candidates in chunks, one stacked call per chunk, scanning the results in
-candidate order.  At dim 5 the cost of a flag is mostly numpy call
-overhead, so the path forms each Gram product once: the frame brings gram @ w
-and the bracket pairings with the pole from its construction, and
-:func:`_flag_numerator` forms gram @ (x, N w, [x, w]) and
-pole_pairing @ (x, N w, [x, w]) once each, for stage 2
-(:func:`connection.nabla_v_w`, one call per stacked evaluation), the Koszul
-pairing and the quotient.  :func:`curvature_operator` and
-:func:`flag_report` read a prebuilt table of one pole and are the reference
-the flag path is tested against.
+is needed on x, N w and [x, w] only: stage 1, then the stage-2 rows of
+:func:`connection.nabla_basis_w` (the one stage 2, which the tables use
+too), contracted with those three vectors in one product, O(n^3) per flag.
+The Cartan terms of the two pairings, C_w(N N w, x, x) and
+C_w(N w, N x, x), come from the one matrix 2 C_w(x, ., .) of
+``OsculatingFrame.cartan_matrix``.  This
+flag path is written once for stacks: poles and transverse vectors may
+carry leading batch axes, and every frame quantity, stage and quotient
+broadcasts over them, so :func:`flag_curvature` is the case with no batch
+axis and :func:`sign_search` evaluates its candidates in chunks, one
+stacked call per chunk, scanning the results in candidate order.  At dim 5
+the cost of a flag is mostly numpy call overhead, so each stage runs once
+per stacked evaluation and the path forms each Gram product once: the
+frame brings gram @ w and the bracket pairings with the pole from its
+construction, and :func:`_flag_numerator` forms gram @ (x, [x, w]) in one
+product, for the Koszul pairings and the quotient.  :func:`curvature_operator`
+and :func:`flag_report` read a prebuilt table of one pole and are the
+reference the flag path is tested against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, nabla_v_w, nabla_w_of_w
+from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _as_vector, _contract
 from .randers import (
@@ -156,25 +159,19 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     a = nabla_w_of_w(frame)
     xw = np.vecmat(x, right)  # [x, w]
     vectors = np.array((x, a, xw))
-    # stage 2 and the pairings below read gram @ x and pole_pairing @ x:
-    # formed once, here, as row 0 of the stage-2 products
-    gram_vectors = np.matvec(gram, vectors)
-    pairing_vectors = np.matvec(frame.pole_pairing, vectors)
-    nx, na, nxw = nabla_v_w(frame, a, vectors, gram_vectors, pairing_vectors)
-    gx = gram_vectors[0]
+    nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, a))
+    gx, gxw = np.matvec(gram, vectors[::2])
     pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
-    cartan_xx, cartan_xb = frame.cartan_covector(x, np.array((x, nx)))
+    # 2 C_w(x, ., x) and 2 C_w(x, ., a), from one Cartan matrix
+    cartan_xx, cartan_xa = np.matvec(frame.cartan_matrix(x), vectors[:2])
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
     # <[x, a], x>_w, and of the Cartan terms only -C_w(N a, x, x) survives
-    along_x = np.vecdot(x, np.matvec(pairs_x, a)) - np.vecdot(cartan_xx, na)
-    # <nabla_w (N x), x>_w: of the Cartan terms only -C_w(a, N x, x) has no
-    # w slot
-    brackets = (
-        np.vecdot(q, np.matvec(pairs_x, nx))
-        - np.vecdot(nx, pairing_vectors[0])
-        + np.vecdot(xw, np.matvec(gram, nx))
-    )
-    along_w = 0.5 * brackets - np.vecdot(cartan_xb, a)
+    along_x = np.vecdot(x, np.matvec(pairs_x, a)) - 0.5 * np.vecdot(na, cartan_xx)
+    # <nabla_w (N x), x>_w = (<[w, N x], x>_w - <[N x, x], w>_w
+    # + <[x, w], N x>_w) / 2 - C_w(a, N x, x), the only Cartan term without
+    # a w slot: N x paired with one covector
+    covector = gxw - np.matvec(frame.pole_pairing, x) - np.matvec(pairs_x, q) - cartan_xa
+    along_w = 0.5 * np.vecdot(nx, covector)
     return along_x - along_w - np.vecdot(nxw, gx), gx
 
 

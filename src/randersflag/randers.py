@@ -277,7 +277,7 @@ class OsculatingFrame:
     simply the case with no leading axis.  Construction builds everything the
     flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
     (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse; it
-    keeps P, which the Cartan terms of the table path read.  Only the
+    keeps P, which every Cartan term reads.  Only the
     (..., n, n, n) ``cartan_tensor``, which only the full connection table
     reads, is built on first read.  Every array a frame holds is read-only,
     so frames are safe for concurrent use (a racing first read of
@@ -342,7 +342,7 @@ class OsculatingFrame:
     def cartan_tensor(self) -> np.ndarray:
         """Cartan tensor on basis triples, (..., n, n, n); built on first
         read.  The symmetrization of p_perp (x) (I - q q^T), see
-        :meth:`cartan_covector`: one broadcast product of p_perp / 2 with
+        :meth:`cartan_matrix`: one broadcast product of p_perp / 2 with
         I - q q^T, plus its two cyclic transposes."""
         t = (0.5 * self._p_perp)[..., :, None, None] * self._projector[..., None, :, :]
         t_jki, t_kij = _cycled(t)
@@ -351,26 +351,20 @@ class OsculatingFrame:
         tensor.flags.writeable = False  # fresh, so frozen without a copy
         return tensor
 
-    def cartan_covector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the covector C_w(u, v, .), in O(n) per vector.
+    def cartan_matrix(self, u: np.ndarray) -> np.ndarray:
+        """Twice the Cartan tensor with one slot filled, 2 C_w(u, ., .), as
+        a symmetric (..., n, n) matrix, in O(n^2) per vector.
 
-        ``u`` and ``v`` are vectors, or vectors stacked along leading axes
-        that broadcast against each other and the frame's; the result has
-        the broadcast shape, so ``np.vecdot(cartan_covector(u, v), x)`` is
-        the Cartan tensor C_w(u, v, x).  The closed form of
-        :meth:`RandersStructure.cartan` with one slot left open, written
-        with the parts y_perp = y - <q, y> q orthogonal to the pole:
-        2 C_w(u, v, .) = <p_perp, u> v_perp + <p_perp, v> u_perp
-        + <u_perp, v_perp> p_perp.
+        ``u`` is a vector, or vectors stacked along leading axes that
+        broadcast against the frame's, so ``x @ cartan_matrix(u) @ y`` is
+        2 C_w(u, x, y).  The closed form of :meth:`RandersStructure.cartan`
+        with two slots left open, written with u_perp = u - <q, u> q and
+        P = I - q q^T: <p_perp, u> P + p_perp u_perp^T + u_perp p_perp^T.
         """
         q, p_perp = self.w, self._p_perp
         u_perp = u - np.vecdot(q, u)[..., None] * q
-        v_perp = v - np.vecdot(q, v)[..., None] * q
-        return 0.5 * (
-            np.vecdot(p_perp, u)[..., None] * v_perp
-            + np.vecdot(p_perp, v)[..., None] * u_perp
-            + np.vecdot(u_perp, v_perp)[..., None] * p_perp
-        )
+        cross = p_perp[..., :, None] * u_perp[..., None, :]
+        return np.vecdot(p_perp, u)[..., None, None] * self._projector + cross + cross.mT
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs with the stored closed-form inverse; ``rhs``

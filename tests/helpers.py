@@ -1,4 +1,5 @@
-"""Shared sampling helpers and the in-process CLI runner of the test suite."""
+"""Shared sampling helpers, the in-process CLI runner and the frame-free
+Koszul reference of the test suite."""
 
 import contextlib
 import io
@@ -103,3 +104,40 @@ def solvable_algebra(rng, dim):
     c[0, 1:, 1:] = derivation.T
     c[1:, 0, 1:] = -derivation.T
     return MetricLieAlgebra(c)
+
+
+def koszul_reference(structure, pole):
+    """``(rows, gamma)`` at one pole from the staged Koszul system, built
+    without the frame: the stage-2 rows rows[i] = nabla_{e_i} w and the
+    table gamma[i, j, k], from the Gram matrix and the Cartan tensor of the
+    basis given by the ``osculating_product`` and ``cartan`` oracles, each
+    stage solved with ``np.linalg.solve``."""
+    c = structure.algebra.structure
+    e = np.eye(structure.dim)
+    gram = structure.osculating_product(pole, e[:, None], e[None, :])
+    cartan = structure.cartan(pole, e[:, None, None], e[None, :, None], e[None, None, :])
+    w = pole / np.linalg.norm(pole)
+    pair = np.einsum("ijm,mk->ijk", c, gram)  # <[e_i, e_j], e_k>_w
+    # stage 1: <nabla_w w, e_k>_w = <[e_k, w], w>_w
+    nww = np.linalg.solve(gram, np.einsum("kij,i,j->k", pair, w, w))
+    # stage 2: <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
+    # + <[e_k, e_i], w>_w) / 2 - C(nabla_w w, e_k, e_i)
+    brackets = (
+        np.einsum("ijk,j->ik", pair, w)
+        - np.einsum("jki,j->ik", pair, w)
+        + np.einsum("kij,j->ik", pair, w)
+    )
+    rhs = 0.5 * brackets - np.einsum("a,aki->ik", nww, cartan)
+    rows = np.linalg.solve(gram, rhs.T).T
+    # stage 3: <nabla_{e_i} e_j, e_k>_w = (<[e_i, e_j], e_k>_w
+    # - <[e_j, e_k], e_i>_w + <[e_k, e_i], e_j>_w) / 2 - C(nabla_{e_i} w, e_j, e_k)
+    # - C(nabla_{e_j} w, e_k, e_i) + C(nabla_{e_k} w, e_i, e_j)
+    corrections = np.einsum("ia,ajk->ijk", rows, cartan)
+    rhs = (
+        0.5 * (pair - np.einsum("jki->ijk", pair) + np.einsum("kij->ijk", pair))
+        - corrections
+        - np.einsum("jki->ijk", corrections)
+        + np.einsum("kij->ijk", corrections)
+    )
+    n = structure.dim
+    return rows, np.linalg.solve(gram, rhs.reshape(n * n, n).T).T.reshape(n, n, n)

@@ -16,11 +16,12 @@ from randersflag import (
     chern_rund_tables,
     heisenberg5,
     levi_civita_table,
+    nabla_basis_w,
     nabla_w_of_w,
     torsion_defect,
     w_perp,
 )
-from randersflag.connection import TABLE_BLOCK_ENTRIES, _basis_rows, nabla_v_w
+from randersflag.connection import TABLE_BLOCK_ENTRIES
 from randersflag.reference_tables import (
     pole_frame_cells,
     pole_rows_cells,
@@ -28,7 +29,15 @@ from randersflag.reference_tables import (
     reference_blocks,
     reference_poles,
 )
-from helpers import nilpotent_algebra, random_heisenberg_params, unit, unit_in_plane, z_randers
+from helpers import (
+    koszul_reference,
+    nilpotent_algebra,
+    random_heisenberg_params,
+    solvable_algebra,
+    unit,
+    unit_in_plane,
+    z_randers,
+)
 
 E = np.eye(5)
 Z = E[4]
@@ -49,12 +58,9 @@ def check_cells(structure, pole, cells, tol):
     assert worst <= tol, f"worst cell defect {worst:.3e} exceeds {tol:g}"
 
 
-def stage_two(frame, vectors):
-    """nabla_v w for the rows v of ``vectors``, by :func:`nabla_v_w` with its
-    Gram and pole-pairing products formed here."""
-    gram_vectors = np.matvec(frame.gram, vectors)
-    pairing_vectors = np.matvec(frame.pole_pairing, vectors)
-    return nabla_v_w(frame, nabla_w_of_w(frame), vectors, gram_vectors, pairing_vectors)
+def stage_two(frame):
+    """The stage-2 rows nabla_{e_i} w of ``frame``, after its stage 1."""
+    return nabla_basis_w(frame, nabla_w_of_w(frame))
 
 
 class TestStageSolves:
@@ -88,7 +94,7 @@ class TestStageSolves:
         # the matrix of x -> nabla_x w: column j holds nabla_{e_j} w
         s = z_randers(2.0, 1.0, 0.5)
         frame = s.osculating_gram(E[0])
-        m = _basis_rows(frame).mT
+        m = stage_two(frame).mT
         assert np.allclose(m[:, 4], -E[1], atol=1e-14)  # along Z: half of Wperp
         assert np.allclose(m[:, 2], -0.25 * E[3], atol=1e-14)  # along e3
         assert np.allclose(m[:, 3], 0.25 * E[2], atol=1e-14)  # along e4
@@ -98,15 +104,7 @@ class TestStageSolves:
             lam, mu, xi = random_heisenberg_params(rng)
             s = z_randers(lam, mu, xi)
             frame = s.osculating_gram(unit(rng))
-            assert np.abs(frame.w @ _basis_rows(frame) - nabla_w_of_w(frame)).max() <= 1e-13
-
-    def test_stacked_stage_two_matches_map(self, rng):
-        for _ in range(10):
-            lam, mu, xi = random_heisenberg_params(rng)
-            frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
-            vectors = rng.standard_normal((3, 5))
-            stacked = stage_two(frame, vectors)
-            assert np.abs(stacked - vectors @ _basis_rows(frame)).max() <= 1e-13
+            assert np.abs(frame.w @ stage_two(frame) - nabla_w_of_w(frame)).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
         # the dropped stage-2 terms all carry a pole slot; the cached tensor
@@ -280,45 +278,10 @@ class TestStackedTables:
         assert almost_metric_defect(broken) >= 1e-7
 
 
-def koszul_reference(structure, pole):
-    """gamma[i, j, k] at one pole from the staged Koszul system, built
-    without the frame: the Gram matrix and the Cartan tensor of the basis
-    from the ``osculating_product`` and ``cartan`` oracles, each stage
-    solved with ``np.linalg.solve``."""
-    c = structure.algebra.structure
-    e = np.eye(structure.dim)
-    gram = structure.osculating_product(pole, e[:, None], e[None, :])
-    cartan = structure.cartan(pole, e[:, None, None], e[None, :, None], e[None, None, :])
-    w = pole / np.linalg.norm(pole)
-    pair = np.einsum("ijm,mk->ijk", c, gram)  # <[e_i, e_j], e_k>_w
-    # stage 1: <nabla_w w, e_k>_w = <[e_k, w], w>_w
-    nww = np.linalg.solve(gram, np.einsum("kij,i,j->k", pair, w, w))
-    # stage 2: <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
-    # + <[e_k, e_i], w>_w) / 2 - C(nabla_w w, e_k, e_i)
-    brackets = (
-        np.einsum("ijk,j->ik", pair, w)
-        - np.einsum("jki,j->ik", pair, w)
-        + np.einsum("kij,j->ik", pair, w)
-    )
-    rhs = 0.5 * brackets - np.einsum("a,aki->ik", nww, cartan)
-    rows = np.linalg.solve(gram, rhs.T).T
-    # stage 3: <nabla_{e_i} e_j, e_k>_w = (<[e_i, e_j], e_k>_w
-    # - <[e_j, e_k], e_i>_w + <[e_k, e_i], e_j>_w) / 2 - C(nabla_{e_i} w, e_j, e_k)
-    # - C(nabla_{e_j} w, e_k, e_i) + C(nabla_{e_k} w, e_i, e_j)
-    corrections = np.einsum("ia,ajk->ijk", rows, cartan)
-    rhs = (
-        0.5 * (pair - np.einsum("jki->ijk", pair) + np.einsum("kij->ijk", pair))
-        - corrections
-        - np.einsum("jki->ijk", corrections)
-        + np.einsum("kij->ijk", corrections)
-    )
-    n = structure.dim
-    return np.linalg.solve(gram, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
-
-
 class TestIndependentReference:
-    """chern_rund_table against :func:`koszul_reference`, which shares
-    neither the frame's closed-form inverse nor its Cartan tensor."""
+    """chern_rund_table and the stage-2 rows against
+    :func:`helpers.koszul_reference`, which shares neither the frame's
+    closed-form inverse nor its Cartan terms."""
 
     @staticmethod
     def structure(dim, norm):
@@ -336,7 +299,7 @@ class TestIndependentReference:
             poles[0] = -s.x0 / norm + 0.3 * unit(rng, dim)
         stacked = chern_rund_table(s.osculating_gram(poles)).gamma
         for pole, rows in zip(poles, stacked):
-            expected = koszul_reference(s, pole)
+            _, expected = koszul_reference(s, pole)
             scale = np.abs(expected).max()
             single = chern_rund_table(s.osculating_gram(pole)).gamma
             assert np.abs(single - expected).max() <= 1e-13 * scale
@@ -347,20 +310,27 @@ class TestIndependentReference:
             lam, mu, xi = random_heisenberg_params(rng)
             s = z_randers(lam, mu, xi)
             pole = unit(rng)
-            expected = koszul_reference(s, pole)
+            _, expected = koszul_reference(s, pole)
             gamma = chern_rund_table(s.osculating_gram(pole)).gamma
             assert np.abs(gamma - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("norm", [0.0, 0.9])
+    @pytest.mark.parametrize("build", [nilpotent_algebra, solvable_algebra])
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("dim", [5, 9, 16])
-    def test_nabla_x_w_map_matches_stage_two(self, dim, norm):
-        s, rng = self.structure(dim, norm)
-        for pole in rng.standard_normal((4, dim)):
-            frame = s.osculating_gram(pole)
-            expected = stage_two(frame, np.eye(dim)).T
-            assert np.abs(_basis_rows(frame).mT - expected).max() <= 1e-13 * max(
-                1.0, np.abs(expected).max()
-            )
+    def test_stage_two_rows_match_reference(self, dim, norm, build):
+        # the one stage 2, which the flag path and the tables share, at one
+        # pole and at stacked poles
+        rng = np.random.default_rng([dim, int(norm * 10), len(build.__name__)])
+        s = RandersStructure(build(rng, dim), norm * unit(rng, dim))
+        poles = rng.standard_normal((3, dim))
+        if norm:
+            poles[0] = -s.x0 / norm + 0.3 * unit(rng, dim)
+        stacked = stage_two(s.osculating_gram(poles))
+        for pole, rows in zip(poles, stacked):
+            expected, _ = koszul_reference(s, pole)
+            bound = 1e-13 * max(1.0, np.abs(expected).max())
+            assert np.abs(stage_two(s.osculating_gram(pole)) - expected).max() <= bound
+            assert np.abs(rows - expected).max() <= bound
 
 
 class TestLeviCivita:

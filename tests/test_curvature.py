@@ -37,6 +37,7 @@ from randersflag.curvature import (
 from helpers import (
     abelian_structure,
     hyperbolic_plus_heisenberg,
+    koszul_reference,
     nilpotent_algebra,
     random_heisenberg_params,
     solvable_algebra,
@@ -543,14 +544,15 @@ class TestWitnessMargin:
             sign_search(_euclidean_motions(2.0**exponent), seed=0)
 
 
-class TestStageTwoTrace:
-    """An outside-in tracer wraps ``connection.nabla_v_w`` in every module
-    that binds it; the flag path calls stage 2 by that name, once per
-    stacked evaluation."""
+class TestStageTrace:
+    """An outside-in tracer wraps a stage function in every module that
+    binds it; the flag path and the tables call stage 1
+    (``connection.nabla_w_of_w``) and stage 2 (``connection.nabla_basis_w``)
+    by those names, each once per stacked evaluation."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        original = connection.nabla_v_w
+    @pytest.fixture(params=["nabla_w_of_w", "nabla_basis_w"])
+    def calls(self, request, monkeypatch):
+        original = getattr(connection, request.param)
         calls = []
 
         def counting(*args, **kwargs):
@@ -564,18 +566,64 @@ class TestStageTwoTrace:
             for key, value in vars(module).items()
             if value is original
         ]
-        assert (connection, "nabla_v_w") in holders
+        assert (connection, request.param) in holders
         for module, key in holders:
             monkeypatch.setattr(module, key, counting)
         return calls
 
-    def test_flag_curvature_calls_stage_two_once(self, calls, structure):
+    def test_flag_curvature_runs_each_stage_once(self, calls, structure):
         assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
         assert len(calls) == 1
 
-    def test_special_flag_search_calls_stage_two_once(self, calls, structure):
+    def test_special_flag_search_runs_each_stage_once(self, calls, structure):
         assert sign_search(structure, seed=0).samples_tried == 4
         assert len(calls) == 1
+
+    def test_table_runs_each_stage_once(self, calls, structure):
+        table = chern_rund_table(structure.osculating_gram(E[:3]))
+        assert table.gamma.shape == (3, 5, 5, 5)
+        assert len(calls) == 1
+
+
+def _frame_free_curvature(structure, w, x):
+    """K(w, x) from the gamma of :func:`helpers.koszul_reference` and the
+    ``osculating_product`` oracle, with no frame: R(x, w)w =
+    nabla_x nabla_w w - nabla_w nabla_x w - nabla_{[x, w]} w for
+    constant-coefficient fields, paired with x and divided by the Gram
+    determinant of the flag plane."""
+    _, gamma = koszul_reference(structure, w)
+
+    def nabla(u, v):
+        return u @ (v @ gamma)
+
+    w = w / np.linalg.norm(w)
+    r = nabla(x, nabla(w, w)) - nabla(w, nabla(x, w)) - nabla(structure.algebra.bracket(x, w), w)
+    product = structure.osculating_product
+    denominator = product(w, w, w) * product(w, x, x) - product(w, w, x) ** 2
+    return product(w, r, x) / denominator
+
+
+class TestFlagPathAgainstReference:
+    """The flag path against a K built without the frame, its closed-form
+    inverse or its Cartan terms; unlike :func:`flag_report`, this reference
+    does not share the flag path's stage 2."""
+
+    @pytest.mark.parametrize("build", [nilpotent_algebra, solvable_algebra])
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("dim", [5, 9, 16])
+    def test_stacked_flags(self, dim, norm, build):
+        rng = np.random.default_rng([dim, int(norm * 10), len(build.__name__), 20])
+        structure = RandersStructure(build(rng, dim), norm * unit(rng, dim))
+        w, x = rng.standard_normal((2, 4, dim))
+        if norm:
+            # a pole near -x0, where a = 1 + <x0, w> is smallest
+            w[0] = -structure.x0 / norm + 0.3 * unit(rng, dim)
+        _, k, _, degenerate = _flag_curvatures(structure, w, x)
+        assert not degenerate.any()
+        scale = np.abs(structure.algebra.structure).max() ** 2
+        for i in range(len(w)):
+            expected = _frame_free_curvature(structure, w[i], x[i])
+            assert abs(k[i] - expected) <= 1e-12 * (abs(expected) + scale)
 
 
 class TestNearUnitDeformation:

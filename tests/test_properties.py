@@ -105,13 +105,18 @@ def test_connection_contracts(model):
 
 @PROPERTY_SETTINGS
 @given(models(), st.integers(1, 6))
-def test_cartan_covector_totally_symmetric(model, rows):
-    # <cartan_covector(u, v), x> = C_w(u, v, x) takes its slots in any order
+def test_cartan_matrix_totally_symmetric(model, rows):
+    # u @ cartan_matrix(v) @ x = 2 C_w(u, v, x) takes its slots in any order
+    # and matches the closed form of RandersStructure.cartan
     structure, rng = model
     w, u, v, x = rng.standard_normal((4, rows, structure.dim))
     frame = structure.osculating_gram(w)
-    cartan = np.vecdot(frame.cartan_covector(u, v), x)
+
+    def twice_cartan(a, b, c):
+        return np.vecdot(a, np.matvec(frame.cartan_matrix(b), c))
+
+    cartan = twice_cartan(u, v, x)
     scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1) * np.linalg.norm(x, axis=-1)
+    assert (np.abs(cartan - 2.0 * structure.cartan(w, u, v, x)) <= 1e-12 * scale).all()
     for a, b, c in itertools.permutations((u, v, x)):
-        permuted = np.vecdot(frame.cartan_covector(a, b), c)
-        assert (np.abs(permuted - cartan) <= 1e-12 * scale).all()
+        assert (np.abs(twice_cartan(a, b, c) - cartan) <= 1e-12 * scale).all()

@@ -301,14 +301,18 @@ class TestCartan:
             contracted = float(np.einsum("abc,a,b,c->", frame.cartan_tensor, u, v, x))
             assert structure.cartan(w, u, v, x) == pytest.approx(contracted, abs=1e-13)
 
-    def test_covector_matches_cached_basis_tensor(self, structure, rng):
-        frame = structure.osculating_gram(unit(rng))
-        u, v = rng.standard_normal((2, 5))
+    def test_cartan_matrix_matches_closed_form_and_basis_tensor(self, structure, rng):
+        w = unit(rng)
+        frame = structure.osculating_gram(w)
+        u = rng.standard_normal(5)
+        e = np.eye(5)
+        expected = 2.0 * structure.cartan(w, u, e[:, None], e[None, :])
+        assert np.abs(frame.cartan_matrix(u) - expected).max() <= 1e-13
+        basis = 2.0 * np.einsum("abc,a->bc", frame.cartan_tensor, u)
+        assert np.abs(frame.cartan_matrix(u) - basis).max() <= 1e-13
         rows = rng.standard_normal((3, 5))
-        expected = np.einsum("abc,a,b->c", frame.cartan_tensor, u, v)
-        assert np.abs(frame.cartan_covector(u, v) - expected).max() <= 1e-13
-        stacked = np.einsum("abc,a,jb->jc", frame.cartan_tensor, u, rows)
-        assert np.abs(frame.cartan_covector(u, rows) - stacked).max() <= 1e-13
+        stacked = 2.0 * np.einsum("abc,ja->jbc", frame.cartan_tensor, rows)
+        assert np.abs(frame.cartan_matrix(rows) - stacked).max() <= 1e-13
 
     def test_stacked_basis_tensor_matches_closed_form(self, structure, rng):
         w = rng.standard_normal((2, 3, 5))
