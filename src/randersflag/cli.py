@@ -23,9 +23,10 @@ by their tolerance times max(1, largest |coefficient| of their tables), and
 print that bound as ``tolerance``.  ``connection-tables`` writes the
 text :func:`json.dumps` writes with ``indent=2`` (two spaces per level, one
 number per line, numbers spelled by ``repr``, non-finite ones as ``NaN``,
-``Infinity``, ``-Infinity``), filled into fixed templates by
-:func:`connection_tables_json`.  ``search --seed`` must be nonnegative; a
-negative seed is a usage error.
+``Infinity``, ``-Infinity``): :func:`connection_tables_json` fills one
+template per layout, built once, with one ``%``, and spells exact zeros by
+their sign.  ``search --seed`` must be nonnegative; a negative seed is a
+usage error.
 
 ``table1`` and ``connection-tables`` take the heisenberg5 parameters as
 options; ``flag``, ``search`` and ``verify`` read a model config, a single
@@ -328,42 +329,11 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-#: Templates of the ``connection-tables`` document, laid out as
-#: :func:`json.dumps` lays it out with ``indent=2``: two spaces per level, one
-#: number per line.
-_DOCUMENT = """{{
-  "lambda": {},
-  "mu": {},
-  "xi": {},
-  "blocks": {{{}
-  }},
-  "max_defect": {},
-  "pass": {}
-}}
-"""
-_BLOCK = """
-    {}: {{
-      "pole": [
-        {}
-      ],
-      "cells": [{}
-      ]
-    }}"""
-_CELL = """
-        {{
-          "row": {},
-          "col": {},
-          "computed": [
-            {}
-          ],
-          "closed_form": [
-            {}
-          ],
-          "defect": {}
-        }}"""
-
 #: How :mod:`json` spells the floats that ``repr`` spells otherwise.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: The spellings of an exact zero, indexed by its sign bit.
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
 def _json_floats(values) -> list[str]:
@@ -372,11 +342,46 @@ def _json_floats(values) -> list[str]:
     return [_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
 
 
-def _json_lists(rows: np.ndarray, indent: int) -> list[str]:
-    """The items of each row of a 2-d float array as indent-2 JSON writes
-    them inside a list whose items stand ``indent`` spaces deep."""
-    spelled = _json_floats(rows.ravel().tolist())
-    return list(map((",\n" + " " * indent).join, zip(*[iter(spelled)] * rows.shape[1])))
+def _indent_2(value, depth: int = 0) -> str:
+    """``value`` laid out as :func:`json.dumps` lays it out with ``indent=2``,
+    as a ``%`` template: ``None`` stands for a ``%s`` slot, strings are
+    JSON strings with ``%`` escaped, and dicts and lists nest."""
+    if value is None:
+        return "%s"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value).replace("%", "%%")
+    if isinstance(value, dict):
+        ends = "{}"
+        items = [f"{_indent_2(key)}: {_indent_2(item, depth + 1)}" for key, item in value.items()]
+    else:
+        ends, items = "[]", [_indent_2(item, depth + 1) for item in value]
+    if not items:
+        return ends
+    inner = "\n" + "  " * (depth + 1)
+    return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + ends[1]
+
+
+@functools.cache
+def _document_template(layout: tuple, width: int) -> tuple[str, np.ndarray]:
+    """The ``connection-tables`` document of a layout, ``(name, rows, cols)``
+    per block and ``width`` numbers per vector, as a ``%`` template with a
+    slot per number and one for ``pass``, and its numbers' indices into
+    ``[lam, mu, xi, max_defect]``, the poles, then each cell's computed
+    row, closed-form row and defect."""
+    numbers = [None] * width
+    blocks = {name: {"pole": numbers, "cells": [
+        {"row": row, "col": col, "computed": numbers, "closed_form": numbers, "defect": None}
+        for row, col in zip(rows, cols)]} for name, rows, cols in layout}
+    document = {"lambda": None, "mu": None, "xi": None, "blocks": blocks,
+                "max_defect": None, "pass": None}
+    order, cell = [0, 1, 2], 4 + len(layout) * width
+    for block, (_, rows, _) in enumerate(layout):
+        stop = cell + len(rows) * (2 * width + 1)
+        order += [*range(4 + block * width, 4 + (block + 1) * width), *range(cell, stop)]
+        cell = stop
+    order = np.array(order + [3])
+    order.flags.writeable = False
+    return _indent_2(document) + "\n", order
 
 
 def connection_tables_json(
@@ -399,37 +404,28 @@ def connection_tables_json(
 
     ``reference`` maps block names to (pole, cells) as
     :func:`reference_blocks` returns them; the rows of the arrays follow the
-    blocks' cells in order.  The layout is fixed, so the text is filled into
-    templates rather than run through :mod:`json`'s indenting encoder, which
-    is pure Python."""
+    blocks' cells in order.  The fixed text depends only on the layout (the
+    block names, the cell labels and the vector width), so it is built once
+    per layout as a ``%`` template, not run through :mod:`json`'s indenting
+    encoder, which is pure Python, and filled with one ``%``.  Each number is
+    spelled once: exact zeros by their sign, ``0.0`` or ``-0.0``, and each
+    distinct other value by :func:`_json_floats`."""
     blocks = reference.values()
-    rows = [label for _, cells in blocks for label in cells.rows]
-    cols = [label for _, cells in blocks for label in cells.cols]
-    cell_texts = [
-        _CELL.format(encode_basestring_ascii(row), encode_basestring_ascii(col), *texts)
-        for row, col, *texts in zip(
-            rows,
-            cols,
-            _json_lists(computed, 12),
-            _json_lists(expected, 12),
-            _json_floats(defects.tolist()),
-        )
-    ]
-    poles = _json_lists(np.array([pole for pole, _ in blocks]), 8)
-    block_texts = []
-    start = 0
-    for (name, (_, cells)), pole in zip(reference.items(), poles):
-        stop = start + len(cells.rows)
-        block_texts.append(
-            _BLOCK.format(encode_basestring_ascii(name), pole, ",".join(cell_texts[start:stop]))
-        )
-        start = stop
-    return _DOCUMENT.format(
-        *_json_floats([lam, mu, xi]),
-        ",".join(block_texts),
-        *_json_floats([max_defect]),
-        "true" if ok else "false",
-    )
+    layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
+    template, order = _document_template(layout, computed.shape[1])
+    values = np.concatenate((
+        [lam, mu, xi, max_defect],
+        *(pole for pole, _ in blocks),
+        np.column_stack((computed, expected, defects)).ravel(),
+    ))[order]
+    texts = _ZEROS[np.signbit(values).view(np.int8)]
+    nonzero = values != 0
+    numbers = values[nonzero].tolist()
+    # nonzero floats are equal only when their bits are; each NaN is its own key
+    distinct = dict.fromkeys(numbers)
+    spelled = dict(zip(distinct, _json_floats(distinct)))
+    texts[nonzero] = list(map(spelled.__getitem__, numbers))
+    return template % (*texts.tolist(), "true" if ok else "false")
 
 
 def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:

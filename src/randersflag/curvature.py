@@ -31,7 +31,8 @@ reference the flag path is tested against.
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
 of :mod:`randersflag.reference_tables`.  The search's witness margin scales
-with the squared brackets, as flag curvatures and their round-off do.
+with the squared brackets, as flag curvatures and their round-off do, down
+to the smallest normal double.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ from .reference_tables import CANONICAL_FLAGS
 DEGENERACY_REL_TOL = 1e-10
 
 #: Sign witnesses must clear this margin times the largest squared |structure
-#: constant|: brackets scaled by t scale K, and its round-off, by t**2.
+#: constant|: brackets scaled by t scale K, and its round-off, by t**2.  They
+#: must also clear the smallest normal double, below which round-off no
+#: longer scales with K.
 WITNESS_MIN_CURVATURE = 1e-8
 
 #: Sizes of the successive chunks of random candidates that
@@ -226,9 +229,11 @@ def sign_search(
     On five-dimensional algebras the eight special flag families are tried
     first (in case order), then uniform random unit pole/transverse pairs.
     Returns the first witness of each sign whose |k| exceeds
-    ``WITNESS_MIN_CURVATURE`` times the largest squared |structure constant|;
-    raises :class:`SearchFailure` when the sample budget runs out, which
-    signals a flat metric or insufficient sampling.
+    ``WITNESS_MIN_CURVATURE`` times the largest squared |structure constant|
+    and the smallest normal double, ``np.finfo(float).tiny``; raises
+    :class:`SearchFailure` when the sample budget runs out, which signals a
+    flat metric, insufficient sampling or, when the first bound falls below
+    the second, brackets too small for their curvatures to be normal doubles.
     ``max_samples`` must be a positive integer and ``seed`` a nonnegative one
     (anything else raises :class:`ParameterError`), and each such seed keeps
     its :func:`numpy.random.default_rng` stream, which is only made once the
@@ -263,7 +268,11 @@ def sign_search(
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     dim = structure.dim
     # a numpy scalar: an overflowing square raises under np.errstate
-    margin = WITNESS_MIN_CURVATURE * np.abs(structure.algebra.structure).max() ** 2
+    scale = np.abs(structure.algebra.structure).max()
+    margin = WITNESS_MIN_CURVATURE * scale**2
+    tiny = np.finfo(float).tiny
+    subnormal = scale > 0 and margin < tiny
+    margin = max(margin, tiny)
     chunks = _random_chunks(seed, dim)
     witnesses = {}  # sign -> (candidate index, report)
     tried = 0
@@ -291,7 +300,14 @@ def sign_search(
         missing = "no strictly positive curvature found"
     else:
         missing = "no strictly negative curvature found"
-    raise SearchFailure(f"{missing} within {tried} samples")
+    message = f"{missing} within {tried} samples"
+    if subnormal:
+        message += (
+            f"; the brackets (max|c| = {scale:.3g}) put {WITNESS_MIN_CURVATURE:g} max|c|^2"
+            f" below the smallest normal double, {tiny:.3g}, and curvatures this small"
+            " are not normal doubles"
+        )
+    raise SearchFailure(message)
 
 
 def riemannian_sectional(algebra: MetricLieAlgebra, x, y) -> float:

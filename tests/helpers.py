@@ -3,6 +3,7 @@ Koszul reference of the test suite."""
 
 import contextlib
 import io
+import itertools
 import os
 import warnings
 
@@ -28,6 +29,21 @@ def run_main(argv) -> tuple[int, str, str]:
             except SystemExit as exc:
                 code = exc.code
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def tables_document(lam, mu, xi, reference, computed, expected, defects, max_defect, ok):
+    """The document that :func:`randersflag.cli.connection_tables_json`
+    writes for its arguments, as :func:`json.dumps` takes it."""
+    blocks, start = {}, 0
+    for name, (pole, cells) in reference.items():
+        blocks[name] = {"pole": pole.tolist(), "cells": [
+            {"row": row, "col": col, "computed": computed[i].tolist(),
+             "closed_form": expected[i].tolist(), "defect": float(defects[i])}
+            for i, row, col in zip(itertools.count(start), cells.rows, cells.cols)
+        ]}
+        start += len(cells.rows)
+    return {"lambda": lam, "mu": mu, "xi": xi, "blocks": blocks,
+            "max_defect": max_defect, "pass": ok}
 
 
 def package_env() -> dict:

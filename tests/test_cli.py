@@ -46,7 +46,14 @@ from randersflag.reference_tables import (
     special_flag_closed_form,
     special_flag_vectors,
 )
-from helpers import nilpotent_algebra, package_env, run_main, unit, z_randers
+from helpers import (
+    nilpotent_algebra,
+    package_env,
+    run_main,
+    tables_document,
+    unit,
+    z_randers,
+)
 
 PRESET = {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.5}}
 EXPLICIT_HEISENBERG = {
@@ -611,6 +618,49 @@ class TestOutputFile:
         assert out.read_bytes() == b""
 
 
+#: ``connection-tables`` layouts, ``(name, rows, cols)`` per block, whose
+#: names and labels hold ``%`` and ``{}`` (template syntax), JSON escapes and
+#: non-ASCII characters, and a block without cells.
+EMITTER_LAYOUTS = {
+    "percent": (
+        ("%s%%", ("%s", "%(x)s", "100%"), ("%", "%d", "{}")),
+        ("{0}{}", ("{}", '"%s"'), ("%%", "{x}")),
+    ),
+    "escapes": (
+        ("\u00e9\u5757", ("\u00e9", "\U0001f600", "tab\t"), ('q"', "back\\slash", "\u2028")),
+        ("\x00%", (), ()),
+        ("e\n", ("e1",), ("W",)),
+    ),
+}
+
+
+def _emitter_case(blocks, width, rng, ok=True):
+    """The arguments of :func:`connection_tables_json` for ``blocks``, with
+    vectors of ``width`` random numbers, and the document they stand for.
+    About a third of the numbers are exact zeros of either sign, and the
+    rest repeat 16 values, non-finite and subnormal ones among them."""
+    pool = np.concatenate((
+        rng.standard_normal(12) * 10.0 ** rng.integers(-300, 300, 12),
+        [math.nan, math.inf, -math.inf, 5e-324],
+    ))
+
+    def numbers(*shape):
+        zeros = np.copysign(0.0, rng.standard_normal(shape))
+        return np.where(rng.random(shape) < 0.35, zeros, rng.choice(pool, shape))
+
+    cells = sum(len(rows) for _, rows, _ in blocks)
+    computed, expected, defects = numbers(cells, width), numbers(cells, width), numbers(cells)
+    poles, (lam, mu, xi, max_defect) = numbers(len(blocks), width), numbers(4).tolist()
+    # the labels and the pole are all the emitter reads of a block
+    zero = np.zeros((0, width))
+    reference = {
+        name: (pole, Cells(rows, cols, zero, zero, zero))
+        for (name, rows, cols), pole in zip(blocks, poles)
+    }
+    args = (lam, mu, xi, reference, computed, expected, defects, max_defect, ok)
+    return args, tables_document(*args)
+
+
 class TestConnectionTablesJson:
     """``connection-tables`` writes the text of ``json.dumps(document,
     indent=2)`` without going through json's indenting encoder."""
@@ -659,6 +709,30 @@ class TestConnectionTablesJson:
             lam, mu, xi, reference, computed, expected, defects, math.nan, ok
         )
         assert text == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("width", [3, 5])
+    @pytest.mark.parametrize("layout", list(EMITTER_LAYOUTS))
+    def test_labels_are_escaped(self, layout, width):
+        rng = np.random.default_rng(width)
+        args, document = _emitter_case(EMITTER_LAYOUTS[layout], width, rng, ok=width == 3)
+        assert connection_tables_json(*args) == json.dumps(document, indent=2) + "\n"
+
+    def test_one_template_per_layout(self):
+        # layouts that differ only in a label, in the width or in a block
+        # name, filled in turn in one process, each from its own template
+        rng = np.random.default_rng(5)
+        blocks = EMITTER_LAYOUTS["percent"]
+        layouts = [
+            (blocks, 3),
+            ((blocks[0], (blocks[1][0], ("%s", "{}"), ("%d", "z"))), 3),
+            (blocks, 5),
+            (((blocks[0][0] + "%", *blocks[0][1:]), blocks[1]), 3),
+        ]
+        cases = [_emitter_case(blocks, width, rng) for blocks, width in layouts * 2]
+        cli._document_template.cache_clear()
+        for args, document in cases:
+            assert connection_tables_json(*args) == json.dumps(document, indent=2) + "\n"
+        assert cli._document_template.cache_info().currsize == len(layouts)
 
     def test_indenting_encoder_unused(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -811,6 +885,20 @@ class TestSearch:
         assert code == EXIT_VERDICT
         captured = capsys.readouterr()
         assert "no nonzero curvature" in captured.err
+
+    @pytest.mark.parametrize("exponent", [-530, -535])
+    def test_subnormal_curvatures_fail(self, tmp_path, exponent):
+        # the flat e(2) + R^2 model, [e1, e2] = s e3, [e1, e3] = -s e2, at
+        # brackets whose round-off curvatures are subnormal
+        s = 2.0**exponent
+        brackets = [{"i": 1, "j": 2, "k": 3, "value": s}, {"i": 1, "j": 3, "k": 2, "value": -s}]
+        model = {"explicit": {"dim": 5, "brackets": brackets, "x0": [0] * 5}}
+        config = write_config(tmp_path, model)
+        code, stdout, err = run_main(["search", "--config", config, "--seed", "0"])
+        assert (code, stdout) == (EXIT_VERDICT, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("search failure: no nonzero curvature found within 512 samples; ")
+        assert err.endswith("not normal doubles\n")
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, PRESET)

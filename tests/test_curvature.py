@@ -543,6 +543,23 @@ class TestWitnessMargin:
         with pytest.raises(SearchFailure, match="no nonzero curvature found"):
             sign_search(_euclidean_motions(2.0**exponent), seed=0)
 
+    @pytest.mark.parametrize("exponent", [-498, -530, -535, -600])
+    def test_margin_floored_at_smallest_normal(self, exponent):
+        # 1e-8 s**2 falls below the smallest normal double near s = 2**-498;
+        # without a floor the flat model's round-off, +-5e-324, certifies
+        with pytest.raises(SearchFailure) as raised:
+            sign_search(_euclidean_motions(2.0**exponent), seed=0)
+        message = str(raised.value)
+        assert message.startswith("no nonzero curvature found within 512 samples; ")
+        assert message.endswith("curvatures this small are not normal doubles")
+
+    def test_normal_margins_keep_their_message(self):
+        # at s = 2**-497 the margin is still a normal double; c = 0 has no margin
+        for structure in (_euclidean_motions(2.0**-497), abelian_structure()):
+            with pytest.raises(SearchFailure) as raised:
+                sign_search(structure, seed=0)
+            assert str(raised.value) == "no nonzero curvature found within 512 samples"
+
 
 class TestStageTrace:
     """An outside-in tracer wraps a stage function in every module that

@@ -1,10 +1,15 @@
 """Property tests of the stacked flag path, the connection contracts and the
 Cartan tensor on random 2-step nilpotent and rank-one solvable algebras of
-dimension 5 to 12.
+dimension 5 to 12, and of the ``connection-tables`` file over admissible
+heisenberg5 parameters.
 
 Hypothesis runs derandomized, so every run draws the same examples."""
 
 import itertools
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,8 +22,9 @@ from randersflag import (
     flag_curvature,
     torsion_defect,
 )
+from randersflag import cli
 from randersflag.curvature import _flag_curvatures
-from helpers import nilpotent_algebra, solvable_algebra, unit
+from helpers import nilpotent_algebra, solvable_algebra, tables_document, unit
 
 FAMILIES = {"nilpotent": nilpotent_algebra, "solvable": solvable_algebra}
 
@@ -120,3 +126,36 @@ def test_cartan_matrix_totally_symmetric(model, rows):
     assert (np.abs(cartan - 2.0 * structure.cartan(w, u, v, x)) <= 1e-12 * scale).all()
     for a, b, c in itertools.permutations((u, v, x)):
         assert (np.abs(twice_cartan(a, b, c) - cartan) <= 1e-12 * scale).all()
+
+
+def _float_hexes(value):
+    """The floats of a JSON document in document order, by ``float.hex``,
+    which tells -0.0 from 0.0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [text for item in value for text in _float_hexes(item)]
+    return [value.hex()] if isinstance(value, float) else []
+
+
+#: ``lambda`` and ``mu`` up to 1e45: near 1e51 the closed-form cells'
+#: squared norms leave double range, which is a usage error.
+BRACKETS = st.floats(1e-300, 1e45)
+
+
+@PROPERTY_SETTINGS
+@given(BRACKETS, BRACKETS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_connection_tables_file_reads_back(a, b, xi):
+    # the file is indent-2 JSON whose numbers read back bit for bit, the
+    # sign of every zero included
+    mu, lam = sorted((a, b))
+    emitter = mock.patch.object(cli, "connection_tables_json", wraps=cli.connection_tables_json)
+    with tempfile.TemporaryDirectory() as directory, emitter as spy:
+        out = Path(directory) / "tables.json"
+        argv = ["--lambda", repr(lam), "--mu", repr(mu), "--xi", repr(xi), "--out", str(out)]
+        assert cli.main(["connection-tables", *argv]) in (cli.EXIT_OK, cli.EXIT_VERDICT)
+        text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    hexes = _float_hexes(tables_document(*spy.call_args.args))
+    assert _float_hexes(json.loads(text)) == hexes
+    assert (-0.0).hex() in hexes  # the closed forms hold negative zeros
