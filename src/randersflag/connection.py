@@ -92,17 +92,8 @@ def nabla_basis_w(frame: OsculatingFrame, nww: np.ndarray) -> np.ndarray:
     cartan = frame.cartan_matrix(nww)
     # (left @ gram)^T, not gram @ left^T: a transposed operand would take
     # numpy's matmul loop instead of BLAS, at a third of the speed at dim 5
-    rhs = 0.5 * (right @ gram - (left @ gram).mT + frame.pole_pairing.mT - cartan)
+    rhs = (right @ gram - (left @ gram).mT + frame.pole_pairing.mT - cartan) / 2
     return rhs @ frame._inverse
-
-
-def _cartan_corrections(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
-    """C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k], from the
-    frame's basis Cartan tensor: one matrix product per pole."""
-    cartan = frame.cartan_tensor
-    dim = frame.dim
-    flat = cartan.reshape(cartan.shape[:-3] + (dim, dim * dim))
-    return (rows @ flat).reshape(cartan.shape)
 
 
 def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
@@ -125,9 +116,9 @@ def chern_rund_tables(frame: OsculatingFrame):
     """The tables of :func:`chern_rund_table` at the poles of ``frame``,
     stacked on one axis (else :class:`DimensionMismatch`), yielded per block
     of at most max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.  The stage-2
-    rows (nabla_{e_i} w) are built once over all the poles; each block
-    builds only its (poles, n, n, n) arrays (the Cartan tensor, the Koszul
-    right-hand side and gamma) from read-only views of the frame."""
+    rows (nabla_{e_i} w) are built once over all the poles; each block builds
+    only its (poles, n, n, n) arrays (Cartan corrections, Koszul right-hand
+    side and gamma) from views of the frame, complete and read-only."""
     if frame.w.ndim != 2:
         raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
     rows = nabla_basis_w(frame, nabla_w_of_w(frame))
@@ -141,20 +132,37 @@ def _table(frame: OsculatingFrame, rows: np.ndarray) -> ConnectionTable:
     """Stage 3 of :func:`chern_rund_table`, given ``rows``, the stage-2 rows
     nabla_{e_i} w of :func:`nabla_basis_w` at the frame's poles.
 
-    With pairings P[..., i, j, k] = <[e_i, e_j], e_k>_w and corrections
-    C[..., i, j, k] = C_w(nabla_{e_i} w, e_j, e_k), the Koszul right-hand
-    side is X - Y[j, k, i] + Y[k, i, j] with X = P / 2 - C and
-    Y = P / 2 + C, two contiguous arrays; every product is one matrix
-    product per pole, and the solve is one product with the (exactly
-    symmetric) inverse."""
+    With pairings K[..., i, j, k] = <[e_i, e_j], e_k>_w and twice the
+    corrections, M[..., i, j, k] = 2 C_w(nabla_{e_i} w, e_j, e_k) of
+    :func:`_cartan_rows`, the Koszul right-hand side is
+    (X - Y[j, k, i] + Y[k, i, j]) / 2 with X = K - M and Y = K + M, two
+    contiguous arrays; every product is one matrix product per pole, and the
+    solve is one product with half the (exactly symmetric) inverse."""
     c = frame.structure.algebra.structure
-    half = c @ (0.5 * frame.gram)[..., None, :, :]
-    corrections = _cartan_corrections(frame, rows)
-    rhs = half - corrections
-    y_jki, y_kij = _cycled(np.add(half, corrections, out=half))
+    pairs = c @ frame.gram[..., None, :, :]
+    corrections = _cartan_rows(frame, rows)
+    rhs = pairs - corrections
+    y_jki, y_kij = _cycled(np.add(pairs, corrections, out=pairs))
     rhs -= y_jki
     rhs += y_kij
-    return ConnectionTable(frame=frame, gamma=rhs @ frame._inverse[..., None, :, :])
+    return ConnectionTable(frame=frame, gamma=rhs @ (frame._inverse / 2)[..., None, :, :])
+
+
+def _cartan_rows(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
+    """2 C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k]: for each row
+    r the closed form <p_perp, r> P + p_perp u^T + u p_perp^T of
+    :meth:`OsculatingFrame.cartan_matrix`, with P = I - q q^T and u = P r,
+    its pair as one n x 2 by 2 x n product.  p_perp and P get a row axis
+    after the frame's pole axes, so rows never broadcast against poles."""
+    p_perp = frame._p_perp[..., None, :]
+    u = rows @ frame._projector  # P is symmetric
+    left = np.empty(rows.shape + (2,), rows.dtype)
+    left[..., 0], left[..., 1] = p_perp, u
+    right = np.empty(rows.shape[:-1] + (2, rows.shape[-1]), rows.dtype)
+    right[..., 0, :], right[..., 1, :] = u, p_perp
+    out = left @ right
+    out += np.vecdot(p_perp, rows)[..., None, None] * frame._projector[..., None, :, :]
+    return out
 
 
 def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
@@ -194,5 +202,7 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     # metric[..., i, j, k] = <nabla_{e_i} e_j, e_k>_w; the second term of the
     # identity is the same array with j and k swapped
     metric = gamma @ frame.gram[..., None, :, :]
-    defect = metric + np.swapaxes(metric, -1, -2) + 2.0 * _cartan_corrections(frame, rows)
-    return float(np.abs(defect).max())
+    defect = _cartan_rows(frame, rows)
+    defect += metric
+    defect += np.swapaxes(metric, -1, -2)
+    return float(np.abs(defect, out=defect).max())

@@ -169,12 +169,12 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     cartan_xx, cartan_xa = np.matvec(frame.cartan_matrix(x), vectors[:2])
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
     # <[x, a], x>_w, and of the Cartan terms only -C_w(N a, x, x) survives
-    along_x = np.vecdot(x, np.matvec(pairs_x, a)) - 0.5 * np.vecdot(na, cartan_xx)
+    along_x = np.vecdot(x, np.matvec(pairs_x, a)) - np.vecdot(na, cartan_xx) / 2
     # <nabla_w (N x), x>_w = (<[w, N x], x>_w - <[N x, x], w>_w
     # + <[x, w], N x>_w) / 2 - C_w(a, N x, x), the only Cartan term without
     # a w slot: N x paired with one covector
     covector = gxw - np.matvec(frame.pole_pairing, x) - np.matvec(pairs_x, q) - cartan_xa
-    along_w = 0.5 * np.vecdot(nx, covector)
+    along_w = np.vecdot(nx, covector) / 2
     return along_x - along_w - np.vecdot(nxw, gx), gx
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterError,
 )
-from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _cycled, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _frozen
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -80,7 +80,7 @@ def _randers_form(p: np.ndarray, q: np.ndarray):
     # a = 1 + <p, q> as a sum of a nonnegative term and the positive margin:
     # no cancellation as q -> -p / |p|, and a >= margin / 2 > 0
     qp = q + p
-    a = 0.5 * (np.vecdot(qp, qp) + margin)
+    a = (np.vecdot(qp, qp) + margin) / 2
     p_perp = p - (q @ p)[..., None] * q
     # l = q + p, written with the a above so that every quantity built from
     # the form (Gram matrix, inverse, pairing) comes from the same numbers
@@ -277,11 +277,10 @@ class OsculatingFrame:
     simply the case with no leading axis.  Construction builds everything the
     flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
     (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse; it
-    keeps P, which every Cartan term reads.  Only the
-    (..., n, n, n) ``cartan_tensor``, which only the full connection table
-    reads, is built on first read.  Every array a frame holds is read-only,
-    so frames are safe for concurrent use (a racing first read of
-    ``cartan_tensor`` builds the same array).
+    keeps p_perp and P, from which every Cartan term is formed in closed form
+    (:meth:`cartan_matrix`).  A frame is complete and read-only once
+    constructed: it builds no array later, and every array it holds is
+    read-only, so frames are safe for concurrent use.
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
@@ -325,7 +324,7 @@ class OsculatingFrame:
     def _poles(self, index) -> "OsculatingFrame":
         """The frame at the poles ``w[index]`` of this stacked frame, for a
         basic index (a slice, say) of its leading axes; it holds read-only
-        views of this frame's arrays, so only its ``cartan_tensor`` is new."""
+        views of this frame's arrays and builds none."""
         frame = object.__new__(OsculatingFrame)
         frame.structure = self.structure
         frame.w = self.w[index]
@@ -337,19 +336,6 @@ class OsculatingFrame:
         frame._projector = self._projector[index]
         frame._inverse = self._inverse[index]
         return frame
-
-    @cached_property
-    def cartan_tensor(self) -> np.ndarray:
-        """Cartan tensor on basis triples, (..., n, n, n); built on first
-        read.  The symmetrization of p_perp (x) (I - q q^T), see
-        :meth:`cartan_matrix`: one broadcast product of p_perp / 2 with
-        I - q q^T, plus its two cyclic transposes."""
-        t = (0.5 * self._p_perp)[..., :, None, None] * self._projector[..., None, :, :]
-        t_jki, t_kij = _cycled(t)
-        tensor = t + t_kij
-        tensor += t_jki
-        tensor.flags.writeable = False  # fresh, so frozen without a copy
-        return tensor
 
     def cartan_matrix(self, u: np.ndarray) -> np.ndarray:
         """Twice the Cartan tensor with one slot filled, 2 C_w(u, ., .), as

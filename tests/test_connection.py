@@ -21,7 +21,7 @@ from randersflag import (
     torsion_defect,
     w_perp,
 )
-from randersflag.connection import TABLE_BLOCK_ENTRIES
+from randersflag.connection import TABLE_BLOCK_ENTRIES, _cartan_rows
 from randersflag.reference_tables import (
     pole_frame_cells,
     pole_rows_cells,
@@ -107,13 +107,50 @@ class TestStageSolves:
             assert np.abs(frame.w @ stage_two(frame) - nabla_w_of_w(frame)).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
-        # the dropped stage-2 terms all carry a pole slot; the cached tensor
-        # contracted with the pole must be numerically zero
+        # the dropped stage-2 terms all carry a pole slot; the closed form
+        # with the pole in the row slot, or in a basis slot, must be
+        # numerically zero
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
-            sliced = np.einsum("abc,a->bc", frame.cartan_tensor, frame.w)
-            assert np.abs(sliced).max() <= 1e-14
+            assert np.abs(_cartan_rows(frame, frame.w[None, :])).max() <= 1e-14
+            rows = rng.standard_normal((5, 5))
+            assert np.abs(frame.w @ _cartan_rows(frame, rows)).max() <= 1e-14
+
+
+class TestCartanCorrections:
+    """Stage 3's corrections, 2 C_w(r_i, e_j, e_k) for rows r_i stacked on
+    the frame's poles, against the closed form of
+    :meth:`RandersStructure.cartan`."""
+
+    @staticmethod
+    def check(frame_shape, dim=5):
+        rng = np.random.default_rng([dim, *frame_shape])
+        s = RandersStructure(nilpotent_algebra(rng, dim), 0.7 * unit(rng, dim))
+        poles = rng.standard_normal(frame_shape + (dim,))
+        rows = rng.standard_normal(frame_shape + (dim, dim))
+        corrections = _cartan_rows(s.osculating_gram(poles), rows)
+        assert corrections.shape == frame_shape + (dim, dim, dim)
+        assert corrections.flags.c_contiguous
+        # [..., i, j, k]: each pole against its own rows i, and the basis
+        # vectors e_j and e_k
+        e = np.eye(dim)
+        w = poles[..., None, None, None, :]
+        expected = 2.0 * s.cartan(w, rows[..., :, None, None, :], e[:, None, :], e[None, :, :])
+        assert np.abs(corrections - expected).max() <= 1e-13
+
+    def test_one_pole_matches_closed_form(self):
+        self.check(())
+        self.check((), 9)
+
+    def test_poles_on_two_axes_match_closed_form(self):
+        self.check((2, 3))
+
+    def test_as_many_poles_as_dimensions_match_closed_form(self):
+        # n poles at dim n: rows that broadcast against the pole axis
+        # instead of beside it would give wrong numbers without an error
+        self.check((5,))
+        self.check((9,), 9)
 
 
 class TestSpotComponents:
@@ -238,6 +275,18 @@ class TestStackedTables:
             # one-pole frame in a dot product; the two may differ in the last
             # bit, which the staged solve carries to a few ulps of the table
             assert np.abs(table.gamma[index] - one).max() <= 1e-14 * np.abs(one).max()
+
+    @pytest.mark.parametrize("dim", [5, 9])
+    def test_as_many_poles_as_dimensions(self, dim):
+        # the stage-3 corrections put a row axis beside the pole axis; with
+        # n poles at dim n a mix-up of the two would not raise
+        s, rng = self.structure(dim, True)
+        poles = rng.standard_normal((dim, dim))
+        table = chern_rund_table(s.osculating_gram(poles))
+        assert almost_metric_defect(table) <= 1e-10
+        for pole, rows in zip(poles, table.gamma):
+            one = chern_rund_table(s.osculating_gram(pole)).gamma
+            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
 
     @pytest.mark.parametrize("deformed", [False, True])
     @pytest.mark.parametrize(

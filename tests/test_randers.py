@@ -10,6 +10,9 @@ from randersflag import (
     InternalConsistencyError,
     ParameterError,
     RandersStructure,
+    almost_metric_defect,
+    chern_rund_table,
+    chern_rund_tables,
     heisenberg5,
 )
 from helpers import abelian_structure, unit, z_randers
@@ -145,12 +148,11 @@ class TestOsculatingFrame:
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_every_array_is_read_only(self, structure, rng, shape):
         frame = structure.osculating_gram(rng.standard_normal(shape))
-        frame.cartan_tensor  # built on first read
         held = [v if isinstance(v, tuple) else (v,) for v in vars(frame).values()]
         arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
         # w, gram, pole_covector, pole_pairing, both pole_brackets, the
-        # inverse, p_perp, the projector and the Cartan tensor
-        assert len(arrays) == 10
+        # inverse, p_perp and the projector
+        assert len(arrays) == 9
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -159,20 +161,31 @@ class TestOsculatingFrame:
         frame = structure.osculating_gram(rng.standard_normal((6, 5)))
         part = frame._poles(slice(2, 5))
         assert np.array_equal(part.w, frame.w[2:5])
-        assert np.array_equal(part.cartan_tensor, frame.cartan_tensor[2:5])
         held = [v if isinstance(v, tuple) else (v,) for v in vars(part).values()]
         arrays = [a for items in held for a in items if isinstance(a, np.ndarray)]
-        assert len(arrays) == 10
+        assert len(arrays) == 9
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        # every array but the Cartan tensor, built on first read, is a view
+        # every array is a view of the whole frame's
         for name in (
             "w", "gram", "pole_covector", "pole_pairing", "_p_perp", "_projector", "_inverse"
         ):
             assert np.shares_memory(getattr(part, name), getattr(frame, name))
         for own, parent in zip(part.pole_brackets, frame.pole_brackets):
             assert np.shares_memory(own, parent)
+
+    def test_tables_leave_frame_unchanged(self, structure, rng):
+        # a frame is complete once constructed: the tables and their checks
+        # read it and add nothing to it
+        frame = structure.osculating_gram(rng.standard_normal((6, 5)))
+        before = dict(vars(frame))
+        table = chern_rund_table(frame)
+        almost_metric_defect(table)
+        for block in chern_rund_tables(frame):
+            almost_metric_defect(block)
+        assert vars(frame).keys() == before.keys()
+        assert all(vars(frame)[name] is value for name, value in before.items())
 
     def test_zero_deformation_gram_is_identity(self, rng):
         s = RandersStructure(heisenberg5(2.0, 1.0), np.zeros(5))
@@ -293,39 +306,16 @@ class TestCartan:
             right = a * structure.cartan(w, u1, v, x) + b * structure.cartan(w, u2, v, x)
             assert left == pytest.approx(right, abs=1e-13)
 
-    def test_matches_cached_basis_tensor(self, structure, rng):
-        w = unit(rng)
-        frame = structure.osculating_gram(w)
-        for _ in range(10):
-            u, v, x = rng.standard_normal((3, 5))
-            contracted = float(np.einsum("abc,a,b,c->", frame.cartan_tensor, u, v, x))
-            assert structure.cartan(w, u, v, x) == pytest.approx(contracted, abs=1e-13)
-
-    def test_cartan_matrix_matches_closed_form_and_basis_tensor(self, structure, rng):
+    def test_cartan_matrix_matches_closed_form(self, structure, rng):
         w = unit(rng)
         frame = structure.osculating_gram(w)
         u = rng.standard_normal(5)
         e = np.eye(5)
         expected = 2.0 * structure.cartan(w, u, e[:, None], e[None, :])
         assert np.abs(frame.cartan_matrix(u) - expected).max() <= 1e-13
-        basis = 2.0 * np.einsum("abc,a->bc", frame.cartan_tensor, u)
-        assert np.abs(frame.cartan_matrix(u) - basis).max() <= 1e-13
         rows = rng.standard_normal((3, 5))
-        stacked = 2.0 * np.einsum("abc,ja->jbc", frame.cartan_tensor, rows)
+        stacked = 2.0 * structure.cartan(w, rows[:, None, None], e[:, None], e[None, :])
         assert np.abs(frame.cartan_matrix(rows) - stacked).max() <= 1e-13
-
-    def test_stacked_basis_tensor_matches_closed_form(self, structure, rng):
-        w = rng.standard_normal((2, 3, 5))
-        frame = structure.osculating_gram(w)
-        assert frame.cartan_tensor.shape == (2, 3, 5, 5, 5)
-        u, v, x = rng.standard_normal((3, 2, 3, 5))
-        contracted = np.einsum("...abc,...a,...b,...c->...", frame.cartan_tensor, u, v, x)
-        assert np.abs(structure.cartan(w, u, v, x) - contracted).max() <= 1e-13
-
-    def test_basis_tensor_built_on_first_read(self, structure, rng):
-        frame = structure.osculating_gram(unit(rng))
-        assert "cartan_tensor" not in vars(frame)
-        assert frame.cartan_tensor is frame.cartan_tensor
 
 
 class TestCartanFd:
