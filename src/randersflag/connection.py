@@ -13,17 +13,17 @@ axes; one pole is simply the case with no leading axis.  The pairings of
 brackets with the pole that stages 1 and 2 read are contracted once, when
 the frame is built (``OsculatingFrame.pole_pairing`` and ``pole_brackets``).
 Stage 2 has one implementation, :func:`nabla_basis_w`: the rows
-nabla_{e_i} w of the whole basis, from two n x n products with the Gram
-matrix, the Cartan matrix of stage 1's vector and one product with the
-inverse, so nabla_v w = v @ rows for any v.  It serves both regimes, once
-per stacked evaluation: :mod:`randersflag.curvature` contracts the rows
-with the three vectors a flag needs, O(n^3) per flag, and stage 3, the full
-table of :func:`chern_rund_table`, costs O(n^4) per pole and serves the
-reference tables, the residual checks and the public table API.  Stage 3
-builds the Koszul right-hand side from two contiguous (..., n, n, n) arrays
-and solves it as one product with the inverse (:func:`_table`), and
-:func:`torsion_defect` and :func:`almost_metric_defect` reduce over the
-poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays,
+nabla_{e_i} w of the whole basis, from one n x n product with the Gram
+matrix and its transpose, the Cartan matrix of stage 1's vector and one
+product with the inverse, so nabla_v w = v @ rows for any v.  It serves
+both regimes, once per stacked evaluation: :mod:`randersflag.curvature`
+contracts the rows with the three vectors a flag needs, O(n^3) per flag,
+and stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per
+pole and serves the reference tables, the residual checks and the public
+table API.  Stage 3 builds the Koszul right-hand side from two contiguous
+(..., n, n, n) arrays and solves it as one product with the inverse
+(:func:`_table`), and :func:`torsion_defect` and
+:func:`almost_metric_defect` reduce over the poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays,
 so :func:`chern_rund_tables` bounds their size: it builds the stage-2 rows
 once over all the poles of a frame, then stage 3 per block of at most
 max(1, ``TABLE_BLOCK_ENTRIES`` // n**3) poles from views of that frame, as
@@ -80,19 +80,15 @@ def nabla_basis_w(frame: OsculatingFrame, nww: np.ndarray) -> np.ndarray:
     ``nww`` is the stage-1 vector of :func:`nabla_w_of_w` at the same poles.
     Solves <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
     + <[e_k, e_i], w>_w) / 2 - C_w(nabla_w w, e_k, e_i) for every row at
-    once, as products of the frame's arrays: the Gram matrix and the inverse
-    are exactly symmetric, so the bracket terms are right @ gram
-    - (left @ gram)^T + pole_pairing^T, the single surviving Cartan correction
-    (the other two carry a w slot) is half the matrix
+    once, as products of the frame's arrays: B = pole_brackets @ gram holds
+    B[..., i, k] = <[e_i, w], e_k>_w, and [w, e_k] = -[e_k, w], so the
+    bracket terms are B + B^T + pole_pairing^T; the single surviving Cartan
+    correction (the other two carry a w slot) is half the matrix
     ``frame.cartan_matrix(nww)``, and solving all the rows is one product
-    with the inverse.
+    with the (exactly symmetric) inverse.
     """
-    right, left = frame.pole_brackets
-    gram = frame.gram
-    cartan = frame.cartan_matrix(nww)
-    # (left @ gram)^T, not gram @ left^T: a transposed operand would take
-    # numpy's matmul loop instead of BLAS, at a third of the speed at dim 5
-    rhs = (right @ gram - (left @ gram).mT + frame.pole_pairing.mT - cartan) / 2
+    brackets = frame.pole_brackets @ frame.gram
+    rhs = (brackets + brackets.mT + frame.pole_pairing.mT - frame.cartan_matrix(nww)) / 2
     return rhs @ frame._inverse
 
 

@@ -109,13 +109,13 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     """R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z.
 
     Trilinear and antisymmetric in (x, y); all derivatives taken at the
-    table's fixed reference vector.
+    fixed reference vector of a table of one pole (a table of stacked poles
+    raises :class:`DimensionMismatch`).
     """
+    if table.gamma.ndim != 3:
+        raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
     algebra = table.frame.structure.algebra
-    dim = algebra.dim
-    x = _as_vector(x, dim)
-    y = _as_vector(y, dim)
-    z = _as_vector(z, dim)
+    x, y, z = (_as_vector(v, algebra.dim) for v in (x, y, z))
     mx = np.einsum("ijk,i->kj", table.gamma, x)
     my = np.einsum("ijk,i->kj", table.gamma, y)
     mb = np.einsum("ijk,i->kj", table.gamma, algebra.bracket(x, y))
@@ -158,9 +158,8 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     pairings, and gx = gram @ x, with the leading axes of the frame and x."""
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
-    right, _ = frame.pole_brackets
     a = nabla_w_of_w(frame)
-    xw = np.vecmat(x, right)  # [x, w]
+    xw = np.vecmat(x, frame.pole_brackets)  # [x, w]
     vectors = np.array((x, a, xw))
     nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, a))
     gx, gxw = np.matvec(gram, vectors[::2])
@@ -220,6 +219,16 @@ def _random_chunks(seed: int, dim: int):
         yield _unit_reference(rng.standard_normal((size, 2, dim)), dim)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int by ``__index__``, which a bool has but is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def sign_search(
     structure: RandersStructure, seed: int = 0, max_samples: int = 512
 ) -> SignCertificate:
@@ -244,8 +253,9 @@ def sign_search(
     each cut to the remaining budget.  A chunk of m pairs is drawn as
     ``standard_normal((m, 2, dim))``, the same stream as drawing the pole and
     then the transverse vector of each pair in turn, and its results are
-    scanned in candidate order, so the witnesses and ``samples_tried`` do not
-    depend on the chunking.
+    scanned in candidate order, so the witness vectors and ``samples_tried``
+    do not depend on the chunking.  Their ``k`` and ``denominator`` can
+    differ in the last bits with the size of the stack, cut by the budget.
 
     A random pole is normalized three times, and the certificates printed
     by ``search`` are pinned to that sequence, since each division can move
@@ -254,16 +264,10 @@ def sign_search(
     third, in the frame, checks the pole again.  The special flags are
     constants and skip the first.
     """
-    try:
-        max_samples = operator.index(max_samples)
-    except TypeError:
-        raise ParameterError(f"max_samples must be an integer, got {max_samples!r}") from None
+    max_samples = _integer(max_samples, "max_samples")
     if max_samples < 1:
         raise ParameterError("max_samples must be positive")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ParameterError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     dim = structure.dim

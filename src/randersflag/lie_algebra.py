@@ -49,14 +49,12 @@ def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
 
 
 def _contract(c: np.ndarray, v: np.ndarray, slot: int) -> np.ndarray:
-    """Structure constants c[i, j, k] with index ``slot`` (0, 1 or 2)
+    """Structure constants c[i, j, k] with index ``slot`` (1 or 2)
     contracted against v, which may carry leading axes; the two remaining
     indices, in order, become the last two axes.  Each case is one matrix
     product over all leading axes at once."""
     n = c.shape[0]
-    if slot == 0:
-        out = v @ c.reshape(n, n * n)
-    elif slot == 1:
+    if slot == 1:
         out = (v.reshape(-1, n) @ c).swapaxes(0, 1)
     else:
         out = v @ c.reshape(n * n, n).T
@@ -94,7 +92,10 @@ class MetricLieAlgebra:
 
     ``structure`` is a dense (dim, dim, dim) array of bracket coefficients on
     the fixed orthonormal basis.  Instances are immutable after construction
-    and safe to share across threads; all operations are pure.
+    and safe to share across threads; all operations are pure.  The
+    connection and curvature code assumes antisymmetric constants, reading
+    [w, e_i] as -[e_i, w]: :meth:`validate` checks it, CLI configs are
+    antisymmetric by construction, and nothing checks it at run time.
     """
 
     structure: np.ndarray

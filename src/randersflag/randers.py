@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DegenerateReferenceVector,
+    DimensionMismatch,
     InternalConsistencyError,
     ParameterError,
 )
@@ -154,7 +155,14 @@ class RandersStructure:
         return (np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)) ** 2
 
     def _vectors(self, *vectors) -> list[np.ndarray]:
-        return [_as_vector(v, self.dim, stacked=True) for v in vectors]
+        """An oracle's checked vectors, whose leading axes must broadcast."""
+        vectors = [_as_vector(v, self.dim, stacked=True) for v in vectors]
+        shapes = [v.shape[:-1] for v in vectors]
+        try:
+            np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise DimensionMismatch(f"stacked vectors must broadcast, got {shapes}") from None
+        return vectors
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
         """Reference vector and directions of a difference oracle; w is taken
@@ -179,8 +187,7 @@ class RandersStructure:
         other, one sample per stacked position, and returns a float for one
         sample or the array of the broadcast leading shape.
         """
-        q = _unit_reference(w, self.dim)
-        u, v = self._vectors(u, v)
+        q, u, v = self._vectors(_unit_reference(w, self.dim), u, v)
         a, _, ell = _randers_form(self.x0, q)
         return _sample(
             a * (np.vecdot(u, v) - np.vecdot(q, u) * np.vecdot(q, v))
@@ -216,8 +223,7 @@ class RandersStructure:
         reference vector, and vanishes identically when x0 is parallel to w.
         Stacked like :meth:`osculating_product`.
         """
-        q = _unit_reference(w, self.dim)
-        u, v, x = self._vectors(u, v, x)
+        q, u, v, x = self._vectors(_unit_reference(w, self.dim), u, v, x)
         p = self.x0
         pw = np.vecdot(q, p)
         qu, qv, qx = np.vecdot(q, u), np.vecdot(q, v), np.vecdot(q, x)
@@ -276,11 +282,13 @@ class OsculatingFrame:
     carry further leading axes that broadcast against them.  One pole is
     simply the case with no leading axis.  Construction builds everything the
     flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
-    (gram @ w), ``pole_pairing`` and ``pole_brackets``, and the inverse; it
-    keeps p_perp and P, from which every Cartan term is formed in closed form
+    (gram @ w), ``pole_pairing``, ``pole_brackets`` (the rows [e_i, w]; the
+    rows [w, e_i] are their negatives) and the inverse; it keeps p_perp and
+    P, from which every Cartan term is formed in closed form
     (:meth:`cartan_matrix`).  A frame is complete and read-only once
-    constructed: it builds no array later, and every array it holds is
-    read-only, so frames are safe for concurrent use.
+    constructed: it builds no array later, and every array it holds, as
+    listed in ``__init__``, is read-only, so frames are safe for concurrent
+    use.
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
@@ -292,30 +300,26 @@ class OsculatingFrame:
         projector = _identity(dim) - qq
         cross = p_perp[..., :, None] * q[..., None, :]
         scale = a[..., None, None]
-        inverse = (
+        self.structure = structure
+        self.w = q
+        self.gram = scale * projector + ell[..., :, None] * ell[..., None, :]
+        #: <w, .>_w as coordinates, gram @ w
+        self.pole_covector = np.matvec(self.gram, q)
+        #: <[e_i, e_j], w>_w, indexed [..., i, j]
+        self.pole_pairing = _contract(c, self.pole_covector, 2)
+        #: rows [..., i] = [e_i, w], so that [v, w] = v @ pole_brackets
+        self.pole_brackets = _contract(c, q, 1)
+        self._p_perp = p_perp
+        self._projector = projector
+        self._inverse = (
             projector / scale
             - (cross + cross.mT) / (scale * scale)
             + ((a + np.vecdot(p_perp, p_perp)) / (a * a * a))[..., None, None] * qq
         )
-        gram = scale * projector + ell[..., :, None] * ell[..., None, :]
-        pole_covector = np.matvec(gram, q)
-        self.structure = structure
-        self.w = q
-        self.gram = gram
-        #: <w, .>_w as coordinates, gram @ w
-        self.pole_covector = pole_covector
-        #: <[e_i, e_j], w>_w, indexed [..., i, j]
-        self.pole_pairing = _contract(c, pole_covector, 2)
-        #: ``(right, left)`` with rows right[..., i] = [e_i, w] and
-        #: left[..., i] = [w, e_i], so that [v, w] = v @ right
-        self.pole_brackets = (_contract(c, q, 1), _contract(c, q, 0))
-        self._p_perp = p_perp
-        self._projector = projector
-        self._inverse = inverse
         # every array above is fresh, so it is frozen without a copy
-        for array in (q, gram, pole_covector, self.pole_pairing, *self.pole_brackets, p_perp,
-                      projector, inverse):
-            array.flags.writeable = False
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -324,17 +328,10 @@ class OsculatingFrame:
     def _poles(self, index) -> "OsculatingFrame":
         """The frame at the poles ``w[index]`` of this stacked frame, for a
         basic index (a slice, say) of its leading axes; it holds read-only
-        views of this frame's arrays and builds none."""
+        views of each array this frame holds and builds none."""
         frame = object.__new__(OsculatingFrame)
-        frame.structure = self.structure
-        frame.w = self.w[index]
-        frame.gram = self.gram[index]
-        frame.pole_covector = self.pole_covector[index]
-        frame.pole_pairing = self.pole_pairing[index]
-        frame.pole_brackets = tuple(bracket[index] for bracket in self.pole_brackets)
-        frame._p_perp = self._p_perp[index]
-        frame._projector = self._projector[index]
-        frame._inverse = self._inverse[index]
+        for name, value in vars(self).items():
+            setattr(frame, name, value[index] if isinstance(value, np.ndarray) else value)
         return frame
 
     def cartan_matrix(self, u: np.ndarray) -> np.ndarray:

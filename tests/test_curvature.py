@@ -99,6 +99,14 @@ class TestCurvatureOperator:
             right = a * curvature_operator(table, x1, y, z) + b * curvature_operator(table, x2, y, z)
             assert np.allclose(left, right, atol=1e-12)
 
+    def test_table_of_stacked_poles_rejected(self, structure):
+        # the table API reads a table of one pole
+        table = chern_rund_table(structure.osculating_gram(E[:2]))
+        with pytest.raises(DimensionMismatch, match="one pole"):
+            curvature_operator(table, E[0], E[1], E[2])
+        with pytest.raises(DimensionMismatch, match="one pole"):
+            flag_report(table, E[1])
+
 
 class TestFlagCurvature:
     def test_spot_values(self, structure):
@@ -237,12 +245,13 @@ class TestSignSearch:
         with pytest.raises(ParameterError, match="seed must be nonnegative"):
             sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
 
-    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "7", None])
+    # a bool has __index__ but is refused, as in the CLI's configs
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "7", None, True, False, np.True_])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ParameterError, match="seed must be an integer"):
             sign_search(z_randers(2.0, 1.0, 0.5), seed=seed)
 
-    @pytest.mark.parametrize("max_samples", [2.5, None, "8"])
+    @pytest.mark.parametrize("max_samples", [2.5, None, "8", True, False])
     def test_non_integer_max_samples_rejected(self, max_samples):
         with pytest.raises(ParameterError, match="max_samples must be an integer"):
             sign_search(z_randers(2.0, 1.0, 0.5), seed=0, max_samples=max_samples)

@@ -18,12 +18,15 @@ deformation, plus certificates on a model whose positive witnesses come only
 after sample 120, from the random chunks of 128.
 
 A change that moves output on purpose regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py`` and says which bytes moved.
+``PYTHONPATH=src python tests/test_golden.py``, which prints each entry
+that moved (file, case, key and the count of changed items, where an item
+is a list entry, a line of text or a digest), and says which bytes moved.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -241,29 +244,112 @@ def test_late_witnesses_come_from_the_random_chunks_of_128():
         assert int(certificate.split()[1]) > 120
 
 
+def test_moved_names_each_changed_entry():
+    before = {
+        "flag_kernel.json": {"m": {"single": ["a", "b", "c"], "search": ["s"]}},
+        "stdout.json": {"flag": {"exit": 0, "stdout": "one\ntwo\n"}},
+        "connection-tables.sha256": {"t": {"sha256": "0f"}},
+    }
+    after = {
+        "flag_kernel.json": {"m": {"single": ["a", "B", "C"], "search": ["s"]}},
+        "stdout.json": {"flag": {"exit": 0, "stdout": "one\nTWO\n"}, "new": {"exit": 1}},
+        "connection-tables.sha256": {"t": {"sha256": "0f"}},
+    }
+    assert _moved(before, after) == [
+        "flag_kernel.json m single: 2 of 3 items moved",
+        "stdout.json flag stdout: 1 of 2 items moved",
+        "stdout.json new exit: 1 of 1 items moved",
+    ]
+    assert _moved(after, after) == []
+
+
 def test_flag_kernel_bits_match_golden():
     expected = json.loads((GOLDEN / "flag_kernel.json").read_text(encoding="utf-8"))
     assert flag_kernel_outputs() == expected
 
 
-def regenerate(workdir: Path) -> None:
-    """Rewrite every file under ``tests/golden/`` from the current build."""
+def _documents(stdout: dict, digests: dict, tables: dict, kernel: dict) -> dict:
+    """File name -> {case: {key: value}}: the golden files as documents of
+    one shape, for :func:`_moved`."""
+    documents = {
+        "stdout.json": stdout,
+        "connection-tables.sha256": {name: {"sha256": d} for name, d in digests.items()},
+        "flag_kernel.json": kernel,
+    }
+    for name, text in tables.items():
+        documents[f"{name}.csv"] = {name: {"rows": text}}
+    return documents
+
+
+def _committed() -> dict:
+    """The documents of :func:`_documents` read from ``tests/golden/``; a
+    missing file reads as empty."""
+
+    def read(load, default=None):
+        try:
+            return load()
+        except FileNotFoundError:
+            return {} if default is None else default
+
+    tables = {
+        path.stem: path.read_text(encoding="utf-8") for path in GOLDEN.glob("table1-*.csv")
+    }
+    kernel = read(lambda: json.loads((GOLDEN / "flag_kernel.json").read_text(encoding="utf-8")))
+    return _documents(read(_expected_stdout), read(_expected_digests), tables, kernel)
+
+
+def _items(value) -> list:
+    """A golden value as a list of items: a list as it is, text as its
+    lines, anything else as one item."""
+    if isinstance(value, list):
+        return value
+    if isinstance(value, str):
+        return value.splitlines()
+    return [value]
+
+
+def _moved(before: dict, after: dict) -> list[str]:
+    """``file case key: m of n items moved`` for every entry of the golden
+    documents ``after`` that differs from ``before``, where an entry absent
+    from one side counts as empty and n is the count in ``after``."""
+    lines = []
+    for file in sorted(before.keys() | after.keys()):
+        old, new = before.get(file, {}), after.get(file, {})
+        for case in sorted(old.keys() | new.keys()):
+            old_case, new_case = old.get(case, {}), new.get(case, {})
+            for key in sorted(old_case.keys() | new_case.keys()):
+                a, b = _items(old_case.get(key, [])), _items(new_case.get(key, []))
+                changed = sum(x != y for x, y in itertools.zip_longest(a, b))
+                if changed:
+                    lines.append(f"{file} {case} {key}: {changed} of {len(b)} items moved")
+    return lines
+
+
+def regenerate(workdir: Path) -> list[str]:
+    """Rewrite every file under ``tests/golden/`` from the current build and
+    return the lines of :func:`_moved` against the files it replaced."""
     GOLDEN.mkdir(exist_ok=True)
-    stdout, digests = {}, []
+    before = _committed()
+    stdout, digests, tables = {}, {}, {}
     for name in sorted(golden_cases()):
         code, text, written = run_case(workdir, name)
         stdout[name] = {"exit": code, "stdout": text}
         if name.startswith("table1-"):
+            tables[name] = written.decode("utf-8")
             (GOLDEN / f"{name}.csv").write_bytes(written)
         elif name.startswith("connection-tables-"):
-            digests.append(f"{hashlib.sha256(written).hexdigest()}  {name}\n")
+            digests[name] = hashlib.sha256(written).hexdigest()
+    kernel = flag_kernel_outputs()
     (GOLDEN / "stdout.json").write_text(json.dumps(stdout, indent=2) + "\n", encoding="utf-8")
-    (GOLDEN / "connection-tables.sha256").write_text("".join(digests), encoding="utf-8")
-    (GOLDEN / "flag_kernel.json").write_text(
-        json.dumps(flag_kernel_outputs(), indent=1) + "\n", encoding="utf-8"
+    (GOLDEN / "connection-tables.sha256").write_text(
+        "".join(f"{digest}  {name}\n" for name, digest in digests.items()), encoding="utf-8"
     )
+    (GOLDEN / "flag_kernel.json").write_text(
+        json.dumps(kernel, indent=1) + "\n", encoding="utf-8"
+    )
+    return _moved(before, _documents(stdout, digests, tables, kernel))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        regenerate(Path(scratch))
+        print("\n".join(regenerate(Path(scratch))) or "nothing moved")
