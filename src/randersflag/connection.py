@@ -14,10 +14,14 @@ brackets with the pole that stages 1 and 2 read are contracted once, when
 the frame is built (``OsculatingFrame.pole_pairing`` and ``pole_brackets``).
 Stage 2 has one implementation, :func:`nabla_basis_w`: the rows
 nabla_{e_i} w of the whole basis, from one n x n product with the Gram
-matrix and its transpose, the Cartan matrix of stage 1's vector and one
-product with the inverse, so nabla_v w = v @ rows for any v.  It serves
-both regimes, once per stacked evaluation: :mod:`randersflag.curvature`
-contracts the rows with the three vectors a flag needs, O(n^3) per flag,
+matrix and its transpose, less the Cartan matrix 2 C_w(nabla_w w, ., .)
+that it takes as its argument, and one product with the inverse, so
+nabla_v w = v @ rows for any v.  Its caller builds that matrix with
+``OsculatingFrame.cartan_matrix``: the tables from stage 1's vector alone,
+the flag path in one stacked call with the Cartan matrix its numerator
+needs.  It serves both regimes, once per stacked evaluation:
+:mod:`randersflag.curvature` contracts the rows with the three vectors a
+flag needs, O(n^3) per flag,
 and stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per
 pole and serves the reference tables, the residual checks and the public
 table API.  Stage 3 builds the Koszul right-hand side from two contiguous
@@ -73,22 +77,25 @@ def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
     return frame.solve(np.matvec(frame.pole_pairing, frame.w))
 
 
-def nabla_basis_w(frame: OsculatingFrame, nww: np.ndarray) -> np.ndarray:
+def nabla_basis_w(frame: OsculatingFrame, cartan: np.ndarray) -> np.ndarray:
     """Stage 2: nabla_{e_i} w for every basis vector e_i, as rows [..., i, :],
     so that nabla_v w = v @ rows for any v.
 
-    ``nww`` is the stage-1 vector of :func:`nabla_w_of_w` at the same poles.
-    Solves <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
+    ``cartan`` is the Cartan matrix 2 C_w(nabla_w w, ., .) at the same
+    poles, ``frame.cartan_matrix`` of the stage-1 vector of
+    :func:`nabla_w_of_w`; the caller builds it, so that the flag path forms
+    it in the same call as its own Cartan matrix.  Solves
+    <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
     + <[e_k, e_i], w>_w) / 2 - C_w(nabla_w w, e_k, e_i) for every row at
     once, as products of the frame's arrays: B = pole_brackets @ gram holds
     B[..., i, k] = <[e_i, w], e_k>_w, and [w, e_k] = -[e_k, w], so the
     bracket terms are B + B^T + pole_pairing^T; the single surviving Cartan
-    correction (the other two carry a w slot) is half the matrix
-    ``frame.cartan_matrix(nww)``, and solving all the rows is one product
-    with the (exactly symmetric) inverse.
+    correction (the other two carry a w slot) is half ``cartan``, and
+    solving all the rows is one product with the (exactly symmetric)
+    inverse.
     """
     brackets = frame.pole_brackets @ frame.gram
-    rhs = (brackets + brackets.mT + frame.pole_pairing.mT - frame.cartan_matrix(nww)) / 2
+    rhs = (brackets + brackets.mT + frame.pole_pairing.mT - cartan) / 2
     return rhs @ frame._inverse
 
 
@@ -98,7 +105,7 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
 
     The frame holds one pole or poles stacked along leading axes; the table's
     ``gamma`` then carries the same leading axes."""
-    return _table(frame, nabla_basis_w(frame, nabla_w_of_w(frame)))
+    return _table(frame, nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame))))
 
 
 #: Entries (float64) each (poles, n, n, n) array of a block of
@@ -117,7 +124,7 @@ def chern_rund_tables(frame: OsculatingFrame):
     side and gamma) from views of the frame, complete and read-only."""
     if frame.w.ndim != 2:
         raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
-    rows = nabla_basis_w(frame, nabla_w_of_w(frame))
+    rows = nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame)))
     step = max(1, TABLE_BLOCK_ENTRIES // frame.dim**3)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)

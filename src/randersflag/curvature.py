@@ -12,21 +12,24 @@ terms are Koszul right-hand sides paired with x, which need no solve, and N
 is needed on x, N w and [x, w] only: stage 1, then the stage-2 rows of
 :func:`connection.nabla_basis_w` (the one stage 2, which the tables use
 too), contracted with those three vectors in one product, O(n^3) per flag.
-The Cartan terms of the two pairings, C_w(N N w, x, x) and
-C_w(N w, N x, x), come from the one matrix 2 C_w(x, ., .) of
-``OsculatingFrame.cartan_matrix``.  This
-flag path is written once for stacks: poles and transverse vectors may
-carry leading batch axes, and every frame quantity, stage and quotient
-broadcasts over them, so :func:`flag_curvature` is the case with no batch
-axis and :func:`sign_search` evaluates its candidates in chunks, one
-stacked call per chunk, scanning the results in candidate order.  At dim 5
-the cost of a flag is mostly numpy call overhead, so each stage runs once
-per stacked evaluation and the path forms each Gram product once: the
-frame brings gram @ w and the bracket pairings with the pole from its
-construction, and :func:`_flag_numerator` forms gram @ (x, [x, w]) in one
-product, for the Koszul pairings and the quotient.  :func:`curvature_operator`
-and :func:`flag_report` read a prebuilt table of one pole and are the
-reference the flag path is tested against.
+Stage 2 takes its Cartan matrix 2 C_w(N w, ., .) as an argument, so one
+call of ``OsculatingFrame.cartan_matrix`` on (N w, x), stacked on a new
+leading axis, builds it and the one matrix 2 C_w(x, ., .) from which the
+Cartan terms of the two pairings, C_w(N N w, x, x) and C_w(N w, N x, x),
+come.  This flag path is written once for stacks: poles and transverse
+vectors may carry leading batch axes, and every frame quantity, stage and
+quotient broadcasts over them, so :func:`flag_curvature` is the case with
+no batch axis and :func:`sign_search` evaluates its candidates in chunks,
+one stacked call per chunk, scanning the results in candidate order.  At
+dim 5
+the cost of a flag is mostly numpy call overhead, so each stage, and the
+Cartan call, runs once per stacked evaluation and the path forms each Gram
+product once: the frame brings gram @ w and the bracket pairings with the
+pole from its construction, and :func:`_flag_numerator` forms
+gram @ (x, [x, w]) in one product, for the Koszul pairings and the
+quotient.  :func:`curvature_operator` and :func:`flag_report` read a
+prebuilt table of one pole and are the reference the flag path is tested
+against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
@@ -161,11 +164,13 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     a = nabla_w_of_w(frame)
     xw = np.vecmat(x, frame.pole_brackets)  # [x, w]
     vectors = np.array((x, a, xw))
-    nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, a))
+    # 2 C_w(a, ., .) for stage 2 and 2 C_w(x, ., .), from one stacked call
+    cartan_a, cartan_x = frame.cartan_matrix(vectors[1::-1])
+    nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, cartan_a))
     gx, gxw = np.matvec(gram, vectors[::2])
     pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
-    # 2 C_w(x, ., x) and 2 C_w(x, ., a), from one Cartan matrix
-    cartan_xx, cartan_xa = np.matvec(frame.cartan_matrix(x), vectors[:2])
+    # 2 C_w(x, ., x) and 2 C_w(x, ., a), from the one Cartan matrix of x
+    cartan_xx, cartan_xa = np.matvec(cartan_x, vectors[:2])
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
     # <[x, a], x>_w, and of the Cartan terms only -C_w(N a, x, x) survives
     along_x = np.vecdot(x, np.matvec(pairs_x, a)) - np.vecdot(na, cartan_xx) / 2

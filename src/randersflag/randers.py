@@ -8,7 +8,8 @@ forms at Euclidean-unit w, and both are 0-homogeneous in w, so the closed-form
 operations normalize w on entry.  The finite-difference variants evaluate the
 derivative definitions verbatim (no normalization) and serve as independent
 oracles for the closed forms.  All four take one sample or samples stacked
-along leading axes, so a whole oracle comparison is one call each.
+along leading axes, so a whole oracle comparison is one call each, and a
+difference oracle evaluates F^2 at all its stencil points in one call.
 """
 
 from __future__ import annotations
@@ -88,21 +89,35 @@ def _randers_form(p: np.ndarray, q: np.ndarray):
     return a, p_perp, a[..., None] * q + p_perp
 
 
-def _sorted(a, b, c) -> np.ndarray:
-    # the three terms broadcast and sorted by value along a last axis of
-    # length 3, so that sums and products taken in that order are bit-stable
-    # under permutations of the terms
-    return np.sort(np.stack(np.broadcast_arrays(a, b, c), axis=-1), axis=-1)
+def _sorted(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the three terms broadcast and sorted by value with a three-element
+    # sorting network, so that sums and products taken in that order are
+    # bit-stable under permutations of the terms (the terms are never NaN)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, mid = np.minimum(lo, c), np.maximum(lo, c)
+    return lo, np.minimum(mid, hi), np.maximum(mid, hi)
 
 
 def _sorted_sum(a, b, c) -> np.ndarray:
-    s = _sorted(a, b, c)
-    return (s[..., 0] + s[..., 1]) + s[..., 2]
+    lo, mid, hi = _sorted(a, b, c)
+    return (lo + mid) + hi
 
 
 def _sorted_product(a, b, c) -> np.ndarray:
-    s = _sorted(a, b, c)
-    return (s[..., 0] * s[..., 1]) * s[..., 2]
+    lo, mid, hi = _sorted(a, b, c)
+    return (lo * mid) * hi
+
+
+def _stencil(h: float, w: np.ndarray, *directions: np.ndarray) -> np.ndarray:
+    """The central-difference points ((w + s_1 h d_1) + s_2 h d_2) + ...
+    for every sign pattern, with one axis of length 2 per direction
+    (s = +1 at index 0, -1 at index 1) in front of the broadcast leading
+    axes of the vectors, so one call of F^2 evaluates the whole stencil;
+    h d is formed once per direction, as (-h) d = -(h d) exactly."""
+    points, *directions = np.broadcast_arrays(w, *directions)
+    for axis, d in enumerate(directions):
+        points = np.expand_dims(points, axis) + np.multiply.outer((1.0, -1.0), h * d)
+    return points
 
 
 def _sample(value: np.ndarray):
@@ -207,13 +222,8 @@ class RandersStructure:
         with the same stacking.
         """
         w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
-        f2 = self._norm_squared
-        stencil = (
-            f2(w + h * u + h * v)
-            - f2(w + h * u - h * v)
-            - f2(w - h * u + h * v)
-            + f2(w - h * u - h * v)
-        )
+        f2 = self._norm_squared(_stencil(h, w, u, v))
+        stencil = ((f2[0, 0] - f2[0, 1]) - f2[1, 0]) + f2[1, 1]
         return _sample(0.5 * stencil / (4.0 * h * h))
 
     def cartan(self, w, u, v, x) -> float | np.ndarray:
@@ -245,12 +255,12 @@ class RandersStructure:
         like :meth:`osculating_product`.
         """
         w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
-        f2 = self._norm_squared
+        f2 = self._norm_squared(_stencil(h, w, u, v, x))
         total = 0.0
-        for su in (1.0, -1.0):
-            for sv in (1.0, -1.0):
-                for sx in (1.0, -1.0):
-                    total += su * sv * sx * f2(w + su * h * u + sv * h * v + sx * h * x)
+        for i, su in enumerate((1.0, -1.0)):
+            for j, sv in enumerate((1.0, -1.0)):
+                for k, sx in enumerate((1.0, -1.0)):
+                    total += su * sv * sx * f2[i, j, k]
         return _sample(0.25 * total / (8.0 * h**3))
 
     def is_berwald(self) -> BerwaldReport:
@@ -286,9 +296,11 @@ class OsculatingFrame:
     rows [w, e_i] are their negatives) and the inverse; it keeps p_perp and
     P, from which every Cartan term is formed in closed form
     (:meth:`cartan_matrix`).  A frame is complete and read-only once
-    constructed: it builds no array later, and every array it holds, as
-    listed in ``__init__``, is read-only, so frames are safe for concurrent
-    use.
+    constructed: it caches no array later (:meth:`cartan_matrix` and
+    :meth:`solve` return fresh arrays to their caller, which is how stage 2
+    gets its Cartan matrix), and every array it holds, as listed in
+    ``__init__``, is frozen in place by ``setflags(write=False)``, so frames
+    are safe for concurrent use.
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
@@ -319,7 +331,7 @@ class OsculatingFrame:
         # every array above is fresh, so it is frozen without a copy
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+                value.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -347,7 +359,12 @@ class OsculatingFrame:
         q, p_perp = self.w, self._p_perp
         u_perp = u - np.vecdot(q, u)[..., None] * q
         cross = p_perp[..., :, None] * u_perp[..., None, :]
-        return np.vecdot(p_perp, u)[..., None, None] * self._projector + cross + cross.mT
+        # summed in place, in the closed form's order: two (..., n, n)
+        # temporaries rather than four
+        out = np.vecdot(p_perp, u)[..., None, None] * self._projector
+        out += cross
+        out += cross.mT
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs with the stored closed-form inverse; ``rhs``

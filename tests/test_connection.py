@@ -60,7 +60,7 @@ def check_cells(structure, pole, cells, tol):
 
 def stage_two(frame):
     """The stage-2 rows nabla_{e_i} w of ``frame``, after its stage 1."""
-    return nabla_basis_w(frame, nabla_w_of_w(frame))
+    return nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame)))
 
 
 class TestStageSolves:

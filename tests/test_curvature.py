@@ -12,6 +12,7 @@ from randersflag import (
     DimensionMismatch,
     DomainError,
     MetricLieAlgebra,
+    OsculatingFrame,
     ParameterError,
     RandersStructure,
     SearchFailure,
@@ -609,6 +610,37 @@ class TestStageTrace:
         table = chern_rund_table(structure.osculating_gram(E[:3]))
         assert table.gamma.shape == (3, 5, 5, 5)
         assert len(calls) == 1
+
+
+class TestCartanTrace:
+    """The flag path builds the Cartan matrices of stage 2 and of the
+    numerator in one stacked call, and a table builds stage 2's: a tracer on
+    ``OsculatingFrame.cartan_matrix`` sees one call per stacked evaluation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        original = OsculatingFrame.cartan_matrix
+        calls = []
+
+        def counting(frame, u):
+            calls.append(np.shape(u))
+            return original(frame, u)
+
+        monkeypatch.setattr(OsculatingFrame, "cartan_matrix", counting)
+        return calls
+
+    def test_flag_curvature_builds_one_stack(self, calls, structure):
+        assert flag_curvature(structure, E[0], E[1]).k == pytest.approx(-2.75, abs=1e-12)
+        assert calls == [(2, 5)]
+
+    def test_special_flag_search_builds_one_stack(self, calls, structure):
+        assert sign_search(structure, seed=0).samples_tried == 4
+        assert len(calls) == 1
+
+    def test_table_builds_one_matrix_per_pole(self, calls, structure):
+        table = chern_rund_table(structure.osculating_gram(E[:3]))
+        assert table.gamma.shape == (3, 5, 5, 5)
+        assert calls == [(3, 5)]
 
 
 def _frame_free_curvature(structure, w, x):

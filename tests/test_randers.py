@@ -15,7 +15,8 @@ from randersflag import (
     chern_rund_tables,
     heisenberg5,
 )
-from helpers import abelian_structure, unit, z_randers
+from randersflag.randers import _sorted
+from helpers import abelian_structure, nilpotent_algebra, unit, z_randers
 
 E = np.eye(5)
 Z = E[4]
@@ -314,6 +315,20 @@ class TestCartan:
         stacked = 2.0 * structure.cartan(w, rows[:, None, None], e[:, None], e[None, :])
         assert np.abs(frame.cartan_matrix(rows) - stacked).max() <= 1e-13
 
+    @pytest.mark.parametrize("poles", [(), (8,), (128,)])
+    @pytest.mark.parametrize("dim", [5, 24])
+    def test_stacked_cartan_matrices_match_separate_calls(self, dim, poles, rng):
+        # the flag path takes the Cartan matrices of (nabla_w w, x) from one
+        # call, stacked on a new leading axis: each keeps its bits
+        x0 = rng.standard_normal(dim)
+        s = RandersStructure(nilpotent_algebra(rng, dim), 0.6 * x0 / np.linalg.norm(x0))
+        frame = s.osculating_gram(rng.standard_normal(poles + (dim,)))
+        a, x = rng.standard_normal((2,) + poles + (dim,))
+        stacked = frame.cartan_matrix(np.array((a, x)))
+        assert stacked.shape == (2,) + poles + (dim, dim)
+        assert np.array_equal(stacked[0], frame.cartan_matrix(a))
+        assert np.array_equal(stacked[1], frame.cartan_matrix(x))
+
 
 class TestCartanFd:
     def test_matches_closed_form(self, structure, rng):
@@ -389,6 +404,37 @@ class TestStackedOracles:
         base = structure.cartan(w, u, v, x)
         for a, b, c in permutations((u, v, x)):
             assert np.array_equal(structure.cartan(w, a, b, c), base)
+
+    def test_difference_oracles_match_their_stencil_loops(self, structure, rng):
+        # one F^2 call over all stencil points keeps the arithmetic of one
+        # call per point: the same points, the terms added in the same order
+        f2 = structure._norm_squared
+        w = rng.standard_normal((3, 1, 5))
+        u, v, x = rng.standard_normal((3, 4, 5))
+        h = 1e-4
+        stencil = (
+            f2(w + h * u + h * v)
+            - f2(w + h * u - h * v)
+            - f2(w - h * u + h * v)
+            + f2(w - h * u - h * v)
+        )
+        expected = 0.5 * stencil / (4.0 * h * h)
+        assert np.array_equal(structure.osculating_product_fd(w, u, v, h), expected)
+        h = 5e-3
+        total = 0.0
+        for su in (1.0, -1.0):
+            for sv in (1.0, -1.0):
+                for sx in (1.0, -1.0):
+                    total += su * sv * sx * f2(w + su * h * u + sv * h * v + sx * h * x)
+        assert np.array_equal(structure.cartan_fd(w, u, v, x, h), 0.25 * total / (8.0 * h**3))
+
+    def test_sorting_network_matches_sort(self, rng):
+        # the Cartan tensor's sums and products take their terms in this order
+        terms = [rng.standard_normal(40), rng.standard_normal((3, 40)), 0.5]
+        terms[0][:4] = (np.inf, -np.inf, 0.5, -0.0)
+        terms[1][:, 4:8] = (0.5, np.inf, -np.inf, 0.0)
+        expected = np.sort(np.stack(np.broadcast_arrays(*terms), axis=-1), axis=-1)
+        assert np.array_equal(np.stack(_sorted(*terms), axis=-1), expected)
 
     def test_stacked_inputs_are_validated(self, structure):
         good = np.ones((2, 5))
