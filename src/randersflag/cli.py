@@ -329,17 +329,8 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-#: How :mod:`json` spells the floats that ``repr`` spells otherwise.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 #: The spellings of an exact zero, indexed by its sign bit.
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-
-
-def _json_floats(values) -> list[str]:
-    """Floats spelled as :mod:`json` spells them: ``repr`` when finite,
-    ``NaN``, ``Infinity`` or ``-Infinity`` otherwise."""
-    return [_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
 
 
 def _indent_2(value, depth: int = 0) -> str:
@@ -362,26 +353,17 @@ def _indent_2(value, depth: int = 0) -> str:
 
 
 @functools.cache
-def _document_template(layout: tuple, width: int) -> tuple[str, np.ndarray]:
+def _document_template(layout: tuple, width: int) -> str:
     """The ``connection-tables`` document of a layout, ``(name, rows, cols)``
     per block and ``width`` numbers per vector, as a ``%`` template with a
-    slot per number and one for ``pass``, and its numbers' indices into
-    ``[lam, mu, xi, max_defect]``, the poles, then each cell's computed
-    row, closed-form row and defect."""
+    slot per number, in document order, and one for ``pass``."""
     numbers = [None] * width
     blocks = {name: {"pole": numbers, "cells": [
         {"row": row, "col": col, "computed": numbers, "closed_form": numbers, "defect": None}
         for row, col in zip(rows, cols)]} for name, rows, cols in layout}
     document = {"lambda": None, "mu": None, "xi": None, "blocks": blocks,
                 "max_defect": None, "pass": None}
-    order, cell = [0, 1, 2], 4 + len(layout) * width
-    for block, (_, rows, _) in enumerate(layout):
-        stop = cell + len(rows) * (2 * width + 1)
-        order += [*range(4 + block * width, 4 + (block + 1) * width), *range(cell, stop)]
-        cell = stop
-    order = np.array(order + [3])
-    order.flags.writeable = False
-    return _indent_2(document) + "\n", order
+    return _indent_2(document) + "\n"
 
 
 def connection_tables_json(
@@ -407,23 +389,25 @@ def connection_tables_json(
     blocks' cells in order.  The fixed text depends only on the layout (the
     block names, the cell labels and the vector width), so it is built once
     per layout as a ``%`` template, not run through :mod:`json`'s indenting
-    encoder, which is pure Python, and filled with one ``%``.  Each number is
-    spelled once: exact zeros by their sign, ``0.0`` or ``-0.0``, and each
-    distinct other value by :func:`_json_floats`."""
-    blocks = reference.values()
+    encoder, which is pure Python, and filled with one ``%`` from the numbers
+    in document order.  Each number is spelled once: exact zeros by their
+    sign, ``0.0`` or ``-0.0``, and the distinct others by one
+    :func:`json.dumps` of their list (``repr``, ``NaN``, ``Infinity``)."""
     layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
-    template, order = _document_template(layout, computed.shape[1])
-    values = np.concatenate((
-        [lam, mu, xi, max_defect],
-        *(pole for pole, _ in blocks),
-        np.column_stack((computed, expected, defects)).ravel(),
-    ))[order]
+    template = _document_template(layout, computed.shape[1])
+    rows = np.column_stack((computed, expected, defects))
+    parts, start = [[lam, mu, xi]], 0
+    for pole, cells in reference.values():
+        stop = start + len(cells.rows)
+        parts += [pole, rows[start:stop].ravel()]
+        start = stop
+    values = np.concatenate((*parts, [max_defect]))
     texts = _ZEROS[np.signbit(values).view(np.int8)]
     nonzero = values != 0
     numbers = values[nonzero].tolist()
     # nonzero floats are equal only when their bits are; each NaN is its own key
     distinct = dict.fromkeys(numbers)
-    spelled = dict(zip(distinct, _json_floats(distinct)))
+    spelled = dict(zip(distinct, json.dumps([*distinct])[1:-1].split(", ")))
     texts[nonzero] = list(map(spelled.__getitem__, numbers))
     return template % (*texts.tolist(), "true" if ok else "false")
 

@@ -156,7 +156,13 @@ def _cartan_rows(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
     r the closed form <p_perp, r> P + p_perp u^T + u p_perp^T of
     :meth:`OsculatingFrame.cartan_matrix`, with P = I - q q^T and u = P r,
     its pair as one n x 2 by 2 x n product.  p_perp and P get a row axis
-    after the frame's pole axes, so rows never broadcast against poles."""
+    after the frame's pole axes, so rows never broadcast against poles.
+
+    It stays apart from :meth:`OsculatingFrame.cartan_matrix`, the same form
+    summed elementwise: on (4, 12, 12) rows it took 35 us against 41-50 us
+    (``verify``'s largest self time, 16 calls at dim 12), and
+    ``cartan_matrix`` as this product moved the ``table1`` rows of the flag
+    path at (2, 1, 0.5), (3, 0.7, 0.9) and (1e3, 1e3, 1 - 1e-6)."""
     p_perp = frame._p_perp[..., None, :]
     u = rows @ frame._projector  # P is symmetric
     left = np.empty(rows.shape + (2,), rows.dtype)

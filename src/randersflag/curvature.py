@@ -200,6 +200,11 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     a :class:`DomainError`), and evaluates the curvature quotient without the
     connection table.  The report is marked degenerate when x is parallel to
     w in the osculating product.
+
+    K is the curvature of the Chern connection with the fixed reference
+    field, the left-invariant extension of w (the paper's Table 1).  It is
+    the spray flag curvature exactly where stage 1 vanishes or x0 = 0: on
+    the Z-Randers model at +-Z and the unit poles with q5 = -xi.
     """
     # the frame checks the pole, but takes stacked poles too: reject those
     w = np.asarray(w, dtype=float)
@@ -251,7 +256,8 @@ def sign_search(
     ``max_samples`` must be a positive integer and ``seed`` a nonnegative one
     (anything else raises :class:`ParameterError`), and each such seed keeps
     its :func:`numpy.random.default_rng` stream, which is only made once the
-    special flags are done.
+    special flags are done.  The signs are those of :func:`flag_curvature`'s
+    fixed-reference K.
 
     Candidates are evaluated in chunks, one stacked call each: the special
     flags together, then random pairs in chunks of ``SEARCH_CHUNKS`` sizes,

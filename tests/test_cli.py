@@ -746,6 +746,29 @@ class TestConnectionTablesJson:
         assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
 
 
+@pytest.mark.parametrize("layout", list(EMITTER_LAYOUTS))
+def test_emitter_with_only_signed_zeros(layout, monkeypatch):
+    # every number an exact zero of either sign: all of them are spelled by
+    # their sign, and json.dumps sees no number at all
+    rng = np.random.default_rng(11)
+    args, _ = _emitter_case(EMITTER_LAYOUTS[layout], 4, rng)
+    reference, computed, expected, defects = args[3:7]
+
+    def zeros(shape):
+        return np.copysign(0.0, rng.standard_normal(shape))
+
+    reference = {name: (zeros(pole.shape), cells) for name, (pole, cells) in reference.items()}
+    args = (0.0, -0.0, -0.0, reference, zeros(computed.shape), zeros(expected.shape),
+            zeros(defects.shape), 0.0, args[8])
+    spelled, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: spelled.append(obj) or dumps(obj, **kw))
+    text = connection_tables_json(*args)
+    monkeypatch.undo()
+    assert all(obj == [] for obj in spelled)
+    assert "-0.0" in text
+    assert text == json.dumps(tables_document(*args), indent=2) + "\n"
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -996,6 +1019,19 @@ class TestVerify:
         assert checks["torsion"]["tolerance"] > 1e-10
         assert checks["torsion"]["tolerance"] == checks["almost_metric"]["tolerance"]
 
+    def test_low_dimension_near_unit_deformation_passes(self, tmp_path, capsys):
+        # dim 3, [e1, e2] = e3, |x0| = 0.999999: the thinnest cartan_fd
+        # margin found over dims 1-12 (8.4e-5 against 1e-4), so a change of
+        # stencil, step or sample draw that eats it fails here
+        u = np.array([0.98464, 0.16601, 0.05410])
+        x0 = 0.999999 * u / np.linalg.norm(u)
+        model = {"explicit": {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "value": 1.0}],
+                              "x0": x0.tolist()}}
+        code = main(["verify", "--config", write_config(tmp_path, model)])
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["cartan_fd"]["max_defect"] <= 1e-4
+
     def test_zero_xi_preset_rejected(self, tmp_path):
         config = write_config(
             tmp_path, {"preset": {"name": "heisenberg5", "lambda": 2.0, "mu": 1.0, "xi": 0.0}}
@@ -1164,6 +1200,17 @@ class TestDependencies:
         # the flag path calls stage 2 by its public name, which a tracer wraps
         tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
         assert _private_connection_imports(tree) == []
+
+    def test_sources_parse_as_the_oldest_supported_python(self):
+        # the suite runs on one interpreter; the grammar of the oldest one
+        # that pyproject.toml admits refuses newer syntax such as except*
+        root = Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'requires-python = ">=3.10"' in pyproject
+        sources = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+        assert len(sources) > 10
+        for path in sources:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
     def test_scipy_never_imported(self, tmp_path):
         config = write_config(tmp_path, PRESET)

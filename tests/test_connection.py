@@ -74,6 +74,23 @@ class TestStageSolves:
         frame = s.osculating_gram(Z)
         assert np.allclose(nabla_w_of_w(frame), np.zeros(5), atol=1e-14)
 
+    def test_geodesic_poles_of_heisenberg5(self, rng):
+        # stage 1 vanishes where the pole is a geodesic vector: exactly at
+        # +-Z (central) for every deformation x0, and to round-off at the
+        # unit poles q with q5 = -x0_5; the fixed-reference K is the spray
+        # flag curvature there
+        for radius in [*rng.uniform(0.0, 0.999999, 49), 0.999999]:
+            lam, mu, _ = random_heisenberg_params(rng)
+            x0 = radius * unit(rng)
+            s = RandersStructure(heisenberg5(lam, mu), x0)
+            assert not nabla_w_of_w(s.osculating_gram(np.array([Z, -Z]))).any()
+            q = np.append(np.sqrt(1.0 - x0[4] ** 2) * unit(rng, 4), -x0[4])
+            assert np.abs(nabla_w_of_w(s.osculating_gram(q))).max() <= 1e-15 * lam
+        poles = rng.standard_normal((200, 5))
+        poles /= np.linalg.norm(poles, axis=-1, keepdims=True)
+        stage_one = nabla_w_of_w(z_randers(2.0, 1.0, 0.5).osculating_gram(poles))
+        assert np.abs(stage_one).max(axis=-1).min() > 1e-4
+
     def test_nabla_w_of_w_vanishes_without_deformation_at_plane_pole(self):
         s = RandersStructure(heisenberg5(2.0, 1.0), np.zeros(5))
         frame = s.osculating_gram(E[0])
