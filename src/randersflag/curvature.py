@@ -55,7 +55,6 @@ from .randers import (
     OsculatingFrame,
     RandersStructure,
     _frozen,
-    _normalized,
     _unit_reference,
 )
 from .reference_tables import CANONICAL_FLAGS
@@ -267,13 +266,8 @@ def sign_search(
     scanned in candidate order, so the witness vectors and ``samples_tried``
     do not depend on the chunking.  Their ``k`` and ``denominator`` can
     differ in the last bits with the size of the stack, cut by the budget.
-
-    A random pole is normalized three times, and the certificates printed
-    by ``search`` are pinned to that sequence, since each division can move
-    the last bit.  The first, when the pair is drawn, checks both vectors
-    (finite, not numerically zero); the second, here, only divides; the
-    third, in the frame, checks the pole again.  The special flags are
-    constants and skip the first.
+    A random pair is normalized when it is drawn, and its pole again by its
+    frame, as every pole is.
     """
     max_samples = _integer(max_samples, "max_samples")
     if max_samples < 1:
@@ -295,10 +289,7 @@ def sign_search(
         pairs = CANONICAL_FLAGS if tried == 0 and dim == 5 else next(chunks)
         pairs = pairs[: max_samples - tried]
         w, x = pairs[:, 0], pairs[:, 1]
-        # the second of the pole's three normalizations (see above)
-        frame, k, denominator, degenerate = _flag_curvatures(
-            structure, _normalized(w, np.vecdot(w, w)), x
-        )
+        frame, k, denominator, degenerate = _flag_curvatures(structure, w, x)
         signs = (("positive", k > margin), ("negative", k < -margin))
         for sign, hits in signs:
             if sign not in witnesses and hits.any():

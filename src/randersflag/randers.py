@@ -54,13 +54,6 @@ def _unit_reference(w, dim: int) -> np.ndarray:
     squares = np.vecdot(w, w)
     if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
         raise DegenerateReferenceVector("reference vector is numerically zero")
-    return _normalized(w, squares)
-
-
-def _normalized(w: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """w / |w| along the last axis, given ``squares`` = <w, w>, unchecked:
-    the arithmetic of :func:`_unit_reference` for float vectors already
-    known to be valid."""
     # the square root of the exact dot keeps normalization exact under
     # scaling by powers of two, which the homogeneity contract relies on
     return w / np.sqrt(squares)[..., None]
@@ -210,8 +203,9 @@ class RandersStructure:
         )
 
     def osculating_gram(self, w) -> "OsculatingFrame":
-        """Assemble the osculating Gram matrix at w with its cached solver;
-        w is a pole or poles stacked along leading axes."""
+        """Assemble the osculating frame at w, which builds its closed-form
+        inverse on construction and caches nothing afterwards; w is a pole or
+        poles stacked along leading axes."""
         return OsculatingFrame(self, w)
 
     def osculating_product_fd(self, w, u, v, h: float = 1e-4) -> float | np.ndarray:

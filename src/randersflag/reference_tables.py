@@ -128,12 +128,14 @@ def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> 
     """
     *_, form = _case(case_id)
     _check_parameters(lam, mu, xi)
+    # ** raises OverflowError, but * overflows to inf silently
     try:
-        return float(form(lam, mu, xi))
+        value = float(form(lam, mu, xi))
     except OverflowError:
-        raise ParameterError(
-            f"closed form of case {case_id} overflows at lam={lam}, mu={mu}"
-        ) from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"closed form of case {case_id} overflows at lam={lam}, mu={mu}")
+    return value
 
 
 def _span_unit(span: str, rng: np.random.Generator) -> np.ndarray:

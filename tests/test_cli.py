@@ -334,6 +334,11 @@ class TestTable1:
         # lam**2 overflows in the closed forms
         code, _ = self.run(tmp_path, 1e160, 1.0, 0.5)
         assert code == EXIT_USAGE
+        # (xi**2 - 3) lam**2 overflows to -inf without raising
+        code, _ = self.run(tmp_path, 1e154, 1.0, 0.5)
+        assert code == EXIT_USAGE
+        code, _ = self.run(tmp_path, 8e153, 1.0, 0.5)
+        assert code == EXIT_OK
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         code = main(

@@ -285,6 +285,23 @@ class TestSignSearch:
         with pytest.raises(SearchFailure):
             sign_search(s, seed=1, max_samples=32)
 
+    @pytest.mark.parametrize("xi", [0.2, 0.5, 0.866, 0.9, 0.99, 0.999999])
+    @pytest.mark.parametrize("lam, mu", [(2.0, 1.0), (1e3, 1e3), (1.5e5, 1e5)])
+    def test_both_signs_at_geodesic_poles(self, lam, mu, xi):
+        # the unit poles with q5 = -xi are geodesic vectors (stage 1
+        # vanishes), where K is the spray flag curvature: both of its signs
+        # clear the witness margin there, unlike the special flags 2.x/3.x
+        rng = np.random.default_rng([int(lam), int(mu), int(xi * 1e6)])
+        u = rng.standard_normal((64, 4))
+        u *= np.sqrt(1.0 - xi**2) / np.linalg.norm(u, axis=-1, keepdims=True)
+        poles = np.concatenate([u, np.full((64, 1), -xi)], axis=-1)
+        x = rng.standard_normal((64, 5))
+        frame, k, _, degenerate = _flag_curvatures(z_randers(lam, mu, xi), poles, x)
+        assert np.abs(connection.nabla_w_of_w(frame)).max() <= 1e-15 * lam
+        assert not degenerate.any()
+        margin = WITNESS_MIN_CURVATURE * lam**2
+        assert (k > margin).any() and (k < -margin).any()
+
 
 class TestRiemannianSectional:
     def test_center_plane_curvature(self):
@@ -391,8 +408,7 @@ class _SequentialSearch:
     def _report(self, i):
         while len(self.reports) <= i:
             w, x = next(self.candidates)
-            # the pole is normalized once more before the frame normalizes it
-            self.reports.append(flag_curvature(self.structure, w / np.linalg.norm(w), x))
+            self.reports.append(flag_curvature(self.structure, w, x))
         return self.reports[i]
 
     def run(self, max_samples):
