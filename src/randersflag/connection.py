@@ -121,7 +121,8 @@ def chern_rund_tables(frame: OsculatingFrame):
     of at most max(1, TABLE_BLOCK_ENTRIES // dim**3) poles.  The stage-2
     rows (nabla_{e_i} w) are built once over all the poles; each block builds
     only its (poles, n, n, n) arrays (Cartan corrections, Koszul right-hand
-    side and gamma) from views of the frame, complete and read-only."""
+    side and gamma) from views of the frame, complete and read-only.  A
+    block holds the one-pole tables of its poles, bit for bit."""
     if frame.w.ndim != 2:
         raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
     rows = nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame)))

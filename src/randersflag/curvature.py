@@ -19,14 +19,13 @@ Cartan terms of the two pairings, C_w(N N w, x, x) and C_w(N w, N x, x),
 come.  This flag path is written once for stacks: poles and transverse
 vectors may carry leading batch axes, and every frame quantity, stage and
 quotient broadcasts over them, so :func:`flag_curvature` is the case with
-no batch axis and :func:`sign_search` evaluates its candidates in chunks,
-one stacked call per chunk, scanning the results in candidate order.  At
-dim 5
-the cost of a flag is mostly numpy call overhead, so each stage, and the
-Cartan call, runs once per stacked evaluation and the path forms each Gram
-product once: the frame brings gram @ w and the bracket pairings with the
-pole from its construction, and :func:`_flag_numerator` forms
-gram @ (x, [x, w]) in one product, for the Koszul pairings and the
+no batch axis, bit for bit, and :func:`sign_search` evaluates its candidates
+in chunks, one stacked call per chunk, scanning the results in candidate
+order.  At dim 5 the cost of a flag is mostly numpy call overhead, so each
+stage, and the Cartan call, runs once per stacked evaluation and the path
+forms each Gram product once: the frame brings gram @ w and the bracket
+pairings with the pole from its construction, and :func:`_flag_numerator`
+forms gram @ (x, [x, w]) in one product, for the Koszul pairings and the
 quotient.  :func:`curvature_operator` and :func:`flag_report` read a
 prebuilt table of one pole and are the reference the flag path is tested
 against.
@@ -49,7 +48,7 @@ import numpy as np
 
 from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector, _contract
+from .lie_algebra import MetricLieAlgebra, _as_vector, _real_array
 from .randers import (
     ZERO_VECTOR_TOL,
     OsculatingFrame,
@@ -167,7 +166,9 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     cartan_a, cartan_x = frame.cartan_matrix(vectors[1::-1])
     nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, cartan_a))
     gx, gxw = np.matvec(gram, vectors[::2])
-    pairs_x = _contract(c, gx, 2)  # <[e_i, e_j], x>_w, indexed [..., i, j]
+    n = c.shape[0]
+    # <[e_i, e_j], x>_w, indexed [..., i, j]
+    pairs_x = np.matvec(c.reshape(n * n, n), gx).reshape(gx.shape + (n,))
     # 2 C_w(x, ., x) and 2 C_w(x, ., a), from the one Cartan matrix of x
     cartan_xx, cartan_xa = np.matvec(cartan_x, vectors[:2])
     # <nabla_x a, x>_w: by antisymmetry the bracket terms add up to
@@ -206,7 +207,7 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     the Z-Randers model at +-Z and the unit poles with q5 = -xi.
     """
     # the frame checks the pole, but takes stacked poles too: reject those
-    w = np.asarray(w, dtype=float)
+    w = _real_array(w, "coordinates")
     if w.ndim != 1:
         raise DimensionMismatch(
             f"expected a coordinate vector of length {structure.dim}, got shape {w.shape}"
@@ -263,11 +264,11 @@ def sign_search(
     each cut to the remaining budget.  A chunk of m pairs is drawn as
     ``standard_normal((m, 2, dim))``, the same stream as drawing the pole and
     then the transverse vector of each pair in turn, and its results are
-    scanned in candidate order, so the witness vectors and ``samples_tried``
-    do not depend on the chunking.  Their ``k`` and ``denominator`` can
-    differ in the last bits with the size of the stack, cut by the budget.
-    A random pair is normalized when it is drawn, and its pole again by its
-    frame, as every pole is.
+    scanned in candidate order.  A stacked evaluation gives every flag the
+    bits of a :func:`flag_curvature` call, so the witnesses, ``k`` and
+    ``denominator`` included, and ``samples_tried`` do not depend on the
+    chunking.  A random pair is normalized when it is drawn, and its pole
+    again by its frame, as every pole is.
     """
     max_samples = _integer(max_samples, "max_samples")
     if max_samples < 1:

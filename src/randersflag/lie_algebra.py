@@ -10,6 +10,7 @@ labels e_1..e_n, so ``e_i`` is ``coords[i-1]``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,33 @@ from .errors import DimensionMismatch, ParameterError
 VALIDATION_TOL = 1e-12
 
 
+_FLOAT = np.dtype(float)
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float ndarray, or :class:`ParameterError` unless x is real
+    numbers of one shape: a string, a complex number or a ragged sequence is
+    refused, not cast, warned about or raised untyped.  A float array, or a
+    list of floats, takes one numpy call; other inputs are checked by dtype,
+    and objects one by one, before their cast."""
+    try:
+        v = np.asarray(x)
+        if v.dtype is _FLOAT:
+            return v
+        kind = v.dtype.kind
+        if kind in "biuf" or (kind == "O" and all(isinstance(e, numbers.Real) for e in v.flat)):
+            # a cast that overflows gives inf, which the callers refuse
+            with np.errstate(over="ignore"):
+                return v.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} must be real numbers: {exc}") from exc
+    raise ParameterError(f"{what} must be real numbers, got {v.dtype} entries")
+
+
 def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
     """x as a float coordinate vector of length dim or, with ``stacked``,
     as such vectors stacked along any leading axes."""
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x, "coordinates")
     if (v.shape[-1:] if stacked else v.shape) != (dim,):
         raise DimensionMismatch(
             f"expected a coordinate vector of length {dim}, got shape {v.shape}"
@@ -46,19 +70,6 @@ def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
             f"coordinate vector must be finite with a finite squared norm, got {v.tolist()}"
         )
     return v
-
-
-def _contract(c: np.ndarray, v: np.ndarray, slot: int) -> np.ndarray:
-    """Structure constants c[i, j, k] with index ``slot`` (1 or 2)
-    contracted against v, which may carry leading axes; the two remaining
-    indices, in order, become the last two axes.  Each case is one matrix
-    product over all leading axes at once."""
-    n = c.shape[0]
-    if slot == 1:
-        out = (v.reshape(-1, n) @ c).swapaxes(0, 1)
-    else:
-        out = v @ c.reshape(n * n, n).T
-    return out.reshape(v.shape[:-1] + (n, n))
 
 
 def _cycled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +112,7 @@ class MetricLieAlgebra:
     structure: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.structure, dtype=float)
+        c = _real_array(self.structure, "structure constants")
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != c.shape[2]:
             raise DimensionMismatch(
                 f"structure constants must have shape (n, n, n), got {c.shape}"

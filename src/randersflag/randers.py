@@ -26,7 +26,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterError,
 )
-from .lie_algebra import MetricLieAlgebra, _as_vector, _contract, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -76,7 +76,7 @@ def _randers_form(p: np.ndarray, q: np.ndarray):
     # no cancellation as q -> -p / |p|, and a >= margin / 2 > 0
     qp = q + p
     a = (np.vecdot(qp, qp) + margin) / 2
-    p_perp = p - (q @ p)[..., None] * q
+    p_perp = p - np.vecdot(q, p)[..., None] * q
     # l = q + p, written with the a above so that every quantity built from
     # the form (Gram matrix, inverse, pairing) comes from the same numbers
     return a, p_perp, a[..., None] * q + p_perp
@@ -284,10 +284,11 @@ class OsculatingFrame:
     shape (..., n); every array of the frame then carries the same leading
     axes (``gram`` is (..., n, n)), and the vectors passed to its methods may
     carry further leading axes that broadcast against them.  One pole is
-    simply the case with no leading axis.  Construction builds everything the
-    flag path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
-    (gram @ w), ``pole_pairing``, ``pole_brackets`` (the rows [e_i, w]; the
-    rows [w, e_i] are their negatives) and the inverse; it keeps p_perp and
+    simply the case with no leading axis, and each pole of a stack gets the
+    bits of its one-pole frame.  Construction builds everything the flag path
+    and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
+    (gram @ w), ``pole_pairing``, ``pole_brackets`` (the rows [e_i, w],
+    formed as the negated rows [w, e_i]) and the inverse; it keeps p_perp and
     P, from which every Cartan term is formed in closed form
     (:meth:`cartan_matrix`).  A frame is complete and read-only once
     constructed: it caches no array later (:meth:`cartan_matrix` and
@@ -311,10 +312,16 @@ class OsculatingFrame:
         self.gram = scale * projector + ell[..., :, None] * ell[..., None, :]
         #: <w, .>_w as coordinates, gram @ w
         self.pole_covector = np.matvec(self.gram, q)
+        # each bracket contraction is one gufunc call on a view of c, which
+        # runs the same kernel pole by pole: a stack of poles gets the bits
+        # of one-pole frames, whatever its size
         #: <[e_i, e_j], w>_w, indexed [..., i, j]
-        self.pole_pairing = _contract(c, self.pole_covector, 2)
-        #: rows [..., i] = [e_i, w], so that [v, w] = v @ pole_brackets
-        self.pole_brackets = _contract(c, q, 1)
+        self.pole_pairing = np.matvec(
+            c.reshape(dim * dim, dim), self.pole_covector
+        ).reshape(qq.shape)
+        #: rows [..., i] = [e_i, w], formed as -[w, e_i] by antisymmetry, so
+        #: that [v, w] = v @ pole_brackets
+        self.pole_brackets = -np.vecmat(q, c.reshape(dim, dim * dim)).reshape(qq.shape)
         self._p_perp = p_perp
         self._projector = projector
         self._inverse = (

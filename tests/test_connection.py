@@ -271,8 +271,8 @@ class TestConnectionContracts:
 
 class TestStackedTables:
     """chern_rund_table over a frame of stacked poles: each pole's rows are
-    its one-pole table, and the defects reduce over the poles; the blocks of
-    chern_rund_tables are that stacked table."""
+    its one-pole table, bit for bit, and the defects reduce over the poles;
+    the blocks of chern_rund_tables are that stacked table."""
 
     def structure(self, dim, deformed):
         rng = np.random.default_rng(dim)
@@ -288,10 +288,7 @@ class TestStackedTables:
         assert table.gamma.shape == (2, 3, dim, dim, dim)
         for index in np.ndindex(2, 3):
             one = chern_rund_table(s.osculating_gram(poles[index])).gamma
-            # a stacked frame forms <x0, w> in one matrix-vector product, a
-            # one-pole frame in a dot product; the two may differ in the last
-            # bit, which the staged solve carries to a few ulps of the table
-            assert np.abs(table.gamma[index] - one).max() <= 1e-14 * np.abs(one).max()
+            assert np.array_equal(table.gamma[index], one)
 
     @pytest.mark.parametrize("dim", [5, 9])
     def test_as_many_poles_as_dimensions(self, dim):
@@ -302,8 +299,7 @@ class TestStackedTables:
         table = chern_rund_table(s.osculating_gram(poles))
         assert almost_metric_defect(table) <= 1e-10
         for pole, rows in zip(poles, table.gamma):
-            one = chern_rund_table(s.osculating_gram(pole)).gamma
-            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
+            assert np.array_equal(rows, chern_rund_table(s.osculating_gram(pole)).gamma)
 
     @pytest.mark.parametrize("deformed", [False, True])
     @pytest.mark.parametrize(
@@ -320,11 +316,9 @@ class TestStackedTables:
         bound = max(TABLE_BLOCK_ENTRIES, dim**3)
         assert all(table.gamma.size <= bound for table in tables)
         gamma = np.concatenate([table.gamma for table in tables])
-        whole = chern_rund_table(frame).gamma
-        assert np.abs(gamma - whole).max() <= 1e-15 * np.abs(whole).max()
+        assert np.array_equal(gamma, chern_rund_table(frame).gamma)
         for pole, rows in zip(poles, gamma):
-            one = chern_rund_table(s.osculating_gram(pole)).gamma
-            assert np.abs(rows - one).max() <= 1e-14 * np.abs(one).max()
+            assert np.array_equal(rows, chern_rund_table(s.osculating_gram(pole)).gamma)
 
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
     def test_blocks_need_poles_on_one_axis(self, shape):

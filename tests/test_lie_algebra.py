@@ -11,7 +11,10 @@ from randersflag import (
     DimensionMismatch,
     MetricLieAlgebra,
     ParameterError,
+    RandersStructure,
+    flag_curvature,
     heisenberg5,
+    z_randers,
 )
 from randersflag.lie_algebra import VALIDATION_TOL, _as_vector
 from helpers import nilpotent_algebra, run_main, solvable_algebra
@@ -243,3 +246,47 @@ class TestHeisenberg5:
             MetricLieAlgebra(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             MetricLieAlgebra(np.zeros((3, 3, 4)))
+
+
+def _flag(w, x=E[0]):
+    return flag_curvature(z_randers(2.0, 1.0, 0.5), w, x)
+
+
+class TestRealCoordinates:
+    """Coordinates and structure constants must be real numbers: anything
+    else is a ParameterError, never a plain numpy or Python error, a
+    ComplexWarning or a cast that drops the imaginary part."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: _flag("abcde"), id="string-pole"),
+            pytest.param(lambda: _flag(E[1], ["1", "0", "0", "0", "0"]), id="strings-transverse"),
+            pytest.param(lambda: MetricLieAlgebra("abc"), id="string-structure"),
+            pytest.param(lambda: _flag([[1, 0], [0, 0, 1]]), id="ragged-pole"),
+            pytest.param(lambda: MetricLieAlgebra([[[0]], [[0, 1]]]), id="ragged-structure"),
+            pytest.param(
+                lambda: RandersStructure(heisenberg5(2.0, 1.0), [0, 0, 0, 0, 10**400]),
+                id="int-overflowing-x0",
+            ),
+            pytest.param(lambda: _flag(np.array([0, 1, 0, 0, 1j])), id="complex-array-pole"),
+            pytest.param(lambda: _flag(E[1], [np.complex128(1), 0, 0, 0, 0]), id="complex-scalar"),
+            pytest.param(lambda: _flag(E[1], [1 + 0j, 0, 0, 0, 0]), id="python-complex"),
+            pytest.param(lambda: _as_vector({}, 5), id="dict"),
+            pytest.param(
+                lambda: MetricLieAlgebra(np.zeros((3, 3, 3), complex)), id="complex-structure"
+            ),
+        ],
+    )
+    def test_non_real_input_is_parameter_error(self, call):
+        with pytest.raises(ParameterError, match="must be real numbers"):
+            call()
+
+    def test_real_inputs_of_any_real_dtype_are_cast(self):
+        # ints, large Python ints, bools and float32 are real numbers
+        expected = _flag(E[1] + E[4], E[0])
+        poles = ([0, 1, 0, 0, 1], [0, 10**20, 0, 0, 10**20], np.array([0, 1, 0, 0, 1], np.float32))
+        for w in poles:
+            report = _flag(w, [True, False, False, False, False])
+            assert report.k == expected.k
+            assert report.x.dtype == np.float64
