@@ -20,13 +20,13 @@ is at most ``CONNECTION_TOL`` times max(1, |direction| |argument| times the
 largest |coefficient| of the table at the cell's pole); the printed errors
 and defects are absolute.  ``verify``'s table checks are bounded likewise,
 by their tolerance times max(1, largest |coefficient| of their tables), and
-print that bound as ``tolerance``.  ``connection-tables`` writes the
-text :func:`json.dumps` writes with ``indent=2`` (two spaces per level, one
-number per line, numbers spelled by ``repr``, non-finite ones as ``NaN``,
-``Infinity``, ``-Infinity``): :func:`connection_tables_json` fills one
-template per layout, built once, with one ``%``, and spells exact zeros by
-their sign.  ``search --seed`` must be nonnegative; a negative seed is a
-usage error.
+print that bound as ``tolerance``.  ``connection-tables`` writes the bytes
+of ``json.dumps(document, indent=2)`` plus a newline (two spaces per level,
+one number per line, numbers spelled by ``repr``, non-finite ones as
+``NaN``, ``Infinity``, ``-Infinity``): :func:`connection_tables_json` fills
+json's own layout of the document's skeleton, built once per layout, with
+one ``%``, and spells exact zeros by their sign.  ``search --seed`` must be
+nonnegative; a negative seed is a usage error.
 
 ``table1`` and ``connection-tables`` take the heisenberg5 parameters as
 options; ``flag``, ``search`` and ``verify`` read a model config, a single
@@ -60,9 +60,9 @@ import functools
 import io
 import json
 import os
+import re
 import stat
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -333,37 +333,26 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
-def _indent_2(value, depth: int = 0) -> str:
-    """``value`` laid out as :func:`json.dumps` lays it out with ``indent=2``,
-    as a ``%`` template: ``None`` stands for a ``%s`` slot, strings are
-    JSON strings with ``%`` escaped, and dicts and lists nest."""
-    if value is None:
-        return "%s"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value).replace("%", "%%")
-    if isinstance(value, dict):
-        ends = "{}"
-        items = [f"{_indent_2(key)}: {_indent_2(item, depth + 1)}" for key, item in value.items()]
-    else:
-        ends, items = "[]", [_indent_2(item, depth + 1) for item in value]
-    if not items:
-        return ends
-    inner = "\n" + "  " * (depth + 1)
-    return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + ends[1]
+#: A JSON string or a bare ``null`` in :func:`json.dumps` text.
+_STRING_OR_NULL = re.compile(r'"(?:[^"\\]|\\.)*"|null')
 
 
 @functools.cache
 def _document_template(layout: tuple, width: int) -> str:
     """The ``connection-tables`` document of a layout, ``(name, rows, cols)``
     per block and ``width`` numbers per vector, as a ``%`` template with a
-    slot per number, in document order, and one for ``pass``."""
+    slot per number, in document order, and one for ``pass``: json's own
+    layout of the document with ``None`` at every slot, each bare ``null``
+    turned into ``%s`` and each ``%`` in a string into ``%%``."""
     numbers = [None] * width
     blocks = {name: {"pole": numbers, "cells": [
         {"row": row, "col": col, "computed": numbers, "closed_form": numbers, "defect": None}
         for row, col in zip(rows, cols)]} for name, rows, cols in layout}
     document = {"lambda": None, "mu": None, "xi": None, "blocks": blocks,
                 "max_defect": None, "pass": None}
-    return _indent_2(document) + "\n"
+    text = json.dumps(document, indent=2)
+    return _STRING_OR_NULL.sub(
+        lambda m: "%s" if m[0] == "null" else m[0].replace("%", "%%"), text) + "\n"
 
 
 def connection_tables_json(
@@ -387,12 +376,13 @@ def connection_tables_json(
     ``reference`` maps block names to (pole, cells) as
     :func:`reference_blocks` returns them; the rows of the arrays follow the
     blocks' cells in order.  The fixed text depends only on the layout (the
-    block names, the cell labels and the vector width), so it is built once
-    per layout as a ``%`` template, not run through :mod:`json`'s indenting
-    encoder, which is pure Python, and filled with one ``%`` from the numbers
-    in document order.  Each number is spelled once: exact zeros by their
-    sign, ``0.0`` or ``-0.0``, and the distinct others by one
-    :func:`json.dumps` of their list (``repr``, ``NaN``, ``Infinity``)."""
+    block names, the cell labels and the vector width): it is json's own
+    layout of the document's skeleton, built once per layout as a ``%``
+    template, so later calls never run json's indenting encoder, which is
+    pure Python.  The numbers are filled in document order with one ``%``,
+    each spelled once: exact zeros by their sign, ``0.0`` or ``-0.0``, and
+    the distinct others by one :func:`json.dumps` of their list (``repr``,
+    ``NaN``, ``Infinity``)."""
     layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
     template = _document_template(layout, computed.shape[1])
     rows = np.column_stack((computed, expected, defects))

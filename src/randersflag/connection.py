@@ -193,10 +193,10 @@ def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
 def torsion_defect(table: ConnectionTable) -> float:
     """Largest Euclidean norm over (i, j), and over the poles of a stacked
     table, of nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]; contract:
-    <= 1e-10."""
+    <= 1e-10.  A table over no poles has no defect: 0.0."""
     c = table.frame.structure.algebra.structure
     defect = table.gamma - np.swapaxes(table.gamma, -3, -2) - c
-    return float(np.sqrt(np.vecdot(defect, defect).max()))
+    return float(np.sqrt(np.vecdot(defect, defect).max(initial=0.0)))
 
 
 def almost_metric_defect(table: ConnectionTable) -> float:
@@ -206,6 +206,7 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     For left-invariant fields the derivative of the inner product vanishes, so
     <nabla_{e_i} e_j, e_k>_w + <e_j, nabla_{e_i} e_k>_w
     + 2 * C_w(nabla_{e_i} w, e_j, e_k) must be zero; contract: <= 1e-10.
+    A table over no poles has no defect: 0.0.
     """
     frame, gamma = table.frame, table.gamma
     rows = np.vecmat(frame.w[..., None, :], gamma)  # nabla_{e_i} w
@@ -215,4 +216,4 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     defect = _cartan_rows(frame, rows)
     defect += metric
     defect += np.swapaxes(metric, -1, -2)
-    return float(np.abs(defect, out=defect).max())
+    return float(np.abs(defect, out=defect).max(initial=0.0))

@@ -46,6 +46,18 @@ def _real_array(x, what: str) -> np.ndarray:
     raise ParameterError(f"{what} must be real numbers, got {v.dtype} entries")
 
 
+def _real_scalar(x, what: str) -> float:
+    """x as a float, or :class:`ParameterError` unless x is a real number
+    (any :class:`numbers.Real`, bools included) within the range of a
+    float."""
+    if isinstance(x, numbers.Real):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ParameterError(f"{what} must be a real number within the range of a float, got {x!r}")
+
+
 def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
     """x as a float coordinate vector of length dim or, with ``stacked``,
     as such vectors stacked along any leading axes."""

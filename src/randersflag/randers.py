@@ -14,6 +14,7 @@ difference oracle evaluates F^2 at all its stencil points in one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -26,7 +27,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterError,
 )
-from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen, _real_scalar
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -113,6 +114,13 @@ def _stencil(h: float, w: np.ndarray, *directions: np.ndarray) -> np.ndarray:
     return points
 
 
+def _alternating_sum(f2: np.ndarray, k: int) -> np.ndarray:
+    """The central-difference sum over a stencil of k directions: each
+    point's value signed by the parity of its minus signs, added in index
+    order."""
+    return sum((-1.0) ** sum(index) * f2[index] for index in itertools.product((0, 1), repeat=k))
+
+
 def _sample(value: np.ndarray):
     """A float for one sample, the array for stacked samples."""
     return float(value) if value.ndim == 0 else value
@@ -173,15 +181,17 @@ class RandersStructure:
         return vectors
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
-        """Reference vector and directions of a difference oracle; w is taken
-        verbatim, and must not be numerically zero."""
+        """Step (as a float), reference vector and directions of a
+        difference oracle; w is taken verbatim, and must not be numerically
+        zero."""
         lo, hi = steps
+        h = _real_scalar(h, "step")
         if not (lo <= h <= hi):
             raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
         w, *directions = self._vectors(w, *directions)
         if not (np.sqrt(np.vecdot(w, w)) >= ZERO_VECTOR_TOL).all():
             raise DegenerateReferenceVector("reference vector is numerically zero")
-        return w, *directions
+        return h, w, *directions
 
     def osculating_product(self, w, u, v) -> float | np.ndarray:
         """Closed-form osculating inner product <u, v>_w at unit-normalized w.
@@ -215,10 +225,9 @@ class RandersStructure:
         Oracle counterpart of :meth:`osculating_product` (compare at unit w),
         with the same stacking.
         """
-        w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
+        h, w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
         f2 = self._norm_squared(_stencil(h, w, u, v))
-        stencil = ((f2[0, 0] - f2[0, 1]) - f2[1, 0]) + f2[1, 1]
-        return _sample(0.5 * stencil / (4.0 * h * h))
+        return _sample(0.5 * _alternating_sum(f2, 2) / (4.0 * h * h))
 
     def cartan(self, w, u, v, x) -> float | np.ndarray:
         """Closed-form Cartan tensor <u, v, x>_w at unit-normalized w.
@@ -248,14 +257,9 @@ class RandersStructure:
         As with the second-difference oracle, w is taken verbatim; stacked
         like :meth:`osculating_product`.
         """
-        w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
+        h, w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
         f2 = self._norm_squared(_stencil(h, w, u, v, x))
-        total = 0.0
-        for i, su in enumerate((1.0, -1.0)):
-            for j, sv in enumerate((1.0, -1.0)):
-                for k, sx in enumerate((1.0, -1.0)):
-                    total += su * sv * sx * f2[i, j, k]
-        return _sample(0.25 * total / (8.0 * h**3))
+        return _sample(0.25 * _alternating_sum(f2, 3) / (8.0 * h**3))
 
     def is_berwald(self) -> BerwaldReport:
         """Berwald criterion: x0 is parallel iff <[e_i, e_j], x0> = 0 for all

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen
+from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen, _real_scalar
 from .randers import RandersStructure
 
 #: Center coordinates larger than this disqualify a pole from :func:`w_perp`.
@@ -73,15 +73,21 @@ SPAN_LABELS = {"Z": "Z-span", "e12": "e1-span", "e34": "e3-span"}
 CANONICAL_FLAGS = _frozen(np.eye(5)[[indices for _, _, indices, _ in _CASES.values()]])
 
 
-def _check_parameters(lam: float, mu: float, xi: float | None = None) -> None:
-    """The model's domain: lam >= mu > 0 and, when xi is given, 0 < xi < 1."""
+def _check_parameters(lam: float, mu: float, xi: float | None = None) -> tuple[float, ...]:
+    """``(lam, mu)``, or ``(lam, mu, xi)`` when xi is given, as floats in the
+    model's domain: real lam >= mu > 0 and 0 < xi < 1."""
+    lam, mu = _real_scalar(lam, "lam"), _real_scalar(mu, "mu")
     if not (lam >= mu > 0.0):
         raise ParameterError(f"heisenberg5 requires lam >= mu > 0, got lam={lam}, mu={mu}")
-    if xi is not None and not (0.0 < xi < 1.0):
+    if xi is None:
+        return lam, mu
+    xi = _real_scalar(xi, "xi")
+    if not (0.0 < xi < 1.0):
         raise ParameterError(
             f"Z-Randers metrics require 0 < xi < 1, got xi={xi}; "
             "give x0 = 0 explicitly for the Euclidean metric"
         )
+    return lam, mu, xi
 
 
 def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
@@ -91,7 +97,7 @@ def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
     by Z = e5.  The only nonzero brackets are [e1, e2] = lam * Z and
     [e3, e4] = mu * Z, normalized to lam >= mu > 0.
     """
-    _check_parameters(lam, mu)
+    lam, mu = _check_parameters(lam, mu)
     c = np.zeros((5, 5, 5))
     c[0, 1, 4] = lam
     c[1, 0, 4] = -lam
@@ -104,7 +110,7 @@ def z_randers(lam: float, mu: float, xi: float) -> RandersStructure:
     """The Z-Randers metric x0 = xi * Z on heisenberg5(lam, mu), with
     lam >= mu > 0 and 0 < xi < 1; other parameters raise
     :class:`ParameterError`."""
-    _check_parameters(lam, mu, xi)
+    lam, mu, xi = _check_parameters(lam, mu, xi)
     x0 = np.zeros(5)
     x0[4] = xi
     return RandersStructure(heisenberg5(lam, mu), x0)
@@ -127,7 +133,7 @@ def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> 
     cycling through the center and the two bracket planes.
     """
     *_, form = _case(case_id)
-    _check_parameters(lam, mu, xi)
+    lam, mu, xi = _check_parameters(lam, mu, xi)
     # ** raises OverflowError, but * overflows to inf silently
     try:
         value = float(form(lam, mu, xi))
@@ -157,11 +163,14 @@ def special_flag_vectors(
 
     Without ``rng`` returns the canonical basis representatives; with ``rng``
     samples uniform unit vectors in the corresponding spans, resampling the
-    transverse vector when it is nearly parallel to the pole.
+    transverse vector when it is nearly parallel to the pole; an ``rng``
+    that is not a numpy ``Generator`` raises :class:`ParameterError`.
     """
     pole_span, transverse_span, indices, _ = _case(case_id)
     if rng is None:
         return tuple(np.eye(5)[list(indices)])
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy Generator or None, got {rng!r}")
     w = _span_unit(pole_span, rng)
     x = _span_unit(transverse_span, rng)
     while pole_span == transverse_span and abs(float(w @ x)) > 0.999:
@@ -322,7 +331,7 @@ def reference_blocks(
     with no finite squared norm (the rule every coordinate vector of the
     library obeys; it sets in near lam = 1e51), raise
     :class:`ParameterError`."""
-    _check_parameters(lam, mu, xi)
+    lam, mu, xi = _check_parameters(lam, mu, xi)
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

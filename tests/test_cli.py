@@ -624,8 +624,9 @@ class TestOutputFile:
 
 
 #: ``connection-tables`` layouts, ``(name, rows, cols)`` per block, whose
-#: names and labels hold ``%`` and ``{}`` (template syntax), JSON escapes and
-#: non-ASCII characters, and a block without cells.
+#: names and labels hold ``%`` and ``{}`` (template syntax), JSON escapes,
+#: non-ASCII characters and JSON words (``null``, ``NaN``, ``true``), and a
+#: block without cells.
 EMITTER_LAYOUTS = {
     "percent": (
         ("%s%%", ("%s", "%(x)s", "100%"), ("%", "%d", "{}")),
@@ -635,6 +636,10 @@ EMITTER_LAYOUTS = {
         ("\u00e9\u5757", ("\u00e9", "\U0001f600", "tab\t"), ('q"', "back\\slash", "\u2028")),
         ("\x00%", (), ()),
         ("e\n", ("e1",), ("W",)),
+    ),
+    "json_words": (
+        ("null", ("null", "NaN", "true"), ('"null"', "e\\", "%s null")),
+        ("true", ("false",), ("Infinity",)),
     ),
 }
 
@@ -668,7 +673,8 @@ def _emitter_case(blocks, width, rng, ok=True):
 
 class TestConnectionTablesJson:
     """``connection-tables`` writes the text of ``json.dumps(document,
-    indent=2)`` without going through json's indenting encoder."""
+    indent=2)``, running json's indenting encoder only for a layout's first
+    document."""
 
     @pytest.mark.parametrize("params", _emitter_presets())
     def test_file_is_indent_2_json(self, tmp_path, params):
@@ -743,10 +749,13 @@ class TestConnectionTablesJson:
         def forbidden(*args, **kwargs):
             raise AssertionError("connection-tables ran json's indenting encoder")
 
-        monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
         out = tmp_path / "tables.json"
-        code = main(["connection-tables", "--lambda", "2", "--mu", "1", "--xi", "0.5",
-                     "--out", str(out)])
+        argv = ["connection-tables", "--lambda", "2", "--mu", "1", "--xi", "0.5",
+                "--out", str(out)]
+        # the first document of a layout builds its template with json
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+        code = main(argv)
         assert code == EXIT_OK
         assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
 
@@ -765,6 +774,8 @@ def test_emitter_with_only_signed_zeros(layout, monkeypatch):
     reference = {name: (zeros(pole.shape), cells) for name, (pole, cells) in reference.items()}
     args = (0.0, -0.0, -0.0, reference, zeros(computed.shape), zeros(expected.shape),
             zeros(defects.shape), 0.0, args[8])
+    # the first document of a layout builds its template with json
+    connection_tables_json(*args)
     spelled, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: spelled.append(obj) or dumps(obj, **kw))
     text = connection_tables_json(*args)

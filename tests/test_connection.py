@@ -326,6 +326,13 @@ class TestStackedTables:
         with pytest.raises(DimensionMismatch):
             next(chern_rund_tables(frame))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 0, 5)])
+    def test_table_over_no_poles_has_no_defect(self, shape):
+        table = chern_rund_table(z_randers(2.0, 1.0, 0.5).osculating_gram(np.empty(shape)))
+        assert table.gamma.shape == (*shape, 5, 5)
+        assert torsion_defect(table) == 0.0
+        assert almost_metric_defect(table) == 0.0
+
     def test_defects_reduce_over_poles(self):
         s, rng = self.structure(9, True)
         table = chern_rund_table(s.osculating_gram(rng.standard_normal((6, 9))))

@@ -3,6 +3,7 @@ sign certification, and the Riemannian specialization."""
 
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from randersflag.curvature import (
     SignCertificate,
     _flag_curvatures,
 )
+from randersflag.reference_tables import reference_blocks
 from helpers import (
     abelian_structure,
     hyperbolic_plus_heisenberg,
@@ -212,6 +214,55 @@ class TestSpecialFlagClosedForm:
                         assert not report.degenerate
                         err = abs(report.k - expected) / max(1.0, abs(expected))
                         assert err <= 1e-9, f"case {case_id} at ({lam},{mu},{xi}): {err:.2e}"
+
+
+class TestRealParameters:
+    """Scalar parameters that are not real numbers raise ParameterError, not
+    a raw TypeError or AttributeError; every numbers.Real, bools included,
+    is a parameter."""
+
+    CALLS = {
+        "heisenberg5-str": lambda: heisenberg5("2", 1.0),
+        "heisenberg5-none": lambda: heisenberg5(2.0, None),
+        "heisenberg5-huge-int": lambda: heisenberg5(10**400, 1.0),
+        "z_randers-complex": lambda: z_randers(2 + 0j, 1.0, 0.5),
+        "z_randers-str-xi": lambda: z_randers(2.0, 1.0, "0.5"),
+        "closed-form-str": lambda: special_flag_closed_form("1.1", "2", 1.0, 0.5),
+        "reference-blocks-complex": lambda: reference_blocks(2.0, 1.0, 0.5j, E[0], E[2]),
+        "product-fd-str-step": lambda: z_randers(2.0, 1.0, 0.5).osculating_product_fd(
+            Z, E[0], E[1], h="1e-4"),
+        "cartan-fd-none-step": lambda: z_randers(2.0, 1.0, 0.5).cartan_fd(
+            Z, E[0], E[1], E[2], h=None),
+        "flag-vectors-int-rng": lambda: special_flag_vectors("1.1", 5),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_non_real_parameter_rejected(self, name):
+        with pytest.raises(ParameterError):
+            self.CALLS[name]()
+
+    @pytest.mark.parametrize("params", [
+        (2, 1, 0.5), (np.float32(2.1), np.int64(1), Fraction(1, 3)), (True, True, 0.5)])
+    def test_real_parameters_are_taken_as_floats(self, params):
+        # the same bits as float parameters: no float32 arithmetic, no
+        # object arrays of Fractions
+        floats = tuple(map(float, params))
+        assert np.array_equal(z_randers(*params).x0, z_randers(*floats).x0)
+        for (_, cells), (_, expected) in zip(reference_blocks(*params, E[0], E[2]).values(),
+                                             reference_blocks(*floats, E[0], E[2]).values()):
+            assert cells.expected.dtype == float
+            assert np.array_equal(cells.expected, expected.expected)
+        for case_id in SPECIAL_FLAG_CASES:
+            value = special_flag_closed_form(case_id, *params)
+            assert value == special_flag_closed_form(case_id, *floats)
+
+    @pytest.mark.parametrize("step", [np.float32(5e-3), Fraction(1, 200), np.float64(5e-3)])
+    def test_steps_of_any_real_type_are_floats(self, structure, step):
+        # a float32 step must not make the denominators float32
+        args = (Z, E[0] + Z, E[1] - Z, E[2] + Z)
+        assert structure.osculating_product_fd(*args[:3], h=step) == (
+            structure.osculating_product_fd(*args[:3], h=float(step)))
+        assert structure.cartan_fd(*args, h=step) == structure.cartan_fd(*args, h=float(step))
 
 
 class TestSignSearch:
