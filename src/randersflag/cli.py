@@ -76,7 +76,7 @@ from .connection import (
 from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _frozen
-from .randers import RandersStructure, _unit_reference
+from .randers import RandersStructure, _normalized
 from .reference_tables import (
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
@@ -476,6 +476,11 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     max(1, ``connection.TABLE_BLOCK_ENTRIES`` // dim**3) poles.  The samples
     are drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
     ``(5, dim)``, the same stream as drawing the vectors one at a time.
+    Draws of a generator are finite and nonzero, so they are only
+    normalized, and the oracle checks run each public oracle's private
+    arithmetic on them, unchecked, with the public oracles' numbers; the
+    frames and :func:`levi_civita_table` check what they are given, as
+    every public entry does.
 
     A check passes when its ``max_defect`` is at most its ``tolerance``.
     The oracle checks compare unit-scale quantities against the absolute
@@ -487,13 +492,13 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     dim = structure.dim
 
     def units(*shape: int) -> np.ndarray:
-        return _unit_reference(rng.standard_normal(shape + (dim,)), dim)
+        return _normalized(rng.standard_normal(shape + (dim,)))
 
     w, u, v, x = np.moveaxis(units(60, 4), 1, 0)
     osculating = np.abs(
-        structure.osculating_product(w, u, v) - structure.osculating_product_fd(w, u, v, 1e-4)
+        structure._osculating_product(w, u, v) - structure._osculating_product_fd(w, u, v, 1e-4)
     )
-    cartan = np.abs(structure.cartan(w, u, v, x) - structure.cartan_fd(w, u, v, x, 5e-3))
+    cartan = np.abs(structure._cartan(w, u, v, x) - structure._cartan_fd(w, u, v, x, 5e-3))
     defects = {"osculating_fd": float(osculating.max()), "cartan_fd": float(cartan.max())}
     scales = {"osculating_fd": 1.0, "cartan_fd": 1.0}
 

@@ -54,7 +54,7 @@ from .randers import (
     OsculatingFrame,
     RandersStructure,
     _frozen,
-    _unit_reference,
+    _normalized,
 )
 from .reference_tables import CANONICAL_FLAGS
 
@@ -73,10 +73,10 @@ WITNESS_MIN_CURVATURE = 1e-8
 #: At dim 5 most of a stacked call's cost is fixed numpy call overhead, so a
 #: 512-sample budget takes 8 calls where chunks ending at 64 took 11.  The
 #: schedule stops at 128: the cost per flag at dim 5 no longer falls past it
-#: (min of timeit, one BLAS thread, 2-vCPU Xeon: 6.2 us at 64, 4.9 us at 128,
-#: 6.2 us at 256), while a chunk's memory grows with it (the tracemalloc peak
-#: of a failing 512-sample search at dim 40 is 21.7 MB with 128, 10.9 MB with
-#: 64).
+#: (``_flag_curvatures`` on heisenberg5, min of timeit, one BLAS thread,
+#: 2-vCPU Xeon: 4.1 us at 64, 3.3 us at 128, 3.6 us at 256), while a
+#: chunk's memory grows with it (the tracemalloc peak of a failing
+#: 512-sample search at dim 40 is 21.7 MB with 128, 10.9 MB with 64).
 SEARCH_CHUNKS = (8, 16, 32, 64, 128)
 
 
@@ -221,12 +221,14 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
 
 def _random_chunks(seed: int, dim: int):
     """Chunks of uniform random unit pole/transverse pairs, (m, 2, dim), of
-    the ``SEARCH_CHUNKS`` sizes, the last repeating.  The generator is made
+    the ``SEARCH_CHUNKS`` sizes, the last repeating.  Draws of a generator
+    are finite and nonzero, so they are only normalized, unchecked: each
+    chunk's frame makes the one check of its poles.  The generator is made
     when the first chunk is drawn, so a search that ends on the special
     flags never makes it."""
     rng = np.random.default_rng(seed)
     for size in itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1])):
-        yield _unit_reference(rng.standard_normal((size, 2, dim)), dim)
+        yield _normalized(rng.standard_normal((size, 2, dim)))
 
 
 def _integer(value, name: str) -> int:
@@ -267,8 +269,10 @@ def sign_search(
     scanned in candidate order.  A stacked evaluation gives every flag the
     bits of a :func:`flag_curvature` call, so the witnesses, ``k`` and
     ``denominator`` included, and ``samples_tried`` do not depend on the
-    chunking.  A random pair is normalized when it is drawn, and its pole
-    again by its frame, as every pole is.
+    chunking.  A random pair is normalized, unchecked, when it is drawn,
+    and its pole checked and normalized again by its frame, as every pole
+    is; the special flags are constants, so the frame's check is the only
+    one any candidate gets.
     """
     max_samples = _integer(max_samples, "max_samples")
     if max_samples < 1:

@@ -10,6 +10,12 @@ derivative definitions verbatim (no normalization) and serve as independent
 oracles for the closed forms.  All four take one sample or samples stacked
 along leading axes, so a whole oracle comparison is one call each, and a
 difference oracle evaluates F^2 at all its stencil points in one call.
+
+The public entries check each sample they are given, once: each oracle is
+its checks and a private method holding its arithmetic, and every frame
+checks its poles.  Samples a caller draws itself, such as ``verify``'s and
+``sign_search``'s, are only normalized (:func:`_normalized`) and go to the
+oracles' arithmetic directly; the frames built on them make the one check.
 """
 
 from __future__ import annotations
@@ -47,17 +53,32 @@ def _identity(dim: int) -> np.ndarray:
     return _frozen(np.eye(dim))
 
 
-def _unit_reference(w, dim: int) -> np.ndarray:
-    """w / |w| for a pole, or for poles stacked along leading axes, after
-    checking that each is a finite vector of length dim and not numerically
-    zero."""
+def _checked_pole(w, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, <w, w>)`` for a pole, or for poles stacked along leading axes,
+    after checking that each is a finite vector of length dim and not
+    numerically zero."""
     w = _as_vector(w, dim, stacked=True)
     squares = np.vecdot(w, w)
     if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
         raise DegenerateReferenceVector("reference vector is numerically zero")
+    return w, squares
+
+
+def _normalized(w: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """w / |w| along the last axis, unchecked: for float vectors known to be
+    finite and nonzero, such as draws of a generator; ``squares`` is <w, w>
+    when the caller has it."""
+    if squares is None:
+        squares = np.vecdot(w, w)
     # the square root of the exact dot keeps normalization exact under
     # scaling by powers of two, which the homogeneity contract relies on
     return w / np.sqrt(squares)[..., None]
+
+
+def _unit_reference(w, dim: int) -> np.ndarray:
+    """w / |w| for a pole, or for poles stacked along leading axes, after
+    the checks of :func:`_checked_pole`."""
+    return _normalized(*_checked_pole(w, dim))
 
 
 def _randers_form(p: np.ndarray, q: np.ndarray):
@@ -170,15 +191,16 @@ class RandersStructure:
         """F(x)^2 for vectors stacked along leading axes (or one vector)."""
         return (np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)) ** 2
 
-    def _vectors(self, *vectors) -> list[np.ndarray]:
-        """An oracle's checked vectors, whose leading axes must broadcast."""
-        vectors = [_as_vector(v, self.dim, stacked=True) for v in vectors]
-        shapes = [v.shape[:-1] for v in vectors]
+    def _directions(self, w: np.ndarray, *directions) -> list[np.ndarray]:
+        """An oracle's checked directions at its checked pole w, whose
+        leading axes must broadcast against each other's and w's."""
+        directions = [_as_vector(d, self.dim, stacked=True) for d in directions]
+        shapes = [v.shape[:-1] for v in (w, *directions)]
         try:
             np.broadcast_shapes(*shapes)
         except ValueError:
             raise DimensionMismatch(f"stacked vectors must broadcast, got {shapes}") from None
-        return vectors
+        return directions
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
         """Step (as a float), reference vector and directions of a
@@ -188,7 +210,8 @@ class RandersStructure:
         h = _real_scalar(h, "step")
         if not (lo <= h <= hi):
             raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
-        w, *directions = self._vectors(w, *directions)
+        w = _as_vector(w, self.dim, stacked=True)
+        directions = self._directions(w, *directions)
         if not (np.sqrt(np.vecdot(w, w)) >= ZERO_VECTOR_TOL).all():
             raise DegenerateReferenceVector("reference vector is numerically zero")
         return h, w, *directions
@@ -203,11 +226,20 @@ class RandersStructure:
         swapping u and v.  Like every oracle of this class it takes vectors
         or vectors stacked along leading axes that broadcast against each
         other, one sample per stacked position, and returns a float for one
-        sample or the array of the broadcast leading shape.
+        sample or the array of the broadcast leading shape.  Each oracle is
+        its checks, made once per argument, and a private method that holds
+        its arithmetic (here :meth:`_osculating_product`), which callers
+        whose vectors are valid by construction call directly.
         """
-        q, u, v = self._vectors(_unit_reference(w, self.dim), u, v)
+        w, _ = _checked_pole(w, self.dim)
+        return _sample(self._osculating_product(w, *self._directions(w, u, v)))
+
+    def _osculating_product(self, w, u, v) -> np.ndarray:
+        """The arithmetic of :meth:`osculating_product` on float vectors,
+        unchecked: w must be finite and nonzero, and is normalized here."""
+        q = _normalized(w)
         a, _, ell = _randers_form(self.x0, q)
-        return _sample(
+        return (
             a * (np.vecdot(u, v) - np.vecdot(q, u) * np.vecdot(q, v))
             + np.vecdot(ell, u) * np.vecdot(ell, v)
         )
@@ -226,8 +258,13 @@ class RandersStructure:
         with the same stacking.
         """
         h, w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
+        return _sample(self._osculating_product_fd(w, u, v, h))
+
+    def _osculating_product_fd(self, w, u, v, h: float) -> np.ndarray:
+        """The arithmetic of :meth:`osculating_product_fd` on float vectors
+        and a float step, unchecked."""
         f2 = self._norm_squared(_stencil(h, w, u, v))
-        return _sample(0.5 * _alternating_sum(f2, 2) / (4.0 * h * h))
+        return 0.5 * _alternating_sum(f2, 2) / (4.0 * h * h)
 
     def cartan(self, w, u, v, x) -> float | np.ndarray:
         """Closed-form Cartan tensor <u, v, x>_w at unit-normalized w.
@@ -236,7 +273,13 @@ class RandersStructure:
         reference vector, and vanishes identically when x0 is parallel to w.
         Stacked like :meth:`osculating_product`.
         """
-        q, u, v, x = self._vectors(_unit_reference(w, self.dim), u, v, x)
+        w, _ = _checked_pole(w, self.dim)
+        return _sample(self._cartan(w, *self._directions(w, u, v, x)))
+
+    def _cartan(self, w, u, v, x) -> np.ndarray:
+        """The arithmetic of :meth:`cartan` on float vectors, unchecked: w
+        must be finite and nonzero, and is normalized here."""
+        q = _normalized(w)
         p = self.x0
         pw = np.vecdot(q, p)
         qu, qv, qx = np.vecdot(q, u), np.vecdot(q, v), np.vecdot(q, x)
@@ -249,7 +292,7 @@ class RandersStructure:
         mixed = pw * _sorted_sum(uv * qx, vx * qu, xu * qv)
         drift_pair = _sorted_sum(pu * (qv * qx), pv * (qx * qu), px * (qu * qv))
         drift_dot = _sorted_sum(pu * vx, pv * xu, px * uv)
-        return _sample(0.5 * (triple - mixed - drift_pair + drift_dot))
+        return 0.5 * (triple - mixed - drift_pair + drift_dot)
 
     def cartan_fd(self, w, u, v, x, h: float = 1e-2) -> float | np.ndarray:
         """Central third difference of F^2/4 at w in directions u, v, x.
@@ -258,8 +301,13 @@ class RandersStructure:
         like :meth:`osculating_product`.
         """
         h, w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
+        return _sample(self._cartan_fd(w, u, v, x, h))
+
+    def _cartan_fd(self, w, u, v, x, h: float) -> np.ndarray:
+        """The arithmetic of :meth:`cartan_fd` on float vectors and a float
+        step, unchecked."""
         f2 = self._norm_squared(_stencil(h, w, u, v, x))
-        return _sample(0.25 * _alternating_sum(f2, 3) / (8.0 * h**3))
+        return 0.25 * _alternating_sum(f2, 3) / (8.0 * h**3)
 
     def is_berwald(self) -> BerwaldReport:
         """Berwald criterion: x0 is parallel iff <[e_i, e_j], x0> = 0 for all

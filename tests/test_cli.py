@@ -19,13 +19,15 @@ import pytest
 from randersflag import (
     SPECIAL_FLAG_CASES,
     ConfigError,
+    MetricLieAlgebra,
     RandersStructure,
+    SearchFailure,
     almost_metric_defect,
     chern_rund_table,
     levi_civita_table,
     torsion_defect,
 )
-from randersflag import cli, connection, curvature
+from randersflag import cli, connection, curvature, lie_algebra
 from randersflag.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -1025,6 +1027,24 @@ class TestVerify:
         assert {"torsion", "levi_civita_x0_zero"} <= failing
         assert all((c["max_defect"] <= c["tolerance"]) == c["pass"] for c in checks)
 
+    @pytest.mark.parametrize(
+        "arithmetic, check", [("_osculating_product", "osculating_fd"), ("_cartan", "cartan_fd")]
+    )
+    def test_perturbed_oracle_fails(self, tmp_path, monkeypatch, capsys, arithmetic, check):
+        # verify runs the closed forms' arithmetic on its own samples: a
+        # closed form off by 1e-3 of its value fails its check, and only it
+        closed_form = getattr(RandersStructure, arithmetic)
+
+        def perturbed(structure, *vectors):
+            return closed_form(structure, *vectors) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(RandersStructure, arithmetic, perturbed)
+        code = main(["verify", "--config", write_config(tmp_path, PRESET)])
+        assert code == EXIT_VERDICT
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == [check]
+        assert all((c["max_defect"] <= c["tolerance"]) == c["pass"] for c in checks)
+
     def test_table_checks_print_scaled_tolerance(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, PRESET)])
         assert code == EXIT_OK
@@ -1189,6 +1209,69 @@ class TestStackedVerification:
         osculating_bound, cartan_bound = _fd_roundoff(structure)
         assert abs(got["osculating_fd"] - expected["osculating_fd"]) <= osculating_bound
         assert abs(got["cartan_fd"] - expected["cartan_fd"]) <= cartan_bound
+
+    @pytest.mark.parametrize("name", list(VERIFICATION_MODELS))
+    def test_oracle_checks_are_the_public_oracles_numbers(self, name, capsys):
+        # verify skips the public oracles' checks on the samples it draws,
+        # not their arithmetic: the printed defects are those of the public
+        # methods on the same unit samples, bit for bit
+        structure = VERIFICATION_MODELS[name]
+        assert cli.cmd_verify(structure) == EXIT_OK
+        printed = {c["name"]: c["max_defect"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        draws = np.random.default_rng(cli._REPORT_SEED).standard_normal((60, 4, structure.dim))
+        w, u, v, x = np.moveaxis(draws / np.sqrt(np.vecdot(draws, draws))[..., None], 1, 0)
+        osculating = structure.osculating_product(w, u, v) - structure.osculating_product_fd(
+            w, u, v, 1e-4
+        )
+        cartan = structure.cartan(w, u, v, x) - structure.cartan_fd(w, u, v, x, 5e-3)
+        assert printed["osculating_fd"] == float(np.abs(osculating).max())
+        assert printed["cartan_fd"] == float(np.abs(cartan).max())
+
+
+class TestCheckBudget:
+    """Each sample is checked once, by the public entry it first reaches:
+    ``verify`` and ``sign_search`` only normalize the samples they draw, and
+    the frames built on them make the one check.  A tracer on
+    ``lie_algebra._as_vector``, in every module that holds it, counts the
+    checks by the shapes they see."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        original = lie_algebra._as_vector
+        shapes = []
+
+        def counting(x, dim, stacked=False):
+            shapes.append(np.shape(x))
+            return original(x, dim, stacked)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("randersflag") and getattr(module, "_as_vector", None) is original:
+                monkeypatch.setattr(module, "_as_vector", counting)
+        return shapes
+
+    def test_verification_checks_only_its_frames_and_structures(self, checks):
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        assert all(check["pass"] for check in run_verification(structure))
+        # the frame at the 25 poles, the zero structure, levi_civita_table's
+        # zero structure and its frame, the frame at the 5 zero-x0 poles
+        assert checks == [(25, 5), (5,), (5,), (5,), (5, 5)]
+
+    def test_flat_search_checks_each_chunk_once(self, checks):
+        flat = RandersStructure(MetricLieAlgebra(np.zeros((7, 7, 7))), np.zeros(7))
+        checks.clear()
+        with pytest.raises(SearchFailure):
+            curvature.sign_search(flat, seed=0, max_samples=sum(curvature.SEARCH_CHUNKS[:3]))
+        # one check per chunk: its frame's, of the poles
+        assert checks == [(8, 7), (16, 7), (32, 7)]
+
+    @pytest.mark.parametrize(
+        "oracle, arity",
+        [("osculating_product", 3), ("osculating_product_fd", 3), ("cartan", 4), ("cartan_fd", 4)],
+    )
+    def test_public_oracle_checks_each_argument_once(self, checks, oracle, arity):
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        getattr(structure, oracle)(*np.eye(5)[:arity])
+        assert checks == [(5,)] * arity
 
 
 def _private_connection_imports(tree) -> list[str]:
