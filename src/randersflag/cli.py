@@ -75,7 +75,7 @@ from .connection import (
 )
 from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _frozen
+from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen
 from .randers import RandersStructure, _normalized
 from .reference_tables import (
     SPAN_LABELS,
@@ -408,15 +408,15 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     reference = reference_blocks(lam, mu, xi, *_report_poles())
     blocks = reference.values()
     # one table stacked over the block poles, and every cell's
-    # nabla_direction argument in one contraction, summed over j and then
-    # over i as ConnectionTable.derivative does
+    # nabla_direction argument in one call of the contraction that
+    # ConnectionTable.derivative makes, each cell against its pole's table
     poles = np.array([pole for pole, _ in blocks])
     gamma = chern_rund_table(structure.osculating_gram(poles)).gamma
     pole_of_cell = np.repeat(np.arange(len(reference)), [len(cells.rows) for _, cells in blocks])
     directions = np.concatenate([cells.directions for _, cells in blocks])
     arguments = np.concatenate([cells.arguments for _, cells in blocks])
     expected = np.concatenate([cells.expected for _, cells in blocks])
-    computed = np.vecmat(directions, np.vecmat(arguments[:, None, :], gamma[pole_of_cell]))
+    computed = _bilinear(gamma[pole_of_cell], directions, arguments)
     defects = np.abs(computed - expected).max(axis=-1)
     max_defect = float(defects.max())
     # a cell's round-off follows the terms it sums, |direction| |argument|

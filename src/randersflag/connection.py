@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lie_algebra import MetricLieAlgebra, _as_vector, _cycled
+from .lie_algebra import MetricLieAlgebra, _as_vectors, _bilinear, _cycled
 from .randers import OsculatingFrame, RandersStructure
 
 
@@ -61,11 +61,9 @@ class ConnectionTable:
 
     def derivative(self, x, y) -> np.ndarray:
         """Coordinates of nabla_x y for constant-coefficient (left-invariant)
-        fields; bilinear in (x, y)."""
-        dim = self.frame.dim
-        x = _as_vector(x, dim)
-        y = _as_vector(y, dim)
-        return x @ (y @ self.gamma)
+        fields; bilinear in (x, y), of vectors or stacks of them that
+        broadcast against the table's poles."""
+        return _bilinear(self.gamma, *_as_vectors(self.frame.dim, (self.frame.w,), x, y))
 
 
 def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:

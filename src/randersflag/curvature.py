@@ -26,9 +26,9 @@ stage, and the Cartan call, runs once per stacked evaluation and the path
 forms each Gram product once: the frame brings gram @ w and the bracket
 pairings with the pole from its construction, and :func:`_flag_numerator`
 forms gram @ (x, [x, w]) in one product, for the Koszul pairings and the
-quotient.  :func:`curvature_operator` and :func:`flag_report` read a
-prebuilt table of one pole and are the reference the flag path is tested
-against.
+quotient.  :func:`curvature_operator`, on a table of one or stacked poles,
+and :func:`flag_report`, one flag per report, read a prebuilt table and are
+the reference the flag path is tested against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
@@ -40,7 +40,6 @@ to the smallest normal double.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -48,14 +47,8 @@ import numpy as np
 
 from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector, _real_array
-from .randers import (
-    ZERO_VECTOR_TOL,
-    OsculatingFrame,
-    RandersStructure,
-    _frozen,
-    _normalized,
-)
+from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _real_array
+from .randers import OsculatingFrame, RandersStructure, _frozen, _normalized, _require_nonzero
 from .reference_tables import CANONICAL_FLAGS
 
 #: A flag is degenerate when its Gram determinant falls below this fraction of
@@ -110,17 +103,15 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     """R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z.
 
     Trilinear and antisymmetric in (x, y); all derivatives taken at the
-    fixed reference vector of a table of one pole (a table of stacked poles
-    raises :class:`DimensionMismatch`).
+    table's poles, against which x, y and z, vectors or stacks of them,
+    broadcast.  They are checked once, then contracted as
+    :meth:`ConnectionTable.derivative` and :meth:`MetricLieAlgebra.bracket` do.
     """
-    if table.gamma.ndim != 3:
-        raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
-    algebra = table.frame.structure.algebra
-    x, y, z = (_as_vector(v, algebra.dim) for v in (x, y, z))
-    mx = np.einsum("ijk,i->kj", table.gamma, x)
-    my = np.einsum("ijk,i->kj", table.gamma, y)
-    mb = np.einsum("ijk,i->kj", table.gamma, algebra.bracket(x, y))
-    return mx @ (my @ z) - my @ (mx @ z) - mb @ z
+    frame, g = table.frame, table.gamma
+    x, y, z = _as_vectors(frame.dim, (frame.w,), x, y, z)
+    xy = _bilinear(frame.structure.algebra.structure, x, y)
+    yz, xz = _bilinear(g, y, z), _bilinear(g, x, z)
+    return _bilinear(g, x, yz) - _bilinear(g, y, xz) - _bilinear(g, xy, z)
 
 
 def _quotient(frame: OsculatingFrame, x: np.ndarray, gx: np.ndarray, numerator):
@@ -145,13 +136,15 @@ def _report(w: np.ndarray, x: np.ndarray, k, denominator, degenerate) -> FlagRep
 
 
 def flag_report(table: ConnectionTable, x) -> FlagReport:
-    """Flag curvature from a prebuilt connection table; the pole is the
-    table's reference vector."""
+    """Flag curvature from a prebuilt connection table of one pole (else
+    :class:`DimensionMismatch`), the flag's pole."""
     frame = table.frame
     x = _as_vector(x, frame.dim)
+    if table.gamma.ndim != 3:
+        raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
     r = curvature_operator(table, x, frame.w, frame.w)
     gx = np.matvec(frame.gram, x)
-    return _report(frame.w, x, *_quotient(frame, x, gx, r @ frame.gram @ x))
+    return _report(frame.w, x, *_quotient(frame, x, gx, np.vecdot(r, gx)))
 
 
 def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
@@ -213,8 +206,7 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
             f"expected a coordinate vector of length {structure.dim}, got shape {w.shape}"
         )
     x = _as_vector(x, structure.dim)
-    if math.sqrt(x @ x) < ZERO_VECTOR_TOL:
-        raise DomainError("transverse vector is numerically zero")
+    _require_nonzero(x @ x, DomainError, "transverse vector")
     frame, *quotient = _flag_curvatures(structure, w, x)
     return _report(frame.w, x, *quotient)
 

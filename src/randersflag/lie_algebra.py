@@ -84,6 +84,25 @@ def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
     return v
 
 
+def _as_vectors(dim: int, checked: tuple, *xs) -> list[np.ndarray]:
+    """``xs`` as stacked vectors (:func:`_as_vector`); their leading axes and
+    those of the vectors ``checked`` must broadcast (else DimensionMismatch)."""
+    vectors = [_as_vector(x, dim, stacked=True) for x in xs]
+    shapes = [v.shape[:-1] for v in (*checked, *vectors)]
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionMismatch(f"stacked vectors must broadcast, got {shapes}") from None
+    return vectors
+
+
+def _bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_ij x_i y_j t[..., i, j, :], unchecked, for the bracket and the
+    connection tables: two gufunc calls, whose kernel runs per stacked
+    position, so a stack gets the bits of separate calls."""
+    return np.vecmat(x, np.vecmat(y[..., None, :], t))
+
+
 def _cycled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Views t[..., j, k, i] and t[..., k, i, j], indexed [..., i, j, k]: the
     other two cyclic orders of the last three axes."""
@@ -146,10 +165,9 @@ class MetricLieAlgebra:
         return v
 
     def bracket(self, x, y) -> np.ndarray:
-        """Lie bracket [x, y]; bilinear and antisymmetric."""
-        x = _as_vector(x, self.dim)
-        y = _as_vector(y, self.dim)
-        return x @ (y @ self.structure)
+        """Lie bracket [x, y]; bilinear and antisymmetric, of vectors or
+        stacks of them that broadcast."""
+        return _bilinear(self.structure, *_as_vectors(self.dim, (), x, y))
 
     def validate(self) -> ValidationReport:
         """Check antisymmetry and the Jacobi identity on all basis tuples.

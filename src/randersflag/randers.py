@@ -21,19 +21,13 @@ oracles' arithmetic directly; the frames built on them make the one check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateReferenceVector,
-    DimensionMismatch,
-    InternalConsistencyError,
-    ParameterError,
-)
-from .lie_algebra import MetricLieAlgebra, _as_vector, _frozen, _real_scalar
+from .errors import DegenerateReferenceVector, InternalConsistencyError, ParameterError
+from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _frozen, _real_scalar
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -53,14 +47,24 @@ def _identity(dim: int) -> np.ndarray:
     return _frozen(np.eye(dim))
 
 
+def _require_nonzero(squares, error: type[Exception], what: str) -> None:
+    """Raise ``error`` unless every norm whose squares are ``squares`` (a
+    scalar, or an array of them) is at least ZERO_VECTOR_TOL: the one test of
+    a numerically zero vector.  A scalar, as one vector gives, is compared
+    as it is; an array by its least entry (NaN if any is, so it fails)."""
+    if isinstance(squares, np.ndarray):
+        squares = squares.min(initial=np.inf)
+    if not squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL:
+        raise error(f"{what} is numerically zero")
+
+
 def _checked_pole(w, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``(w, <w, w>)`` for a pole, or for poles stacked along leading axes,
     after checking that each is a finite vector of length dim and not
     numerically zero."""
     w = _as_vector(w, dim, stacked=True)
     squares = np.vecdot(w, w)
-    if not (squares >= ZERO_VECTOR_TOL * ZERO_VECTOR_TOL).all():
-        raise DegenerateReferenceVector("reference vector is numerically zero")
+    _require_nonzero(squares, DegenerateReferenceVector, "reference vector")
     return w, squares
 
 
@@ -182,25 +186,14 @@ class RandersStructure:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def finsler_norm(self, x) -> float:
-        """F(x) = sqrt(<x, x>) + <x0, x>; positive for x != 0."""
-        x = _as_vector(x, self.dim)
-        return float(math.sqrt(float(x @ x)) + self.x0 @ x)
+    def finsler_norm(self, x) -> float | np.ndarray:
+        """F(x) = sqrt(<x, x>) + <x0, x>, positive for x != 0; a float, or
+        an array for vectors stacked along leading axes."""
+        return _sample(self._finsler_norm(_as_vector(x, self.dim, stacked=True)))
 
-    def _norm_squared(self, x: np.ndarray) -> np.ndarray:
-        """F(x)^2 for vectors stacked along leading axes (or one vector)."""
-        return (np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)) ** 2
-
-    def _directions(self, w: np.ndarray, *directions) -> list[np.ndarray]:
-        """An oracle's checked directions at its checked pole w, whose
-        leading axes must broadcast against each other's and w's."""
-        directions = [_as_vector(d, self.dim, stacked=True) for d in directions]
-        shapes = [v.shape[:-1] for v in (w, *directions)]
-        try:
-            np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise DimensionMismatch(f"stacked vectors must broadcast, got {shapes}") from None
-        return directions
+    def _finsler_norm(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`finsler_norm`, unchecked; squared by the difference oracles."""
+        return np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
         """Step (as a float), reference vector and directions of a
@@ -211,9 +204,8 @@ class RandersStructure:
         if not (lo <= h <= hi):
             raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
         w = _as_vector(w, self.dim, stacked=True)
-        directions = self._directions(w, *directions)
-        if not (np.sqrt(np.vecdot(w, w)) >= ZERO_VECTOR_TOL).all():
-            raise DegenerateReferenceVector("reference vector is numerically zero")
+        directions = _as_vectors(self.dim, (w,), *directions)
+        _require_nonzero(np.vecdot(w, w), DegenerateReferenceVector, "reference vector")
         return h, w, *directions
 
     def osculating_product(self, w, u, v) -> float | np.ndarray:
@@ -232,7 +224,7 @@ class RandersStructure:
         whose vectors are valid by construction call directly.
         """
         w, _ = _checked_pole(w, self.dim)
-        return _sample(self._osculating_product(w, *self._directions(w, u, v)))
+        return _sample(self._osculating_product(w, *_as_vectors(self.dim, (w,), u, v)))
 
     def _osculating_product(self, w, u, v) -> np.ndarray:
         """The arithmetic of :meth:`osculating_product` on float vectors,
@@ -263,7 +255,7 @@ class RandersStructure:
     def _osculating_product_fd(self, w, u, v, h: float) -> np.ndarray:
         """The arithmetic of :meth:`osculating_product_fd` on float vectors
         and a float step, unchecked."""
-        f2 = self._norm_squared(_stencil(h, w, u, v))
+        f2 = self._finsler_norm(_stencil(h, w, u, v)) ** 2
         return 0.5 * _alternating_sum(f2, 2) / (4.0 * h * h)
 
     def cartan(self, w, u, v, x) -> float | np.ndarray:
@@ -274,7 +266,7 @@ class RandersStructure:
         Stacked like :meth:`osculating_product`.
         """
         w, _ = _checked_pole(w, self.dim)
-        return _sample(self._cartan(w, *self._directions(w, u, v, x)))
+        return _sample(self._cartan(w, *_as_vectors(self.dim, (w,), u, v, x)))
 
     def _cartan(self, w, u, v, x) -> np.ndarray:
         """The arithmetic of :meth:`cartan` on float vectors, unchecked: w
@@ -306,7 +298,7 @@ class RandersStructure:
     def _cartan_fd(self, w, u, v, x, h: float) -> np.ndarray:
         """The arithmetic of :meth:`cartan_fd` on float vectors and a float
         step, unchecked."""
-        f2 = self._norm_squared(_stencil(h, w, u, v, x))
+        f2 = self._finsler_norm(_stencil(h, w, u, v, x)) ** 2
         return 0.25 * _alternating_sum(f2, 3) / (8.0 * h**3)
 
     def is_berwald(self) -> BerwaldReport:

@@ -195,6 +195,13 @@ class TestModelConfig:
             "", f"error: dim must lie in 1..{MAX_EXPLICIT_DIM}, got {dim}\n"
         )
 
+    @pytest.mark.parametrize("section", ["preset", "explicit"])
+    def test_section_that_is_no_object_is_usage_error(self, tmp_path, capsys, section):
+        config = write_config(tmp_path, {section: 5})
+        assert main(["verify", "--config", config]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: '{section}' must be a JSON object\n")
+
     @pytest.mark.parametrize("x0", [[0, 0, 0], [[0] * 40], [0] * 41, 0.5])
     def test_x0_shape_checked_before_the_structure_constants(self, monkeypatch, x0):
         def forbidden(*args):
@@ -398,6 +405,20 @@ class TestConnectionTables:
         assert {len(blocks[name]["cells"]) for name in blocks} == {25, 9, 4}
         assert len(blocks["pole_z"]["cells"]) == 25
         assert len(blocks["pole_e12_frame"]["cells"]) == 9
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.5), (1.46e5, 8.4e3, 1 - 1.6e-6)])
+    def test_cells_are_the_table_derivatives(self, tmp_path, params):
+        # one contraction over every cell: each layout's cells are the
+        # stacked derivative of its one-pole table, bit for bit
+        code, out = self.run(tmp_path, *params)
+        assert code == EXIT_OK
+        blocks = json.loads(out.read_text(encoding="utf-8"))["blocks"]
+        structure = cli._preset_structure(*params)
+        reference = reference_blocks(*params, *cli._report_poles())
+        for name, (pole, cells) in reference.items():
+            table = chern_rund_table(structure.osculating_gram(pole))
+            computed = [cell["computed"] for cell in blocks[name]["cells"]]
+            assert np.array_equal(computed, table.derivative(cells.directions, cells.arguments))
 
     def test_spot_closed_forms(self, tmp_path):
         code, out = self.run(tmp_path)
@@ -810,6 +831,8 @@ class TestParser:
             (["search", "--seed=-1e3"], "argument --seed: invalid int value: '-1e3'"),
             (["search", "--seed", "0", "--max-samples", "2.5"],
              "argument --max-samples: invalid int value: '2.5'"),
+            # a dash token that starts like a number but is none is an option
+            (["search", "--seed", "-nope"], "argument --seed: expected one argument"),
             (["table1", "--lambda", "2", "--mu", "1", "--xi", "abc", "--out", "t"],
              "argument --xi: invalid float value: 'abc'"),
             (["flag", "--w", "1,0,0,0,0", "--x", "abc"],
@@ -818,7 +841,8 @@ class TestParser:
             (["table1", "--lambda=--", "--mu", "1", "--xi", "0.5", "--out", "t"],
              "argument --lambda: invalid float value: '--'"),
         ],
-        ids=["seed-fraction", "seed-float", "max-samples-fraction", "xi-word", "x-word", "dashes"],
+        ids=["seed-fraction", "seed-float", "max-samples-fraction", "seed-dash-word", "xi-word",
+             "x-word", "dashes"],
     )
     def test_refused_value_is_one_stderr_line(self, tmp_path, argv, message):
         # argparse's usage block is not printed: only the error line

@@ -102,11 +102,50 @@ class TestCurvatureOperator:
             right = a * curvature_operator(table, x1, y, z) + b * curvature_operator(table, x2, y, z)
             assert np.allclose(left, right, atol=1e-12)
 
-    def test_table_of_stacked_poles_rejected(self, structure):
-        # the table API reads a table of one pole
+    @pytest.mark.parametrize("poles", [1, 4, 25])
+    @pytest.mark.parametrize("dim", [5, 12])
+    def test_stacked_tables_match_one_pole_calls(self, dim, poles):
+        # the table API is one contraction for stacks: each pole of a stacked
+        # table, and each stacked or broadcast vector, gets the bits of its
+        # one-pole call
+        rng = np.random.default_rng([dim, poles])
+        algebra = nilpotent_algebra(rng, dim)
+        structure = RandersStructure(algebra, unit(rng, dim) * 0.5)
+        w = rng.standard_normal((poles, dim))
+        table = chern_rund_table(structure.osculating_gram(w))
+        singles = [chern_rund_table(structure.osculating_gram(pole)) for pole in w]
+        x, y, z = rng.standard_normal((3, poles, dim))
+        r = curvature_operator(table, x, y, z)
+        derivative, bracket = table.derivative(x, y), algebra.bracket(x, y)
+        for i, one in enumerate(singles):
+            assert np.array_equal(r[i], curvature_operator(one, x[i], y[i], z[i]))
+            assert np.array_equal(derivative[i], one.derivative(x[i], y[i]))
+            assert np.array_equal(bracket[i], algebra.bracket(x[i], y[i]))
+        # vectors on an axis of their own, broadcast against the poles
+        x, y, z = rng.standard_normal((3, 2, 1, dim))
+        r = curvature_operator(table, x, y, z[0, 0])
+        derivative = table.derivative(x, y[0, 0])
+        bracket = algebra.bracket(x[:, 0], y[0, 0])
+        assert r.shape == derivative.shape == (2, poles, dim)
+        for a in range(2):
+            assert np.array_equal(bracket[a], algebra.bracket(x[a, 0], y[0, 0]))
+            for i, one in enumerate(singles):
+                assert np.array_equal(r[a, i], curvature_operator(one, x[a, 0], y[a, 0], z[0, 0]))
+                assert np.array_equal(derivative[a, i], one.derivative(x[a, 0], y[0, 0]))
+
+    def test_stacks_that_do_not_broadcast_rejected(self, structure, rng):
+        table = chern_rund_table(structure.osculating_gram(rng.standard_normal((4, 5))))
+        three = rng.standard_normal((3, 5))
+        with pytest.raises(DimensionMismatch, match="must broadcast"):
+            curvature_operator(table, E[0], three, E[2])
+        with pytest.raises(DimensionMismatch, match="must broadcast"):
+            table.derivative(three, E[1])
+        with pytest.raises(DimensionMismatch, match="must broadcast"):
+            structure.algebra.bracket(three, rng.standard_normal((2, 5)))
+
+    def test_flag_report_reads_one_pole(self, structure):
+        # one flag per report, as flag_curvature gives
         table = chern_rund_table(structure.osculating_gram(E[:2]))
-        with pytest.raises(DimensionMismatch, match="one pole"):
-            curvature_operator(table, E[0], E[1], E[2])
         with pytest.raises(DimensionMismatch, match="one pole"):
             flag_report(table, E[1])
 

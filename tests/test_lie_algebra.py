@@ -246,6 +246,8 @@ class TestHeisenberg5:
             MetricLieAlgebra(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             MetricLieAlgebra(np.zeros((3, 3, 4)))
+        with pytest.raises(ParameterError, match="dimension must be positive"):
+            MetricLieAlgebra(np.zeros((0, 0, 0)))
 
 
 def _flag(w, x=E[0]):

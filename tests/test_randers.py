@@ -35,6 +35,14 @@ class TestFinslerNorm:
     def test_zero_vector(self, structure):
         assert structure.finsler_norm(np.zeros(5)) == 0.0
 
+    def test_stack_matches_one_vector_calls(self, structure, rng):
+        x = rng.standard_normal((3, 4, 5))
+        norms = structure.finsler_norm(x)
+        assert norms.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            one = structure.finsler_norm(x[index])
+            assert type(one) is float and norms[index] == one
+
     def test_positive_homogeneity(self, structure, rng):
         for _ in range(50):
             x = rng.standard_normal(5)
@@ -408,7 +416,9 @@ class TestStackedOracles:
     def test_difference_oracles_match_their_stencil_loops(self, structure, rng):
         # one F^2 call over all stencil points keeps the arithmetic of one
         # call per point: the same points, the terms added in the same order
-        f2 = structure._norm_squared
+        def f2(x):
+            return structure._finsler_norm(x) ** 2
+
         w = rng.standard_normal((3, 1, 5))
         u, v, x = rng.standard_normal((3, 4, 5))
         h = 1e-4
@@ -442,8 +452,16 @@ class TestStackedOracles:
             structure.cartan(good, np.ones((2, 4)), good, good)
         with pytest.raises(ParameterError):
             structure.osculating_product_fd(good, good, [[1, 0, 0, 0, 0], [np.inf, 0, 0, 0, 0]])
-        with pytest.raises(DegenerateReferenceVector):
-            structure.cartan_fd([E[0], np.zeros(5)], good, good, good, 1e-2)
+        # a pole of norm exactly ZERO_VECTOR_TOL passes, one just below it
+        # fails, alone or as one row of a stack
+        edge, below = 1e-14 * E[0], 0.99e-14 * E[0]
+        oracles = ((structure.cartan, (good,) * 3), (structure.cartan_fd, (good,) * 3 + (1e-2,)))
+        for call, args in oracles:
+            for poles in (edge, [E[0], edge]):
+                assert np.all(np.isfinite(call(poles, *args)))
+            for poles in (below, [E[0], np.zeros(5)], [E[0], below], [[E[0]], [below]]):
+                with pytest.raises(DegenerateReferenceVector, match="numerically zero"):
+                    call(poles, *args)
 
     @pytest.mark.parametrize(
         "oracle", ["osculating_product", "osculating_product_fd", "cartan", "cartan_fd"]
