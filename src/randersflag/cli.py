@@ -25,8 +25,8 @@ of ``json.dumps(document, indent=2)`` plus a newline (two spaces per level,
 one number per line, numbers spelled by ``repr``, non-finite ones as
 ``NaN``, ``Infinity``, ``-Infinity``): :func:`connection_tables_json` fills
 json's own layout of the document's skeleton, built once per layout, with
-one ``%``, and spells exact zeros by their sign.  ``search --seed`` must be
-nonnegative; a negative seed is a usage error.
+one ``%``, spelling each distinct bit pattern once.  ``search --seed`` must
+be nonnegative; a negative seed is a usage error.
 
 ``table1`` and ``connection-tables`` take the heisenberg5 parameters as
 options; ``flag``, ``search`` and ``verify`` read a model config, a single
@@ -55,9 +55,7 @@ out-of-range indices and structure constants that fail the Jacobi identity.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import re
@@ -124,18 +122,6 @@ def _report_poles() -> np.ndarray:
     """``connection-tables``'s poles in span(e1, e2) and span(e3, e4), (2, 5)
     read-only, drawn once per process from ``default_rng(_REPORT_SEED)``."""
     return _frozen(reference_poles(np.random.default_rng(_REPORT_SEED)))
-
-
-#: ``verify`` tolerances: absolute for the oracle checks, relative to
-#: max(1, largest |coefficient|) for the table checks (see
-#: :func:`run_verification`).
-_VERIFY_TOLS = {
-    "osculating_fd": 1e-6,
-    "cartan_fd": 1e-4,
-    "torsion": 1e-10,
-    "almost_metric": 1e-10,
-    "levi_civita_x0_zero": 1e-12,
-}
 
 
 def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
@@ -313,24 +299,20 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     flags = _report_flags()
     _, k, _, _ = _flag_curvatures(structure, flags[:, 0], flags[:, 1])
     max_err = 0.0
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["case", "flag_pole", "transverse", "k_computed", "k_closed_form", "abs_err"])
+    # span labels, case ids and float reprs hold no comma, quote or newline,
+    # so every field is written as it is
+    lines = ["case,flag_pole,transverse,k_computed,k_closed_form,abs_err\n"]
     for case_id, computed, closed in zip(SPECIAL_FLAG_CASES, k.tolist(), closed_forms):
         err = abs(computed - closed)
         max_err = max(max_err, err)
         pole, transverse = (SPAN_LABELS[span] for span in SPECIAL_FLAG_SPANS[case_id])
-        writer.writerow([case_id, pole, transverse, repr(computed), repr(closed), repr(err)])
-    write_output(out, text.getvalue())
+        lines.append(f"{case_id},{pole},{transverse},{computed!r},{closed!r},{err!r}\n")
+    write_output(out, "".join(lines))
     # the curvatures grow like lam**2, so the tolerance scales with the
     # largest closed form; unit-scale models keep the absolute bound
     ok = max_err <= TABLE1_TOL * max(1.0, max(map(abs, closed_forms)))
     print(f"table1: wrote {out}; max_abs_err={max_err:.6e}; pass={ok}")
     return EXIT_OK if ok else EXIT_VERDICT
-
-
-#: The spellings of an exact zero, indexed by its sign bit.
-_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
 #: A JSON string or a bare ``null`` in :func:`json.dumps` text.
@@ -380,9 +362,9 @@ def connection_tables_json(
     layout of the document's skeleton, built once per layout as a ``%``
     template, so later calls never run json's indenting encoder, which is
     pure Python.  The numbers are filled in document order with one ``%``,
-    each spelled once: exact zeros by their sign, ``0.0`` or ``-0.0``, and
-    the distinct others by one :func:`json.dumps` of their list (``repr``,
-    ``NaN``, ``Infinity``)."""
+    each distinct bit pattern spelled once, by one :func:`json.dumps` of
+    their list (``repr``, ``NaN``, ``Infinity``): 0.0 and -0.0 differ in
+    their bits, and a NaN of any payload spells ``NaN``."""
     layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
     template = _document_template(layout, computed.shape[1])
     rows = np.column_stack((computed, expected, defects))
@@ -392,13 +374,9 @@ def connection_tables_json(
         parts += [pole, rows[start:stop].ravel()]
         start = stop
     values = np.concatenate((*parts, [max_defect]))
-    texts = _ZEROS[np.signbit(values).view(np.int8)]
-    nonzero = values != 0
-    numbers = values[nonzero].tolist()
-    # nonzero floats are equal only when their bits are; each NaN is its own key
-    distinct = dict.fromkeys(numbers)
-    spelled = dict(zip(distinct, json.dumps([*distinct])[1:-1].split(", ")))
-    texts[nonzero] = list(map(spelled.__getitem__, numbers))
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    spelled = json.dumps(patterns.view(float).tolist())[1:-1].split(", ")
+    texts = np.array(spelled, dtype=object)[inverse]
     return template % (*texts.tolist(), "true" if ok else "false")
 
 
@@ -443,7 +421,7 @@ def _report_json(report: FlagReport) -> dict:
 
 def cmd_flag(structure: RandersStructure, w_coords, x_coords) -> int:
     """Print one flag-curvature report as JSON; degenerate flags exit 1."""
-    report = flag_curvature(structure, np.asarray(w_coords, float), np.asarray(x_coords, float))
+    report = flag_curvature(structure, w_coords, x_coords)
     print(json.dumps(_report_json(report)))
     return EXIT_OK if not report.degenerate else EXIT_VERDICT
 
@@ -452,13 +430,10 @@ def cmd_search(structure: RandersStructure, seed: int, max_samples: int) -> int:
     """Print a sign certificate as JSON; exit 0.  A failed search raises
     :class:`SearchFailure`, which :func:`main` reports with exit 1."""
     certificate = sign_search(structure, seed=seed, max_samples=max_samples)
-    witnesses = {
-        "positive_witness": certificate.positive_witness,
-        "negative_witness": certificate.negative_witness,
-    }
     document = {
         name: {"w": r.w.tolist(), "x": r.x.tolist(), **_report_json(r)}
-        for name, r in witnesses.items()
+        for name, r in (("positive_witness", certificate.positive_witness),
+                        ("negative_witness", certificate.negative_witness))
     }
     document["samples_tried"] = certificate.samples_tried
     print(json.dumps(document))
@@ -483,33 +458,39 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     every public entry does.
 
     A check passes when its ``max_defect`` is at most its ``tolerance``.
-    The oracle checks compare unit-scale quantities against the absolute
-    ``_VERIFY_TOLS``; the table checks carry round-off in proportion to the
-    coefficients, so their bound is ``_VERIFY_TOLS`` times max(1, largest
+    The oracle checks compare unit-scale quantities against an absolute
+    tolerance; the table checks carry round-off in proportion to the
+    coefficients, so their bound is their tolerance times max(1, largest
     |coefficient| of the check's tables), and that bound is the printed
     ``tolerance``."""
     rng = np.random.default_rng(_REPORT_SEED)
     dim = structure.dim
+    checks = []
 
     def units(*shape: int) -> np.ndarray:
         return _normalized(rng.standard_normal(shape + (dim,)))
+
+    def check(name: str, value: float, tol: float, scale: float = 1.0) -> None:
+        bound = tol * max(1.0, scale)
+        checks.append(
+            {"name": name, "max_defect": value, "tolerance": bound, "pass": value <= bound}
+        )
 
     w, u, v, x = np.moveaxis(units(60, 4), 1, 0)
     osculating = np.abs(
         structure._osculating_product(w, u, v) - structure._osculating_product_fd(w, u, v, 1e-4)
     )
+    check("osculating_fd", float(osculating.max()), 1e-6)
     cartan = np.abs(structure._cartan(w, u, v, x) - structure._cartan_fd(w, u, v, x, 5e-3))
-    defects = {"osculating_fd": float(osculating.max()), "cartan_fd": float(cartan.max())}
-    scales = {"osculating_fd": 1.0, "cartan_fd": 1.0}
+    check("cartan_fd", float(cartan.max()), 1e-4)
 
     worst_torsion = worst_metric = scale = 0.0
     for table in chern_rund_tables(structure.osculating_gram(units(25))):
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
         scale = max(scale, float(np.abs(table.gamma).max()))
-    defects["torsion"] = worst_torsion
-    defects["almost_metric"] = worst_metric
-    scales["torsion"] = scales["almost_metric"] = max(1.0, scale)
+    check("torsion", worst_torsion, 1e-10, scale)
+    check("almost_metric", worst_metric, 1e-10, scale)
 
     zero = RandersStructure(structure.algebra, np.zeros(dim))
     reference = levi_civita_table(structure.algebra)
@@ -517,15 +498,7 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     for table in chern_rund_tables(zero.osculating_gram(units(5))):
         worst_lc = max(worst_lc, float(np.abs(table.gamma - reference.gamma).max()))
         scale = max(scale, float(np.abs(table.gamma).max()))
-    defects["levi_civita_x0_zero"] = worst_lc
-    scales["levi_civita_x0_zero"] = max(1.0, scale)
-
-    checks = []
-    for name, value in defects.items():
-        bound = _VERIFY_TOLS[name] * scales[name]
-        checks.append(
-            {"name": name, "max_defect": value, "tolerance": bound, "pass": value <= bound}
-        )
+    check("levi_civita_x0_zero", worst_lc, 1e-12, scale)
     return checks
 
 

@@ -107,9 +107,14 @@ def curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
     broadcast.  They are checked once, then contracted as
     :meth:`ConnectionTable.derivative` and :meth:`MetricLieAlgebra.bracket` do.
     """
-    frame, g = table.frame, table.gamma
-    x, y, z = _as_vectors(frame.dim, (frame.w,), x, y, z)
-    xy = _bilinear(frame.structure.algebra.structure, x, y)
+    frame = table.frame
+    return _curvature_operator(table, *_as_vectors(frame.dim, (frame.w,), x, y, z))
+
+
+def _curvature_operator(table: ConnectionTable, x, y, z) -> np.ndarray:
+    """:func:`curvature_operator` of checked vectors, unchecked."""
+    g = table.gamma
+    xy = _bilinear(table.frame.structure.algebra.structure, x, y)
     yz, xz = _bilinear(g, y, z), _bilinear(g, x, z)
     return _bilinear(g, x, yz) - _bilinear(g, y, xz) - _bilinear(g, xy, z)
 
@@ -142,7 +147,8 @@ def flag_report(table: ConnectionTable, x) -> FlagReport:
     x = _as_vector(x, frame.dim)
     if table.gamma.ndim != 3:
         raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
-    r = curvature_operator(table, x, frame.w, frame.w)
+    # x is checked, and the frame checked its pole: no vector is checked again
+    r = _curvature_operator(table, x, frame.w, frame.w)
     gx = np.matvec(frame.gram, x)
     return _report(frame.w, x, *_quotient(frame, x, gx, np.vecdot(r, gx)))
 

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import errno
+import io
 import itertools
 import json
 import math
@@ -366,6 +367,19 @@ class TestTable1:
     def test_large_models_pass(self, tmp_path, params):
         code, _ = self.run(tmp_path, *params)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.5), (1.5e5, 1e5, 1e-8)])
+    def test_rows_are_csv_that_needs_no_quoting(self, tmp_path, params):
+        # the rows are written as plain strings; csv reads them back, and
+        # its writer gives the same bytes, so no field needed quoting
+        _, out = self.run(tmp_path, *params)
+        written = out.read_bytes()
+        rows = list(csv.reader(io.StringIO(written.decode("utf-8"), newline="")))
+        assert len(rows) == 1 + len(SPECIAL_FLAG_CASES)
+        assert all(len(row) == 6 for row in rows)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        assert text.getvalue().encode("utf-8") == written
 
     def test_perturbed_closed_form_fails(self, tmp_path, monkeypatch):
         def perturbed(case_id, lam, mu, xi):
@@ -783,29 +797,70 @@ class TestConnectionTablesJson:
         assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
 
 
-@pytest.mark.parametrize("layout", list(EMITTER_LAYOUTS))
-def test_emitter_with_only_signed_zeros(layout, monkeypatch):
-    # every number an exact zero of either sign: all of them are spelled by
-    # their sign, and json.dumps sees no number at all
+def _pool_case(layout, pool):
+    """The arguments of :func:`connection_tables_json` for ``layout`` with
+    vectors of width 4 whose numbers, and the scalars, are drawn from
+    ``pool``."""
     rng = np.random.default_rng(11)
     args, _ = _emitter_case(EMITTER_LAYOUTS[layout], 4, rng)
     reference, computed, expected, defects = args[3:7]
+    pool = np.array(pool)
 
-    def zeros(shape):
-        return np.copysign(0.0, rng.standard_normal(shape))
+    def numbers(shape):
+        return rng.choice(pool, shape)
 
-    reference = {name: (zeros(pole.shape), cells) for name, (pole, cells) in reference.items()}
-    args = (0.0, -0.0, -0.0, reference, zeros(computed.shape), zeros(expected.shape),
-            zeros(defects.shape), 0.0, args[8])
+    reference = {name: (numbers(pole.shape), cells) for name, (pole, cells) in reference.items()}
+    lam, mu, xi, max_defect = numbers(4).tolist()
+    return (lam, mu, xi, reference, numbers(computed.shape), numbers(expected.shape),
+            numbers(defects.shape), max_defect, args[8])
+
+
+def _floats(node) -> list[float]:
+    """The floats of a JSON document, in document order."""
+    if isinstance(node, float):
+        return [node]
+    if isinstance(node, dict):
+        node = list(node.values())
+    return [x for item in node for x in _floats(item)] if isinstance(node, list) else []
+
+
+def _spelled_once(args, monkeypatch) -> tuple[str, list]:
+    """The emitter's text for ``args`` and the distinct numbers it spelled,
+    checked: once the layout's template is built, a document makes one
+    :func:`json.dumps` call, of a list with one entry per distinct bit
+    pattern of its numbers, and its bytes are those of json's indenting
+    encoder."""
+    document = tables_document(*args)
     # the first document of a layout builds its template with json
     connection_tables_json(*args)
     spelled, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: spelled.append(obj) or dumps(obj, **kw))
     text = connection_tables_json(*args)
     monkeypatch.undo()
-    assert all(obj == [] for obj in spelled)
+    assert len(spelled) == 1 and isinstance(spelled[0], list)
+    patterns = sorted(np.array(spelled[0]).view(np.int64).tolist())
+    assert patterns == np.unique(np.array(_floats(document)).view(np.int64)).tolist()
+    assert text == json.dumps(document, indent=2) + "\n"
+    return text, spelled[0]
+
+
+@pytest.mark.parametrize("layout", list(EMITTER_LAYOUTS))
+def test_emitter_with_only_signed_zeros(layout, monkeypatch):
+    # every number an exact zero of either sign: two bit patterns, spelled
+    # 0.0 and -0.0
+    text, spelled = _spelled_once(_pool_case(layout, [0.0, -0.0]), monkeypatch)
+    assert len(spelled) == 2
     assert "-0.0" in text
-    assert text == json.dumps(tables_document(*args), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("layout", list(EMITTER_LAYOUTS))
+def test_emitter_spells_each_bit_pattern_once(layout, monkeypatch):
+    # signed zeros, two NaNs that differ in their payload and a repeated
+    # finite value: five bit patterns, each spelled once, both NaNs as NaN
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
+    text, spelled = _spelled_once(_pool_case(layout, [0.0, -0.0, *nans, 1.5]), monkeypatch)
+    assert len(spelled) == 5
+    assert all(token in text for token in ("-0.0", "NaN", "1.5"))
 
 
 class TestParser:
@@ -1296,6 +1351,21 @@ class TestCheckBudget:
         structure = VERIFICATION_MODELS["heisenberg5"]
         getattr(structure, oracle)(*np.eye(5)[:arity])
         assert checks == [(5,)] * arity
+
+    def test_flag_report_checks_its_vector_once(self, checks):
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        table = chern_rund_table(structure.osculating_gram(np.eye(5)[0]))
+        checks.clear()
+        curvature.flag_report(table, np.eye(5)[1])
+        # the table's frame checked its pole when it was built
+        assert checks == [(5,)]
+
+    def test_curvature_operator_checks_each_argument_once(self, checks):
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        table = chern_rund_table(structure.osculating_gram(np.eye(5)[0]))
+        checks.clear()
+        curvature.curvature_operator(table, *np.eye(5)[1:4])
+        assert checks == [(5,)] * 3
 
 
 def _private_connection_imports(tree) -> list[str]:

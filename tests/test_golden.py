@@ -18,7 +18,8 @@ deformation, plus certificates on a model whose positive witnesses come only
 after sample 120, from the random chunks of 128.
 
 A change that moves output on purpose regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py``, which prints each entry
+``python tests/test_golden.py``, run from any directory of a checkout
+(its ``src`` goes first on ``sys.path``), which prints each entry
 that moved (file, case, key and the count of changed items, where an item
 is a list entry, a line of text or a digest), and says which bytes moved.
 """
@@ -28,8 +29,13 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":
+    # run as a script from a checkout: the checkout's sources come first
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 import pytest
