@@ -21,13 +21,13 @@ nabla_v w = v @ rows for any v.  Its caller builds that matrix with
 the flag path in one stacked call with the Cartan matrix its numerator
 needs.  It serves both regimes, once per stacked evaluation:
 :mod:`randersflag.curvature` contracts the rows with the three vectors a
-flag needs, O(n^3) per flag,
-and stage 3, the full table of :func:`chern_rund_table`, costs O(n^4) per
-pole and serves the reference tables, the residual checks and the public
-table API.  Stage 3 builds the Koszul right-hand side from two contiguous
-(..., n, n, n) arrays and solves it as one product with the inverse
-(:func:`_table`), and :func:`torsion_defect` and
-:func:`almost_metric_defect` reduce over the poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays,
+flag needs, O(n^3) per flag, and stage 3, the full table of
+:func:`chern_rund_table`, costs O(n^4) per pole and serves the reference
+tables, the residual checks and the public table API.  Stage 3 builds the
+Koszul right-hand side from two contiguous (..., n, n, n) arrays and
+solves it as one product with the inverse (:func:`_table`), and
+:func:`torsion_defect` and :func:`almost_metric_defect` reduce over the
+poles of a stacked table.  A stacked table holds (poles, n, n, n) arrays,
 so :func:`chern_rund_tables` bounds their size: it builds the stage-2 rows
 once over all the poles of a frame, then stage 3 per block of at most
 max(1, ``TABLE_BLOCK_ENTRIES`` // n**3) poles from views of that frame, as

@@ -40,14 +40,13 @@ to the smallest normal double.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _real_array
+from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _integer, _real_array
 from .randers import OsculatingFrame, RandersStructure, _frozen, _normalized, _require_nonzero
 from .reference_tables import CANONICAL_FLAGS
 
@@ -140,11 +139,18 @@ def _report(w: np.ndarray, x: np.ndarray, k, denominator, degenerate) -> FlagRep
     )
 
 
+def _transverse(x, dim: int) -> np.ndarray:
+    """x as one flag's transverse vector: finite, of length dim and not zero."""
+    x = _as_vector(x, dim)
+    _require_nonzero(x @ x, DomainError, "transverse vector")
+    return x
+
+
 def flag_report(table: ConnectionTable, x) -> FlagReport:
     """Flag curvature from a prebuilt connection table of one pole (else
-    :class:`DimensionMismatch`), the flag's pole."""
+    :class:`DimensionMismatch`), the flag's pole, for x as in flag_curvature."""
     frame = table.frame
-    x = _as_vector(x, frame.dim)
+    x = _transverse(x, frame.dim)
     if table.gamma.ndim != 3:
         raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
     # x is checked, and the frame checked its pole: no vector is checked again
@@ -196,9 +202,9 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
 
     Builds the osculating frame at w, which checks the pole as every frame
     does (a numerically zero one raises :class:`DegenerateReferenceVector`,
-    a :class:`DomainError`), and evaluates the curvature quotient without the
-    connection table.  The report is marked degenerate when x is parallel to
-    w in the osculating product.
+    a :class:`DomainError`, as does a numerically zero x), and evaluates the
+    curvature quotient without the connection table.  The report is marked
+    degenerate when x is parallel to w in the osculating product.
 
     K is the curvature of the Chern connection with the fixed reference
     field, the left-invariant extension of w (the paper's Table 1).  It is
@@ -211,8 +217,7 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
         raise DimensionMismatch(
             f"expected a coordinate vector of length {structure.dim}, got shape {w.shape}"
         )
-    x = _as_vector(x, structure.dim)
-    _require_nonzero(x @ x, DomainError, "transverse vector")
+    x = _transverse(x, structure.dim)
     frame, *quotient = _flag_curvatures(structure, w, x)
     return _report(frame.w, x, *quotient)
 
@@ -227,16 +232,6 @@ def _random_chunks(seed: int, dim: int):
     rng = np.random.default_rng(seed)
     for size in itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1])):
         yield _normalized(rng.standard_normal((size, 2, dim)))
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int by ``__index__``, which a bool has but is refused."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def sign_search(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,16 @@ def _real_scalar(x, what: str) -> float:
         except OverflowError:
             pass
     raise ParameterError(f"{what} must be a real number within the range of a float, got {x!r}")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int by ``__index__``, which a bool has but is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
@@ -159,7 +170,10 @@ class MetricLieAlgebra:
         return self.structure.shape[0]
 
     def basis_vector(self, i: int) -> np.ndarray:
-        """Coordinate vector of e_{i+1} (0-based ``i``)."""
+        """Coordinate vector of e_{i+1}, for a 0-based integer ``i`` < dim."""
+        i = _integer(i, "basis index")
+        if not 0 <= i < self.dim:
+            raise ParameterError(f"basis index must lie in [0, {self.dim}), got {i}")
         v = np.zeros(self.dim)
         v[i] = 1.0
         return v

@@ -11,9 +11,10 @@ oracles for the closed forms.  All four take one sample or samples stacked
 along leading axes, so a whole oracle comparison is one call each, and a
 difference oracle evaluates F^2 at all its stencil points in one call.
 
-The public entries check each sample they are given, once: each oracle is
-its checks and a private method holding its arithmetic, and every frame
-checks its poles.  Samples a caller draws itself, such as ``verify``'s and
+The public entries check each sample they are given, once: every frame and
+oracle checks its poles by :func:`_checked_pole`, an oracle then its other
+vectors by ``_as_vectors`` and hands them to a private method holding its
+arithmetic.  Samples a caller draws itself, such as ``verify``'s and
 ``sign_search``'s, are only normalized (:func:`_normalized`) and go to the
 oracles' arithmetic directly; the frames built on them make the one check.
 """
@@ -77,12 +78,6 @@ def _normalized(w: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     # the square root of the exact dot keeps normalization exact under
     # scaling by powers of two, which the homogeneity contract relies on
     return w / np.sqrt(squares)[..., None]
-
-
-def _unit_reference(w, dim: int) -> np.ndarray:
-    """w / |w| for a pole, or for poles stacked along leading axes, after
-    the checks of :func:`_checked_pole`."""
-    return _normalized(*_checked_pole(w, dim))
 
 
 def _randers_form(p: np.ndarray, q: np.ndarray):
@@ -175,11 +170,10 @@ class RandersStructure:
 
     def __post_init__(self) -> None:
         x0 = _as_vector(self.x0, self.algebra.dim)
-        if float(np.linalg.norm(x0)) >= 1.0:
-            raise ParameterError(
-                "deformation vector must have Euclidean norm < 1 "
-                f"(got {np.linalg.norm(x0):.6g})"
-            )
+        norm = float(np.linalg.norm(x0))
+        if norm >= 1.0:
+            message = f"deformation vector must have Euclidean norm < 1 (got {norm:.6g})"
+            raise ParameterError(message)
         object.__setattr__(self, "x0", _frozen(x0))
 
     @property
@@ -196,17 +190,14 @@ class RandersStructure:
         return np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
-        """Step (as a float), reference vector and directions of a
-        difference oracle; w is taken verbatim, and must not be numerically
-        zero."""
+        """The step as a float, then the pole (:func:`_checked_pole`, taken
+        verbatim) and the directions of a difference oracle, checked in turn."""
         lo, hi = steps
         h = _real_scalar(h, "step")
         if not (lo <= h <= hi):
             raise ParameterError(f"step must lie in [{lo:g}, {hi:g}], got {h:g}")
-        w = _as_vector(w, self.dim, stacked=True)
-        directions = _as_vectors(self.dim, (w,), *directions)
-        _require_nonzero(np.vecdot(w, w), DegenerateReferenceVector, "reference vector")
-        return h, w, *directions
+        w, _ = _checked_pole(w, self.dim)
+        return h, w, *_as_vectors(self.dim, (w,), *directions)
 
     def osculating_product(self, w, u, v) -> float | np.ndarray:
         """Closed-form osculating inner product <u, v>_w at unit-normalized w.
@@ -345,7 +336,7 @@ class OsculatingFrame:
     def __init__(self, structure: RandersStructure, w) -> None:
         c = structure.algebra.structure
         dim = c.shape[0]
-        q = _unit_reference(w, dim)
+        q = _normalized(*_checked_pole(w, dim))
         a, p_perp, ell = _randers_form(structure.x0, q)
         qq = q[..., :, None] * q[..., None, :]
         projector = _identity(dim) - qq

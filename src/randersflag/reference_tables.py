@@ -73,21 +73,23 @@ SPAN_LABELS = {"Z": "Z-span", "e12": "e1-span", "e34": "e3-span"}
 CANONICAL_FLAGS = _frozen(np.eye(5)[[indices for _, _, indices, _ in _CASES.values()]])
 
 
-def _check_parameters(lam: float, mu: float, xi: float | None = None) -> tuple[float, ...]:
-    """``(lam, mu)``, or ``(lam, mu, xi)`` when xi is given, as floats in the
-    model's domain: real lam >= mu > 0 and 0 < xi < 1."""
+def _check_brackets(lam: float, mu: float) -> tuple[float, float]:
+    """``(lam, mu)`` as floats in the model's domain: real lam >= mu > 0."""
     lam, mu = _real_scalar(lam, "lam"), _real_scalar(mu, "mu")
     if not (lam >= mu > 0.0):
         raise ParameterError(f"heisenberg5 requires lam >= mu > 0, got lam={lam}, mu={mu}")
-    if xi is None:
-        return lam, mu
+    return lam, mu
+
+
+def _check_xi(xi: float) -> float:
+    """xi as a float in the Z-Randers domain: real 0 < xi < 1."""
     xi = _real_scalar(xi, "xi")
     if not (0.0 < xi < 1.0):
         raise ParameterError(
             f"Z-Randers metrics require 0 < xi < 1, got xi={xi}; "
             "give x0 = 0 explicitly for the Euclidean metric"
         )
-    return lam, mu, xi
+    return xi
 
 
 def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
@@ -97,7 +99,7 @@ def heisenberg5(lam: float, mu: float) -> MetricLieAlgebra:
     by Z = e5.  The only nonzero brackets are [e1, e2] = lam * Z and
     [e3, e4] = mu * Z, normalized to lam >= mu > 0.
     """
-    lam, mu = _check_parameters(lam, mu)
+    lam, mu = _check_brackets(lam, mu)
     c = np.zeros((5, 5, 5))
     c[0, 1, 4] = lam
     c[1, 0, 4] = -lam
@@ -110,10 +112,7 @@ def z_randers(lam: float, mu: float, xi: float) -> RandersStructure:
     """The Z-Randers metric x0 = xi * Z on heisenberg5(lam, mu), with
     lam >= mu > 0 and 0 < xi < 1; other parameters raise
     :class:`ParameterError`."""
-    lam, mu, xi = _check_parameters(lam, mu, xi)
-    x0 = np.zeros(5)
-    x0[4] = xi
-    return RandersStructure(heisenberg5(lam, mu), x0)
+    return RandersStructure(heisenberg5(lam, mu), _check_xi(xi) * _Z)
 
 
 def _case(case_id: str) -> tuple:
@@ -133,7 +132,7 @@ def special_flag_closed_form(case_id: str, lam: float, mu: float, xi: float) -> 
     cycling through the center and the two bracket planes.
     """
     *_, form = _case(case_id)
-    lam, mu, xi = _check_parameters(lam, mu, xi)
+    lam, mu, xi = *_check_brackets(lam, mu), _check_xi(xi)
     # ** raises OverflowError, but * overflows to inf silently
     try:
         value = float(form(lam, mu, xi))
@@ -331,7 +330,7 @@ def reference_blocks(
     with no finite squared norm (the rule every coordinate vector of the
     library obeys; it sets in near lam = 1e51), raise
     :class:`ParameterError`."""
-    lam, mu, xi = _check_parameters(lam, mu, xi)
+    lam, mu, xi = *_check_brackets(lam, mu), _check_xi(xi)
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -149,6 +149,15 @@ class TestCurvatureOperator:
         with pytest.raises(DimensionMismatch, match="one pole"):
             flag_report(table, E[1])
 
+    @pytest.mark.parametrize("x", [np.zeros(5), 0.99e-14 * E[1]])
+    def test_flag_report_refuses_a_zero_transverse_vector(self, structure, x):
+        # the rule of flag_curvature, not k = NaN from a 0 / 0 quotient
+        table = chern_rund_table(structure.osculating_gram(E[0]))
+        with pytest.raises(DomainError, match="transverse vector is numerically zero"):
+            flag_report(table, x)
+        with pytest.raises(DomainError, match="transverse vector is numerically zero"):
+            flag_curvature(structure, E[0], x)
+
 
 class TestFlagCurvature:
     def test_spot_values(self, structure):
@@ -279,6 +288,16 @@ class TestRealParameters:
     def test_non_real_parameter_rejected(self, name):
         with pytest.raises(ParameterError):
             self.CALLS[name]()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda xi: z_randers(2.0, 1.0, xi), id="z_randers"),
+        pytest.param(lambda xi: special_flag_closed_form("1.1", 2.0, 1.0, xi), id="closed-form"),
+        pytest.param(lambda xi: reference_blocks(2.0, 1.0, xi, E[0], E[2]), id="reference-blocks"),
+    ])
+    def test_none_xi_rejected(self, call):
+        # xi has no default: None is a scalar that is not a real number
+        with pytest.raises(ParameterError, match="xi must be a real number"):
+            call(None)
 
     @pytest.mark.parametrize("params", [
         (2, 1, 0.5), (np.float32(2.1), np.int64(1), Fraction(1, 3)), (True, True, 0.5)])

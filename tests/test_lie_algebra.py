@@ -250,6 +250,25 @@ class TestHeisenberg5:
             MetricLieAlgebra(np.zeros((0, 0, 0)))
 
 
+class TestBasisVector:
+    @pytest.mark.parametrize("i", [0, 2, 4, np.int64(4), np.uint8(1)])
+    def test_rows_of_the_identity(self, i):
+        v = heisenberg5(2.0, 1.0).basis_vector(i)
+        assert v.dtype == float
+        assert np.array_equal(v, E[int(i)])
+
+    @pytest.mark.parametrize(
+        "i",
+        [True, False, None, -1, -6, 5, 10**20, [1, 2], 1.5, 4.0, "1", np.float64(1.0), 1j,
+         np.array([0])],
+        ids=repr,
+    )
+    def test_non_index_rejected(self, i):
+        # not an all-ones vector, a wrapped index, two entries or an IndexError
+        with pytest.raises(ParameterError, match="basis index"):
+            heisenberg5(2.0, 1.0).basis_vector(i)
+
+
 def _flag(w, x=E[0]):
     return flag_curvature(z_randers(2.0, 1.0, 0.5), w, x)
 
