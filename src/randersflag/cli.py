@@ -71,7 +71,7 @@ from .connection import (
     levi_civita_table,
     torsion_defect,
 )
-from .curvature import FlagReport, _flag_curvatures, flag_curvature, sign_search
+from .curvature import FlagReport, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen
 from .randers import RandersStructure, _normalized
@@ -297,7 +297,7 @@ def cmd_table1(lam: float, mu: float, xi: float, out: str) -> int:
     structure = _preset_structure(lam, mu, xi)
     closed_forms = [special_flag_closed_form(case_id, lam, mu, xi) for case_id in SPECIAL_FLAG_CASES]
     flags = _report_flags()
-    _, k, _, _ = _flag_curvatures(structure, flags[:, 0], flags[:, 1])
+    k = flag_curvature(structure, flags[:, 0], flags[:, 1]).k
     max_err = 0.0
     # span labels, case ids and float reprs hold no comma, quote or newline,
     # so every field is written as it is

@@ -18,17 +18,17 @@ leading axis, builds it and the one matrix 2 C_w(x, ., .) from which the
 Cartan terms of the two pairings, C_w(N N w, x, x) and C_w(N w, N x, x),
 come.  This flag path is written once for stacks: poles and transverse
 vectors may carry leading batch axes, and every frame quantity, stage and
-quotient broadcasts over them, so :func:`flag_curvature` is the case with
-no batch axis, bit for bit, and :func:`sign_search` evaluates its candidates
-in chunks, one stacked call per chunk, scanning the results in candidate
-order.  At dim 5 the cost of a flag is mostly numpy call overhead, so each
-stage, and the Cartan call, runs once per stacked evaluation and the path
-forms each Gram product once: the frame brings gram @ w and the bracket
-pairings with the pole from its construction, and :func:`_flag_numerator`
+quotient broadcasts over them, so one flag is a stack of one, bit for bit:
+``table1`` passes its eight flags to :func:`flag_curvature` in one call, and
+:func:`sign_search` its candidates in chunks, scanning the results in
+candidate order.  At dim 5 the cost of a flag is mostly numpy call overhead,
+so each stage, and the Cartan call, runs once per stacked evaluation and the
+path forms each Gram product once: the frame brings gram @ w and the bracket
+pairings with the pole from its construction, and :func:`_flag_curvatures`
 forms gram @ (x, [x, w]) in one product, for the Koszul pairings and the
-quotient.  :func:`curvature_operator`, on a table of one or stacked poles,
-and :func:`flag_report`, one flag per report, read a prebuilt table and are
-the reference the flag path is tested against.
+quotient.  :func:`curvature_operator` and :func:`flag_report` read a
+prebuilt table of one or stacked poles and are the reference the flag path
+is tested against.
 
 Nothing here depends on a particular algebra except :func:`sign_search`,
 whose first chunk on five-dimensional algebras is the canonical special flags
@@ -46,8 +46,8 @@ import numpy as np
 
 from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _integer, _real_array
-from .randers import OsculatingFrame, RandersStructure, _frozen, _normalized, _require_nonzero
+from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _frozen, _integer
+from .randers import OsculatingFrame, RandersStructure, _normalized, _require_nonzero
 from .reference_tables import CANONICAL_FLAGS
 
 #: A flag is degenerate when its Gram determinant falls below this fraction of
@@ -74,19 +74,20 @@ SEARCH_CHUNKS = (8, 16, 32, 64, 128)
 
 @dataclass(frozen=True, eq=False)
 class FlagReport:
-    """Flag curvature of one flag.
+    """Flag curvature of one flag, or of flags stacked along leading axes.
 
     ``w`` is the Euclidean-normalized pole actually used, ``x`` the transverse
     vector as given.  ``k`` is NaN when the flag is degenerate (denominator
     below the scale-invariant threshold), in which case only ``denominator``
-    and ``degenerate`` are meaningful.
+    and ``degenerate`` are meaningful: plain numbers for one flag, read-only
+    arrays of the leading shape for a stack.
     """
 
     w: np.ndarray
     x: np.ndarray
-    k: float
-    denominator: float
-    degenerate: bool
+    k: float | np.ndarray
+    denominator: float | np.ndarray
+    degenerate: bool | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,34 +135,40 @@ def _quotient(frame: OsculatingFrame, x: np.ndarray, gx: np.ndarray, numerator):
 
 
 def _report(w: np.ndarray, x: np.ndarray, k, denominator, degenerate) -> FlagReport:
-    return FlagReport(
-        w=w, x=_frozen(x), k=float(k), denominator=float(denominator), degenerate=bool(degenerate)
-    )
+    if w.ndim == 1:
+        k, denominator, degenerate = float(k), float(denominator), bool(degenerate)
+    else:  # fresh arrays of a stack, frozen in place
+        for value in (k, denominator, degenerate):
+            value.setflags(write=False)
+    return FlagReport(w, _frozen(x), k, denominator, degenerate)
 
 
-def _transverse(x, dim: int) -> np.ndarray:
-    """x as one flag's transverse vector: finite, of length dim and not zero."""
-    x = _as_vector(x, dim)
-    _require_nonzero(x @ x, DomainError, "transverse vector")
+def _transverse(x, poles: np.ndarray) -> np.ndarray:
+    """x as the transverse vectors of flags at checked ``poles``: finite, of
+    the poles' shape and none numerically zero."""
+    x = _as_vector(x, poles.shape[-1], stacked=True)
+    if x.shape != poles.shape:
+        raise DimensionMismatch(f"transverse vectors need shape {poles.shape}, got {x.shape}")
+    _require_nonzero(np.vecdot(x, x), DomainError, "transverse vector")
     return x
 
 
 def flag_report(table: ConnectionTable, x) -> FlagReport:
-    """Flag curvature from a prebuilt connection table of one pole (else
-    :class:`DimensionMismatch`), the flag's pole, for x as in flag_curvature."""
+    """Flag curvature from a prebuilt connection table, at the table's
+    poles, for x of the poles' shape as in :func:`flag_curvature`."""
     frame = table.frame
-    x = _transverse(x, frame.dim)
-    if table.gamma.ndim != 3:
-        raise DimensionMismatch(f"expected a table of one pole, got shape {table.gamma.shape}")
-    # x is checked, and the frame checked its pole: no vector is checked again
+    x = _transverse(x, frame.w)
+    # x is checked, and the frame checked its poles: no vector is checked again
     r = _curvature_operator(table, x, frame.w, frame.w)
     gx = np.matvec(frame.gram, x)
     return _report(frame.w, x, *_quotient(frame, x, gx, np.vecdot(r, gx)))
 
 
-def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
-    """``(numerator, gx)``: <R(x, w)w, x>_w from stages 1-2 and two Koszul
-    pairings, and gx = gram @ x, with the leading axes of the frame and x."""
+def _flag_curvatures(frame: OsculatingFrame, x: np.ndarray):
+    """``(k, denominator, degenerate)`` of the flags (w, x) at the frame's
+    poles, unchecked, with the numerator <R(x, w)w, x>_w from stages 1-2 and
+    two Koszul pairings: the flag path of :func:`flag_curvature` and
+    :func:`sign_search`, which never builds the connection table."""
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
     a = nabla_w_of_w(frame)
@@ -184,17 +191,7 @@ def _flag_numerator(frame: OsculatingFrame, x: np.ndarray):
     # a w slot: N x paired with one covector
     covector = gxw - np.matvec(frame.pole_pairing, x) - np.matvec(pairs_x, q) - cartan_xa
     along_w = np.vecdot(nx, covector) / 2
-    return along_x - along_w - np.vecdot(nxw, gx), gx
-
-
-def _flag_curvatures(structure: RandersStructure, w: np.ndarray, x: np.ndarray):
-    """``(frame, k, denominator, degenerate)`` for flags whose poles and
-    transverse vectors are stacked along the same leading axes (or are plain
-    vectors); the flag path of :func:`flag_curvature` and
-    :func:`sign_search`, which never builds the connection table."""
-    frame = structure.osculating_gram(w)
-    numerator, gx = _flag_numerator(frame, x)
-    return frame, *_quotient(frame, x, gx, numerator)
+    return _quotient(frame, x, gx, along_x - along_w - np.vecdot(nxw, gx))
 
 
 def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
@@ -204,22 +201,17 @@ def flag_curvature(structure: RandersStructure, w, x) -> FlagReport:
     does (a numerically zero one raises :class:`DegenerateReferenceVector`,
     a :class:`DomainError`, as does a numerically zero x), and evaluates the
     curvature quotient without the connection table.  The report is marked
-    degenerate when x is parallel to w in the osculating product.
+    degenerate when x is parallel to w in the osculating product.  w may be
+    stacked poles, with x of their shape, each flag with its own call's bits.
 
     K is the curvature of the Chern connection with the fixed reference
     field, the left-invariant extension of w (the paper's Table 1).  It is
     the spray flag curvature exactly where stage 1 vanishes or x0 = 0: on
     the Z-Randers model at +-Z and the unit poles with q5 = -xi.
     """
-    # the frame checks the pole, but takes stacked poles too: reject those
-    w = _real_array(w, "coordinates")
-    if w.ndim != 1:
-        raise DimensionMismatch(
-            f"expected a coordinate vector of length {structure.dim}, got shape {w.shape}"
-        )
-    x = _transverse(x, structure.dim)
-    frame, *quotient = _flag_curvatures(structure, w, x)
-    return _report(frame.w, x, *quotient)
+    frame = structure.osculating_gram(w)
+    x = _transverse(x, frame.w)
+    return _report(frame.w, x, *_flag_curvatures(frame, x))
 
 
 def _random_chunks(seed: int, dim: int):
@@ -287,7 +279,8 @@ def sign_search(
         pairs = CANONICAL_FLAGS if tried == 0 and dim == 5 else next(chunks)
         pairs = pairs[: max_samples - tried]
         w, x = pairs[:, 0], pairs[:, 1]
-        frame, k, denominator, degenerate = _flag_curvatures(structure, w, x)
+        frame = structure.osculating_gram(w)
+        k, denominator, degenerate = _flag_curvatures(frame, x)
         signs = (("positive", k > margin), ("negative", k < -margin))
         for sign, hits in signs:
             if sign not in witnesses and hits.any():
@@ -314,11 +307,12 @@ def sign_search(
     raise SearchFailure(message)
 
 
-def riemannian_sectional(algebra: MetricLieAlgebra, x, y) -> float:
+def riemannian_sectional(algebra: MetricLieAlgebra, x, y) -> float | np.ndarray:
     """Sectional curvature of the plane span(x, y) for the left-invariant
-    Euclidean metric (zero deformation vector)."""
+    Euclidean metric (zero deformation vector); x and y are one pair or
+    pairs stacked as in :func:`flag_curvature`."""
     structure = RandersStructure(algebra, np.zeros(algebra.dim))
     report = flag_curvature(structure, x, y)
-    if report.degenerate:
+    if np.any(report.degenerate):
         raise DomainError("sectional curvature needs linearly independent inputs")
     return report.k

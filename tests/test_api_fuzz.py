@@ -6,8 +6,10 @@ The library's counterpart of ``test_config_fuzz.py`` and
 constants, scalar parameters, integers, case ids, generators) is called with
 each junk value in turn in each of its data arguments, the others valid.
 Each call must return or raise a :class:`GeometryError`, never another
-exception or a warning.  Arguments that are the library's own objects (an
-algebra, a structure, a frame, a table) are passed valid: they are not data.
+exception or a warning.  The entries that take stacked flags are fuzzed
+with a stacked valid call too (``STACKED``).  Arguments that are the
+library's own objects (an algebra, a structure, a frame, a table) are passed
+valid: they are not data.
 
 ``ENTRIES`` maps each such callable to a call with those objects bound and
 its valid data arguments; ``EXEMPT`` names each public callable that takes
@@ -30,6 +32,7 @@ Z = E[4]
 STRUCTURE = rf.z_randers(2.0, 1.0, 0.5)
 ALGEBRA = STRUCTURE.algebra
 TABLE = rf.chern_rund_table(STRUCTURE.osculating_gram(E[0]))
+TABLES = rf.chern_rund_table(STRUCTURE.osculating_gram(E[:2]))
 
 #: Junk for any data argument: values of the wrong kind, shape or range.
 JUNK = {
@@ -78,6 +81,17 @@ ENTRIES = {
     "w_perp": (lambda w: rf.w_perp(ALGEBRA, w), (E[0],)),
 }
 
+#: Entry of ``ENTRIES`` -> a call with stacked valid data arguments.
+STACKED = {
+    "flag_curvature": (lambda w, x: rf.flag_curvature(STRUCTURE, w, x), (E[[4, 0]], E[[0, 1]])),
+    "flag_report": (lambda x: rf.flag_report(TABLES, x), (E[[1, 2]],)),
+    "riemannian_sectional": (
+        lambda x, y: rf.riemannian_sectional(ALGEBRA, x, y), (E[[0, 2]], E[[1, 3]])),
+}
+
+#: Every fuzzed call by its test id.
+CALLS = {**ENTRIES, **{f"{name}, stacked": call for name, call in STACKED.items()}}
+
 _RECORD = "a result record the library builds"
 _STAGE = "stage arithmetic on arrays the frame builds, unchecked on the flag path"
 
@@ -121,19 +135,20 @@ def test_every_public_callable_has_a_row():
     assert names - set(ENTRIES) - set(EXEMPT) == set()
     # and no row names a callable that is gone
     assert set(ENTRIES) | set(EXEMPT) <= names
+    assert set(STACKED) <= set(ENTRIES)
 
 
-@pytest.mark.parametrize("name", list(ENTRIES))
+@pytest.mark.parametrize("name", list(CALLS))
 def test_valid_arguments_return(name):
-    call, args = ENTRIES[name]
+    call, args = CALLS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(*args)
 
 
-@pytest.mark.parametrize("name", list(ENTRIES))
+@pytest.mark.parametrize("name", list(CALLS))
 def test_junk_returns_or_raises_geometry_error(name):
-    call, args = ENTRIES[name]
+    call, args = CALLS[name]
     offenders = []
     for position in range(len(args)):
         for label, junk in JUNK.items():

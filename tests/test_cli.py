@@ -1368,12 +1368,12 @@ class TestCheckBudget:
         assert checks == [(5,)] * 3
 
 
-def _private_connection_imports(tree) -> list[str]:
-    """The underscore names a module's ``from .connection import`` takes."""
+def _private_imports(tree, module: str) -> list[str]:
+    """The underscore names a module's ``from .<module> import`` takes."""
     return [
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "connection" and node.level == 1
+        if isinstance(node, ast.ImportFrom) and node.module == module and node.level == 1
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -1384,15 +1384,20 @@ class TestDependencies:
         # the blocked table build lives in connection; cli reaches it only
         # through public names
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        assert _private_connection_imports(tree) == []
+        assert _private_imports(tree, "connection") == []
         assert not any(
             isinstance(node, ast.Attribute) and node.attr == "_poles" for node in ast.walk(tree)
         )
 
+    def test_cli_uses_only_public_curvature_names(self):
+        # table1 evaluates its flags through the public flag_curvature
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        assert _private_imports(tree, "curvature") == []
+
     def test_curvature_uses_only_public_connection_names(self):
         # the flag path calls stage 2 by its public name, which a tracer wraps
         tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
-        assert _private_connection_imports(tree) == []
+        assert _private_imports(tree, "connection") == []
 
     def test_sources_parse_as_the_oldest_supported_python(self):
         # the suite runs on one interpreter; the grammar of the oldest one

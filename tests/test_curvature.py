@@ -31,11 +31,7 @@ from randersflag import (
 )
 from randersflag import connection, curvature
 from randersflag.cli import TABLE1_TOL
-from randersflag.curvature import (
-    WITNESS_MIN_CURVATURE,
-    SignCertificate,
-    _flag_curvatures,
-)
+from randersflag.curvature import WITNESS_MIN_CURVATURE, SignCertificate
 from randersflag.reference_tables import reference_blocks
 from helpers import (
     abelian_structure,
@@ -61,6 +57,12 @@ SPOT_CHECKS = [
     (E[2], E[0], 0.1875),
     (E[2], E[3], -0.6875),
 ]
+
+
+#: The preset grid of the geodesic-pole tests: unit brackets and those of
+#: the extreme presets, with xi up to 1 - 1e-6.
+GEODESIC_BRACKETS = [(2.0, 1.0), (1e3, 1e3), (1.5e5, 1e5)]
+GEODESIC_XI = [0.2, 0.5, 0.866, 0.9, 0.99, 0.999999]
 
 
 @pytest.fixture
@@ -143,11 +145,36 @@ class TestCurvatureOperator:
         with pytest.raises(DimensionMismatch, match="must broadcast"):
             structure.algebra.bracket(three, rng.standard_normal((2, 5)))
 
-    def test_flag_report_reads_one_pole(self, structure):
-        # one flag per report, as flag_curvature gives
-        table = chern_rund_table(structure.osculating_gram(E[:2]))
-        with pytest.raises(DimensionMismatch, match="one pole"):
-            flag_report(table, E[1])
+    @pytest.mark.parametrize("poles", [1, 4, 25])
+    @pytest.mark.parametrize("dim", [5, 12])
+    def test_stacked_flags_match_one_flag_calls(self, dim, poles):
+        # flag_curvature and flag_report take stacked flags, and each flag
+        # of a stack gets the bits of its one-flag call
+        rng = np.random.default_rng([dim, poles, 35])
+        structure = RandersStructure(nilpotent_algebra(rng, dim), unit(rng, dim) * 0.5)
+        w, x = rng.standard_normal((2, poles, dim))
+        table = chern_rund_table(structure.osculating_gram(w))
+        stacked = flag_curvature(structure, w, x), flag_report(table, x)
+        for report in stacked:
+            for value in (report.k, report.denominator, report.degenerate):
+                assert value.shape == (poles,) and not value.flags.writeable
+            assert not report.degenerate.any()
+        for i, pole in enumerate(w):
+            one_table = chern_rund_table(structure.osculating_gram(pole))
+            singles = flag_curvature(structure, pole, x[i]), flag_report(one_table, x[i])
+            for report, single in zip(stacked, singles):
+                assert type(single.k) is type(single.denominator) is float
+                assert type(single.degenerate) is bool
+                assert np.array_equal(report.w[i], single.w)
+                assert np.array_equal(report.k[i], single.k)
+                assert np.array_equal(report.denominator[i], single.denominator)
+        # x must have the poles' shape: neither one vector for a stack nor a
+        # stack for one pole, even where numpy would broadcast them
+        for pole, bad in ((w, x[0]), (w[0], x), (w, x[:, None])):
+            with pytest.raises(DimensionMismatch, match="transverse vectors need shape"):
+                flag_curvature(structure, pole, bad)
+        with pytest.raises(DimensionMismatch, match="transverse vectors need shape"):
+            flag_report(table, x[0])
 
     @pytest.mark.parametrize("x", [np.zeros(5), 0.99e-14 * E[1]])
     def test_flag_report_refuses_a_zero_transverse_vector(self, structure, x):
@@ -178,9 +205,8 @@ class TestFlagCurvature:
         with pytest.raises(DomainError):
             flag_curvature(structure, E[0], np.zeros(5))
 
-    @pytest.mark.parametrize("w", [np.ones((2, 5)), 1.0, np.ones(4)])
+    @pytest.mark.parametrize("w", [1.0, np.ones(4)])
     def test_pole_of_wrong_shape_rejected(self, structure, w):
-        # the frame takes stacked poles, flag_curvature one
         with pytest.raises(DimensionMismatch):
             flag_curvature(structure, w, E[1])
 
@@ -394,8 +420,8 @@ class TestSignSearch:
         with pytest.raises(SearchFailure):
             sign_search(s, seed=1, max_samples=32)
 
-    @pytest.mark.parametrize("xi", [0.2, 0.5, 0.866, 0.9, 0.99, 0.999999])
-    @pytest.mark.parametrize("lam, mu", [(2.0, 1.0), (1e3, 1e3), (1.5e5, 1e5)])
+    @pytest.mark.parametrize("xi", GEODESIC_XI)
+    @pytest.mark.parametrize("lam, mu", GEODESIC_BRACKETS)
     def test_both_signs_at_geodesic_poles(self, lam, mu, xi):
         # the unit poles with q5 = -xi are geodesic vectors (stage 1
         # vanishes), where K is the spray flag curvature: both of its signs
@@ -405,11 +431,48 @@ class TestSignSearch:
         u *= np.sqrt(1.0 - xi**2) / np.linalg.norm(u, axis=-1, keepdims=True)
         poles = np.concatenate([u, np.full((64, 1), -xi)], axis=-1)
         x = rng.standard_normal((64, 5))
-        frame, k, _, degenerate = _flag_curvatures(z_randers(lam, mu, xi), poles, x)
-        assert np.abs(connection.nabla_w_of_w(frame)).max() <= 1e-15 * lam
-        assert not degenerate.any()
+        structure = z_randers(lam, mu, xi)
+        report = flag_curvature(structure, poles, x)
+        stage1 = connection.nabla_w_of_w(structure.osculating_gram(poles))
+        assert np.abs(stage1).max() <= 1e-15 * lam
+        assert not report.degenerate.any()
         margin = WITNESS_MIN_CURVATURE * lam**2
-        assert (k > margin).any() and (k < -margin).any()
+        assert (report.k > margin).any() and (report.k < -margin).any()
+
+
+class TestSprayFlagCurvaturesAtGeodesicPoles:
+    """At the unit poles with q5 = -xi stage 1 vanishes, so K is the spray
+    flag curvature there.  With s = sqrt(1 - xi^2), P1 = s e1 - xi Z and
+    P3 = s e3 - xi Z, the spray values are those of the Riemannian
+    heisenberg5(lam, mu), whatever xi: K(P1, e2) = -3/4 lam^2,
+    K(P1, Z) = lam^2/4 and K(P1, e3) = K(P1, e4) = 0, the mirror at P3 with
+    mu for lam, and K(w_t, Z) = (lam^2 cos^2 t + mu^2 sin^2 t)/4 for
+    w_t = s (cos t e1 + sin t e3) - xi Z.  Each sign thus has a spray-exact
+    witness on every Z-Randers metric."""
+
+    @pytest.mark.parametrize(
+        "lam, mu, xi",
+        [(lam, mu, xi) for lam, mu in GEODESIC_BRACKETS for xi in GEODESIC_XI]
+        + [(2.0, 1.0, 1e-3)],
+    )
+    def test_closed_forms(self, lam, mu, xi):
+        s = np.sqrt(1.0 - xi**2)
+        p1, p3 = s * E[0] - xi * Z, s * E[2] - xi * Z
+        t = np.linspace(0.0, np.pi, 9)
+        w_t = s * (np.cos(t)[:, None] * E[0] + np.sin(t)[:, None] * E[2]) - xi * Z
+        poles = np.vstack([np.tile(p1, (4, 1)), np.tile(p3, (4, 1)), w_t])
+        x = np.vstack([E[[1, 4, 2, 3]], E[[3, 4, 0, 1]], np.tile(Z, (len(t), 1))])
+        expected = np.concatenate([
+            [-0.75 * lam**2, lam**2 / 4, 0.0, 0.0, -0.75 * mu**2, mu**2 / 4, 0.0, 0.0],
+            (lam**2 * np.cos(t) ** 2 + mu**2 * np.sin(t) ** 2) / 4,
+        ])
+        structure = z_randers(lam, mu, xi)
+        report = flag_curvature(structure, poles, x)
+        stage1 = connection.nabla_w_of_w(structure.osculating_gram(poles))
+        assert np.abs(stage1).max() <= 1e-15 * lam
+        # table1's tolerance model: the curvatures grow like lam**2
+        error = np.abs(report.k - expected).max()
+        assert error <= TABLE1_TOL * max(1.0, np.abs(expected).max())
 
 
 class TestRiemannianSectional:
@@ -430,6 +493,15 @@ class TestRiemannianSectional:
     def test_dependent_inputs_rejected(self):
         with pytest.raises(DomainError):
             riemannian_sectional(heisenberg5(2.0, 1.0), E[0], 2.0 * E[0])
+        # in a stack too: one dependent pair rejects the stack
+        with pytest.raises(DomainError):
+            riemannian_sectional(heisenberg5(2.0, 1.0), E[[0, 2]], E[[1, 2]])
+
+    def test_stacked_pairs(self):
+        algebra = heisenberg5(2.0, 1.0)
+        x, y = E[[4, 0, 2]], E[[0, 1, 3]]
+        k = riemannian_sectional(algebra, x, y)
+        assert k.tolist() == [riemannian_sectional(algebra, *pair) for pair in zip(x, y)]
 
     def test_milnor_nonnegative_center_curvature(self, rng):
         algebra = heisenberg5(2.0, 1.0)
@@ -605,15 +677,15 @@ class TestChunkedSearch:
             x[middle] = -2.5 * w[middle]  # a zero-area flag in the middle of the stack
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            frame, k, denominator, degenerate = _flag_curvatures(structure, w, x)
-        assert degenerate.tolist() == [size > 1 and i == middle for i in range(size)]
-        assert np.isnan(k[degenerate]).all()
+            report = flag_curvature(structure, w, x)
+        assert report.degenerate.tolist() == [size > 1 and i == middle for i in range(size)]
+        assert np.isnan(report.k[report.degenerate]).all()
         for i in range(size):
             single = flag_curvature(structure, w[i], x[i])
-            assert np.array_equal(frame.w[i], single.w)
-            assert denominator[i] == single.denominator
-            assert np.array_equal(k[i], single.k, equal_nan=True)
-            assert degenerate[i] == single.degenerate
+            assert np.array_equal(report.w[i], single.w)
+            assert report.denominator[i] == single.denominator
+            assert np.array_equal(report.k[i], single.k, equal_nan=True)
+            assert report.degenerate[i] == single.degenerate
 
 
 def _scaled(structure, t):
@@ -791,12 +863,12 @@ class TestFlagPathAgainstReference:
         if norm:
             # a pole near -x0, where a = 1 + <x0, w> is smallest
             w[0] = -structure.x0 / norm + 0.3 * unit(rng, dim)
-        _, k, _, degenerate = _flag_curvatures(structure, w, x)
-        assert not degenerate.any()
+        report = flag_curvature(structure, w, x)
+        assert not report.degenerate.any()
         scale = np.abs(structure.algebra.structure).max() ** 2
         for i in range(len(w)):
             expected = _frame_free_curvature(structure, w[i], x[i])
-            assert abs(k[i] - expected) <= 1e-12 * (abs(expected) + scale)
+            assert abs(report.k[i] - expected) <= 1e-12 * (abs(expected) + scale)
 
 
 class TestNearUnitDeformation:

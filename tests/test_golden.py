@@ -42,7 +42,6 @@ import pytest
 
 from randersflag import RandersStructure, SearchFailure, flag_curvature, heisenberg5, sign_search
 from randersflag.cli import main
-from randersflag.curvature import _flag_curvatures
 from helpers import hyperbolic_plus_heisenberg, nilpotent_algebra, solvable_algebra, z_randers
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,8 +165,8 @@ def flag_kernel_outputs() -> dict:
         entry = {"single": [_hex(r.k, r.denominator) for r in singles]}
         chunks = (("chunk8", flags[12:20]), ("chunk64", flags[20:]), ("chunk128", chunk128))
         for label, chunk in chunks:
-            _, k, denominator, _ = _flag_curvatures(structure, chunk[:, 0], chunk[:, 1])
-            entry[label] = [_hex(*pair) for pair in zip(k, denominator)]
+            report = flag_curvature(structure, chunk[:, 0], chunk[:, 1])
+            entry[label] = [_hex(*pair) for pair in zip(report.k, report.denominator)]
         entry["search"] = _searches(structure, KERNEL_SEARCH_SEEDS)
         outputs[name] = entry
     outputs["hyperbolic5+heisenberg3"] = {

@@ -23,7 +23,6 @@ from randersflag import (
     torsion_defect,
 )
 from randersflag import cli
-from randersflag.curvature import _flag_curvatures
 from helpers import nilpotent_algebra, solvable_algebra, tables_document, unit
 
 FAMILIES = {"nilpotent": nilpotent_algebra, "solvable": solvable_algebra}
@@ -61,8 +60,8 @@ def models(draw):
 def test_zero_homogeneity_in_pole(flags, exponent):
     # scaling by a power of two leaves the normalized poles bit for bit
     structure, w, x = flags
-    _, k, _, _ = _flag_curvatures(structure, w, x)
-    _, scaled, _, _ = _flag_curvatures(structure, 2.0**exponent * w, x)
+    k = flag_curvature(structure, w, x).k
+    scaled = flag_curvature(structure, 2.0**exponent * w, x).k
     assert np.array_equal(scaled, k, equal_nan=True)
 
 
@@ -72,10 +71,10 @@ def test_invariance_under_transverse_mixing(flags, size, flip, shift):
     # K(w, a x + b w) = K(w, x): the flag plane is the same
     structure, w, x = flags
     a = -size if flip else size
-    _, k, _, degenerate = _flag_curvatures(structure, w, x)
-    _, mixed, _, _ = _flag_curvatures(structure, w, a * x + shift * w)
-    assert not degenerate.any()
-    np.testing.assert_allclose(mixed, k, rtol=1e-9, atol=0.0)
+    report = flag_curvature(structure, w, x)
+    mixed = flag_curvature(structure, w, a * x + shift * w).k
+    assert not report.degenerate.any()
+    np.testing.assert_allclose(mixed, report.k, rtol=1e-9, atol=0.0)
 
 
 @PROPERTY_SETTINGS
@@ -83,13 +82,13 @@ def test_invariance_under_transverse_mixing(flags, size, flip, shift):
 def test_stacked_rows_match_unbatched_calls(flags):
     # each row of a stack is the one-flag call, bit for bit
     structure, w, x = flags
-    frame, k, denominator, degenerate = _flag_curvatures(structure, w, x)
+    report = flag_curvature(structure, w, x)
     for i in range(len(w)):
         single = flag_curvature(structure, w[i], x[i])
-        assert np.array_equal(frame.w[i], single.w)
-        assert bool(degenerate[i]) == single.degenerate
-        assert denominator[i] == single.denominator
-        assert np.array_equal(k[i], single.k, equal_nan=True)
+        assert np.array_equal(report.w[i], single.w)
+        assert bool(report.degenerate[i]) == single.degenerate
+        assert report.denominator[i] == single.denominator
+        assert np.array_equal(report.k[i], single.k, equal_nan=True)
 
 
 @PROPERTY_SETTINGS
