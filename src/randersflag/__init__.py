@@ -8,8 +8,6 @@ from .connection import (
     chern_rund_table,
     chern_rund_tables,
     levi_civita_table,
-    nabla_basis_w,
-    nabla_w_of_w,
     torsion_defect,
 )
 from .curvature import (
@@ -70,8 +68,6 @@ __all__ = [
     "flag_report",
     "heisenberg5",
     "levi_civita_table",
-    "nabla_basis_w",
-    "nabla_w_of_w",
     "riemannian_sectional",
     "sign_search",
     "special_flag_closed_form",

@@ -9,19 +9,22 @@ vanishes.  Each stage is one product with the frame's closed-form inverse of
 the osculating Gram matrix; no factorization or iteration is needed.
 
 Every stage takes a frame of one pole or of poles stacked along leading
-axes; one pole is simply the case with no leading axis.  The pairings of
-brackets with the pole that stages 1 and 2 read are contracted once, when
-the frame is built (``OsculatingFrame.pole_pairing`` and ``pole_brackets``).
-Stage 2 has one implementation, :func:`nabla_basis_w`: the rows
-nabla_{e_i} w of the whole basis, from one n x n product with the Gram
-matrix and its transpose, less the Cartan matrix 2 C_w(nabla_w w, ., .)
-that it takes as its argument, and one product with the inverse, so
-nabla_v w = v @ rows for any v.  Its caller builds that matrix with
-``OsculatingFrame.cartan_matrix``: the tables from stage 1's vector alone,
-the flag path in one stacked call with the Cartan matrix its numerator
-needs.  It serves both regimes, once per stacked evaluation:
-:mod:`randersflag.curvature` contracts the rows with the three vectors a
-flag needs, O(n^3) per flag, and stage 3, the full table of
+axes; one pole is simply the case with no leading axis.  Stages 1 and 2
+(:func:`_nabla_w_of_w`, :func:`_nabla_basis_w`) are private arithmetic on
+the arrays of a frame, which checked its poles when it was built; the
+public entries behind which they run are :func:`chern_rund_table`,
+:func:`chern_rund_tables` and :func:`randersflag.curvature.flag_curvature`.
+The pairings of brackets with the pole that they read are contracted once,
+when the frame is built (``OsculatingFrame.pole_pairing`` and
+``pole_brackets``).  Stage 2 gives the rows nabla_{e_i} w of the whole
+basis, from one n x n product with the Gram matrix and its transpose, less
+the Cartan matrix 2 C_w(nabla_w w, ., .) that it takes as its argument, and
+one product with the inverse, so nabla_v w = v @ rows for any v.  Its caller
+builds that matrix with the frame's ``_cartan_matrix``: the tables from
+stage 1's vector alone, the flag path in one stacked call with the Cartan
+matrix its numerator needs.  It serves both regimes, once per stacked
+evaluation: :mod:`randersflag.curvature` contracts the rows with the three
+vectors a flag needs, O(n^3) per flag, and stage 3, the full table of
 :func:`chern_rund_table`, costs O(n^4) per pole and serves the reference
 tables, the residual checks and the public table API.  Stage 3 builds the
 Koszul right-hand side from two contiguous (..., n, n, n) arrays and
@@ -66,22 +69,23 @@ class ConnectionTable:
         return _bilinear(self.gamma, *_as_vectors(self.frame.dim, (self.frame.w,), x, y))
 
 
-def nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
-    """Covariant derivative of the reference vector along itself.
+def _nabla_w_of_w(frame: OsculatingFrame) -> np.ndarray:
+    """Stage 1: the covariant derivative of the reference vector along
+    itself, unchecked.
 
     Solves <v, e_i>_w = <[e_i, w], w>_w; every Cartan correction carries a w
     slot and vanishes, so this stage needs no prior data.
     """
-    return frame.solve(np.matvec(frame.pole_pairing, frame.w))
+    return np.matvec(frame._inverse, np.matvec(frame.pole_pairing, frame.w))
 
 
-def nabla_basis_w(frame: OsculatingFrame, cartan: np.ndarray) -> np.ndarray:
+def _nabla_basis_w(frame: OsculatingFrame, cartan: np.ndarray) -> np.ndarray:
     """Stage 2: nabla_{e_i} w for every basis vector e_i, as rows [..., i, :],
-    so that nabla_v w = v @ rows for any v.
+    so that nabla_v w = v @ rows for any v; unchecked.
 
     ``cartan`` is the Cartan matrix 2 C_w(nabla_w w, ., .) at the same
-    poles, ``frame.cartan_matrix`` of the stage-1 vector of
-    :func:`nabla_w_of_w`; the caller builds it, so that the flag path forms
+    poles, ``frame._cartan_matrix`` of the stage-1 vector of
+    :func:`_nabla_w_of_w`; the caller builds it, so that the flag path forms
     it in the same call as its own Cartan matrix.  Solves
     <nabla_{e_i} w, e_k>_w = (<[e_i, w], e_k>_w - <[w, e_k], e_i>_w
     + <[e_k, e_i], w>_w) / 2 - C_w(nabla_w w, e_k, e_i) for every row at
@@ -103,7 +107,7 @@ def chern_rund_table(frame: OsculatingFrame) -> ConnectionTable:
 
     The frame holds one pole or poles stacked along leading axes; the table's
     ``gamma`` then carries the same leading axes."""
-    return _table(frame, nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame))))
+    return _table(frame, _nabla_basis_w(frame, frame._cartan_matrix(_nabla_w_of_w(frame))))
 
 
 #: Entries (float64) each (poles, n, n, n) array of a block of
@@ -123,7 +127,7 @@ def chern_rund_tables(frame: OsculatingFrame):
     block holds the one-pole tables of its poles, bit for bit."""
     if frame.w.ndim != 2:
         raise DimensionMismatch(f"poles must be stacked on one axis, got shape {frame.w.shape}")
-    rows = nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame)))
+    rows = _nabla_basis_w(frame, frame._cartan_matrix(_nabla_w_of_w(frame)))
     step = max(1, TABLE_BLOCK_ENTRIES // frame.dim**3)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
@@ -132,45 +136,22 @@ def chern_rund_tables(frame: OsculatingFrame):
 
 def _table(frame: OsculatingFrame, rows: np.ndarray) -> ConnectionTable:
     """Stage 3 of :func:`chern_rund_table`, given ``rows``, the stage-2 rows
-    nabla_{e_i} w of :func:`nabla_basis_w` at the frame's poles.
+    nabla_{e_i} w of :func:`_nabla_basis_w` at the frame's poles.
 
     With pairings K[..., i, j, k] = <[e_i, e_j], e_k>_w and twice the
     corrections, M[..., i, j, k] = 2 C_w(nabla_{e_i} w, e_j, e_k) of
-    :func:`_cartan_rows`, the Koszul right-hand side is
+    :meth:`OsculatingFrame._cartan_rows`, the Koszul right-hand side is
     (X - Y[j, k, i] + Y[k, i, j]) / 2 with X = K - M and Y = K + M, two
     contiguous arrays; every product is one matrix product per pole, and the
     solve is one product with half the (exactly symmetric) inverse."""
     c = frame.structure.algebra.structure
     pairs = c @ frame.gram[..., None, :, :]
-    corrections = _cartan_rows(frame, rows)
+    corrections = frame._cartan_rows(rows)
     rhs = pairs - corrections
     y_jki, y_kij = _cycled(np.add(pairs, corrections, out=pairs))
     rhs -= y_jki
     rhs += y_kij
     return ConnectionTable(frame=frame, gamma=rhs @ (frame._inverse / 2)[..., None, :, :])
-
-
-def _cartan_rows(frame: OsculatingFrame, rows: np.ndarray) -> np.ndarray:
-    """2 C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k]: for each row
-    r the closed form <p_perp, r> P + p_perp u^T + u p_perp^T of
-    :meth:`OsculatingFrame.cartan_matrix`, with P = I - q q^T and u = P r,
-    its pair as one n x 2 by 2 x n product.  p_perp and P get a row axis
-    after the frame's pole axes, so rows never broadcast against poles.
-
-    It stays apart from :meth:`OsculatingFrame.cartan_matrix`, the same form
-    summed elementwise: on (4, 12, 12) rows it took 35 us against 41-50 us
-    (``verify``'s largest self time, 16 calls at dim 12), and
-    ``cartan_matrix`` as this product moved the ``table1`` rows of the flag
-    path at (2, 1, 0.5), (3, 0.7, 0.9) and (1e3, 1e3, 1 - 1e-6)."""
-    p_perp = frame._p_perp[..., None, :]
-    u = rows @ frame._projector  # P is symmetric
-    left = np.empty(rows.shape + (2,), rows.dtype)
-    left[..., 0], left[..., 1] = p_perp, u
-    right = np.empty(rows.shape[:-1] + (2, rows.shape[-1]), rows.dtype)
-    right[..., 0, :], right[..., 1, :] = u, p_perp
-    out = left @ right
-    out += np.vecdot(p_perp, rows)[..., None, None] * frame._projector[..., None, :, :]
-    return out
 
 
 def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
@@ -211,7 +192,7 @@ def almost_metric_defect(table: ConnectionTable) -> float:
     # metric[..., i, j, k] = <nabla_{e_i} e_j, e_k>_w; the second term of the
     # identity is the same array with j and k swapped
     metric = gamma @ frame.gram[..., None, :, :]
-    defect = _cartan_rows(frame, rows)
+    defect = frame._cartan_rows(rows)
     defect += metric
     defect += np.swapaxes(metric, -1, -2)
     return float(np.abs(defect, out=defect).max(initial=0.0))

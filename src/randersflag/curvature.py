@@ -9,16 +9,17 @@ plane; it is invariant under rescaling of x and under mixing x with the pole.
 N v = nabla_v w, the numerator <R(x, w)w, x>_w is
 <nabla_x (N w), x>_w - <nabla_w (N x), x>_w - <N [x, w], x>_w.  The first two
 terms are Koszul right-hand sides paired with x, which need no solve, and N
-is needed on x, N w and [x, w] only: stage 1, then the stage-2 rows of
-:func:`connection.nabla_basis_w` (the one stage 2, which the tables use
-too), contracted with those three vectors in one product, O(n^3) per flag.
-Stage 2 takes its Cartan matrix 2 C_w(N w, ., .) as an argument, so one
-call of ``OsculatingFrame.cartan_matrix`` on (N w, x), stacked on a new
-leading axis, builds it and the one matrix 2 C_w(x, ., .) from which the
-Cartan terms of the two pairings, C_w(N N w, x, x) and C_w(N w, N x, x),
-come.  This flag path is written once for stacks: poles and transverse
-vectors may carry leading batch axes, and every frame quantity, stage and
-quotient broadcasts over them, so one flag is a stack of one, bit for bit:
+is needed on x, N w and [x, w] only: stages 1 and 2 of
+:mod:`randersflag.connection`, private arithmetic that the tables run too,
+give the rows N e_i, contracted with those three vectors in one product,
+O(n^3) per flag.  Stage 2 takes its Cartan matrix 2 C_w(N w, ., .) as an
+argument, so one call of the frame's ``_cartan_matrix`` on (N w, x),
+stacked on a new leading axis, builds it and the one matrix 2 C_w(x, ., .)
+from which the Cartan terms of the two pairings, C_w(N N w, x, x) and
+C_w(N w, N x, x), come.  This flag path is written once for stacks: poles
+and transverse vectors may carry leading batch axes, and every frame
+quantity, stage and quotient broadcasts over them, so one flag is a stack
+of one, bit for bit:
 ``table1`` passes its eight flags to :func:`flag_curvature` in one call, and
 :func:`sign_search` its candidates in chunks, scanning the results in
 candidate order.  At dim 5 the cost of a flag is mostly numpy call overhead,
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionTable, nabla_basis_w, nabla_w_of_w
+from .connection import ConnectionTable, _nabla_basis_w, _nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _frozen, _integer
 from .randers import OsculatingFrame, RandersStructure, _normalized, _require_nonzero
@@ -171,12 +172,12 @@ def _flag_curvatures(frame: OsculatingFrame, x: np.ndarray):
     :func:`sign_search`, which never builds the connection table."""
     c = frame.structure.algebra.structure
     q, gram = frame.w, frame.gram
-    a = nabla_w_of_w(frame)
+    a = _nabla_w_of_w(frame)
     xw = np.vecmat(x, frame.pole_brackets)  # [x, w]
     vectors = np.array((x, a, xw))
     # 2 C_w(a, ., .) for stage 2 and 2 C_w(x, ., .), from one stacked call
-    cartan_a, cartan_x = frame.cartan_matrix(vectors[1::-1])
-    nx, na, nxw = np.vecmat(vectors, nabla_basis_w(frame, cartan_a))
+    cartan_a, cartan_x = frame._cartan_matrix(vectors[1::-1])
+    nx, na, nxw = np.vecmat(vectors, _nabla_basis_w(frame, cartan_a))
     gx, gxw = np.matvec(gram, vectors[::2])
     n = c.shape[0]
     # <[e_i, e_j], x>_w, indexed [..., i, j]

@@ -17,6 +17,9 @@ vectors by ``_as_vectors`` and hands them to a private method holding its
 arithmetic.  Samples a caller draws itself, such as ``verify``'s and
 ``sign_search``'s, are only normalized (:func:`_normalized`) and go to the
 oracles' arithmetic directly; the frames built on them make the one check.
+A frame's inverse and Cartan methods are private arithmetic of the Koszul
+stages, run behind the checked entries ``flag_curvature`` and
+``chern_rund_table(s)`` on the arrays the frame built, and check nothing.
 """
 
 from __future__ import annotations
@@ -304,7 +307,7 @@ class RandersStructure:
 
 
 class OsculatingFrame:
-    """Osculating inner product at a unit reference vector, ready to solve.
+    """Osculating inner product at a unit reference vector, with its inverse.
 
     With p = x0, q = w, l = q + p and P = I - q q^T, the Gram matrix of the
     basis is the Randers form a P + l l^T with a = F(q) = 1 + <p, q>
@@ -313,24 +316,24 @@ class OsculatingFrame:
 
         P / a - (p_perp q^T + q p_perp^T) / a^2 + ((a + |p_perp|^2) / a^3) q q^T,
 
-    which is built once at construction, so a solve is one matrix product.
+    which is built once at construction, so each Koszul stage of
+    :mod:`randersflag.connection` solves by one product with it.
 
     ``w`` is one pole, shape (n,), or poles stacked along leading axes,
     shape (..., n); every array of the frame then carries the same leading
-    axes (``gram`` is (..., n, n)), and the vectors passed to its methods may
-    carry further leading axes that broadcast against them.  One pole is
-    simply the case with no leading axis, and each pole of a stack gets the
-    bits of its one-pole frame.  Construction builds everything the flag path
-    and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
+    axes (``gram`` is (..., n, n)).  One pole is simply the case with no
+    leading axis, and each pole of a stack gets the bits of its one-pole
+    frame.  Construction checks the poles and builds everything the flag
+    path and the Koszul stages read: ``w``, ``gram``, ``pole_covector``
     (gram @ w), ``pole_pairing``, ``pole_brackets`` (the rows [e_i, w],
     formed as the negated rows [w, e_i]) and the inverse; it keeps p_perp and
-    P, from which every Cartan term is formed in closed form
-    (:meth:`cartan_matrix`).  A frame is complete and read-only once
-    constructed: it caches no array later (:meth:`cartan_matrix` and
-    :meth:`solve` return fresh arrays to their caller, which is how stage 2
-    gets its Cartan matrix), and every array it holds, as listed in
-    ``__init__``, is frozen in place by ``setflags(write=False)``, so frames
-    are safe for concurrent use.
+    P, from which the private :meth:`_cartan_matrix` and :meth:`_cartan_rows`
+    form every Cartan term of the stages in closed form, the only code that
+    reads them.  A frame is complete and read-only once constructed: it
+    caches no array later (the Cartan methods return fresh arrays to their
+    caller), and every array it holds, as listed in ``__init__``, is frozen
+    in place by ``setflags(write=False)``, so frames are safe for concurrent
+    use.
     """
 
     def __init__(self, structure: RandersStructure, w) -> None:
@@ -382,12 +385,12 @@ class OsculatingFrame:
             setattr(frame, name, value[index] if isinstance(value, np.ndarray) else value)
         return frame
 
-    def cartan_matrix(self, u: np.ndarray) -> np.ndarray:
+    def _cartan_matrix(self, u: np.ndarray) -> np.ndarray:
         """Twice the Cartan tensor with one slot filled, 2 C_w(u, ., .), as
-        a symmetric (..., n, n) matrix, in O(n^2) per vector.
+        a symmetric (..., n, n) matrix, in O(n^2) per vector; unchecked.
 
         ``u`` is a vector, or vectors stacked along leading axes that
-        broadcast against the frame's, so ``x @ cartan_matrix(u) @ y`` is
+        broadcast against the frame's, so ``x @ _cartan_matrix(u) @ y`` is
         2 C_w(u, x, y).  The closed form of :meth:`RandersStructure.cartan`
         with two slots left open, written with u_perp = u - <q, u> q and
         P = I - q q^T: <p_perp, u> P + p_perp u_perp^T + u_perp p_perp^T.
@@ -402,8 +405,24 @@ class OsculatingFrame:
         out += cross.mT
         return out
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve gram @ x = rhs with the stored closed-form inverse; ``rhs``
-        is a vector or vectors stacked along leading axes that broadcast
-        against the frame's."""
-        return np.matvec(self._inverse, rhs)
+    def _cartan_rows(self, rows: np.ndarray) -> np.ndarray:
+        """2 C_w(rows[..., i, :], e_j, e_k), indexed [..., i, j, k]; unchecked:
+        for each row r the closed form <p_perp, r> P + p_perp u^T + u p_perp^T
+        of :meth:`_cartan_matrix`, with u = P r, its pair as one n x 2 by
+        2 x n product.  p_perp and P get a row axis after the frame's pole
+        axes, so rows never broadcast against poles.
+
+        It stays apart from :meth:`_cartan_matrix`, the same form summed
+        elementwise: on (4, 12, 12) rows it took 35 us against 41-50 us
+        (``verify``'s largest self time, 16 calls at dim 12), and
+        ``_cartan_matrix`` as this product moved the ``table1`` rows of the
+        flag path at (2, 1, 0.5), (3, 0.7, 0.9) and (1e3, 1e3, 1 - 1e-6)."""
+        p_perp = self._p_perp[..., None, :]
+        u = rows @ self._projector  # P is symmetric
+        left = np.empty(rows.shape + (2,), rows.dtype)
+        left[..., 0], left[..., 1] = p_perp, u
+        right = np.empty(rows.shape[:-1] + (2, rows.shape[-1]), rows.dtype)
+        right[..., 0, :], right[..., 1, :] = u, p_perp
+        out = left @ right
+        out += np.vecdot(p_perp, rows)[..., None, None] * self._projector[..., None, :, :]
+        return out

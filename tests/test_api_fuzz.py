@@ -93,7 +93,6 @@ STACKED = {
 CALLS = {**ENTRIES, **{f"{name}, stacked": call for name, call in STACKED.items()}}
 
 _RECORD = "a result record the library builds"
-_STAGE = "stage arithmetic on arrays the frame builds, unchecked on the flag path"
 
 #: Public callables that take no user data, with the reason.
 EXEMPT = {
@@ -104,10 +103,6 @@ EXEMPT = {
     "ValidationReport": _RECORD,
     "MetricLieAlgebra.validate": "takes no argument",
     "RandersStructure.is_berwald": "takes no argument",
-    "OsculatingFrame.cartan_matrix": _STAGE,
-    "OsculatingFrame.solve": _STAGE,
-    "nabla_basis_w": _STAGE,
-    "nabla_w_of_w": "takes a frame only",
     "chern_rund_table": "takes a frame only",
     "chern_rund_tables": "takes a frame only",
     "torsion_defect": "takes a table only",

@@ -16,12 +16,10 @@ from randersflag import (
     chern_rund_tables,
     heisenberg5,
     levi_civita_table,
-    nabla_basis_w,
-    nabla_w_of_w,
     torsion_defect,
     w_perp,
 )
-from randersflag.connection import TABLE_BLOCK_ENTRIES, _cartan_rows
+from randersflag.connection import TABLE_BLOCK_ENTRIES, _nabla_basis_w, _nabla_w_of_w
 from randersflag.reference_tables import (
     pole_frame_cells,
     pole_rows_cells,
@@ -58,19 +56,19 @@ def check_cells(structure, pole, cells, tol):
 
 def stage_two(frame):
     """The stage-2 rows nabla_{e_i} w of ``frame``, after its stage 1."""
-    return nabla_basis_w(frame, frame.cartan_matrix(nabla_w_of_w(frame)))
+    return _nabla_basis_w(frame, frame._cartan_matrix(_nabla_w_of_w(frame)))
 
 
 class TestStageSolves:
     def test_nabla_w_of_w_at_plane_pole(self):
         s = z_randers(2.0, 1.0, 0.5)
         frame = s.osculating_gram(E[0])
-        assert np.allclose(nabla_w_of_w(frame), -E[1], atol=1e-14)
+        assert np.allclose(_nabla_w_of_w(frame), -E[1], atol=1e-14)
 
     def test_nabla_w_of_w_at_center_pole(self):
         s = z_randers(2.0, 1.0, 0.5)
         frame = s.osculating_gram(Z)
-        assert np.allclose(nabla_w_of_w(frame), np.zeros(5), atol=1e-14)
+        assert np.allclose(_nabla_w_of_w(frame), np.zeros(5), atol=1e-14)
 
     def test_geodesic_poles_of_heisenberg5(self, rng):
         # stage 1 vanishes where the pole is a geodesic vector: exactly at
@@ -81,18 +79,18 @@ class TestStageSolves:
             lam, mu, _ = random_heisenberg_params(rng)
             x0 = radius * unit(rng)
             s = RandersStructure(heisenberg5(lam, mu), x0)
-            assert not nabla_w_of_w(s.osculating_gram(np.array([Z, -Z]))).any()
+            assert not _nabla_w_of_w(s.osculating_gram(np.array([Z, -Z]))).any()
             q = np.append(np.sqrt(1.0 - x0[4] ** 2) * unit(rng, 4), -x0[4])
-            assert np.abs(nabla_w_of_w(s.osculating_gram(q))).max() <= 1e-15 * lam
+            assert np.abs(_nabla_w_of_w(s.osculating_gram(q))).max() <= 1e-15 * lam
         poles = rng.standard_normal((200, 5))
         poles /= np.linalg.norm(poles, axis=-1, keepdims=True)
-        stage_one = nabla_w_of_w(z_randers(2.0, 1.0, 0.5).osculating_gram(poles))
+        stage_one = _nabla_w_of_w(z_randers(2.0, 1.0, 0.5).osculating_gram(poles))
         assert np.abs(stage_one).max(axis=-1).min() > 1e-4
 
     def test_nabla_w_of_w_vanishes_without_deformation_at_plane_pole(self):
         s = RandersStructure(heisenberg5(2.0, 1.0), np.zeros(5))
         frame = s.osculating_gram(E[0])
-        assert np.allclose(nabla_w_of_w(frame), np.zeros(5), atol=1e-14)
+        assert np.allclose(_nabla_w_of_w(frame), np.zeros(5), atol=1e-14)
 
     def test_nabla_w_of_w_is_scaled_orthogonal_direction(self, rng):
         for _ in range(20):
@@ -103,7 +101,7 @@ class TestStageSolves:
             w /= np.linalg.norm(w)
             frame = s.osculating_gram(w)
             expected = xi * w_perp(s.algebra, w)
-            assert np.abs(nabla_w_of_w(frame) - expected).max() <= 1e-12
+            assert np.abs(_nabla_w_of_w(frame) - expected).max() <= 1e-12
 
     def test_nabla_x_w_map_columns(self):
         # the matrix of x -> nabla_x w: column j holds nabla_{e_j} w
@@ -119,7 +117,7 @@ class TestStageSolves:
             lam, mu, xi = random_heisenberg_params(rng)
             s = z_randers(lam, mu, xi)
             frame = s.osculating_gram(unit(rng))
-            assert np.abs(frame.w @ stage_two(frame) - nabla_w_of_w(frame)).max() <= 1e-13
+            assert np.abs(frame.w @ stage_two(frame) - _nabla_w_of_w(frame)).max() <= 1e-13
 
     def test_cartan_corrections_with_pole_slot_vanish(self, rng):
         # the dropped stage-2 terms all carry a pole slot; the closed form
@@ -128,9 +126,9 @@ class TestStageSolves:
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             frame = z_randers(lam, mu, xi).osculating_gram(unit(rng))
-            assert np.abs(_cartan_rows(frame, frame.w[None, :])).max() <= 1e-14
+            assert np.abs(frame._cartan_rows(frame.w[None, :])).max() <= 1e-14
             rows = rng.standard_normal((5, 5))
-            assert np.abs(frame.w @ _cartan_rows(frame, rows)).max() <= 1e-14
+            assert np.abs(frame.w @ frame._cartan_rows(rows)).max() <= 1e-14
 
 
 class TestCartanCorrections:
@@ -144,7 +142,7 @@ class TestCartanCorrections:
         s = RandersStructure(nilpotent_algebra(rng, dim), 0.7 * unit(rng, dim))
         poles = rng.standard_normal(frame_shape + (dim,))
         rows = rng.standard_normal(frame_shape + (dim, dim))
-        corrections = _cartan_rows(s.osculating_gram(poles), rows)
+        corrections = s.osculating_gram(poles)._cartan_rows(rows)
         assert corrections.shape == frame_shape + (dim, dim, dim)
         assert corrections.flags.c_contiguous
         # [..., i, j, k]: each pole against its own rows i, and the basis

@@ -433,7 +433,7 @@ class TestSignSearch:
         x = rng.standard_normal((64, 5))
         structure = z_randers(lam, mu, xi)
         report = flag_curvature(structure, poles, x)
-        stage1 = connection.nabla_w_of_w(structure.osculating_gram(poles))
+        stage1 = connection._nabla_w_of_w(structure.osculating_gram(poles))
         assert np.abs(stage1).max() <= 1e-15 * lam
         assert not report.degenerate.any()
         margin = WITNESS_MIN_CURVATURE * lam**2
@@ -468,7 +468,7 @@ class TestSprayFlagCurvaturesAtGeodesicPoles:
         ])
         structure = z_randers(lam, mu, xi)
         report = flag_curvature(structure, poles, x)
-        stage1 = connection.nabla_w_of_w(structure.osculating_gram(poles))
+        stage1 = connection._nabla_w_of_w(structure.osculating_gram(poles))
         assert np.abs(stage1).max() <= 1e-15 * lam
         # table1's tolerance model: the curvatures grow like lam**2
         error = np.abs(report.k - expected).max()
@@ -759,12 +759,11 @@ class TestWitnessMargin:
 
 
 class TestStageTrace:
-    """An outside-in tracer wraps a stage function in every module that
-    binds it; the flag path and the tables call stage 1
-    (``connection.nabla_w_of_w``) and stage 2 (``connection.nabla_basis_w``)
-    by those names, each once per stacked evaluation."""
+    """The flag path and the tables run stage 1 (``connection._nabla_w_of_w``)
+    and stage 2 (``connection._nabla_basis_w``) once per stacked evaluation,
+    counted by patching the stage in every module that binds it."""
 
-    @pytest.fixture(params=["nabla_w_of_w", "nabla_basis_w"])
+    @pytest.fixture(params=["_nabla_w_of_w", "_nabla_basis_w"])
     def calls(self, request, monkeypatch):
         original = getattr(connection, request.param)
         calls = []
@@ -801,19 +800,19 @@ class TestStageTrace:
 
 class TestCartanTrace:
     """The flag path builds the Cartan matrices of stage 2 and of the
-    numerator in one stacked call, and a table builds stage 2's: a tracer on
-    ``OsculatingFrame.cartan_matrix`` sees one call per stacked evaluation."""
+    numerator in one stacked call, and a table builds stage 2's: the frame's
+    ``_cartan_matrix`` runs once per stacked evaluation."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        original = OsculatingFrame.cartan_matrix
+        original = OsculatingFrame._cartan_matrix
         calls = []
 
         def counting(frame, u):
             calls.append(np.shape(u))
             return original(frame, u)
 
-        monkeypatch.setattr(OsculatingFrame, "cartan_matrix", counting)
+        monkeypatch.setattr(OsculatingFrame, "_cartan_matrix", counting)
         return calls
 
     def test_flag_curvature_builds_one_stack(self, calls, structure):

@@ -104,14 +104,14 @@ def test_connection_contracts(model):
 @PROPERTY_SETTINGS
 @given(models(), st.integers(1, 6))
 def test_cartan_matrix_totally_symmetric(model, rows):
-    # u @ cartan_matrix(v) @ x = 2 C_w(u, v, x) takes its slots in any order
+    # u @ _cartan_matrix(v) @ x = 2 C_w(u, v, x) takes its slots in any order
     # and matches the closed form of RandersStructure.cartan
     structure, rng = model
     w, u, v, x = rng.standard_normal((4, rows, structure.dim))
     frame = structure.osculating_gram(w)
 
     def twice_cartan(a, b, c):
-        return np.vecdot(a, np.matvec(frame.cartan_matrix(b), c))
+        return np.vecdot(a, np.matvec(frame._cartan_matrix(b), c))
 
     cartan = twice_cartan(u, v, x)
     scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1) * np.linalg.norm(x, axis=-1)

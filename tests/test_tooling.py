@@ -1,12 +1,16 @@
 """The README's library quick start and the benchmark's self-test, each run
-in a child interpreter, so a library change that breaks either fails here
-first."""
+in a child interpreter, and the README's dotted library names, so a library
+change that breaks or renames what they use fails here first."""
 
+import importlib
+import inspect
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import randersflag
 from helpers import package_env
 
 ROOT = Path(__file__).parent.parent
@@ -27,6 +31,25 @@ def test_readme_quick_start_runs():
     shown = [(line.partition("#")[2].strip(), out) for line, out in zip(prints, printed)]
     assert ("-2.75", "-2.75") in shown
     assert all(out == comment for comment, out in shown if comment)
+
+
+def test_readme_dotted_names_resolve():
+    # each backticked `module.name` (a randersflag submodule) or `Class.name`
+    # (a class of __all__) names an attribute the library has
+    owners = {
+        info.name: importlib.import_module(f"randersflag.{info.name}")
+        for info in pkgutil.iter_modules(randersflag.__path__)
+        if not info.name.startswith("_")
+    }
+    owners.update(
+        (name, value)
+        for name in randersflag.__all__
+        if inspect.isclass(value := getattr(randersflag, name))
+    )
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = [pair for pair in re.findall(r"`(\w+)\.(\w+)", readme) if pair[0] in owners]
+    assert len(names) >= 5
+    assert [f"{owner}.{name}" for owner, name in names if not hasattr(owners[owner], name)] == []
 
 
 def test_benchmark_selftest_passes():
