@@ -68,12 +68,11 @@ from .connection import (
     almost_metric_defect,
     chern_rund_table,
     chern_rund_tables,
-    levi_civita_table,
     torsion_defect,
 )
 from .curvature import FlagReport, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen
+from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen, _levi_civita
 from .randers import RandersStructure, _normalized
 from .reference_tables import (
     SPAN_LABELS,
@@ -122,6 +121,23 @@ def _report_poles() -> np.ndarray:
     """``connection-tables``'s poles in span(e1, e2) and span(e3, e4), (2, 5)
     read-only, drawn once per process from ``default_rng(_REPORT_SEED)``."""
     return _frozen(reference_poles(np.random.default_rng(_REPORT_SEED)))
+
+
+@functools.cache
+def _verify_samples(dim: int) -> tuple:
+    """``verify``'s unit samples at ``dim``, ``((w, u, v, x), poles,
+    zero_poles)``, drawn once per process and dimension from
+    ``default_rng(_REPORT_SEED)`` as ``standard_normal((60, 4, dim))``,
+    ``(25, dim)`` and ``(5, dim)``, normalized and read-only; w, u, v and x
+    are (60, dim) views of the first draw.  They hold 270 dim floats,
+    2160 dim bytes per dimension: at most about 4.5 MB over dims 1-64, as
+    explicit configs stop at ``MAX_EXPLICIT_DIM``."""
+    rng = np.random.default_rng(_REPORT_SEED)
+    quadruples, poles, zero_poles = (
+        _frozen(_normalized(rng.standard_normal(shape + (dim,))))
+        for shape in ((60, 4), (25,), (5,))
+    )
+    return tuple(np.moveaxis(quadruples, 1, 0)), poles, zero_poles
 
 
 def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
@@ -444,18 +460,19 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     """Residual self-checks: closed forms vs difference oracles on 60 random
     unit quadruples (w, u, v, x), the torsion and almost-metric contracts of
     the tables at 25 random unit poles, and the zero-deformation tables at 5
-    random unit poles against :func:`levi_civita_table`.
+    random unit poles against the one Levi-Civita formula,
+    ``lie_algebra._levi_civita``, that :func:`levi_civita_table` returns.
 
     Each check is made over stacked samples: the oracles in one call each,
     the tables by :func:`connection.chern_rund_tables`, in blocks of at most
     max(1, ``connection.TABLE_BLOCK_ENTRIES`` // dim**3) poles.  The samples
-    are drawn as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
+    are those of :func:`_verify_samples`, drawn once per process and
+    dimension as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
     ``(5, dim)``, the same stream as drawing the vectors one at a time.
     Draws of a generator are finite and nonzero, so they are only
     normalized, and the oracle checks run each public oracle's private
     arithmetic on them, unchecked, with the public oracles' numbers; the
-    frames and :func:`levi_civita_table` check what they are given, as
-    every public entry does.
+    frames check the poles they are given, as every public entry does.
 
     A check passes when its ``max_defect`` is at most its ``tolerance``.
     The oracle checks compare unit-scale quantities against an absolute
@@ -463,12 +480,8 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     coefficients, so their bound is their tolerance times max(1, largest
     |coefficient| of the check's tables), and that bound is the printed
     ``tolerance``."""
-    rng = np.random.default_rng(_REPORT_SEED)
-    dim = structure.dim
+    (w, u, v, x), poles, zero_poles = _verify_samples(structure.dim)
     checks = []
-
-    def units(*shape: int) -> np.ndarray:
-        return _normalized(rng.standard_normal(shape + (dim,)))
 
     def check(name: str, value: float, tol: float, scale: float = 1.0) -> None:
         bound = tol * max(1.0, scale)
@@ -476,7 +489,6 @@ def run_verification(structure: RandersStructure) -> list[dict]:
             {"name": name, "max_defect": value, "tolerance": bound, "pass": value <= bound}
         )
 
-    w, u, v, x = np.moveaxis(units(60, 4), 1, 0)
     osculating = np.abs(
         structure._osculating_product(w, u, v) - structure._osculating_product_fd(w, u, v, 1e-4)
     )
@@ -485,18 +497,18 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     check("cartan_fd", float(cartan.max()), 1e-4)
 
     worst_torsion = worst_metric = scale = 0.0
-    for table in chern_rund_tables(structure.osculating_gram(units(25))):
+    for table in chern_rund_tables(structure.osculating_gram(poles)):
         worst_torsion = max(worst_torsion, torsion_defect(table))
         worst_metric = max(worst_metric, almost_metric_defect(table))
         scale = max(scale, float(np.abs(table.gamma).max()))
     check("torsion", worst_torsion, 1e-10, scale)
     check("almost_metric", worst_metric, 1e-10, scale)
 
-    zero = RandersStructure(structure.algebra, np.zeros(dim))
-    reference = levi_civita_table(structure.algebra)
+    zero = RandersStructure(structure.algebra, np.zeros(structure.dim))
+    reference = _levi_civita(structure.algebra.structure)
     worst_lc = scale = 0.0
-    for table in chern_rund_tables(zero.osculating_gram(units(5))):
-        worst_lc = max(worst_lc, float(np.abs(table.gamma - reference.gamma).max()))
+    for table in chern_rund_tables(zero.osculating_gram(zero_poles)):
+        worst_lc = max(worst_lc, float(np.abs(table.gamma - reference).max()))
         scale = max(scale, float(np.abs(table.gamma).max()))
     check("levi_civita_x0_zero", worst_lc, 1e-12, scale)
     return checks

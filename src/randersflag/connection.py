@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lie_algebra import MetricLieAlgebra, _as_vectors, _bilinear, _cycled
+from .lie_algebra import MetricLieAlgebra, _as_vectors, _bilinear, _cycled, _levi_civita
 from .randers import OsculatingFrame, RandersStructure
 
 
@@ -160,10 +160,10 @@ def levi_civita_table(algebra: MetricLieAlgebra) -> ConnectionTable:
 
     Independent of the staged solver; with a zero deformation vector,
     :func:`chern_rund_table` must coincide with it for any reference vector.
+    ``gamma`` is ``lie_algebra._levi_civita`` of the structure constants;
+    the table's frame is the zero-deformation frame at e1.
     """
-    c = algebra.structure
-    c_jki, c_kij = _cycled(c)
-    gamma = 0.5 * (c - c_jki + c_kij)
+    gamma = _levi_civita(algebra.structure)
     zero = RandersStructure(algebra, np.zeros(algebra.dim))
     frame = zero.osculating_gram(algebra.basis_vector(0))
     return ConnectionTable(frame=frame, gamma=gamma)

@@ -120,6 +120,15 @@ def _cycled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t.swapaxes(-2, -1).swapaxes(-3, -2), t.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
+def _levi_civita(c: np.ndarray) -> np.ndarray:
+    """The Levi-Civita coefficients gamma[i, j, k] of the Euclidean product
+    for structure constants ``c``, unchecked: the bracket terms of the
+    Koszul formula against the identity Gram matrix,
+    (c[i, j, k] - c[j, k, i] + c[k, i, j]) / 2."""
+    c_jki, c_kij = _cycled(c)
+    return 0.5 * (c - c_jki + c_kij)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False

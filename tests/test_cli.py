@@ -43,6 +43,7 @@ from randersflag.cli import (
     model_config_from_dict,
     run_verification,
 )
+from randersflag.randers import _normalized
 from randersflag.reference_tables import (
     Cells,
     reference_blocks,
@@ -1308,6 +1309,49 @@ class TestStackedVerification:
         assert printed["cartan_fd"] == float(np.abs(cartan).max())
 
 
+class TestVerifySamples:
+    """``verify``'s unit samples depend only on the dimension: each is drawn
+    once per process and dimension, on first use, by ``_verify_samples``."""
+
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_equal_to_a_fresh_draw(self, dim):
+        samples = cli._verify_samples(dim)
+        assert cli._verify_samples(dim) is samples
+        (w, u, v, x), poles, zero_poles = samples
+        rng = np.random.default_rng(cli._REPORT_SEED)
+        fresh = [_normalized(rng.standard_normal(shape + (dim,))) for shape in ((60, 4), (25,), (5,))]
+        expected = [*np.moveaxis(fresh[0], 1, 0), *fresh[1:]]
+        got = [w, u, v, x, poles, zero_poles]
+        assert [a.shape for a in got] == [(60, dim)] * 4 + [(25, dim), (5, dim)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_second_run_draws_nothing(self, monkeypatch):
+        calls = []
+        original = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        cli._verify_samples.cache_clear()
+        first = run_verification(structure)
+        assert calls == [(cli._REPORT_SEED,)]
+        assert run_verification(structure) == first
+        assert calls == [(cli._REPORT_SEED,)]
+
+    def test_mixed_dims_match_fresh_runs(self):
+        models = [VERIFICATION_MODELS[name] for name in ("heisenberg5", "explicit12", "heisenberg5")]
+        assert [s.dim for s in models] == [5, 12, 5]
+        cached = [run_verification(s) for s in models]
+        fresh = []
+        for structure in models:
+            cli._verify_samples.cache_clear()
+            fresh.append(run_verification(structure))
+        assert cached == fresh
+
+
 class TestCheckBudget:
     """Each sample is checked once, by the public entry it first reaches:
     ``verify`` and ``sign_search`` only normalize the samples they draw, and
@@ -1332,9 +1376,10 @@ class TestCheckBudget:
     def test_verification_checks_only_its_frames_and_structures(self, checks):
         structure = VERIFICATION_MODELS["heisenberg5"]
         assert all(check["pass"] for check in run_verification(structure))
-        # the frame at the 25 poles, the zero structure, levi_civita_table's
-        # zero structure and its frame, the frame at the 5 zero-x0 poles
-        assert checks == [(25, 5), (5,), (5,), (5,), (5, 5)]
+        # the frame at the 25 poles, the zero structure, the frame at the 5
+        # zero-x0 poles; the Levi-Civita reference is read from the structure
+        # constants, with no structure or frame of its own
+        assert checks == [(25, 5), (5,), (5, 5)]
 
     def test_flat_search_checks_each_chunk_once(self, checks):
         flat = RandersStructure(MetricLieAlgebra(np.zeros((7, 7, 7))), np.zeros(7))

@@ -20,6 +20,7 @@ from randersflag import (
     w_perp,
 )
 from randersflag.connection import TABLE_BLOCK_ENTRIES, _nabla_basis_w, _nabla_w_of_w
+from randersflag.lie_algebra import _levi_civita
 from randersflag.reference_tables import (
     pole_frame_cells,
     pole_rows_cells,
@@ -419,6 +420,20 @@ class TestLeviCivita:
         table = levi_civita_table(heisenberg5(3.0, 0.5))
         assert torsion_defect(table) <= 1e-15
         assert almost_metric_defect(table) <= 1e-15
+
+    def test_one_formula(self, rng):
+        # the table's gamma is lie_algebra._levi_civita of the structure
+        # constants, bit for bit, and that is the Koszul bracket terms
+        # (c[i, j, k] - c[j, k, i] + c[k, i, j]) / 2
+        algebras = [heisenberg5(2.0, 1.0)]
+        for dim in range(2, 25):
+            algebras += [nilpotent_algebra(rng, dim), solvable_algebra(rng, dim)]
+        for algebra in algebras:
+            c = algebra.structure
+            gamma = _levi_civita(c)
+            assert gamma.tobytes() == levi_civita_table(algebra).gamma.tobytes()
+            koszul = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
+            assert gamma.tobytes() == koszul.tobytes()
 
 
 class TestWPerp:

@@ -1,6 +1,7 @@
 """The README's library quick start and the benchmark's self-test, each run
 in a child interpreter, and the README's dotted library names, so a library
-change that breaks or renames what they use fails here first."""
+change that breaks or renames what they use fails here first; and the
+per-process caches of ``cli``, which later runs share."""
 
 import importlib
 import inspect
@@ -10,8 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import randersflag
 from helpers import package_env
+from randersflag import cli
 
 ROOT = Path(__file__).parent.parent
 
@@ -59,3 +63,33 @@ def test_benchmark_selftest_passes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] == "selftest: ok"
+
+
+#: Arguments to call each cache of ``cli`` with; a cache not named here is
+#: called with none, so a new cache that takes arguments must be named.
+_CACHE_CALLS = {
+    "_verify_samples": [(1,), (5,), (12,)],
+    "_document_template": [((("block", ("r",), ("c",)),), 5)],
+}
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_cached_report_inputs_are_read_only():
+    # a cached array is shared by every later run in the process, so a
+    # caller that wrote into it would corrupt them: none may be writable
+    caches = {name: fn for name, fn in vars(cli).items() if hasattr(fn, "cache_info")}
+    arrays = {
+        f"{name}{args}": list(_arrays(fn(*args)))
+        for name, fn in caches.items()
+        for args in _CACHE_CALLS.get(name, [()])
+    }
+    assert all(arrays[f"{name}()"] for name in ("_report_flags", "_report_poles"))
+    assert all(len(arrays[f"_verify_samples({dim},)"]) == 6 for dim in (1, 5, 12))
+    assert [call for call, found in arrays.items() if any(a.flags.writeable for a in found)] == []
