@@ -73,7 +73,7 @@ from .connection import (
 from .curvature import FlagReport, flag_curvature, sign_search
 from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen, _levi_civita
-from .randers import RandersStructure, _normalized
+from .randers import RandersStructure, _normalized, _stencil
 from .reference_tables import (
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
@@ -106,6 +106,9 @@ MAX_EXPLICIT_DIM = 64
 # randomized pole sampling deterministic across runs.
 _REPORT_SEED = 0
 
+#: The steps of ``verify``'s two difference oracles, osculating and Cartan.
+_VERIFY_STEPS = (1e-4, 5e-3)
+
 
 @functools.cache
 def _report_flags() -> np.ndarray:
@@ -130,14 +133,32 @@ def _verify_samples(dim: int) -> tuple:
     ``default_rng(_REPORT_SEED)`` as ``standard_normal((60, 4, dim))``,
     ``(25, dim)`` and ``(5, dim)``, normalized and read-only; w, u, v and x
     are (60, dim) views of the first draw.  They hold 270 dim floats,
-    2160 dim bytes per dimension: at most about 4.5 MB over dims 1-64, as
-    explicit configs stop at ``MAX_EXPLICIT_DIM``."""
+    2160 dim bytes per dimension; with the stencils that
+    :func:`_verify_stencils` builds from them, ``verify`` keeps about
+    7920 dim + 5760 bytes per dimension (about 101 KB at dim 12): at most
+    about 17 MB over dims 1-64, as explicit configs stop at
+    ``MAX_EXPLICIT_DIM``."""
     rng = np.random.default_rng(_REPORT_SEED)
     quadruples, poles, zero_poles = (
         _frozen(_normalized(rng.standard_normal(shape + (dim,))))
         for shape in ((60, 4), (25,), (5,))
     )
     return tuple(np.moveaxis(quadruples, 1, 0)), poles, zero_poles
+
+
+@functools.cache
+def _verify_stencils(dim: int) -> tuple:
+    """``verify``'s two difference stencils at ``dim``, ``(osculating,
+    cartan)``, each the ``(points, norms)`` of :func:`randers._stencil` on
+    the quadruples of :func:`_verify_samples`: over (u, v) at the first step
+    of ``_VERIFY_STEPS`` and over (u, v, x) at the second.  They depend on
+    the samples and the steps only, so they are built once per process and
+    dimension, read-only: 720 points and their norms, 5760 dim + 5760
+    bytes per dimension."""
+    (w, u, v, x), _, _ = _verify_samples(dim)
+    osculating_step, cartan_step = _VERIFY_STEPS
+    stencils = _stencil(osculating_step, w, u, v), _stencil(cartan_step, w, u, v, x)
+    return tuple(tuple(_frozen(a) for a in stencil) for stencil in stencils)
 
 
 def _preset_structure(lam: float, mu: float, xi: float) -> RandersStructure:
@@ -468,11 +489,15 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     max(1, ``connection.TABLE_BLOCK_ENTRIES`` // dim**3) poles.  The samples
     are those of :func:`_verify_samples`, drawn once per process and
     dimension as ``standard_normal((60, 4, dim))``, ``(25, dim)`` and
-    ``(5, dim)``, the same stream as drawing the vectors one at a time.
-    Draws of a generator are finite and nonzero, so they are only
-    normalized, and the oracle checks run each public oracle's private
-    arithmetic on them, unchecked, with the public oracles' numbers; the
-    frames check the poles they are given, as every public entry does.
+    ``(5, dim)``, the same stream as drawing the vectors one at a time; the
+    difference oracles' stencils on them, which do not depend on the model,
+    are those of :func:`_verify_stencils`, built once per process and
+    dimension too (with the samples, about 7920 dim + 5760 bytes per
+    dimension, 101 KB at dim 12).  Draws of a generator are finite and
+    nonzero, so they are only normalized, and the oracle checks run each
+    public oracle's private arithmetic on them, unchecked, with the public
+    oracles' numbers; the frames check the poles they are given, as every
+    public entry does.
 
     A check passes when its ``max_defect`` is at most its ``tolerance``.
     The oracle checks compare unit-scale quantities against an absolute
@@ -481,6 +506,8 @@ def run_verification(structure: RandersStructure) -> list[dict]:
     |coefficient| of the check's tables), and that bound is the printed
     ``tolerance``."""
     (w, u, v, x), poles, zero_poles = _verify_samples(structure.dim)
+    osculating_stencil, cartan_stencil = _verify_stencils(structure.dim)
+    osculating_step, cartan_step = _VERIFY_STEPS
     checks = []
 
     def check(name: str, value: float, tol: float, scale: float = 1.0) -> None:
@@ -490,10 +517,13 @@ def run_verification(structure: RandersStructure) -> list[dict]:
         )
 
     osculating = np.abs(
-        structure._osculating_product(w, u, v) - structure._osculating_product_fd(w, u, v, 1e-4)
+        structure._osculating_product(w, u, v)
+        - structure._osculating_product_fd(osculating_stencil, osculating_step)
     )
     check("osculating_fd", float(osculating.max()), 1e-6)
-    cartan = np.abs(structure._cartan(w, u, v, x) - structure._cartan_fd(w, u, v, x, 5e-3))
+    cartan = np.abs(
+        structure._cartan(w, u, v, x) - structure._cartan_fd(cartan_stencil, cartan_step)
+    )
     check("cartan_fd", float(cartan.max()), 1e-4)
 
     worst_torsion = worst_metric = scale = 0.0

@@ -11,6 +11,14 @@ oracles for the closed forms.  All four take one sample or samples stacked
 along leading axes, so a whole oracle comparison is one call each, and a
 difference oracle evaluates F^2 at all its stencil points in one call.
 
+A difference oracle is split in two.  Its stencil (:func:`_stencil`) depends
+on the samples and the step only: the points ((w +- h u) +- h v) [+- h x]
+for every sign pattern and their Euclidean norms.  Its evaluation depends on
+the model: F^2 = (norm + <p, x0>)^2 at each point, then the signed sum in
+index order and the scale.  The public oracles build the stencil on every
+call; ``verify``, whose samples are fixed, builds its two stencils once per
+dimension and hands them to the evaluation directly.
+
 The public entries check each sample they are given, once: every frame and
 oracle checks its poles by :func:`_checked_pole`, an oracle then its other
 vectors by ``_as_vectors`` and hands them to a private method holding its
@@ -125,23 +133,36 @@ def _sorted_product(a, b, c) -> np.ndarray:
     return (lo * mid) * hi
 
 
-def _stencil(h: float, w: np.ndarray, *directions: np.ndarray) -> np.ndarray:
-    """The central-difference points ((w + s_1 h d_1) + s_2 h d_2) + ...
-    for every sign pattern, with one axis of length 2 per direction
-    (s = +1 at index 0, -1 at index 1) in front of the broadcast leading
-    axes of the vectors, so one call of F^2 evaluates the whole stencil;
-    h d is formed once per direction, as (-h) d = -(h d) exactly."""
+def _stencil(h: float, w: np.ndarray, *directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(points, norms)`` of a central difference: the points
+    ((w + s_1 h d_1) + s_2 h d_2) + ... for every sign pattern, with one
+    axis of length 2 per direction (s = +1 at index 0, -1 at index 1) in
+    front of the broadcast leading axes of the vectors, and the Euclidean
+    norm of each point, so one call of :func:`_stencil_f2` evaluates F^2 on
+    the whole stencil; h d is formed once per direction, as
+    (-h) d = -(h d) exactly."""
     points, *directions = np.broadcast_arrays(w, *directions)
     for axis, d in enumerate(directions):
         points = np.expand_dims(points, axis) + np.multiply.outer((1.0, -1.0), h * d)
-    return points
+    return points, np.sqrt(np.vecdot(points, points))
+
+
+def _stencil_f2(stencil: tuple[np.ndarray, np.ndarray], x0: np.ndarray) -> np.ndarray:
+    """F^2 at every point of a :func:`_stencil` for the deformation x0: the
+    square of F = norm + <point, x0>, the arithmetic of
+    :meth:`RandersStructure.finsler_norm`."""
+    points, norms = stencil
+    return (norms + np.vecdot(points, x0)) ** 2
 
 
 def _alternating_sum(f2: np.ndarray, k: int) -> np.ndarray:
     """The central-difference sum over a stencil of k directions: each
-    point's value signed by the parity of its minus signs, added in index
-    order."""
-    return sum((-1.0) ** sum(index) * f2[index] for index in itertools.product((0, 1), repeat=k))
+    point's value added or, for an odd number of minus signs, subtracted,
+    one at a time in index order (a reduction would sum pairwise)."""
+    total = 0.0
+    for index in itertools.product((0, 1), repeat=k):
+        total = total - f2[index] if sum(index) % 2 else total + f2[index]
+    return total
 
 
 def _sample(value: np.ndarray):
@@ -189,7 +210,8 @@ class RandersStructure:
         return _sample(self._finsler_norm(_as_vector(x, self.dim, stacked=True)))
 
     def _finsler_norm(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`finsler_norm`, unchecked; squared by the difference oracles."""
+        """:meth:`finsler_norm`, unchecked; :func:`_stencil_f2` squares the
+        same arithmetic on a stencil whose norms are built."""
         return np.sqrt(np.vecdot(x, x)) + np.vecdot(x, self.x0)
 
     def _fd_inputs(self, h: float, steps: tuple[float, float], w, *directions):
@@ -244,13 +266,13 @@ class RandersStructure:
         with the same stacking.
         """
         h, w, u, v = self._fd_inputs(h, OSCULATING_FD_STEPS, w, u, v)
-        return _sample(self._osculating_product_fd(w, u, v, h))
+        return _sample(self._osculating_product_fd(_stencil(h, w, u, v), h))
 
-    def _osculating_product_fd(self, w, u, v, h: float) -> np.ndarray:
-        """The arithmetic of :meth:`osculating_product_fd` on float vectors
-        and a float step, unchecked."""
-        f2 = self._finsler_norm(_stencil(h, w, u, v)) ** 2
-        return 0.5 * _alternating_sum(f2, 2) / (4.0 * h * h)
+    def _osculating_product_fd(self, stencil, h: float) -> np.ndarray:
+        """The evaluation of :meth:`osculating_product_fd` on the
+        :func:`_stencil` of float vectors (w, u, v) at the float step h,
+        unchecked."""
+        return 0.5 * _alternating_sum(_stencil_f2(stencil, self.x0), 2) / (4.0 * h * h)
 
     def cartan(self, w, u, v, x) -> float | np.ndarray:
         """Closed-form Cartan tensor <u, v, x>_w at unit-normalized w.
@@ -287,13 +309,12 @@ class RandersStructure:
         like :meth:`osculating_product`.
         """
         h, w, u, v, x = self._fd_inputs(h, CARTAN_FD_STEPS, w, u, v, x)
-        return _sample(self._cartan_fd(w, u, v, x, h))
+        return _sample(self._cartan_fd(_stencil(h, w, u, v, x), h))
 
-    def _cartan_fd(self, w, u, v, x, h: float) -> np.ndarray:
-        """The arithmetic of :meth:`cartan_fd` on float vectors and a float
-        step, unchecked."""
-        f2 = self._finsler_norm(_stencil(h, w, u, v, x)) ** 2
-        return 0.25 * _alternating_sum(f2, 3) / (8.0 * h**3)
+    def _cartan_fd(self, stencil, h: float) -> np.ndarray:
+        """The evaluation of :meth:`cartan_fd` on the :func:`_stencil` of
+        float vectors (w, u, v, x) at the float step h, unchecked."""
+        return 0.25 * _alternating_sum(_stencil_f2(stencil, self.x0), 3) / (8.0 * h**3)
 
     def is_berwald(self) -> BerwaldReport:
         """Berwald criterion: x0 is parallel iff <[e_i, e_j], x0> = 0 for all

@@ -43,7 +43,7 @@ from randersflag.cli import (
     model_config_from_dict,
     run_verification,
 )
-from randersflag.randers import _normalized
+from randersflag.randers import _normalized, _stencil
 from randersflag.reference_tables import (
     Cells,
     reference_blocks,
@@ -1310,8 +1310,9 @@ class TestStackedVerification:
 
 
 class TestVerifySamples:
-    """``verify``'s unit samples depend only on the dimension: each is drawn
-    once per process and dimension, on first use, by ``_verify_samples``."""
+    """``verify``'s unit samples and the difference stencils on them depend
+    only on the dimension: each is built once per process and dimension, on
+    first use, by ``_verify_samples`` and ``_verify_stencils``."""
 
     @pytest.mark.parametrize("dim", [1, 5, 12])
     def test_equal_to_a_fresh_draw(self, dim):
@@ -1348,8 +1349,36 @@ class TestVerifySamples:
         fresh = []
         for structure in models:
             cli._verify_samples.cache_clear()
+            cli._verify_stencils.cache_clear()
             fresh.append(run_verification(structure))
         assert cached == fresh
+
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_stencils_equal_fresh_ones(self, dim):
+        stencils = cli._verify_stencils(dim)
+        assert cli._verify_stencils(dim) is stencils
+        (w, u, v, x), _, _ = cli._verify_samples(dim)
+        osculating_step, cartan_step = cli._VERIFY_STEPS
+        fresh = _stencil(osculating_step, w, u, v), _stencil(cartan_step, w, u, v, x)
+        for got, expected, k in zip(stencils, fresh, (2, 3)):
+            assert [a.shape for a in got] == [(2,) * k + (60, dim), (2,) * k + (60,)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_second_run_builds_no_stencil(self, monkeypatch):
+        calls = []
+        original = cli._stencil
+
+        def counting(h, *vectors):
+            calls.append(h)
+            return original(h, *vectors)
+
+        monkeypatch.setattr(cli, "_stencil", counting)
+        structure = VERIFICATION_MODELS["heisenberg5"]
+        cli._verify_stencils.cache_clear()
+        first = run_verification(structure)
+        assert calls == list(cli._VERIFY_STEPS)
+        assert run_verification(structure) == first
+        assert calls == list(cli._VERIFY_STEPS)
 
 
 class TestCheckBudget:

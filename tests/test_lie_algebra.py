@@ -187,6 +187,27 @@ class TestValidate:
                 report.antisymmetry_defect <= VALIDATION_TOL and reference <= VALIDATION_TOL
             )
 
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_matches_einsum_reference_off_antisymmetry(self, dim, rng):
+        # the cyclic shift that validate() relies on holds for any constants
+        c = rng.standard_normal((dim, dim, dim))
+        report = MetricLieAlgebra(c).validate()
+        bound = 2 * (3 * dim) ** 2 * np.finfo(float).eps * np.abs(c).max() ** 2
+        assert abs(report.jacobi_defect - einsum_jacobi_defect(c)) <= bound
+
+    def test_repeated_index_component_counts(self):
+        # [e1, e1] = e2 and [e2, e1] = e1: the only nonzero Jacobi components
+        # have a repeated index, which a loop over j, k > i would skip
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 1] = c[1, 0, 0] = 1.0
+        jacobi = (
+            np.einsum("jkl,ilm->ijkm", c, c)
+            + np.einsum("kil,jlm->ijkm", c, c)
+            + np.einsum("ijl,klm->ijkm", c, c)
+        )
+        assert all(len({i, j, k}) < 3 for i, j, k, _ in np.argwhere(jacobi))
+        assert MetricLieAlgebra(c).validate().jacobi_defect == 1.0
+
     def test_overflow_in_an_early_slice_fails_with_nan(self):
         # [e1, e2] = 1e160 e5 and [e1, e5] = 1e160 e2 on six dimensions: the
         # slices of e1, e2 and e5 are inf - inf, the last slice (e6) is zero

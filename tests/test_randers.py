@@ -1,6 +1,9 @@
 """Randers norm, osculating products, Cartan tensor, and their
 finite-difference oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -439,6 +442,30 @@ class TestStackedOracles:
                 for sx in (1.0, -1.0):
                     total += su * sv * sx * f2(w + su * h * u + sv * h * v + sx * h * x)
         assert np.array_equal(structure.cartan_fd(w, u, v, x, h), 0.25 * total / (8.0 * h**3))
+
+    def test_one_sample_difference_sums_run_left_to_right(self, structure, rng):
+        # on one sample the stencil terms lie on the contiguous axis, where a
+        # numpy reduction would sum them pairwise: the oracles must still add
+        # them in index order, one at a time.  Near-equal stencil values make
+        # the two orders differ on only a few percent of samples, so many are
+        # drawn
+        def loop(h, w, *directions):
+            total = 0.0
+            for signs in itertools.product((1.0, -1.0), repeat=len(directions)):
+                point = w
+                for sign, d in zip(signs, directions):
+                    point = point + sign * h * d
+                total += math.prod(signs) * np.square(structure._finsler_norm(point))
+            return total
+
+        for _ in range(500):
+            w, u, v, x = rng.standard_normal((4, 5))
+            h = 1e-4
+            expected = 0.5 * loop(h, w, u, v) / (4.0 * h * h)
+            assert structure.osculating_product_fd(w, u, v, h) == expected
+            h = 5e-3
+            expected = 0.25 * loop(h, w, u, v, x) / (8.0 * h**3)
+            assert structure.cartan_fd(w, u, v, x, h) == expected
 
     def test_sorting_network_matches_sort(self, rng):
         # the Cartan tensor's sums and products take their terms in this order

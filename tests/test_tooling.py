@@ -69,6 +69,7 @@ def test_benchmark_selftest_passes():
 #: called with none, so a new cache that takes arguments must be named.
 _CACHE_CALLS = {
     "_verify_samples": [(1,), (5,), (12,)],
+    "_verify_stencils": [(1,), (5,), (12,)],
     "_document_template": [((("block", ("r",), ("c",)),), 5)],
 }
 
@@ -92,4 +93,5 @@ def test_cached_report_inputs_are_read_only():
     }
     assert all(arrays[f"{name}()"] for name in ("_report_flags", "_report_poles"))
     assert all(len(arrays[f"_verify_samples({dim},)"]) == 6 for dim in (1, 5, 12))
+    assert all(len(arrays[f"_verify_stencils({dim},)"]) == 4 for dim in (1, 5, 12))
     assert [call for call, found in arrays.items() if any(a.flags.writeable for a in found)] == []
