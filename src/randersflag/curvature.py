@@ -47,7 +47,14 @@ import numpy as np
 
 from .connection import ConnectionTable, _nabla_basis_w, _nabla_w_of_w
 from .errors import DimensionMismatch, DomainError, ParameterError, SearchFailure
-from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _bilinear, _frozen, _integer
+from .lie_algebra import (
+    MetricLieAlgebra,
+    _as_vectors,
+    _bilinear,
+    _checked_vector,
+    _frozen,
+    _integer,
+)
 from .randers import OsculatingFrame, RandersStructure, _normalized, _require_nonzero
 from .reference_tables import CANONICAL_FLAGS
 
@@ -71,6 +78,9 @@ WITNESS_MIN_CURVATURE = 1e-8
 #: chunk's memory grows with it (the tracemalloc peak of a failing
 #: 512-sample search at dim 40 is 21.7 MB with 128, 10.9 MB with 64).
 SEARCH_CHUNKS = (8, 16, 32, 64, 128)
+
+#: The smallest normal double, the floor of the witness margin.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +156,14 @@ def _report(w: np.ndarray, x: np.ndarray, k, denominator, degenerate) -> FlagRep
 
 def _transverse(x, poles: np.ndarray) -> np.ndarray:
     """x as the transverse vectors of flags at checked ``poles``: finite, of
-    the poles' shape and none numerically zero."""
-    x = _as_vector(x, poles.shape[-1], stacked=True)
+    the poles' shape and none numerically zero, tested in that order; a
+    stack's zero test reads the squares its finiteness check formed."""
+    x, squares = _checked_vector(x, poles.shape[-1], stacked=True)
     if x.shape != poles.shape:
         raise DimensionMismatch(f"transverse vectors need shape {poles.shape}, got {x.shape}")
-    _require_nonzero(np.vecdot(x, x), DomainError, "transverse vector")
+    if squares is None:
+        squares = np.vecdot(x, x)
+    _require_nonzero(squares, DomainError, "transverse vector")
     return x
 
 
@@ -270,9 +283,8 @@ def sign_search(
     # a numpy scalar: an overflowing square raises under np.errstate
     scale = np.abs(structure.algebra.structure).max()
     margin = WITNESS_MIN_CURVATURE * scale**2
-    tiny = np.finfo(float).tiny
-    subnormal = scale > 0 and margin < tiny
-    margin = max(margin, tiny)
+    subnormal = scale > 0 and margin < _TINY
+    margin = max(margin, _TINY)
     chunks = _random_chunks(seed, dim)
     witnesses = {}  # sign -> (candidate index, report)
     tried = 0
@@ -284,8 +296,11 @@ def sign_search(
         k, denominator, degenerate = _flag_curvatures(frame, x)
         signs = (("positive", k > margin), ("negative", k < -margin))
         for sign, hits in signs:
-            if sign not in witnesses and hits.any():
-                i = int(hits.argmax())
+            if sign in witnesses:
+                continue
+            # the first hit, if any: argmax gives index 0 when there is none
+            i = int(hits.argmax())
+            if hits[i]:
                 report = _report(frame.w[i], x[i], k[i], denominator[i], degenerate[i])
                 witnesses[sign] = (tried + i, report)
         tried += len(pairs)
@@ -302,7 +317,7 @@ def sign_search(
     if subnormal:
         message += (
             f"; the brackets (max|c| = {scale:.3g}) put {WITNESS_MIN_CURVATURE:g} max|c|^2"
-            f" below the smallest normal double, {tiny:.3g}, and curvatures this small"
+            f" below the smallest normal double, {_TINY:.3g}, and curvatures this small"
             " are not normal doubles"
         )
     raise SearchFailure(message)

@@ -69,9 +69,13 @@ def _integer(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
-    """x as a float coordinate vector of length dim or, with ``stacked``,
-    as such vectors stacked along any leading axes."""
+def _checked_vector(x, dim: int, stacked: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(v, squares)``: x as a float coordinate vector of length dim or,
+    with ``stacked``, as such vectors stacked along any leading axes, and
+    the squared norms <v, v> the check of a stack formed (None for one
+    vector).  The one home of the rule every vector input obeys; callers
+    that test or normalize a stack reuse its squares rather than forming
+    them again."""
     v = _real_array(x, "coordinates")
     if (v.shape[-1:] if stacked else v.shape) != (dim,):
         raise DimensionMismatch(
@@ -81,18 +85,26 @@ def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
     # which every osculating quantity is built from, does not overflow.  An
     # overflow must reject the input, not raise a numpy warning: one vector,
     # the case on every flag, goes through math.hypot, which never warns and
-    # costs less than entering np.errstate; a stack through np.vecdot under it
+    # costs less than entering np.errstate; a stack through np.vecdot under
+    # it, tested by one reduction (a NaN square makes the maximum NaN)
     if v.ndim == 1:
         norm = math.hypot(*v.tolist())
+        squares = None
         finite = norm * norm < math.inf
     else:
         with np.errstate(over="ignore"):
-            finite = (np.vecdot(v, v) < math.inf).all()
+            squares = np.vecdot(v, v)
+        finite = squares.max(initial=0.0) < math.inf
     if not finite:
         raise ParameterError(
             f"coordinate vector must be finite with a finite squared norm, got {v.tolist()}"
         )
-    return v
+    return v, squares
+
+
+def _as_vector(x, dim: int, stacked: bool = False) -> np.ndarray:
+    """x checked by :func:`_checked_vector`, without its squares."""
+    return _checked_vector(x, dim, stacked)[0]
 
 
 def _as_vectors(dim: int, checked: tuple, *xs) -> list[np.ndarray]:

@@ -22,9 +22,13 @@ dimension and hands them to the evaluation directly.
 The public entries check each sample they are given, once: every frame and
 oracle checks its poles by :func:`_checked_pole`, an oracle then its other
 vectors by ``_as_vectors`` and hands them to a private method holding its
-arithmetic.  Samples a caller draws itself, such as ``verify``'s and
-``sign_search``'s, are only normalized (:func:`_normalized`) and go to the
-oracles' arithmetic directly; the frames built on them make the one check.
+arithmetic.  A stack's squared norms are formed once, by the check of
+``lie_algebra._checked_vector``, and serve its finiteness test, its zero
+test and, for poles, their normalization; one vector's finiteness is tested
+by ``math.hypot``, and its squares are formed where they are used.
+Samples a caller draws itself, such as ``verify``'s and ``sign_search``'s,
+are only normalized (:func:`_normalized`) and go to the oracles' arithmetic
+directly; the frames built on them make the one check.
 A frame's inverse and Cartan methods are private arithmetic of the Koszul
 stages, run behind the checked entries ``flag_curvature`` and
 ``chern_rund_table(s)`` on the arrays the frame built, and check nothing.
@@ -39,7 +43,14 @@ from functools import cache
 import numpy as np
 
 from .errors import DegenerateReferenceVector, InternalConsistencyError, ParameterError
-from .lie_algebra import MetricLieAlgebra, _as_vector, _as_vectors, _frozen, _real_scalar
+from .lie_algebra import (
+    MetricLieAlgebra,
+    _as_vector,
+    _as_vectors,
+    _checked_vector,
+    _frozen,
+    _real_scalar,
+)
 
 #: Below this Euclidean norm a reference vector counts as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -73,9 +84,11 @@ def _require_nonzero(squares, error: type[Exception], what: str) -> None:
 def _checked_pole(w, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``(w, <w, w>)`` for a pole, or for poles stacked along leading axes,
     after checking that each is a finite vector of length dim and not
-    numerically zero."""
-    w = _as_vector(w, dim, stacked=True)
-    squares = np.vecdot(w, w)
+    numerically zero.  A stack's squares are those its finiteness check
+    formed (:func:`_checked_vector`); one pole's are formed here."""
+    w, squares = _checked_vector(w, dim, stacked=True)
+    if squares is None:
+        squares = np.vecdot(w, w)
     _require_nonzero(squares, DegenerateReferenceVector, "reference vector")
     return w, squares
 
@@ -389,9 +402,11 @@ class OsculatingFrame:
             + ((a + np.vecdot(p_perp, p_perp)) / (a * a * a))[..., None, None] * qq
         )
         # every array above is fresh, so it is frozen without a copy
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        for value in (
+            self.w, self.gram, self.pole_covector, self.pole_pairing, self.pole_brackets,
+            self._p_perp, self._projector, self._inverse,
+        ):
+            value.setflags(write=False)
 
     @property
     def dim(self) -> int:

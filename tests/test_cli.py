@@ -1384,13 +1384,14 @@ class TestVerifySamples:
 class TestCheckBudget:
     """Each sample is checked once, by the public entry it first reaches:
     ``verify`` and ``sign_search`` only normalize the samples they draw, and
-    the frames built on them make the one check.  A tracer on
-    ``lie_algebra._as_vector``, in every module that holds it, counts the
-    checks by the shapes they see."""
+    the frames built on them make the one check.  A tracer on the checking
+    primitive ``lie_algebra._checked_vector``, in every module that holds
+    it, counts the checks by the shapes they see, whichever name
+    (``_as_vector``, ``_checked_pole``, ``_transverse``) reached it."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        original = lie_algebra._as_vector
+        original = lie_algebra._checked_vector
         shapes = []
 
         def counting(x, dim, stacked=False):
@@ -1398,8 +1399,9 @@ class TestCheckBudget:
             return original(x, dim, stacked)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("randersflag") and getattr(module, "_as_vector", None) is original:
-                monkeypatch.setattr(module, "_as_vector", counting)
+            held = getattr(module, "_checked_vector", None)
+            if name.startswith("randersflag") and held is original:
+                monkeypatch.setattr(module, "_checked_vector", counting)
         return shapes
 
     def test_verification_checks_only_its_frames_and_structures(self, checks):

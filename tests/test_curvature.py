@@ -205,6 +205,21 @@ class TestFlagCurvature:
         with pytest.raises(DomainError):
             flag_curvature(structure, E[0], np.zeros(5))
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([np.inf, 0, 0, 0, 0], ParameterError),
+            ([1e200, 0, 0, 0, 0], ParameterError),
+            (E[1], DomainError),
+        ],
+    )
+    def test_stacked_transverse_vectors_are_finite_before_nonzero(self, structure, row, error):
+        x = np.array([np.zeros(5), row, E[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                flag_curvature(structure, E[:3] + E[3], x)
+
     @pytest.mark.parametrize("w", [1.0, np.ones(4)])
     def test_pole_of_wrong_shape_rejected(self, structure, w):
         with pytest.raises(DimensionMismatch):

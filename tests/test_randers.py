@@ -3,6 +3,7 @@ finite-difference oracles."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ class TestOsculatingProduct:
         with pytest.raises(ParameterError):
             structure.osculating_gram([[1, 0, 0, 0, 0], [1e200, 0, 0, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([math.inf, 0, 0, 0, 0], ParameterError),
+            ([1e200, 0, 0, 0, 0], ParameterError),
+            (E[1], DegenerateReferenceVector),
+        ],
+    )
+    def test_stacked_poles_are_finite_before_nonzero(self, structure, row, error):
+        # a stack's squares serve both tests: a non-finite or overflowing row
+        # is refused as such, with no numpy warning, even after a zero row
+        poles = np.array([np.zeros(5), row, E[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                structure.osculating_gram(poles)
+
     @pytest.mark.parametrize("xi", [1 - 1e-9, 1 - 2.0**-30])
     def test_near_unit_deformation_at_opposite_pole(self, xi):
         # <Z, Z> at pole -Z is (1 - xi)^2, far below the rounding of 1
@@ -157,7 +175,7 @@ class TestOsculatingFrame:
         expected[0, 4] = expected[4, 0] = 0.5
         assert np.allclose(frame.gram, expected, atol=1e-15)
 
-    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (0, 5)])
     def test_every_array_is_read_only(self, structure, rng, shape):
         frame = structure.osculating_gram(rng.standard_normal(shape))
         arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
