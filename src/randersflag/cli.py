@@ -23,10 +23,12 @@ by their tolerance times max(1, largest |coefficient| of their tables), and
 print that bound as ``tolerance``.  ``connection-tables`` writes the bytes
 of ``json.dumps(document, indent=2)`` plus a newline (two spaces per level,
 one number per line, numbers spelled by ``repr``, non-finite ones as
-``NaN``, ``Infinity``, ``-Infinity``): :func:`connection_tables_json` fills
-json's own layout of the document's skeleton, built once per layout, with
-one ``%``, spelling each distinct bit pattern once.  ``search --seed`` must
-be nonnegative; a negative seed is a usage error.
+``NaN``, ``Infinity``, ``-Infinity``): :func:`connection_tables_json` cuts
+json's own layout of the document's skeleton, once per layout, into the
+pieces between its number slots, and joins them with the numbers, each
+distinct bit pattern spelled once, in one ``"".join`` (a ``%`` template
+would be parsed again for every document).  ``search --seed`` must be
+nonnegative; a negative seed is a usage error.
 
 ``table1`` and ``connection-tables`` take the heisenberg5 parameters as
 options; ``flag``, ``search`` and ``verify`` read a model config, a single
@@ -357,21 +359,26 @@ _STRING_OR_NULL = re.compile(r'"(?:[^"\\]|\\.)*"|null')
 
 
 @functools.cache
-def _document_template(layout: tuple, width: int) -> str:
+def _document_template(layout: tuple, width: int) -> tuple[str, ...]:
     """The ``connection-tables`` document of a layout, ``(name, rows, cols)``
-    per block and ``width`` numbers per vector, as a ``%`` template with a
-    slot per number, in document order, and one for ``pass``: json's own
-    layout of the document with ``None`` at every slot, each bare ``null``
-    turned into ``%s`` and each ``%`` in a string into ``%%``."""
+    per block and ``width`` numbers per vector, as the pieces of its text
+    between its slots: json's own layout of the document with ``None`` at
+    every number and at ``pass``, cut at each bare ``null``, so the slots
+    come in document order and the last is ``pass``.  Strings are matched
+    whole, so a label holding ``null`` or ``%`` is left as it is."""
     numbers = [None] * width
     blocks = {name: {"pole": numbers, "cells": [
         {"row": row, "col": col, "computed": numbers, "closed_form": numbers, "defect": None}
         for row, col in zip(rows, cols)]} for name, rows, cols in layout}
     document = {"lambda": None, "mu": None, "xi": None, "blocks": blocks,
                 "max_defect": None, "pass": None}
-    text = json.dumps(document, indent=2)
-    return _STRING_OR_NULL.sub(
-        lambda m: "%s" if m[0] == "null" else m[0].replace("%", "%%"), text) + "\n"
+    text = json.dumps(document, indent=2) + "\n"
+    pieces, start = [], 0
+    for match in _STRING_OR_NULL.finditer(text):
+        if match[0] == "null":
+            pieces.append(text[start:match.start()])
+            start = match.end()
+    return (*pieces, text[start:])
 
 
 def connection_tables_json(
@@ -396,15 +403,17 @@ def connection_tables_json(
     :func:`reference_blocks` returns them; the rows of the arrays follow the
     blocks' cells in order.  The fixed text depends only on the layout (the
     block names, the cell labels and the vector width): it is json's own
-    layout of the document's skeleton, built once per layout as a ``%``
-    template, so later calls never run json's indenting encoder, which is
-    pure Python.  The numbers are filled in document order with one ``%``,
-    each distinct bit pattern spelled once, by one :func:`json.dumps` of
+    layout of the document's skeleton, built once per layout and cut into
+    the pieces between its slots, so later calls never run json's indenting
+    encoder, which is pure Python.  The numbers are spelled in document
+    order, each distinct bit pattern once, by one :func:`json.dumps` of
     their list (``repr``, ``NaN``, ``Infinity``): 0.0 and -0.0 differ in
-    their bits, and a NaN of any payload spells ``NaN``."""
+    their bits, and a NaN of any payload spells ``NaN``.  One ``"".join``
+    of the pieces interleaved with the spellings writes the text; a ``%``
+    template would parse all of its text again for every document."""
     layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
-    template = _document_template(layout, computed.shape[1])
-    rows = np.column_stack((computed, expected, defects))
+    pieces = _document_template(layout, computed.shape[1])
+    rows = np.concatenate((computed, expected, defects[:, None]), axis=1)
     parts, start = [[lam, mu, xi]], 0
     for pole, cells in reference.values():
         stop = start + len(cells.rows)
@@ -413,35 +422,36 @@ def connection_tables_json(
     values = np.concatenate((*parts, [max_defect]))
     patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
     spelled = json.dumps(patterns.view(float).tolist())[1:-1].split(", ")
-    texts = np.array(spelled, dtype=object)[inverse]
-    return template % (*texts.tolist(), "true" if ok else "false")
+    texts = np.array(spelled, dtype=object)[inverse].tolist()
+    texts.append("true" if ok else "false")
+    filled = [None] * (2 * len(pieces) - 1)
+    filled[::2] = pieces
+    filled[1::2] = texts
+    return "".join(filled)
 
 
 def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     """JSON with the four closed-form connection blocks and their defects."""
     structure = _preset_structure(lam, mu, xi)
     reference = reference_blocks(lam, mu, xi, *_report_poles())
-    blocks = reference.values()
-    # one table stacked over the block poles, and every cell's
+    cells, pole_of_cell = reference.cells, reference.pole_of_cell
+    # one table stacked over the three poles, and every cell's
     # nabla_direction argument in one call of the contraction that
     # ConnectionTable.derivative makes, each cell against its pole's table
-    poles = np.array([pole for pole, _ in blocks])
-    gamma = chern_rund_table(structure.osculating_gram(poles)).gamma
-    pole_of_cell = np.repeat(np.arange(len(reference)), [len(cells.rows) for _, cells in blocks])
-    directions = np.concatenate([cells.directions for _, cells in blocks])
-    arguments = np.concatenate([cells.arguments for _, cells in blocks])
-    expected = np.concatenate([cells.expected for _, cells in blocks])
-    computed = _bilinear(gamma[pole_of_cell], directions, arguments)
-    defects = np.abs(computed - expected).max(axis=-1)
+    gamma = chern_rund_table(structure.osculating_gram(reference.poles)).gamma
+    computed = _bilinear(gamma.take(pole_of_cell, 0), cells.directions, cells.arguments)
+    defects = np.abs(computed - cells.expected).max(axis=-1)
     max_defect = float(defects.max())
     # a cell's round-off follows the terms it sums, |direction| |argument|
     # times the largest coefficient of its pole's table, not its own size:
     # terms of size lam**3 can cancel to a cell of size xi lam**3
-    terms = np.sqrt(np.vecdot(directions, directions) * np.vecdot(arguments, arguments))
-    scales = np.maximum(1.0, terms * np.abs(gamma).max(axis=(-3, -2, -1))[pole_of_cell])
+    terms = np.sqrt(np.vecdot(cells.directions, cells.directions)
+                    * np.vecdot(cells.arguments, cells.arguments))
+    largest = np.abs(gamma).reshape(len(gamma), -1).max(axis=-1)
+    scales = np.maximum(1.0, terms * largest.take(pole_of_cell))
     ok = bool((defects <= CONNECTION_TOL * scales).all())
     text = connection_tables_json(
-        lam, mu, xi, reference, computed, expected, defects, max_defect, ok
+        lam, mu, xi, reference, computed, cells.expected, defects, max_defect, ok
     )
     write_output(out, text)
     print(f"connection-tables: wrote {out}; max_defect={max_defect:.6e}; pass={ok}")

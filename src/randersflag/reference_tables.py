@@ -21,19 +21,24 @@ Four cell layouts cover the poles where the connection has closed forms:
 (``pole_frame_cells("e34", ...)``) is not reported but is exercised by the
 test suite.  Each layout returns one :class:`Cells` record: the row and
 column labels, and the cells' ``directions``, ``arguments`` and ``expected``
-vectors stacked as (cells, 5) arrays, built by whole-array operations.
-Expected vectors are in the fixed orthonormal basis; a direction and an
-argument feed ConnectionTable.derivative directly, so rescaled frame
-vectors are passed verbatim.  Each expected entry is the product of one
-scalar coefficient and one entry of a vector, formed in the order the
-closed forms are written, so its bits (signed zeros too) do not depend on
-how the cells are stacked.  :func:`reference_blocks` gathers the four
-reported layouts at the poles :func:`reference_poles` draws.
+vectors stacked as (cells, 5) arrays.  A layout computes its own vectors
+(the pole, Wperp, ...) and scalar coefficients in Python floats, and its
+cells are gathered from one bank of e1..e5, those vectors and those
+coefficients: three gathers and one product.  Expected vectors are in the
+fixed orthonormal basis; a direction and an argument feed
+ConnectionTable.derivative directly, so rescaled frame vectors are passed
+verbatim.  Each expected entry is the product of one scalar coefficient and
+one entry of a vector, formed in the order the closed forms are written, so
+its bits (signed zeros too) do not depend on how the cells are stacked.
+:func:`reference_blocks` builds the four reported layouts at the poles
+:func:`reference_poles` draws in one pass, on one bank, and returns each
+block's cells as row slices of the stacked arrays.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -177,8 +182,8 @@ def special_flag_vectors(
     return w, x
 
 
-def _w_perp(lam: float, mu: float, w: np.ndarray) -> np.ndarray:
-    return np.array([lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0])
+def _w_perp(lam: float, mu: float, w: list) -> list:
+    return [lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0]
 
 
 def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
@@ -196,7 +201,8 @@ def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
         raise DomainError(
             f"pole must be center-free (|center component| = {abs(w[4]):.3g} > {CENTER_TOL:g})"
         )
-    return _w_perp(float(algebra.structure[0, 1, 4]), float(algebra.structure[2, 3, 4]), w)
+    lam, mu = float(algebra.structure[0, 1, 4]), float(algebra.structure[2, 3, 4])
+    return np.array(_w_perp(lam, mu, w.tolist()))
 
 
 class Cells(NamedTuple):
@@ -211,61 +217,125 @@ class Cells(NamedTuple):
     expected: np.ndarray
 
 
+class _Layout(NamedTuple):
+    """Where the cells of a layout come from, as indices into the layout's
+    bank: one float array of e1..e5, then the layout's own vectors, computed
+    per call, and then its coefficients.  Per cell: its labels, the (cells,
+    5) indices of its direction, its argument and its unit, and the (cells,
+    1) index of the coefficient that multiplies the unit."""
+
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    directions: np.ndarray
+    arguments: np.ndarray
+    units: np.ndarray
+    coefficients: np.ndarray
+
+
+def _layout(rows, cols, directions, arguments, units, coefficients) -> _Layout:
+    """The :class:`_Layout` of cells given by their labels, the bank rows of
+    their directions, arguments and units (0-4 are e1..e5, the layout's own
+    vectors follow) and the indices of their coefficients."""
+    entries = [np.array(bank_rows)[:, None] * 5 + np.arange(5)
+               for bank_rows in (directions, arguments, units)]
+    # the coefficients follow the layout's last vector
+    first_coefficient = 5 * (1 + max(max(directions), max(arguments), max(units)))
+    coefficients = np.array(coefficients)[:, None] + first_coefficient
+    return _Layout(tuple(rows), tuple(cols), *entries, coefficients)
+
+
+def _joined(layouts) -> tuple:
+    """The arguments of :func:`_layout` for the cells of ``layouts``, given
+    as such arguments, in turn: the layouts' own vectors follow e1..e5 in
+    turn, and so do their coefficients."""
+    rows, cols, directions, arguments, units, coefficients = (), (), [], [], [], []
+    vectors = count = 0
+    for layout in layouts:
+        rows, cols = rows + tuple(layout[0]), cols + tuple(layout[1])
+        for joined, bank_rows in zip((directions, arguments, units), layout[2:5]):
+            joined += [row if row < 5 else row + vectors for row in bank_rows]
+        coefficients += [index + count for index in layout[5]]
+        vectors += max(map(max, layout[2:5])) - 4
+        count += max(layout[5]) + 1
+    return rows, cols, directions, arguments, units, coefficients
+
+
 _EYE = _frozen(np.eye(5))
 _Z = _EYE[4]
+_Z_ROW = _Z.tolist()
+_EYE_ENTRIES = _EYE.ravel().tolist()
 
 # Pole Z: every derivative nabla_{e_i} e_j, i, j = 1..5, in row-major
 # order, is a coefficient of (0, lam/2, -lam/2, mu/2, -mu/2) times a basis
 # vector; _Z_TERMS gives (coefficient index, 0-based basis index) of the
-# cells that do not vanish.
+# cells that do not vanish, and a vanishing cell is 0.0 times e1.  The frame
+# is e1..e4 and e5 / (1 + xi), the layout's one vector (bank row 5).
 _Z_TERMS = {
     (0, 1): (1, 4), (0, 4): (2, 1), (1, 0): (2, 4), (1, 4): (1, 0),
     (2, 3): (3, 4), (2, 4): (4, 3), (3, 2): (4, 4), (3, 4): (3, 2),
     (4, 0): (2, 1), (4, 1): (1, 0), (4, 2): (4, 3), (4, 3): (3, 2),
 }
-_Z_ROW_INDEX, _Z_COL_INDEX = np.divmod(np.arange(25), 5)
-_Z_PAIRS = list(zip(_Z_ROW_INDEX.tolist(), _Z_COL_INDEX.tolist()))
-_Z_ROWS = tuple(f"e{i + 1}" for i, _ in _Z_PAIRS)
-_Z_COLS = tuple(f"e{j + 1}" for _, j in _Z_PAIRS)
-_Z_COEFFICIENT = np.array([[_Z_TERMS.get(pair, (0, 0))[0]] for pair in _Z_PAIRS])
-_Z_UNITS = _frozen([_EYE[_Z_TERMS[pair][1]] if pair in _Z_TERMS else 0.0 * _Z for pair in _Z_PAIRS])
+_Z_PAIRS = [(i, j) for i in range(5) for j in range(5)]
+_Z_FRAME = (0, 1, 2, 3, 5)
+_Z_CELLS = (
+    [f"e{i + 1}" for i, _ in _Z_PAIRS],
+    [f"e{j + 1}" for _, j in _Z_PAIRS],
+    [_Z_FRAME[i] for i, _ in _Z_PAIRS],
+    [_Z_FRAME[j] for _, j in _Z_PAIRS],
+    [_Z_TERMS.get(pair, (0, 0))[1] for pair in _Z_PAIRS],
+    [_Z_TERMS.get(pair, (0, 0))[0] for pair in _Z_PAIRS],
+)
 
-# The (W, Wperp, Z) block in row-major order: each cell is a coefficient
-# times one of (Wperp, xi W + Z, Z - xi W, (xi^2 - 2) W - xi Z).
-_FRAME_ROW_INDEX, _FRAME_COL_INDEX = np.divmod(np.arange(9), 3)
+# The (W, Wperp, Z) block in row-major order, on the bank rows W = 5,
+# Wperp = 6 and Z = 4: each cell is a coefficient times one of Wperp and
+# the vectors xi W + Z, Z - xi W and (xi^2 - 2) W - xi Z (rows 7-9).
 _FRAME_LABELS = ("W", "Wperp", "Z")
-_FRAME_ROWS = tuple(_FRAME_LABELS[i] for i in _FRAME_ROW_INDEX)
-_FRAME_COLS = tuple(_FRAME_LABELS[j] for j in _FRAME_COL_INDEX)
-_FRAME_VECTOR = np.array([0, 1, 0, 2, 0, 3, 0, 3, 0])
+_FRAME_BANK_ROWS = (5, 6, 4)
+_FRAME_CELLS = (
+    [_FRAME_LABELS[i] for i in range(3) for _ in range(3)],
+    _FRAME_LABELS * 3,
+    [_FRAME_BANK_ROWS[i] for i in range(3) for _ in range(3)],
+    _FRAME_BANK_ROWS * 3,
+    [6, 7, 6, 8, 6, 9, 6, 9, 6],
+    range(9),
+)
 
 # The rows blocks, per pole plane: cells (ea, W), (ea, Wperp), (eb, W),
-# (eb, Wperp) with ea, eb the other plane's basis vectors, their row labels,
-# directions, and the basis vector each cell is a multiple of.
-_ROWS_COLS = ("W", "Wperp") * 2
-_ROWS = {
+# (eb, Wperp) with ea, eb the other plane's basis vectors, on the bank rows
+# W = 5 and Wperp = 6; each cell is a multiple of a basis vector.
+_ROWS_CELLS = {
     plane: (
         (f"e{first + 1}",) * 2 + (f"e{first + 2}",) * 2,
-        _frozen(_EYE[[first, first, first + 1, first + 1]]),
-        _frozen(_EYE[[first + 1, first, first, first + 1]]),
+        ("W", "Wperp") * 2,
+        [first, first, first + 1, first + 1],
+        [5, 6, 5, 6],
+        [first + 1, first, first, first + 1],
+        [0, 1, 2, 1],
     )
     for plane, first in (("e12", 2), ("e34", 0))
 }
+_Z_LAYOUT = _layout(*_Z_CELLS)
+_FRAME_LAYOUT = _layout(*_FRAME_CELLS)
+_ROWS_LAYOUT = {plane: _layout(*cells) for plane, cells in _ROWS_CELLS.items()}
 
 
-def pole_z_cells(lam: float, mu: float, xi: float) -> Cells:
-    """All 25 derivatives at pole Z in the frame (e1..e4, e5 = Z/(1+xi)),
-    which is orthonormal for the osculating product at Z."""
-    half_lam, half_mu = 0.5 * lam, 0.5 * mu
-    coefficients = np.array([0.0, half_lam, -half_lam, half_mu, -half_mu])
-    vectors = _EYE.copy()
-    vectors[4] /= 1.0 + xi
+def _cells(layout: _Layout, vectors: list, coefficients: list) -> Cells:
+    """The cells of ``layout`` from its own ``vectors`` and
+    ``coefficients``: one bank, three gathers and one product."""
+    size = len(_EYE_ENTRIES) + 5 * len(vectors) + len(coefficients)
+    bank = np.fromiter(chain(_EYE_ENTRIES, *vectors, coefficients), float, size)
     return Cells(
-        _Z_ROWS,
-        _Z_COLS,
-        vectors[_Z_ROW_INDEX],
-        vectors[_Z_COL_INDEX],
-        coefficients[_Z_COEFFICIENT] * _Z_UNITS,
+        layout.rows,
+        layout.cols,
+        bank.take(layout.directions),
+        bank.take(layout.arguments),
+        bank.take(layout.coefficients) * bank.take(layout.units),
     )
+
+
+def _z_terms(lam: float, mu: float, xi: float) -> tuple[list, list]:
+    half_lam, half_mu = 0.5 * lam, 0.5 * mu
+    return [[0.0, 0.0, 0.0, 0.0, 1.0 / (1.0 + xi)]], [0.0, half_lam, -half_lam, half_mu, -half_mu]
 
 
 def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float]:
@@ -274,42 +344,43 @@ def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float
     return {"e12": (lam, mu), "e34": (mu, lam)}[plane]
 
 
+def _frame_terms(plane: str, lam: float, mu: float, xi: float, w: list) -> tuple[list, list]:
+    own, _ = _plane_coefficients(plane, lam, mu)
+    a = own * own
+    scale = xi**2 - 2.0
+    vectors = [
+        w,
+        _w_perp(lam, mu, w),
+        [xi * x + z for x, z in zip(w, _Z_ROW)],
+        [z - xi * x for x, z in zip(w, _Z_ROW)],
+        [scale * x - xi * z for x, z in zip(w, _Z_ROW)],
+    ]
+    coefficients = [xi, -0.5 * a, 0.5, 0.5 * a, -0.25 * xi * a, 0.25 * a, 0.5, 0.25 * a, 0.25 * xi]
+    return vectors, coefficients
+
+
+def _rows_terms(plane: str, lam: float, mu: float, xi: float, w: list) -> tuple[list, list]:
+    own, other = _plane_coefficients(plane, lam, mu)
+    diagonal = -0.25 * xi * own * own
+    return [w, _w_perp(lam, mu, w)], [-0.5 * other * xi, diagonal, 0.5 * other * xi]
+
+
+def pole_z_cells(lam: float, mu: float, xi: float) -> Cells:
+    """All 25 derivatives at pole Z in the frame (e1..e4, e5 = Z/(1+xi)),
+    which is orthonormal for the osculating product at Z."""
+    return _cells(_Z_LAYOUT, *_z_terms(lam, mu, xi))
+
+
 def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
     """3x3 (W, Wperp, Z) block for a unit pole in ``plane`` ("e12" or
     "e34"); the two planes differ only in the squared bracket coefficient."""
-    own, _ = _plane_coefficients(plane, lam, mu)
-    wp = _w_perp(lam, mu, w)
-    a = own * own
-    xw = xi * w
-    vectors = np.array([wp, xw + _Z, _Z - xw, (xi**2 - 2.0) * w - xi * _Z])
-    coefficients = np.array(
-        [xi, -0.5 * a, 0.5, 0.5 * a, -0.25 * xi * a, 0.25 * a, 0.5, 0.25 * a, 0.25 * xi]
-    )
-    frame = np.array([w, wp, _Z])
-    return Cells(
-        _FRAME_ROWS,
-        _FRAME_COLS,
-        frame[_FRAME_ROW_INDEX],
-        frame[_FRAME_COL_INDEX],
-        coefficients[:, None] * vectors[_FRAME_VECTOR],
-    )
+    return _cells(_FRAME_LAYOUT, *_frame_terms(plane, lam, mu, xi, w.tolist()))
 
 
 def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
     """Derivatives along the other bracket plane's basis vectors of W and
     Wperp, for a unit pole in ``plane`` ("e12" or "e34")."""
-    own, other = _plane_coefficients(plane, lam, mu)
-    rows, directions, units = _ROWS[plane]
-    wp = _w_perp(lam, mu, w)
-    coefficients = np.array(
-        [
-            [-0.5 * other * xi],
-            [-0.25 * xi * own * own],
-            [0.5 * other * xi],
-            [-0.25 * xi * own * own],
-        ]
-    )
-    return Cells(rows, _ROWS_COLS, directions, np.array([w, wp, w, wp]), coefficients * units)
+    return _cells(_ROWS_LAYOUT[plane], *_rows_terms(plane, lam, mu, xi, w.tolist()))
 
 
 def reference_poles(rng: np.random.Generator) -> np.ndarray:
@@ -319,32 +390,77 @@ def reference_poles(rng: np.random.Generator) -> np.ndarray:
     return np.array([_span_unit("e12", rng), _span_unit("e34", rng)])
 
 
+# The reported blocks in document order, each with its pole (0 = Z,
+# 1 = the pole in span(e1, e2), 2 = the one in span(e3, e4)) and cells; the
+# one layout of all their cells, each block's rows in it, and each cell's
+# pole.
+_BLOCKS = (
+    ("pole_z", 0, _Z_CELLS),
+    ("pole_e12_frame", 1, _FRAME_CELLS),
+    ("pole_e12_rows_e34", 1, _ROWS_CELLS["e12"]),
+    ("pole_e34_rows_e12", 2, _ROWS_CELLS["e34"]),
+)
+_REFERENCE_LAYOUT = _layout(*_joined(cells for _, _, cells in _BLOCKS))
+_CELL_COUNTS = [len(cells[0]) for _, _, cells in _BLOCKS]
+_BLOCK_CUTS = [
+    slice(stop - count, stop) for count, stop in zip(_CELL_COUNTS, accumulate(_CELL_COUNTS))
+]
+_POLE_OF_CELL = np.repeat([pole for _, pole, _ in _BLOCKS], _CELL_COUNTS)
+_POLE_OF_CELL.flags.writeable = False
+
+
+class _Blocks(dict):
+    """The blocks of :func:`reference_blocks` by name, and the stacked
+    arrays their cells are views of: ``poles``, the three poles (Z, then the
+    poles in span(e1, e2) and span(e3, e4)) as a (3, 5) array,
+    ``pole_of_cell``, the index in ``poles`` of each cell's pole, and
+    ``cells``, all the cells in block order as one :class:`Cells`."""
+
+    def __init__(self, blocks: dict, poles: np.ndarray, pole_of_cell: np.ndarray, cells: Cells):
+        super().__init__(blocks)
+        self.poles, self.pole_of_cell, self.cells = poles, pole_of_cell, cells
+
+
 def reference_blocks(
     lam: float, mu: float, xi: float, w12: np.ndarray, w34: np.ndarray
-) -> dict[str, tuple[np.ndarray, Cells]]:
+) -> _Blocks:
     """The four reporting blocks, keyed by layout name, each as
     (pole, cells), at the unit poles ``w12`` in span(e1, e2) and ``w34`` in
     span(e3, e4) (the closed forms hold for every unit pole in the
-    respective plane; :func:`reference_poles` draws them).  Parameters
-    off lam >= mu > 0 and 0 < xi < 1, and those whose cells overflow, those
+    respective plane; :func:`reference_poles` draws them).  All the cells
+    are built in one pass, on one bank, with one product and one overflow
+    check, and each block's cells are row slices of the stacked arrays,
+    which the returned dict carries too (:class:`_Blocks`).  Parameters off
+    lam >= mu > 0 and 0 < xi < 1, and those whose cells overflow, those
     with no finite squared norm (the rule every coordinate vector of the
     library obeys; it sets in near lam = 1e51), raise
     :class:`ParameterError`."""
     lam, mu, xi = *_check_brackets(lam, mu), _check_xi(xi)
+    w12, w34 = w12.tolist(), w34.tolist()
+    vectors, coefficients = [], []
+    for own_vectors, own_coefficients in (
+        _z_terms(lam, mu, xi),
+        _frame_terms("e12", lam, mu, xi, w12),
+        _rows_terms("e12", lam, mu, xi, w12),
+        _rows_terms("e34", lam, mu, xi, w34),
+    ):
+        vectors += own_vectors
+        coefficients += own_coefficients
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = {
-            "pole_z": (_Z, pole_z_cells(lam, mu, xi)),
-            "pole_e12_frame": (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
-            "pole_e12_rows_e34": (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
-            "pole_e34_rows_e12": (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
-        }
-        expected = np.concatenate([cells.expected for _, cells in blocks.values()])
-        squares = np.vecdot(expected, expected)
-    if not (squares < math.inf).all():
+        cells = _cells(_REFERENCE_LAYOUT, vectors, coefficients)
+        largest_square = np.vecdot(cells.expected, cells.expected).max()
+    if not largest_square < math.inf:
         raise ParameterError(
             f"closed-form connection cells overflow at lam={lam}, mu={mu}, xi={xi}: "
             "a cell has no finite squared norm"
         )
-    return blocks
+    poles = np.array((_Z_ROW, w12, w34))
+    rows, cols, directions, arguments, expected = cells
+    blocks = {
+        name: (poles[pole], Cells(rows[cut], cols[cut],
+                                  directions[cut], arguments[cut], expected[cut]))
+        for (name, pole, _), cut in zip(_BLOCKS, _BLOCK_CUTS)
+    }
+    return _Blocks(blocks, poles, _POLE_OF_CELL, cells)

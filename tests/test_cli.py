@@ -46,6 +46,7 @@ from randersflag.cli import (
 from randersflag.randers import _normalized, _stencil
 from randersflag.reference_tables import (
     Cells,
+    _Blocks,
     reference_blocks,
     reference_poles,
     special_flag_closed_form,
@@ -402,6 +403,20 @@ class TestTable1:
         assert (recomputed <= 1e-9) == (emitted <= 1e-9)
 
 
+def _read_blocks(monkeypatch, perturbed):
+    """Make ``connection-tables`` read the blocks that ``perturbed`` makes
+    of :func:`reference_blocks`' blocks, stacked as it stacks them."""
+
+    def reference(*args):
+        found = reference_blocks(*args)
+        blocks = perturbed(found)
+        parts = zip(*(cells[2:] for _, cells in blocks.values()))
+        cells = Cells(*found.cells[:2], *map(np.concatenate, parts))
+        return _Blocks(blocks, found.poles, found.pole_of_cell, cells)
+
+    monkeypatch.setattr(cli, "reference_blocks", reference)
+
+
 class TestConnectionTables:
     def run(self, tmp_path, lam=2.0, mu=1.0, xi=0.5):
         out = tmp_path / "tables.json"
@@ -483,14 +498,13 @@ class TestConnectionTables:
 
     def test_perturbed_cell_fails(self, tmp_path, monkeypatch):
         # the (Wperp, Wperp) cell, the largest, moved by 1e-6 of its size
-        def perturbed(*args):
-            blocks = reference_blocks(*args)
+        def perturbed(blocks):
             pole, cells = blocks["pole_e12_frame"]
             expected = cells.expected.copy()
             expected[list(zip(cells.rows, cells.cols)).index(("Wperp", "Wperp"))] *= 1 + 1e-6
             return {**blocks, "pole_e12_frame": (pole, cells._replace(expected=expected))}
 
-        monkeypatch.setattr(cli, "reference_blocks", perturbed)
+        _read_blocks(monkeypatch, perturbed)
         code, out = self.run(tmp_path, *LARGE_MODELS[0])
         assert code == EXIT_VERDICT
         assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
@@ -510,8 +524,7 @@ class TestConnectionTables:
         for name, (_, cells) in blocks.items():
             for i in range(len(cells.rows)):
 
-                def perturbed(*args, name=name, i=i):
-                    blocks = reference_blocks(*args)
+                def perturbed(blocks, name=name, i=i):
                     pole, cells = blocks[name]
                     gamma = chern_rund_table(structure.osculating_gram(pole)).gamma
                     scale = max(
@@ -524,7 +537,7 @@ class TestConnectionTables:
                     expected[i] += 1e-6 * scale * np.eye(5)[i % 5]
                     return {**blocks, name: (pole, cells._replace(expected=expected))}
 
-                monkeypatch.setattr(cli, "reference_blocks", perturbed)
+                _read_blocks(monkeypatch, perturbed)
                 code, _ = self.run(tmp_path, *params)
                 assert code == EXIT_VERDICT, (name, cells.rows[i], cells.cols[i])
 

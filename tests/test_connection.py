@@ -28,6 +28,7 @@ from randersflag.reference_tables import (
     reference_blocks,
     reference_poles,
 )
+from test_golden import EXTREME_PRESETS
 from helpers import (
     koszul_reference,
     nilpotent_algebra,
@@ -53,6 +54,93 @@ def check_cells(structure, pole, cells, tol):
     computed = table.derivative(cells.directions, cells.arguments)
     worst = float(np.abs(computed - cells.expected).max(initial=0.0))
     assert worst <= tol, f"worst cell defect {worst:.3e} exceeds {tol:g}"
+
+
+def closed_form_cells(lam, mu, xi, w12, w34):
+    """The four reported blocks, cell by cell, from the closed forms: per
+    block its pole and a list of (row, col, direction, argument, expected).
+    Each expected entry is one coefficient times one entry of one vector,
+    formed as the closed form is written."""
+    eye = np.eye(5)
+    half_lam, half_mu = 0.5 * lam, 0.5 * mu
+    # pole Z, in the frame e1..e4, e5 = Z / (1 + xi): the derivatives that
+    # do not vanish, (coefficient, basis vector)
+    z_terms = {
+        (1, 2): (half_lam, 5), (2, 1): (-half_lam, 5), (1, 5): (-half_lam, 2),
+        (2, 5): (half_lam, 1), (5, 1): (-half_lam, 2), (5, 2): (half_lam, 1),
+        (3, 4): (half_mu, 5), (4, 3): (-half_mu, 5), (3, 5): (-half_mu, 4),
+        (4, 5): (half_mu, 3), (5, 3): (-half_mu, 4), (5, 4): (half_mu, 3),
+    }
+    frame = [eye[0], eye[1], eye[2], eye[3], eye[4] / (1.0 + xi)]
+    z_cells = []
+    for i in range(1, 6):
+        for j in range(1, 6):
+            coefficient, k = z_terms.get((i, j), (0.0, 1))
+            z_cells.append((f"e{i}", f"e{j}", frame[i - 1], frame[j - 1], coefficient * eye[k - 1]))
+
+    def w_perp(w):
+        return np.array([lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0])
+
+    # the (W, Wperp, Z) block at w12, a = lam^2
+    w, wp, z = w12, w_perp(w12), eye[4]
+    a = lam * lam
+    tilted = (xi**2 - 2.0) * w - xi * z
+    labelled = {"W": w, "Wperp": wp, "Z": z}
+    frame_expected = {
+        ("W", "W"): xi * wp,
+        ("W", "Wperp"): -0.5 * a * (xi * w + z),
+        ("W", "Z"): 0.5 * wp,
+        ("Wperp", "W"): 0.5 * a * (z - xi * w),
+        ("Wperp", "Wperp"): -0.25 * xi * a * wp,
+        ("Wperp", "Z"): 0.25 * a * tilted,
+        ("Z", "W"): 0.5 * wp,
+        ("Z", "Wperp"): 0.25 * a * tilted,
+        ("Z", "Z"): 0.25 * xi * wp,
+    }
+    frame_cells = [(row, col, labelled[row], labelled[col], expected)
+                   for (row, col), expected in frame_expected.items()]
+
+    def rows_cells(w, own, other, first):
+        # derivatives along e_first, e_first+1 (1-based) of W and Wperp
+        wp = w_perp(w)
+        ea, eb = eye[first - 1], eye[first]
+        return [
+            (f"e{first}", "W", ea, w, -0.5 * other * xi * eb),
+            (f"e{first}", "Wperp", ea, wp, -0.25 * xi * own * own * ea),
+            (f"e{first + 1}", "W", eb, w, 0.5 * other * xi * ea),
+            (f"e{first + 1}", "Wperp", eb, wp, -0.25 * xi * own * own * eb),
+        ]
+
+    return {
+        "pole_z": (z, z_cells),
+        "pole_e12_frame": (w12, frame_cells),
+        "pole_e12_rows_e34": (w12, rows_cells(w12, lam, mu, 3)),
+        "pole_e34_rows_e12": (w34, rows_cells(w34, mu, lam, 1)),
+    }
+
+
+def _cell_cases():
+    """About 100 admissible (lam, mu, xi) with poles in span(e1, e2) and
+    span(e3, e4): the extreme golden presets and the corners of their box,
+    then draws over lam, mu in 1e-3..1e6 and xi in (0, 1), at random poles
+    and at poles on the axes, whose zeros carry either sign."""
+    rng = np.random.default_rng(4242)
+    lams, xis = (1e3, 1.5e5), (1e-8, 1 - 1e-6)
+    params = list(EXTREME_PRESETS) + [
+        (lam, mu, xi) for lam in lams for mu in lams if mu <= lam for xi in xis
+    ]
+    for i in range(90):
+        mu, lam = sorted(float(v) for v in 10.0 ** rng.uniform(-3, 6, 2))
+        xi = (float(rng.uniform(0.01, 0.99)), 1e-12, 1 - 1e-12)[i % 3]
+        params.append((lam, lam if i % 7 == 0 else mu, xi))
+    axes = [np.array(p) for p in ([1.0, 0.0], [-0.0, -1.0], [-1.0, -0.0], [0.0, 1.0])]
+    cases = []
+    for i, params in enumerate(params):
+        planar = [axes[i % 4] if i % 5 == 0 else unit_in_plane(rng, 0, 2) for _ in range(2)]
+        w12, w34 = np.zeros(5), np.zeros(5)
+        w12[:2], w34[2:4] = planar
+        cases.append((*params, w12, w34))
+    return cases
 
 
 def stage_two(frame):
@@ -228,6 +316,22 @@ class TestClosedFormTables:
     def test_reference_blocks_reject_parameters_off_the_domain(self, rng, params):
         with pytest.raises(ParameterError):
             reference_blocks(*params, *reference_poles(rng))
+
+    @pytest.mark.parametrize("lam, mu, xi, w12, w34", _cell_cases())
+    def test_reference_cells_are_the_closed_forms(self, lam, mu, xi, w12, w34):
+        # every cell, bit for bit (signed zeros too), against a loop over
+        # the cells written from the closed forms
+        blocks = reference_blocks(lam, mu, xi, w12, w34)
+        loop = closed_form_cells(lam, mu, xi, w12, w34)
+        assert list(blocks) == list(loop)
+        for name, (pole, cells) in blocks.items():
+            assert np.array_equal(pole.view(np.int64), loop[name][0].view(np.int64))
+            assert list(zip(cells.rows, cells.cols)) == [cell[:2] for cell in loop[name][1]]
+            for i, part in enumerate(("directions", "arguments", "expected")):
+                found = getattr(cells, part)
+                wanted = np.array([cell[2 + i] for cell in loop[name][1]])
+                assert found.dtype == wanted.dtype and found.shape == wanted.shape, (name, part)
+                assert np.array_equal(found.view(np.int64), wanted.view(np.int64)), (name, part)
 
 
 class TestConnectionContracts:

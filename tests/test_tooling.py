@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import randersflag
 from helpers import package_env
@@ -74,24 +75,57 @@ _CACHE_CALLS = {
 }
 
 
-def _arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, tuple):
+#: Containers that a caller can change in place.
+_MUTABLE = (list, dict, set, bytearray)
+
+
+def _leaves(value):
+    """The items of a cached result, found through its tuples (named tuples
+    included)."""
+    if isinstance(value, tuple):
         for item in value:
-            yield from _arrays(item)
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _shared_writable(value) -> list:
+    """The parts of a cached result that a caller could write into: mutable
+    containers and writable arrays."""
+    return [
+        leaf for leaf in _leaves(value)
+        if isinstance(leaf, _MUTABLE) or isinstance(leaf, np.ndarray) and leaf.flags.writeable
+    ]
 
 
 def test_cached_report_inputs_are_read_only():
-    # a cached array is shared by every later run in the process, so a
-    # caller that wrote into it would corrupt them: none may be writable
+    # a cached result is shared by every later run in the process, so a
+    # caller that wrote into it would corrupt them: no array in it may be
+    # writable, and no list, dict, set or bytearray may be in it, however
+    # deeply its tuples nest
     caches = {name: fn for name, fn in vars(cli).items() if hasattr(fn, "cache_info")}
-    arrays = {
-        f"{name}{args}": list(_arrays(fn(*args)))
+    results = {
+        f"{name}{args}": fn(*args)
         for name, fn in caches.items()
         for args in _CACHE_CALLS.get(name, [()])
+    }
+    arrays = {
+        call: [leaf for leaf in _leaves(result) if isinstance(leaf, np.ndarray)]
+        for call, result in results.items()
     }
     assert all(arrays[f"{name}()"] for name in ("_report_flags", "_report_poles"))
     assert all(len(arrays[f"_verify_samples({dim},)"]) == 6 for dim in (1, 5, 12))
     assert all(len(arrays[f"_verify_stencils({dim},)"]) == 4 for dim in (1, 5, 12))
-    assert [call for call, found in arrays.items() if any(a.flags.writeable for a in found)] == []
+    (pieces,) = (
+        result for call, result in results.items() if call.startswith("_document_template")
+    )
+    assert type(pieces) is tuple and {type(piece) for piece in pieces} == {str}
+    assert [call for call, result in results.items() if _shared_writable(result)] == []
+
+
+@pytest.mark.parametrize("value", [
+    [1.0], {"a": 1}, {1}, bytearray(b"x"), np.zeros(2), (("a", ["b"]),),
+    (1, ("a", (bytearray(b"x"),))), (np.zeros(1).view(),),
+])
+def test_shared_writable_finds_each_mutable_part(value):
+    assert _shared_writable(value)
