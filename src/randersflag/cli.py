@@ -15,20 +15,22 @@ value that reads as comma-separated floats is a value even when it starts
 with ``-``: ``--xi -1e-3`` and ``--w -0.3,0.5,...`` need no ``=``.
 
 ``table1`` passes when its largest error is at most ``TABLE1_TOL`` times
-max(1, largest |closed form|), ``connection-tables`` when each cell's defect
+max(1, largest |closed form|); the printed errors are absolute.
+``verify``'s table checks are bounded likewise, by their tolerance times
+max(1, largest |coefficient| of their tables), and print that bound as
+``tolerance``.
+
+``connection-tables`` writes the closed-form Chern-Rund cells of four blocks
+at three poles (Z, and poles in span(e1, e2) and span(e3, e4)), each cell
+with its computed value, its closed form and its defect.  The bytes are
+those of ``json.dumps(document, indent=2)`` plus a newline: two spaces per
+level, one number per line, numbers spelled by ``repr`` and non-finite ones
+as ``NaN``, ``Infinity``, ``-Infinity``.  It passes when each cell's defect
 is at most ``CONNECTION_TOL`` times max(1, |direction| |argument| times the
-largest |coefficient| of the table at the cell's pole); the printed errors
-and defects are absolute.  ``verify``'s table checks are bounded likewise,
-by their tolerance times max(1, largest |coefficient| of their tables), and
-print that bound as ``tolerance``.  ``connection-tables`` writes the bytes
-of ``json.dumps(document, indent=2)`` plus a newline (two spaces per level,
-one number per line, numbers spelled by ``repr``, non-finite ones as
-``NaN``, ``Infinity``, ``-Infinity``): :func:`connection_tables_json` cuts
-json's own layout of the document's skeleton, once per layout, into the
-pieces between its number slots, and joins them with the numbers, each
-distinct bit pattern spelled once, in one ``"".join`` (a ``%`` template
-would be parsed again for every document).  ``search --seed`` must be
-nonnegative; a negative seed is a usage error.
+largest |coefficient| of the table at the cell's pole); the printed defects
+are absolute.
+
+``search --seed`` must be nonnegative; a negative seed is a usage error.
 
 ``table1`` and ``connection-tables`` take the heisenberg5 parameters as
 options; ``flag``, ``search`` and ``verify`` read a model config, a single
@@ -77,6 +79,8 @@ from .errors import ConfigError, GeometryError, ParameterError, SearchFailure
 from .lie_algebra import MetricLieAlgebra, _bilinear, _frozen, _levi_civita
 from .randers import RandersStructure, _normalized, _stencil
 from .reference_tables import (
+    POLE_OF_CELL,
+    REFERENCE_BLOCKS,
     SPAN_LABELS,
     SPECIAL_FLAG_CASES,
     SPECIAL_FLAG_SPANS,
@@ -360,16 +364,16 @@ _STRING_OR_NULL = re.compile(r'"(?:[^"\\]|\\.)*"|null')
 
 @functools.cache
 def _document_template(layout: tuple, width: int) -> tuple[str, ...]:
-    """The ``connection-tables`` document of a layout, ``(name, rows, cols)``
-    per block and ``width`` numbers per vector, as the pieces of its text
-    between its slots: json's own layout of the document with ``None`` at
-    every number and at ``pass``, cut at each bare ``null``, so the slots
-    come in document order and the last is ``pass``.  Strings are matched
-    whole, so a label holding ``null`` or ``%`` is left as it is."""
+    """The ``connection-tables`` document of a layout, ``(name, pole, rows,
+    cols)`` per block, and ``width`` numbers per vector, as the pieces of
+    its text between its slots: json's own layout of the document with
+    ``None`` at every number and at ``pass``, cut at each bare ``null``, so
+    the slots come in document order and the last is ``pass``.  Strings are
+    matched whole, so a label holding ``null`` or ``%`` is left as it is."""
     numbers = [None] * width
     blocks = {name: {"pole": numbers, "cells": [
         {"row": row, "col": col, "computed": numbers, "closed_form": numbers, "defect": None}
-        for row, col in zip(rows, cols)]} for name, rows, cols in layout}
+        for row, col in zip(rows, cols)]} for name, _, rows, cols in layout}
     document = {"lambda": None, "mu": None, "xi": None, "blocks": blocks,
                 "max_defect": None, "pass": None}
     text = json.dumps(document, indent=2) + "\n"
@@ -385,7 +389,8 @@ def connection_tables_json(
     lam: float,
     mu: float,
     xi: float,
-    reference: dict,
+    layout: tuple,
+    poles: np.ndarray,
     computed: np.ndarray,
     expected: np.ndarray,
     defects: np.ndarray,
@@ -395,29 +400,26 @@ def connection_tables_json(
     """The ``connection-tables`` document, byte for byte the text that
     :func:`json.dumps` writes for ``document`` with ``indent=2``, plus a
     newline.  ``document`` holds ``lambda``, ``mu``, ``xi``, one block per
-    entry of ``reference`` (its pole, and per cell its labels, the row of
+    entry ``(name, pole, rows, cols)`` of ``layout`` (as
+    :data:`~randersflag.reference_tables.REFERENCE_BLOCKS` gives them: the
+    row of ``poles`` at index ``pole``, and per cell its labels, the row of
     ``computed``, the row of ``expected`` as ``closed_form`` and the entry
-    of ``defects``), ``max_defect`` and ``pass``.
+    of ``defects``, the rows following the blocks' cells in order),
+    ``max_defect`` and ``pass``.
 
-    ``reference`` maps block names to (pole, cells) as
-    :func:`reference_blocks` returns them; the rows of the arrays follow the
-    blocks' cells in order.  The fixed text depends only on the layout (the
-    block names, the cell labels and the vector width): it is json's own
-    layout of the document's skeleton, built once per layout and cut into
-    the pieces between its slots, so later calls never run json's indenting
-    encoder, which is pure Python.  The numbers are spelled in document
-    order, each distinct bit pattern once, by one :func:`json.dumps` of
-    their list (``repr``, ``NaN``, ``Infinity``): 0.0 and -0.0 differ in
-    their bits, and a NaN of any payload spells ``NaN``.  One ``"".join``
-    of the pieces interleaved with the spellings writes the text; a ``%``
-    template would parse all of its text again for every document."""
-    layout = tuple((name, cells.rows, cells.cols) for name, (_, cells) in reference.items())
+    The text between the numbers depends only on ``layout`` and the vector
+    width, and is built once per layout by :func:`_document_template`.
+    The numbers are spelled in document order, each distinct bit pattern
+    once, by one :func:`json.dumps` of their list (``repr``, ``NaN``,
+    ``Infinity``): 0.0 and -0.0 differ in their bits, and a NaN of any
+    payload spells ``NaN``.  One ``"".join`` of the pieces interleaved with
+    the spellings writes the text."""
     pieces = _document_template(layout, computed.shape[1])
     rows = np.concatenate((computed, expected, defects[:, None]), axis=1)
     parts, start = [[lam, mu, xi]], 0
-    for pole, cells in reference.values():
-        stop = start + len(cells.rows)
-        parts += [pole, rows[start:stop].ravel()]
+    for _, pole, cell_rows, _ in layout:
+        stop = start + len(cell_rows)
+        parts += [poles[pole], rows[start:stop].ravel()]
         start = stop
     values = np.concatenate((*parts, [max_defect]))
     patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
@@ -433,13 +435,12 @@ def connection_tables_json(
 def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     """JSON with the four closed-form connection blocks and their defects."""
     structure = _preset_structure(lam, mu, xi)
-    reference = reference_blocks(lam, mu, xi, *_report_poles())
-    cells, pole_of_cell = reference.cells, reference.pole_of_cell
+    poles, cells = reference_blocks(lam, mu, xi, *_report_poles())
     # one table stacked over the three poles, and every cell's
     # nabla_direction argument in one call of the contraction that
     # ConnectionTable.derivative makes, each cell against its pole's table
-    gamma = chern_rund_table(structure.osculating_gram(reference.poles)).gamma
-    computed = _bilinear(gamma.take(pole_of_cell, 0), cells.directions, cells.arguments)
+    gamma = chern_rund_table(structure.osculating_gram(poles)).gamma
+    computed = _bilinear(gamma.take(POLE_OF_CELL, 0), cells.directions, cells.arguments)
     defects = np.abs(computed - cells.expected).max(axis=-1)
     max_defect = float(defects.max())
     # a cell's round-off follows the terms it sums, |direction| |argument|
@@ -448,10 +449,10 @@ def cmd_connection_tables(lam: float, mu: float, xi: float, out: str) -> int:
     terms = np.sqrt(np.vecdot(cells.directions, cells.directions)
                     * np.vecdot(cells.arguments, cells.arguments))
     largest = np.abs(gamma).reshape(len(gamma), -1).max(axis=-1)
-    scales = np.maximum(1.0, terms * largest.take(pole_of_cell))
+    scales = np.maximum(1.0, terms * largest.take(POLE_OF_CELL))
     ok = bool((defects <= CONNECTION_TOL * scales).all())
     text = connection_tables_json(
-        lam, mu, xi, reference, computed, cells.expected, defects, max_defect, ok
+        lam, mu, xi, REFERENCE_BLOCKS, poles, computed, cells.expected, defects, max_defect, ok
     )
     write_output(out, text)
     print(f"connection-tables: wrote {out}; max_defect={max_defect:.6e}; pass={ok}")

@@ -7,7 +7,8 @@ table gives each special flag family of Table 1 its spans, canonical basis
 representative and closed-form curvature; :data:`CANONICAL_FLAGS` stacks the
 representatives, which seed :func:`~randersflag.curvature.sign_search`.
 
-Four cell layouts cover the poles where the connection has closed forms:
+:func:`reference_blocks` gives the closed-form Chern-Rund cells of the four
+blocks that ``connection-tables`` reports (:data:`REFERENCE_BLOCKS`):
 
 * ``pole_z``            -- pole Z, all 25 derivatives in the rescaled frame
                            (e1, e2, e3, e4, e5 = Z/(1+xi));
@@ -16,29 +17,20 @@ Four cell layouts cover the poles where the connection has closed forms:
 * ``pole_e12_rows_e34`` -- same pole, derivatives along e3, e4 of W and Wperp;
 * ``pole_e34_rows_e12`` -- pole in span(e3, e4), derivatives along e1, e2.
 
-``pole_frame_cells`` and ``pole_rows_cells`` take the pole plane, "e12" or
-"e34", as their first argument; the 3x3 frame block for poles in span(e3, e4)
-(``pole_frame_cells("e34", ...)``) is not reported but is exercised by the
-test suite.  Each layout returns one :class:`Cells` record: the row and
-column labels, and the cells' ``directions``, ``arguments`` and ``expected``
-vectors stacked as (cells, 5) arrays.  A layout computes its own vectors
-(the pole, Wperp, ...) and scalar coefficients in Python floats, and its
-cells are gathered from one bank of e1..e5, those vectors and those
-coefficients: three gathers and one product.  Expected vectors are in the
-fixed orthonormal basis; a direction and an argument feed
-ConnectionTable.derivative directly, so rescaled frame vectors are passed
-verbatim.  Each expected entry is the product of one scalar coefficient and
-one entry of a vector, formed in the order the closed forms are written, so
-its bits (signed zeros too) do not depend on how the cells are stacked.
-:func:`reference_blocks` builds the four reported layouts at the poles
-:func:`reference_poles` draws in one pass, on one bank, and returns each
-block's cells as row slices of the stacked arrays.
+One constant table writes each cell once: its block and pole, its labels,
+its direction and argument, and its closed form as a named coefficient times
+a named vector.  Expected vectors are in the fixed orthonormal basis; a
+direction and an argument feed ConnectionTable.derivative directly, so
+rescaled frame vectors are passed verbatim.  Each expected entry is the
+product of one coefficient and one entry of a vector, formed in the order
+the closed forms are written, so its bits (signed zeros too) do not depend
+on how the cells are stacked.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -206,58 +198,13 @@ def w_perp(algebra: MetricLieAlgebra, w) -> np.ndarray:
 
 
 class Cells(NamedTuple):
-    """Closed-form cells of one layout, stacked: for each cell c,
-    nabla_{directions[c]} arguments[c] = expected[c], labelled ``rows[c]``,
-    ``cols[c]``; the arrays are (cells, 5)."""
+    """Closed-form connection cells, stacked: for each cell c,
+    nabla_{directions[c]} arguments[c] = expected[c], each a (cells, 5)
+    array."""
 
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
     directions: np.ndarray
     arguments: np.ndarray
     expected: np.ndarray
-
-
-class _Layout(NamedTuple):
-    """Where the cells of a layout come from, as indices into the layout's
-    bank: one float array of e1..e5, then the layout's own vectors, computed
-    per call, and then its coefficients.  Per cell: its labels, the (cells,
-    5) indices of its direction, its argument and its unit, and the (cells,
-    1) index of the coefficient that multiplies the unit."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    directions: np.ndarray
-    arguments: np.ndarray
-    units: np.ndarray
-    coefficients: np.ndarray
-
-
-def _layout(rows, cols, directions, arguments, units, coefficients) -> _Layout:
-    """The :class:`_Layout` of cells given by their labels, the bank rows of
-    their directions, arguments and units (0-4 are e1..e5, the layout's own
-    vectors follow) and the indices of their coefficients."""
-    entries = [np.array(bank_rows)[:, None] * 5 + np.arange(5)
-               for bank_rows in (directions, arguments, units)]
-    # the coefficients follow the layout's last vector
-    first_coefficient = 5 * (1 + max(max(directions), max(arguments), max(units)))
-    coefficients = np.array(coefficients)[:, None] + first_coefficient
-    return _Layout(tuple(rows), tuple(cols), *entries, coefficients)
-
-
-def _joined(layouts) -> tuple:
-    """The arguments of :func:`_layout` for the cells of ``layouts``, given
-    as such arguments, in turn: the layouts' own vectors follow e1..e5 in
-    turn, and so do their coefficients."""
-    rows, cols, directions, arguments, units, coefficients = (), (), [], [], [], []
-    vectors = count = 0
-    for layout in layouts:
-        rows, cols = rows + tuple(layout[0]), cols + tuple(layout[1])
-        for joined, bank_rows in zip((directions, arguments, units), layout[2:5]):
-            joined += [row if row < 5 else row + vectors for row in bank_rows]
-        coefficients += [index + count for index in layout[5]]
-        vectors += max(map(max, layout[2:5])) - 4
-        count += max(layout[5]) + 1
-    return rows, cols, directions, arguments, units, coefficients
 
 
 _EYE = _frozen(np.eye(5))
@@ -265,122 +212,127 @@ _Z = _EYE[4]
 _Z_ROW = _Z.tolist()
 _EYE_ENTRIES = _EYE.ravel().tolist()
 
-# Pole Z: every derivative nabla_{e_i} e_j, i, j = 1..5, in row-major
-# order, is a coefficient of (0, lam/2, -lam/2, mu/2, -mu/2) times a basis
-# vector; _Z_TERMS gives (coefficient index, 0-based basis index) of the
-# cells that do not vanish, and a vanishing cell is 0.0 times e1.  The frame
-# is e1..e4 and e5 / (1 + xi), the layout's one vector (bank row 5).
-_Z_TERMS = {
-    (0, 1): (1, 4), (0, 4): (2, 1), (1, 0): (2, 4), (1, 4): (1, 0),
-    (2, 3): (3, 4), (2, 4): (4, 3), (3, 2): (4, 4), (3, 4): (3, 2),
-    (4, 0): (2, 1), (4, 1): (1, 0), (4, 2): (4, 3), (4, 3): (3, 2),
+# The reported cells, block by block in document order.  Per cell: its row
+# and column labels, the names of its direction and argument, and its
+# closed form, a named coefficient times a named vector.  e1..e5 is the
+# basis (Z = e5) and :func:`_terms` names the rest: at pole Z the frame is
+# e1..e4, Z/(1+xi); W12 and W34 are the poles in span(e1, e2) and
+# span(e3, e4), and Wperp12 and Wperp34 their w_perp.
+_CELLS = {
+    # (block, pole): per cell (row, col, direction, argument, coefficient, vector)
+    ("pole_z", "Z"): (
+        ("e1",    "e1",    "e1",       "e1",       "0",             "e1"),
+        ("e1",    "e2",    "e1",       "e2",       "lam/2",         "e5"),
+        ("e1",    "e3",    "e1",       "e3",       "0",             "e1"),
+        ("e1",    "e4",    "e1",       "e4",       "0",             "e1"),
+        ("e1",    "e5",    "e1",       "Z/(1+xi)", "-lam/2",        "e2"),
+        ("e2",    "e1",    "e2",       "e1",       "-lam/2",        "e5"),
+        ("e2",    "e2",    "e2",       "e2",       "0",             "e1"),
+        ("e2",    "e3",    "e2",       "e3",       "0",             "e1"),
+        ("e2",    "e4",    "e2",       "e4",       "0",             "e1"),
+        ("e2",    "e5",    "e2",       "Z/(1+xi)", "lam/2",         "e1"),
+        ("e3",    "e1",    "e3",       "e1",       "0",             "e1"),
+        ("e3",    "e2",    "e3",       "e2",       "0",             "e1"),
+        ("e3",    "e3",    "e3",       "e3",       "0",             "e1"),
+        ("e3",    "e4",    "e3",       "e4",       "mu/2",          "e5"),
+        ("e3",    "e5",    "e3",       "Z/(1+xi)", "-mu/2",         "e4"),
+        ("e4",    "e1",    "e4",       "e1",       "0",             "e1"),
+        ("e4",    "e2",    "e4",       "e2",       "0",             "e1"),
+        ("e4",    "e3",    "e4",       "e3",       "-mu/2",         "e5"),
+        ("e4",    "e4",    "e4",       "e4",       "0",             "e1"),
+        ("e4",    "e5",    "e4",       "Z/(1+xi)", "mu/2",          "e3"),
+        ("e5",    "e1",    "Z/(1+xi)", "e1",       "-lam/2",        "e2"),
+        ("e5",    "e2",    "Z/(1+xi)", "e2",       "lam/2",         "e1"),
+        ("e5",    "e3",    "Z/(1+xi)", "e3",       "-mu/2",         "e4"),
+        ("e5",    "e4",    "Z/(1+xi)", "e4",       "mu/2",          "e3"),
+        ("e5",    "e5",    "Z/(1+xi)", "Z/(1+xi)", "0",             "e1"),
+    ),
+    ("pole_e12_frame", "w12"): (
+        ("W",     "W",     "W12",      "W12",      "xi",            "Wperp12"),
+        ("W",     "Wperp", "W12",      "Wperp12",  "-lam^2/2",      "xiW12+Z"),
+        ("W",     "Z",     "W12",      "e5",       "1/2",           "Wperp12"),
+        ("Wperp", "W",     "Wperp12",  "W12",      "lam^2/2",       "Z-xiW12"),
+        ("Wperp", "Wperp", "Wperp12",  "Wperp12",  "-xi lam^2/4",   "Wperp12"),
+        ("Wperp", "Z",     "Wperp12",  "e5",       "lam^2/4",       "(xi^2-2)W12-xiZ"),
+        ("Z",     "W",     "e5",       "W12",      "1/2",           "Wperp12"),
+        ("Z",     "Wperp", "e5",       "Wperp12",  "lam^2/4",       "(xi^2-2)W12-xiZ"),
+        ("Z",     "Z",     "e5",       "e5",       "xi/4",          "Wperp12"),
+    ),
+    ("pole_e12_rows_e34", "w12"): (
+        ("e3",    "W",     "e3",       "W12",      "-mu xi/2",      "e4"),
+        ("e3",    "Wperp", "e3",       "Wperp12",  "-xi lam lam/4", "e3"),
+        ("e4",    "W",     "e4",       "W12",      "mu xi/2",       "e3"),
+        ("e4",    "Wperp", "e4",       "Wperp12",  "-xi lam lam/4", "e4"),
+    ),
+    ("pole_e34_rows_e12", "w34"): (
+        ("e1",    "W",     "e1",       "W34",      "-lam xi/2",     "e2"),
+        ("e1",    "Wperp", "e1",       "Wperp34",  "-xi mu mu/4",   "e1"),
+        ("e2",    "W",     "e2",       "W34",      "lam xi/2",      "e1"),
+        ("e2",    "Wperp", "e2",       "Wperp34",  "-xi mu mu/4",   "e2"),
+    ),
 }
-_Z_PAIRS = [(i, j) for i in range(5) for j in range(5)]
-_Z_FRAME = (0, 1, 2, 3, 5)
-_Z_CELLS = (
-    [f"e{i + 1}" for i, _ in _Z_PAIRS],
-    [f"e{j + 1}" for _, j in _Z_PAIRS],
-    [_Z_FRAME[i] for i, _ in _Z_PAIRS],
-    [_Z_FRAME[j] for _, j in _Z_PAIRS],
-    [_Z_TERMS.get(pair, (0, 0))[1] for pair in _Z_PAIRS],
-    [_Z_TERMS.get(pair, (0, 0))[0] for pair in _Z_PAIRS],
-)
 
-# The (W, Wperp, Z) block in row-major order, on the bank rows W = 5,
-# Wperp = 6 and Z = 4: each cell is a coefficient times one of Wperp and
-# the vectors xi W + Z, Z - xi W and (xi^2 - 2) W - xi Z (rows 7-9).
-_FRAME_LABELS = ("W", "Wperp", "Z")
-_FRAME_BANK_ROWS = (5, 6, 4)
-_FRAME_CELLS = (
-    [_FRAME_LABELS[i] for i in range(3) for _ in range(3)],
-    _FRAME_LABELS * 3,
-    [_FRAME_BANK_ROWS[i] for i in range(3) for _ in range(3)],
-    _FRAME_BANK_ROWS * 3,
-    [6, 7, 6, 8, 6, 9, 6, 9, 6],
-    range(9),
-)
-
-# The rows blocks, per pole plane: cells (ea, W), (ea, Wperp), (eb, W),
-# (eb, Wperp) with ea, eb the other plane's basis vectors, on the bank rows
-# W = 5 and Wperp = 6; each cell is a multiple of a basis vector.
-_ROWS_CELLS = {
-    plane: (
-        (f"e{first + 1}",) * 2 + (f"e{first + 2}",) * 2,
-        ("W", "Wperp") * 2,
-        [first, first, first + 1, first + 1],
-        [5, 6, 5, 6],
-        [first + 1, first, first, first + 1],
-        [0, 1, 2, 1],
-    )
-    for plane, first in (("e12", 2), ("e34", 0))
-}
-_Z_LAYOUT = _layout(*_Z_CELLS)
-_FRAME_LAYOUT = _layout(*_FRAME_CELLS)
-_ROWS_LAYOUT = {plane: _layout(*cells) for plane, cells in _ROWS_CELLS.items()}
+# The poles of :func:`reference_blocks`, in the order it stacks them.
+_POLES = ("Z", "w12", "w34")
 
 
-def _cells(layout: _Layout, vectors: list, coefficients: list) -> Cells:
-    """The cells of ``layout`` from its own ``vectors`` and
-    ``coefficients``: one bank, three gathers and one product."""
-    size = len(_EYE_ENTRIES) + 5 * len(vectors) + len(coefficients)
-    bank = np.fromiter(chain(_EYE_ENTRIES, *vectors, coefficients), float, size)
-    return Cells(
-        layout.rows,
-        layout.cols,
-        bank.take(layout.directions),
-        bank.take(layout.arguments),
-        bank.take(layout.coefficients) * bank.take(layout.units),
-    )
-
-
-def _z_terms(lam: float, mu: float, xi: float) -> tuple[list, list]:
-    half_lam, half_mu = 0.5 * lam, 0.5 * mu
-    return [[0.0, 0.0, 0.0, 0.0, 1.0 / (1.0 + xi)]], [0.0, half_lam, -half_lam, half_mu, -half_mu]
-
-
-def _plane_coefficients(plane: str, lam: float, mu: float) -> tuple[float, float]:
-    """For a pole in ``plane`` ("e12" or "e34"): its own bracket coefficient
-    and the other plane's."""
-    return {"e12": (lam, mu), "e34": (mu, lam)}[plane]
-
-
-def _frame_terms(plane: str, lam: float, mu: float, xi: float, w: list) -> tuple[list, list]:
-    own, _ = _plane_coefficients(plane, lam, mu)
-    a = own * own
-    scale = xi**2 - 2.0
-    vectors = [
-        w,
-        _w_perp(lam, mu, w),
-        [xi * x + z for x, z in zip(w, _Z_ROW)],
-        [z - xi * x for x, z in zip(w, _Z_ROW)],
-        [scale * x - xi * z for x, z in zip(w, _Z_ROW)],
-    ]
-    coefficients = [xi, -0.5 * a, 0.5, 0.5 * a, -0.25 * xi * a, 0.25 * a, 0.5, 0.25 * a, 0.25 * xi]
+def _terms(lam: float, mu: float, xi: float, w12: list, w34: list) -> tuple[dict, dict]:
+    """The vectors after e1..e5 and the coefficients that ``_CELLS``
+    names, by name, in bank order.  Each is formed in Python floats as its
+    closed form is written, so -xi lam^2/4 and -xi lam lam/4 are kept
+    apart: they may differ in their last bit."""
+    half_lam, half_mu, a, scale = 0.5 * lam, 0.5 * mu, lam * lam, xi**2 - 2.0
+    vectors = {
+        "Z/(1+xi)": (0.0, 0.0, 0.0, 0.0, 1.0 / (1.0 + xi)),
+        "W12": w12,
+        "Wperp12": _w_perp(lam, mu, w12),
+        "xiW12+Z": [xi * x + z for x, z in zip(w12, _Z_ROW)],
+        "Z-xiW12": [z - xi * x for x, z in zip(w12, _Z_ROW)],
+        "(xi^2-2)W12-xiZ": [scale * x - xi * z for x, z in zip(w12, _Z_ROW)],
+        "W34": w34,
+        "Wperp34": _w_perp(lam, mu, w34),
+    }
+    coefficients = {
+        "0": 0.0, "lam/2": half_lam, "-lam/2": -half_lam, "mu/2": half_mu, "-mu/2": -half_mu,
+        "xi": xi, "1/2": 0.5, "lam^2/2": 0.5 * a, "-lam^2/2": -0.5 * a, "lam^2/4": 0.25 * a,
+        "-xi lam^2/4": -0.25 * xi * a, "xi/4": 0.25 * xi,
+        "mu xi/2": 0.5 * mu * xi, "-mu xi/2": -0.5 * mu * xi,
+        "-xi lam lam/4": -0.25 * xi * lam * lam,
+        "lam xi/2": 0.5 * lam * xi, "-lam xi/2": -0.5 * lam * xi,
+        "-xi mu mu/4": -0.25 * xi * mu * mu,
+    }
     return vectors, coefficients
 
 
-def _rows_terms(plane: str, lam: float, mu: float, xi: float, w: list) -> tuple[list, list]:
-    own, other = _plane_coefficients(plane, lam, mu)
-    diagonal = -0.25 * xi * own * own
-    return [w, _w_perp(lam, mu, w)], [-0.5 * other * xi, diagonal, 0.5 * other * xi]
+def _gather_index() -> np.ndarray:
+    """Where each cell comes from in the bank of :func:`reference_blocks`
+    (e1..e5, the vectors of :func:`_terms`, then its coefficients): the
+    entries of its direction, its argument, its coefficient (five times)
+    and its vector, as one read-only (4, cells, 5) index."""
+    vectors, coefficients = _terms(1.0, 1.0, 0.5, _Z_ROW, _Z_ROW)
+    names = [f"e{i}" for i in range(1, 6)] + list(vectors)
+    entries = {name: list(range(5 * row, 5 * row + 5)) for row, name in enumerate(names)}
+    entries.update((name, [5 * len(names) + i] * 5) for i, name in enumerate(coefficients))
+    columns = list(zip(*chain(*_CELLS.values())))[2:]
+    index = np.array([[entries[name] for name in column] for column in columns])
+    index.flags.writeable = False
+    return index
 
 
-def pole_z_cells(lam: float, mu: float, xi: float) -> Cells:
-    """All 25 derivatives at pole Z in the frame (e1..e4, e5 = Z/(1+xi)),
-    which is orthonormal for the osculating product at Z."""
-    return _cells(_Z_LAYOUT, *_z_terms(lam, mu, xi))
+_GATHER = _gather_index()
 
+#: The reported blocks in document order, ``(name, pole, rows, cols)``
+#: each: the index of its pole in the poles of :func:`reference_blocks`
+#: and its cells' row and column labels.
+REFERENCE_BLOCKS = tuple(
+    (name, _POLES.index(pole), *zip(*(cell[:2] for cell in cells)))
+    for (name, pole), cells in _CELLS.items()
+)
 
-def pole_frame_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
-    """3x3 (W, Wperp, Z) block for a unit pole in ``plane`` ("e12" or
-    "e34"); the two planes differ only in the squared bracket coefficient."""
-    return _cells(_FRAME_LAYOUT, *_frame_terms(plane, lam, mu, xi, w.tolist()))
-
-
-def pole_rows_cells(plane: str, lam: float, mu: float, xi: float, w: np.ndarray) -> Cells:
-    """Derivatives along the other bracket plane's basis vectors of W and
-    Wperp, for a unit pole in ``plane`` ("e12" or "e34")."""
-    return _cells(_ROWS_LAYOUT[plane], *_rows_terms(plane, lam, mu, xi, w.tolist()))
+#: The index of each cell's pole in the poles of :func:`reference_blocks`,
+#: read-only, in stacking order.
+POLE_OF_CELL = np.array([pole for _, pole, rows, _ in REFERENCE_BLOCKS for _ in rows])
+POLE_OF_CELL.flags.writeable = False
 
 
 def reference_poles(rng: np.random.Generator) -> np.ndarray:
@@ -390,77 +342,31 @@ def reference_poles(rng: np.random.Generator) -> np.ndarray:
     return np.array([_span_unit("e12", rng), _span_unit("e34", rng)])
 
 
-# The reported blocks in document order, each with its pole (0 = Z,
-# 1 = the pole in span(e1, e2), 2 = the one in span(e3, e4)) and cells; the
-# one layout of all their cells, each block's rows in it, and each cell's
-# pole.
-_BLOCKS = (
-    ("pole_z", 0, _Z_CELLS),
-    ("pole_e12_frame", 1, _FRAME_CELLS),
-    ("pole_e12_rows_e34", 1, _ROWS_CELLS["e12"]),
-    ("pole_e34_rows_e12", 2, _ROWS_CELLS["e34"]),
-)
-_REFERENCE_LAYOUT = _layout(*_joined(cells for _, _, cells in _BLOCKS))
-_CELL_COUNTS = [len(cells[0]) for _, _, cells in _BLOCKS]
-_BLOCK_CUTS = [
-    slice(stop - count, stop) for count, stop in zip(_CELL_COUNTS, accumulate(_CELL_COUNTS))
-]
-_POLE_OF_CELL = np.repeat([pole for _, pole, _ in _BLOCKS], _CELL_COUNTS)
-_POLE_OF_CELL.flags.writeable = False
-
-
-class _Blocks(dict):
-    """The blocks of :func:`reference_blocks` by name, and the stacked
-    arrays their cells are views of: ``poles``, the three poles (Z, then the
-    poles in span(e1, e2) and span(e3, e4)) as a (3, 5) array,
-    ``pole_of_cell``, the index in ``poles`` of each cell's pole, and
-    ``cells``, all the cells in block order as one :class:`Cells`."""
-
-    def __init__(self, blocks: dict, poles: np.ndarray, pole_of_cell: np.ndarray, cells: Cells):
-        super().__init__(blocks)
-        self.poles, self.pole_of_cell, self.cells = poles, pole_of_cell, cells
-
-
 def reference_blocks(
     lam: float, mu: float, xi: float, w12: np.ndarray, w34: np.ndarray
-) -> _Blocks:
-    """The four reporting blocks, keyed by layout name, each as
-    (pole, cells), at the unit poles ``w12`` in span(e1, e2) and ``w34`` in
-    span(e3, e4) (the closed forms hold for every unit pole in the
-    respective plane; :func:`reference_poles` draws them).  All the cells
-    are built in one pass, on one bank, with one product and one overflow
-    check, and each block's cells are row slices of the stacked arrays,
-    which the returned dict carries too (:class:`_Blocks`).  Parameters off
-    lam >= mu > 0 and 0 < xi < 1, and those whose cells overflow, those
-    with no finite squared norm (the rule every coordinate vector of the
-    library obeys; it sets in near lam = 1e51), raise
-    :class:`ParameterError`."""
+) -> tuple[np.ndarray, Cells]:
+    """The cells of :data:`REFERENCE_BLOCKS` at the unit poles ``w12`` in
+    span(e1, e2) and ``w34`` in span(e3, e4) (the closed forms hold for
+    every unit pole in its plane; :func:`reference_poles` draws them): the
+    poles Z, ``w12`` and ``w34`` as a (3, 5) array, and every cell stacked
+    in block order as one :class:`Cells`, whose poles are
+    :data:`POLE_OF_CELL`.  Parameters off lam >= mu > 0 and 0 < xi < 1,
+    and those whose cells overflow, those with no finite squared norm (the
+    rule every coordinate vector of the library obeys; it sets in near
+    lam = 1e51), raise :class:`ParameterError`."""
     lam, mu, xi = *_check_brackets(lam, mu), _check_xi(xi)
     w12, w34 = w12.tolist(), w34.tolist()
-    vectors, coefficients = [], []
-    for own_vectors, own_coefficients in (
-        _z_terms(lam, mu, xi),
-        _frame_terms("e12", lam, mu, xi, w12),
-        _rows_terms("e12", lam, mu, xi, w12),
-        _rows_terms("e34", lam, mu, xi, w34),
-    ):
-        vectors += own_vectors
-        coefficients += own_coefficients
+    vectors, coefficients = _terms(lam, mu, xi, w12, w34)
+    bank = np.fromiter(chain(_EYE_ENTRIES, *vectors.values(), coefficients.values()), float)
+    directions, arguments, scales, units = bank.take(_GATHER)
     # an overflowing cell (inf, or inf * 0 = NaN) is a rejected input below,
     # not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = _cells(_REFERENCE_LAYOUT, vectors, coefficients)
-        largest_square = np.vecdot(cells.expected, cells.expected).max()
+        expected = scales * units
+        largest_square = np.vecdot(expected, expected).max()
     if not largest_square < math.inf:
         raise ParameterError(
             f"closed-form connection cells overflow at lam={lam}, mu={mu}, xi={xi}: "
             "a cell has no finite squared norm"
         )
-    poles = np.array((_Z_ROW, w12, w34))
-    rows, cols, directions, arguments, expected = cells
-    blocks = {
-        name: (poles[pole], Cells(rows[cut], cols[cut],
-                                  directions[cut], arguments[cut], expected[cut]))
-        for (name, pole, _), cut in zip(_BLOCKS, _BLOCK_CUTS)
-    }
-    return _Blocks(blocks, poles, _POLE_OF_CELL, cells)
+    return np.array((_Z_ROW, w12, w34)), Cells(directions, arguments, expected)

@@ -13,6 +13,7 @@ import randersflag
 # z_randers is imported here for the tests that take their samplers from helpers
 from randersflag import RandersStructure, z_randers
 from randersflag.cli import main
+from randersflag.reference_tables import REFERENCE_BLOCKS, Cells
 
 
 def run_main(argv) -> tuple[int, str, str]:
@@ -31,19 +32,32 @@ def run_main(argv) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def tables_document(lam, mu, xi, reference, computed, expected, defects, max_defect, ok):
+def tables_document(lam, mu, xi, layout, poles, computed, expected, defects, max_defect, ok):
     """The document that :func:`randersflag.cli.connection_tables_json`
     writes for its arguments, as :func:`json.dumps` takes it."""
     blocks, start = {}, 0
-    for name, (pole, cells) in reference.items():
-        blocks[name] = {"pole": pole.tolist(), "cells": [
+    for name, pole, rows, cols in layout:
+        blocks[name] = {"pole": poles[pole].tolist(), "cells": [
             {"row": row, "col": col, "computed": computed[i].tolist(),
              "closed_form": expected[i].tolist(), "defect": float(defects[i])}
-            for i, row, col in zip(itertools.count(start), cells.rows, cells.cols)
+            for i, row, col in zip(itertools.count(start), rows, cols)
         ]}
-        start += len(cells.rows)
+        start += len(rows)
     return {"lambda": lam, "mu": mu, "xi": xi, "blocks": blocks,
             "max_defect": max_defect, "pass": ok}
+
+
+def split_blocks(poles, cells) -> dict:
+    """:func:`randersflag.reference_tables.reference_blocks`' poles and
+    stacked cells, per block of ``REFERENCE_BLOCKS`` by name, as ``(pole,
+    rows, cols, cells)``: its pole, its labels and its row slice of the
+    stacked cells."""
+    blocks, start = {}, 0
+    for name, pole, rows, cols in REFERENCE_BLOCKS:
+        cut = slice(start, start + len(rows))
+        blocks[name] = (poles[pole], rows, cols, Cells(*(part[cut] for part in cells)))
+        start = cut.stop
+    return blocks
 
 
 def package_env() -> dict:

@@ -26,13 +26,15 @@ from randersflag import (
     torsion_defect,
     almost_metric_defect,
 )
-from randersflag.reference_tables import (
-    SPECIAL_FLAG_CASES,
-    pole_frame_cells,
-    pole_rows_cells,
-    pole_z_cells,
+from randersflag.reference_tables import SPECIAL_FLAG_CASES, reference_blocks
+from helpers import (
+    package_env,
+    random_heisenberg_params,
+    split_blocks,
+    unit,
+    unit_in_plane,
+    z_randers,
 )
-from helpers import package_env, random_heisenberg_params, unit, unit_in_plane, z_randers
 
 E = np.eye(5)
 Z = E[4]
@@ -73,13 +75,8 @@ def test_criterion_2_connection_tables(rng):
         structure = z_randers(lam, mu, xi)
         w12 = unit_in_plane(rng, 0)
         w34 = unit_in_plane(rng, 2)
-        layouts = [
-            (Z, pole_z_cells(lam, mu, xi)),
-            (w12, pole_frame_cells("e12", lam, mu, xi, w12)),
-            (w12, pole_rows_cells("e12", lam, mu, xi, w12)),
-            (w34, pole_rows_cells("e34", lam, mu, xi, w34)),
-        ]
-        for pole, cells in layouts:
+        layouts = split_blocks(*reference_blocks(lam, mu, xi, w12, w34))
+        for pole, _, _, cells in layouts.values():
             table = chern_rund_table(structure.osculating_gram(pole))
             for direction, argument, expected in zip(
                 cells.directions, cells.arguments, cells.expected

@@ -45,8 +45,6 @@ from randersflag.cli import (
 )
 from randersflag.randers import _normalized, _stencil
 from randersflag.reference_tables import (
-    Cells,
-    _Blocks,
     reference_blocks,
     reference_poles,
     special_flag_closed_form,
@@ -56,6 +54,7 @@ from helpers import (
     nilpotent_algebra,
     package_env,
     run_main,
+    split_blocks,
     tables_document,
     unit,
     z_randers,
@@ -404,17 +403,21 @@ class TestTable1:
 
 
 def _read_blocks(monkeypatch, perturbed):
-    """Make ``connection-tables`` read the blocks that ``perturbed`` makes
-    of :func:`reference_blocks`' blocks, stacked as it stacks them."""
+    """Make ``connection-tables`` read :func:`reference_blocks`' cells with
+    the closed forms that ``perturbed`` makes of its poles and cells."""
 
     def reference(*args):
-        found = reference_blocks(*args)
-        blocks = perturbed(found)
-        parts = zip(*(cells[2:] for _, cells in blocks.values()))
-        cells = Cells(*found.cells[:2], *map(np.concatenate, parts))
-        return _Blocks(blocks, found.poles, found.pole_of_cell, cells)
+        poles, cells = reference_blocks(*args)
+        return poles, cells._replace(expected=perturbed(poles, cells))
 
     monkeypatch.setattr(cli, "reference_blocks", reference)
+
+
+def _perturbed_block(poles, cells, name):
+    """A copy of ``cells``' closed forms, and ``(pole, rows, cols, cells)``
+    of block ``name`` with its closed forms a view of that copy."""
+    expected = cells.expected.copy()
+    return expected, split_blocks(poles, cells._replace(expected=expected))[name]
 
 
 class TestConnectionTables:
@@ -445,8 +448,8 @@ class TestConnectionTables:
         assert code == EXIT_OK
         blocks = json.loads(out.read_text(encoding="utf-8"))["blocks"]
         structure = cli._preset_structure(*params)
-        reference = reference_blocks(*params, *cli._report_poles())
-        for name, (pole, cells) in reference.items():
+        reference = split_blocks(*reference_blocks(*params, *cli._report_poles()))
+        for name, (pole, _, _, cells) in reference.items():
             table = chern_rund_table(structure.osculating_gram(pole))
             computed = [cell["computed"] for cell in blocks[name]["cells"]]
             assert np.array_equal(computed, table.derivative(cells.directions, cells.arguments))
@@ -498,11 +501,10 @@ class TestConnectionTables:
 
     def test_perturbed_cell_fails(self, tmp_path, monkeypatch):
         # the (Wperp, Wperp) cell, the largest, moved by 1e-6 of its size
-        def perturbed(blocks):
-            pole, cells = blocks["pole_e12_frame"]
-            expected = cells.expected.copy()
-            expected[list(zip(cells.rows, cells.cols)).index(("Wperp", "Wperp"))] *= 1 + 1e-6
-            return {**blocks, "pole_e12_frame": (pole, cells._replace(expected=expected))}
+        def perturbed(poles, cells):
+            expected, (_, rows, cols, block) = _perturbed_block(poles, cells, "pole_e12_frame")
+            block.expected[list(zip(rows, cols)).index(("Wperp", "Wperp"))] *= 1 + 1e-6
+            return expected
 
         _read_blocks(monkeypatch, perturbed)
         code, out = self.run(tmp_path, *LARGE_MODELS[0])
@@ -520,12 +522,13 @@ class TestConnectionTables:
         # each cell in turn moved by 1e-6 of the scale its defect is judged
         # by, max(1, |direction| |argument| max|gamma| at its pole)
         structure = z_randers(*params)
-        blocks = reference_blocks(*params, *reference_poles(np.random.default_rng(0)))
-        for name, (_, cells) in blocks.items():
-            for i in range(len(cells.rows)):
+        poles = reference_poles(np.random.default_rng(0))
+        blocks = split_blocks(*reference_blocks(*params, *poles))
+        for name, (_, rows, cols, _) in blocks.items():
+            for i in range(len(rows)):
 
-                def perturbed(blocks, name=name, i=i):
-                    pole, cells = blocks[name]
+                def perturbed(poles, cells, name=name, i=i):
+                    expected, (pole, _, _, cells) = _perturbed_block(poles, cells, name)
                     gamma = chern_rund_table(structure.osculating_gram(pole)).gamma
                     scale = max(
                         1.0,
@@ -533,13 +536,12 @@ class TestConnectionTables:
                         * np.linalg.norm(cells.arguments[i])
                         * np.abs(gamma).max(),
                     )
-                    expected = cells.expected.copy()
-                    expected[i] += 1e-6 * scale * np.eye(5)[i % 5]
-                    return {**blocks, name: (pole, cells._replace(expected=expected))}
+                    cells.expected[i] += 1e-6 * scale * np.eye(5)[i % 5]
+                    return expected
 
                 _read_blocks(monkeypatch, perturbed)
                 code, _ = self.run(tmp_path, *params)
-                assert code == EXIT_VERDICT, (name, cells.rows[i], cells.cols[i])
+                assert code == EXIT_VERDICT, (name, rows[i], cols[i])
 
     def test_invalid_parameters_are_usage_errors(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, lam=0.5, mu=1.0)
@@ -713,13 +715,8 @@ def _emitter_case(blocks, width, rng, ok=True):
     cells = sum(len(rows) for _, rows, _ in blocks)
     computed, expected, defects = numbers(cells, width), numbers(cells, width), numbers(cells)
     poles, (lam, mu, xi, max_defect) = numbers(len(blocks), width), numbers(4).tolist()
-    # the labels and the pole are all the emitter reads of a block
-    zero = np.zeros((0, width))
-    reference = {
-        name: (pole, Cells(rows, cols, zero, zero, zero))
-        for (name, rows, cols), pole in zip(blocks, poles)
-    }
-    args = (lam, mu, xi, reference, computed, expected, defects, max_defect, ok)
+    layout = tuple((name, pole, rows, cols) for pole, (name, rows, cols) in enumerate(blocks))
+    args = (lam, mu, xi, layout, poles, computed, expected, defects, max_defect, ok)
     return args, tables_document(*args)
 
 
@@ -744,10 +741,9 @@ class TestConnectionTablesJson:
         computed = np.array([specials[:3], specials[3:6], specials[4:]])
         expected = computed[::-1] * -1.0
         defects = np.array([math.nan, 0.0, 1e-05])
-        zero = np.zeros((3, 3))
-        cells = Cells(("e1", "Wperp", "e\u00e9"), ("W", "Z", 'q"'), zero, zero, expected)
-        reference = {"a": (np.array([-0.0, 1e16, math.inf]), Cells(*(part[:2] for part in cells))),
-                     "b": (np.array([5e-324, 0.1, -1.5]), Cells(*(part[2:] for part in cells)))}
+        rows, cols = ("e1", "Wperp", "e\u00e9"), ("W", "Z", 'q"')
+        layout = (("a", 0, rows[:2], cols[:2]), ("b", 1, rows[2:], cols[2:]))
+        poles = np.array([[-0.0, 1e16, math.inf], [5e-324, 0.1, -1.5]])
         lam, mu, xi = 1e16, 5e-324, 1e-05
         document = {
             "lambda": lam,
@@ -760,7 +756,7 @@ class TestConnectionTablesJson:
             "max_defect": math.nan,
             "pass": ok,
         }
-        for i, (row, col) in enumerate(zip(cells.rows, cells.cols)):
+        for i, (row, col) in enumerate(zip(rows, cols)):
             document["blocks"]["a" if i < 2 else "b"]["cells"].append({
                 "row": row,
                 "col": col,
@@ -769,7 +765,7 @@ class TestConnectionTablesJson:
                 "defect": float(defects[i]),
             })
         text = connection_tables_json(
-            lam, mu, xi, reference, computed, expected, defects, math.nan, ok
+            lam, mu, xi, layout, poles, computed, expected, defects, math.nan, ok
         )
         assert text == json.dumps(document, indent=2) + "\n"
 
@@ -818,16 +814,16 @@ def _pool_case(layout, pool):
     ``pool``."""
     rng = np.random.default_rng(11)
     args, _ = _emitter_case(EMITTER_LAYOUTS[layout], 4, rng)
-    reference, computed, expected, defects = args[3:7]
+    layout, poles, computed, expected, defects = args[3:8]
     pool = np.array(pool)
 
     def numbers(shape):
         return rng.choice(pool, shape)
 
-    reference = {name: (numbers(pole.shape), cells) for name, (pole, cells) in reference.items()}
+    poles = np.array([numbers(pole.shape) for pole in poles])
     lam, mu, xi, max_defect = numbers(4).tolist()
-    return (lam, mu, xi, reference, numbers(computed.shape), numbers(expected.shape),
-            numbers(defects.shape), max_defect, args[8])
+    return (lam, mu, xi, layout, poles, numbers(computed.shape), numbers(expected.shape),
+            numbers(defects.shape), max_defect, args[9])
 
 
 def _floats(node) -> list[float]:

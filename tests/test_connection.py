@@ -22,9 +22,9 @@ from randersflag import (
 from randersflag.connection import TABLE_BLOCK_ENTRIES, _nabla_basis_w, _nabla_w_of_w
 from randersflag.lie_algebra import _levi_civita
 from randersflag.reference_tables import (
-    pole_frame_cells,
-    pole_rows_cells,
-    pole_z_cells,
+    POLE_OF_CELL,
+    REFERENCE_BLOCKS,
+    Cells,
     reference_blocks,
     reference_poles,
 )
@@ -34,6 +34,7 @@ from helpers import (
     nilpotent_algebra,
     random_heisenberg_params,
     solvable_algebra,
+    split_blocks,
     unit,
     unit_in_plane,
     z_randers,
@@ -56,11 +57,13 @@ def check_cells(structure, pole, cells, tol):
     assert worst <= tol, f"worst cell defect {worst:.3e} exceeds {tol:g}"
 
 
-def closed_form_cells(lam, mu, xi, w12, w34):
+def closed_form_cells(lam, mu, xi, w12, w34, frame_plane="e12"):
     """The four reported blocks, cell by cell, from the closed forms: per
     block its pole and a list of (row, col, direction, argument, expected).
     Each expected entry is one coefficient times one entry of one vector,
-    formed as the closed form is written."""
+    formed as the closed form is written.  The (W, Wperp, Z) block is at
+    the pole in ``frame_plane``: "e12", as reported, or "e34", where its
+    closed forms are the same with mu in place of lam."""
     eye = np.eye(5)
     half_lam, half_mu = 0.5 * lam, 0.5 * mu
     # pole Z, in the frame e1..e4, e5 = Z / (1 + xi): the derivatives that
@@ -81,9 +84,10 @@ def closed_form_cells(lam, mu, xi, w12, w34):
     def w_perp(w):
         return np.array([lam * w[1], -lam * w[0], mu * w[3], -mu * w[2], 0.0])
 
-    # the (W, Wperp, Z) block at w12, a = lam^2
-    w, wp, z = w12, w_perp(w12), eye[4]
-    a = lam * lam
+    # the (W, Wperp, Z) block, a = lam^2 at w12 and mu^2 at w34
+    w, own = {"e12": (w12, lam), "e34": (w34, mu)}[frame_plane]
+    wp, z = w_perp(w), eye[4]
+    a = own * own
     tilted = (xi**2 - 2.0) * w - xi * z
     labelled = {"W": w, "Wperp": wp, "Z": z}
     frame_expected = {
@@ -113,7 +117,7 @@ def closed_form_cells(lam, mu, xi, w12, w34):
 
     return {
         "pole_z": (z, z_cells),
-        "pole_e12_frame": (w12, frame_cells),
+        f"pole_{frame_plane}_frame": (w, frame_cells),
         "pole_e12_rows_e34": (w12, rows_cells(w12, lam, mu, 3)),
         "pole_e34_rows_e12": (w34, rows_cells(w34, mu, lam, 1)),
     }
@@ -271,44 +275,58 @@ class TestSpotComponents:
         assert np.allclose(table.derivative(E[0], wp), -0.125 * E[0], atol=1e-14)
 
 
+def reported_block(name, lam, mu, xi, w12=E[0], w34=E[2]):
+    """One block of :func:`reference_blocks`, as its pole and its cells."""
+    pole, _, _, cells = split_blocks(*reference_blocks(lam, mu, xi, w12, w34))[name]
+    return pole, cells
+
+
 class TestClosedFormTables:
     def test_center_pole_table_random_params(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
-            check_cells(z_randers(lam, mu, xi), Z, pole_z_cells(lam, mu, xi), 1e-12)
+            check_cells(z_randers(lam, mu, xi), *reported_block("pole_z", lam, mu, xi), 1e-12)
 
     def test_e12_pole_frame_table(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 0)
-            check_cells(z_randers(lam, mu, xi), w, pole_frame_cells("e12", lam, mu, xi, w), 1e-10)
+            block = reported_block("pole_e12_frame", lam, mu, xi, w12=w)
+            check_cells(z_randers(lam, mu, xi), *block, 1e-10)
 
     def test_e12_pole_transverse_rows(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 0)
-            check_cells(z_randers(lam, mu, xi), w, pole_rows_cells("e12", lam, mu, xi, w), 1e-10)
+            block = reported_block("pole_e12_rows_e34", lam, mu, xi, w12=w)
+            check_cells(z_randers(lam, mu, xi), *block, 1e-10)
 
     def test_e34_pole_frame_table(self, rng):
+        # not reported: the test-local closed forms, against the table
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 2)
-            check_cells(z_randers(lam, mu, xi), w, pole_frame_cells("e34", lam, mu, xi, w), 1e-10)
+            pole, cells = closed_form_cells(lam, mu, xi, E[0], w, "e34")["pole_e34_frame"]
+            stacked = Cells(*(np.array(part) for part in list(zip(*cells))[2:]))
+            check_cells(z_randers(lam, mu, xi), pole, stacked, 1e-10)
 
     def test_e34_pole_transverse_rows(self, rng):
         for _ in range(10):
             lam, mu, xi = random_heisenberg_params(rng)
             w = unit_in_plane(rng, 2)
-            check_cells(z_randers(lam, mu, xi), w, pole_rows_cells("e34", lam, mu, xi, w), 1e-10)
+            block = reported_block("pole_e34_rows_e12", lam, mu, xi, w34=w)
+            check_cells(z_randers(lam, mu, xi), *block, 1e-10)
 
     def test_reference_blocks_cover_the_four_layouts(self, rng):
-        blocks = reference_blocks(2.0, 1.0, 0.5, *reference_poles(rng))
+        poles, cells = reference_blocks(2.0, 1.0, 0.5, *reference_poles(rng))
         sizes = {"pole_z": 25, "pole_e12_frame": 9, "pole_e12_rows_e34": 4, "pole_e34_rows_e12": 4}
-        assert set(blocks) == set(sizes)
-        for name, (_, cells) in blocks.items():
-            assert len(cells.rows) == len(cells.cols) == sizes[name]
-            for part in (cells.directions, cells.arguments, cells.expected):
-                assert part.shape == (sizes[name], 5)
+        assert [name for name, *_ in REFERENCE_BLOCKS] == list(sizes)
+        for _, _, rows, cols in REFERENCE_BLOCKS:
+            assert type(rows) is type(cols) is tuple and len(rows) == len(cols)
+        assert poles.shape == (3, 5) and np.array_equal(poles[0], Z)
+        for part in cells:
+            assert part.shape == (42, 5)
+        assert POLE_OF_CELL.tolist() == [0] * 25 + [1] * 13 + [2] * 4
 
     @pytest.mark.parametrize(
         "params", [(2.0, 1.0, 1.5), (2.0, 1.0, 0.0), (2.0, 1.0, -0.5), (2.0, 1.0, np.nan), (1.0, 2.0, 0.5)]
@@ -321,17 +339,18 @@ class TestClosedFormTables:
     def test_reference_cells_are_the_closed_forms(self, lam, mu, xi, w12, w34):
         # every cell, bit for bit (signed zeros too), against a loop over
         # the cells written from the closed forms
-        blocks = reference_blocks(lam, mu, xi, w12, w34)
+        poles, cells = reference_blocks(lam, mu, xi, w12, w34)
         loop = closed_form_cells(lam, mu, xi, w12, w34)
-        assert list(blocks) == list(loop)
-        for name, (pole, cells) in blocks.items():
-            assert np.array_equal(pole.view(np.int64), loop[name][0].view(np.int64))
-            assert list(zip(cells.rows, cells.cols)) == [cell[:2] for cell in loop[name][1]]
-            for i, part in enumerate(("directions", "arguments", "expected")):
-                found = getattr(cells, part)
-                wanted = np.array([cell[2 + i] for cell in loop[name][1]])
-                assert found.dtype == wanted.dtype and found.shape == wanted.shape, (name, part)
-                assert np.array_equal(found.view(np.int64), wanted.view(np.int64)), (name, part)
+        assert [name for name, *_ in REFERENCE_BLOCKS] == list(loop)
+        for name, pole, rows, cols in REFERENCE_BLOCKS:
+            assert np.array_equal(poles[pole].view(np.int64), loop[name][0].view(np.int64))
+            assert list(zip(rows, cols)) == [cell[:2] for cell in loop[name][1]]
+        looped = [cell for _, block in loop.values() for cell in block]
+        for i, part in enumerate(Cells._fields):
+            found = getattr(cells, part)
+            wanted = np.array([cell[2 + i] for cell in looped])
+            assert found.dtype == wanted.dtype and found.shape == wanted.shape, part
+            assert np.array_equal(found.view(np.int64), wanted.view(np.int64)), part
 
 
 class TestConnectionContracts:

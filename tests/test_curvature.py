@@ -347,10 +347,9 @@ class TestRealParameters:
         # object arrays of Fractions
         floats = tuple(map(float, params))
         assert np.array_equal(z_randers(*params).x0, z_randers(*floats).x0)
-        for (_, cells), (_, expected) in zip(reference_blocks(*params, E[0], E[2]).values(),
-                                             reference_blocks(*floats, E[0], E[2]).values()):
-            assert cells.expected.dtype == float
-            assert np.array_equal(cells.expected, expected.expected)
+        (_, cells), (_, expected) = (reference_blocks(*p, E[0], E[2]) for p in (params, floats))
+        assert cells.expected.dtype == float
+        assert np.array_equal(cells.expected, expected.expected)
         for case_id in SPECIAL_FLAG_CASES:
             value = special_flag_closed_form(case_id, *params)
             assert value == special_flag_closed_form(case_id, *floats)

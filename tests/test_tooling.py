@@ -1,8 +1,10 @@
 """The README's library quick start and the benchmark's self-test, each run
-in a child interpreter, and the README's dotted library names, so a library
-change that breaks or renames what they use fails here first; and the
-per-process caches of ``cli``, which later runs share."""
+in a child interpreter, the README's dotted library names and the
+benchmark's traced layer names, so a library change that breaks or renames
+what they use fails here first; and the per-process caches of ``cli`` and
+the modules' array constants, which later runs share."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -71,12 +73,48 @@ def test_benchmark_selftest_passes():
 _CACHE_CALLS = {
     "_verify_samples": [(1,), (5,), (12,)],
     "_verify_stencils": [(1,), (5,), (12,)],
-    "_document_template": [((("block", ("r",), ("c",)),), 5)],
+    "_document_template": [((("block", 0, ("r",), ("c",)),), 5)],
 }
 
 
 #: Containers that a caller can change in place.
 _MUTABLE = (list, dict, set, bytearray)
+
+
+#: The ``TARGETS`` layers of ``bench/tracing.py`` that name an attribute the
+#: library no longer has (ROADMAP item 13): ``OsculatingFrame.solve`` is
+#: gone, and ``nabla_w_of_w`` is private.  The tracer skips such a name, so
+#: its layer reads zero.
+_STALE_BENCH_LAYERS = {"randers.solve", "connection.nabla_w_of_w"}
+
+
+def _bench_targets() -> dict:
+    """``TARGETS`` of ``bench/tracing.py``, read from its source without
+    running it: per layer its module, its class or ``None``, and its
+    attribute names."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    return {
+        ast.literal_eval(key): tuple(map(ast.literal_eval, value.elts[:3]))
+        for key, value in zip(targets.keys, targets.values)
+    }
+
+
+def test_bench_layers_name_library_attributes():
+    # the tracer wraps what the owner's own namespace binds, as
+    # bench/tracing.py's Tracer.patch looks it up, and skips the rest
+    targets = _bench_targets()
+    assert "reference_tables.reference_blocks" in targets and len(targets) >= 10
+    stale = set()
+    for layer, (module, owner, attributes) in targets.items():
+        namespace = importlib.import_module(f"randersflag.{module}")
+        namespace = vars(namespace).get(owner) if owner else namespace
+        if namespace is None or not all(name in vars(namespace) for name in attributes):
+            stale.add(layer)
+    assert stale == _STALE_BENCH_LAYERS
 
 
 def _leaves(value):
@@ -121,6 +159,32 @@ def test_cached_report_inputs_are_read_only():
     )
     assert type(pieces) is tuple and {type(piece) for piece in pieces} == {str}
     assert [call for call, result in results.items() if _shared_writable(result)] == []
+
+
+def _module_arrays() -> list:
+    """``(name, array)`` for every array that the globals of ``randersflag``
+    and its public modules reach through tuples."""
+    modules = [randersflag] + [
+        importlib.import_module(f"randersflag.{info.name}")
+        for info in pkgutil.iter_modules(randersflag.__path__)
+        if not info.name.startswith("_")
+    ]
+    return [
+        (f"{module.__name__}.{name}", leaf)
+        for module in modules
+        for name, value in vars(module).items()
+        for leaf in _leaves(value)
+        if isinstance(leaf, np.ndarray)
+    ]
+
+
+def test_module_constants_are_read_only():
+    # a module's array constants are shared by every call in the process,
+    # so a caller that wrote into one would corrupt the later calls
+    arrays = _module_arrays()
+    assert {"randersflag.reference_tables.POLE_OF_CELL", "randersflag.reference_tables._GATHER",
+            "randersflag.reference_tables.CANONICAL_FLAGS"} <= {name for name, _ in arrays}
+    assert [name for name, array in arrays if array.flags.writeable] == []
 
 
 @pytest.mark.parametrize("value", [
